@@ -3,7 +3,7 @@ synthetic benchmark, with exact gradients and deterministic experiments."""
 
 __version__ = "0.1.0"
 
-from .geometry import BBox, ScoredBoxSet, iou, nms
+from .geometry import BBox, iou, nms
 from .labelling import ROLConfig, mine_support, oicr_label
 from .losses import LossWeights
 from .model import DetectorModel, OptimizerConfig, load_model, save_model
@@ -25,7 +25,6 @@ __all__ = [
     "LossWeights",
     "OptimizerConfig",
     "ROLConfig",
-    "ScoredBoxSet",
     "StageConfig",
     "World",
     "WorldConfig",

@@ -2,9 +2,9 @@
 
 Subcommands: ``world`` (generate a benchmark), ``train`` (one stage),
 ``eval`` (score a detections file), ``experiment`` (registered suites),
-``gradcheck`` (finite-difference audit of every loss).  Exit codes: 2 bad
-configuration, 3 missing input, 4 malformed data, 5 unknown experiment,
-6 gradient-check failure.
+``gradcheck`` (finite-difference audit of every loss and of each stage's
+scene loss end to end).  Exit codes: 2 bad configuration, 3 missing
+input, 4 malformed data, 5 unknown experiment, 6 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .pipeline import (
     lstd_finetune,
     lstd_scene_loss,
     run_experiment,
+    source_scene_loss,
     train_source,
     wstd_scene_loss,
     wstd_train,
@@ -320,8 +321,7 @@ def cmd_experiment(args) -> int:
     out = Path(args.out_dir)
     try:
         reports = run_experiment(
-            args.name, seeds=seeds, out_dir=out, threads=args.threads,
-            overrides=overrides,
+            args.name, seeds=seeds, out_dir=out, overrides=overrides,
         )
     except UnknownExperimentError as exc:
         raise CliError(EXIT_UNKNOWN_EXPERIMENT, str(exc))
@@ -357,10 +357,12 @@ def _random_boxes(rng, count: int) -> list[BBox]:
     return boxes
 
 
-def _flatten_params(params: dict[str, np.ndarray]):
+def _end_to_end(loss, params: dict[str, np.ndarray]):
+    """Finite-difference instance of a scene loss over all its parameter
+    blocks, flattened in sorted order; ``loss(params)`` returns the loss
+    components and the gradient of every block."""
     keys = sorted(params)
     shapes = {k: params[k].shape for k in keys}
-    vector = np.concatenate([params[k].ravel() for k in keys])
 
     def unflatten(vec: np.ndarray) -> dict[str, np.ndarray]:
         out = {}
@@ -371,7 +373,10 @@ def _flatten_params(params: dict[str, np.ndarray]):
             offset += size
         return out
 
-    return vector, unflatten, keys
+    _, grads = loss(params)
+    analytic = np.concatenate([grads[k].ravel() for k in keys])
+    vector = np.concatenate([params[k].ravel() for k in keys])
+    return (lambda vec: loss(unflatten(vec))[0]["total"]), analytic, vector
 
 
 def _gc_bd(rng):
@@ -437,18 +442,15 @@ def _lstd_instance(rng):
     return pack, params
 
 
+def _gc_source_end_to_end(rng):
+    pack, params = _lstd_instance(rng)
+    del params["sdk_head"]
+    return _end_to_end(lambda p: source_scene_loss(p, pack, StageConfig()), params)
+
+
 def _gc_lstd_end_to_end(rng):
     pack, params = _lstd_instance(rng)
-    cfg = StageConfig()
-    vector, unflatten, keys = _flatten_params(params)
-    _, grads = lstd_scene_loss(params, pack, cfg)
-    analytic = np.concatenate([grads[k].ravel() for k in keys])
-
-    def f(vec):
-        comps, _ = lstd_scene_loss(unflatten(vec), pack, cfg)
-        return comps["total"]
-
-    return f, analytic, vector
+    return _end_to_end(lambda p: lstd_scene_loss(p, pack, StageConfig()), params)
 
 
 def _wstd_instance(rng):
@@ -475,15 +477,11 @@ def _wstd_instance(rng):
 def _gc_wstd_end_to_end(rng):
     pack, params = _wstd_instance(rng)
     cfg = StageConfig()
-    vector, unflatten, keys = _flatten_params(params)
-    _, grads, pseudo = wstd_scene_loss(params, pack, cfg)
-    analytic = np.concatenate([grads[k].ravel() for k in keys])
-
-    def f(vec):
-        comps, _, _ = wstd_scene_loss(unflatten(vec), pack, cfg, fixed_pseudo=pseudo)
-        return comps["total"]
-
-    return f, analytic, vector
+    # Pseudo labels are constants of a step: probes keep the mined ones.
+    _, _, pseudo = wstd_scene_loss(params, pack, cfg)
+    return _end_to_end(
+        lambda p: wstd_scene_loss(p, pack, cfg, fixed_pseudo=pseudo)[:2], params
+    )
 
 
 GRADCHECKS = {
@@ -493,6 +491,7 @@ GRADCHECKS = {
     "image_multilabel": _gc_image_multilabel,
     "rol": _gc_rol,
     "proposal_cls": _gc_proposal_cls,
+    "source_end_to_end": _gc_source_end_to_end,
     "lstd_end_to_end": _gc_lstd_end_to_end,
     "wstd_end_to_end": _gc_wstd_end_to_end,
 }
@@ -559,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="config override, repeatable; dotted keys reach nested fields",

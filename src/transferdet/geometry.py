@@ -1,7 +1,10 @@
-"""Axis-aligned box arithmetic: area, IoU, and greedy non-maximum suppression.
+"""Axis-aligned box arithmetic: area, IoU, greedy non-maximum suppression,
+and which grid cells a box covers.
 
 Boxes live in normalized scene coordinates, so every coordinate is in
-[0, 1] and all overlap logic is resolution independent.
+[0, 1] and all overlap logic is resolution independent.  A box covers a
+grid cell when the cell's center lies inside the box (boundary included);
+scene painting, ROI pooling and the background mask all use this one test.
 """
 
 from __future__ import annotations
@@ -36,33 +39,8 @@ class BBox:
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
-    def contains_point(self, x: float, y: float) -> bool:
-        """Closed-box membership test (boundary counts as inside)."""
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-
-@dataclass(frozen=True)
-class ScoredBoxSet:
-    """Parallel lists of boxes and confidence scores, the NMS input."""
-
-    boxes: tuple[BBox, ...]
-    scores: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.boxes) != len(self.scores):
-            raise ValueError(
-                f"{len(self.boxes)} boxes but {len(self.scores)} scores"
-            )
-
-    @classmethod
-    def of(cls, boxes: Sequence[BBox], scores: Sequence[float]) -> "ScoredBoxSet":
-        return cls(tuple(boxes), tuple(float(s) for s in scores))
-
-    def __len__(self) -> int:
-        return len(self.boxes)
 
 
 def intersection_area(a: BBox, b: BBox) -> float:
@@ -104,24 +82,48 @@ def pairwise_iou(
     return np.where(inter == 0.0, 0.0, inter / union)
 
 
-def nms(boxset: ScoredBoxSet, overlap_threshold: float, max_keep: int) -> list[int]:
+def nms(
+    scores: Sequence[float] | np.ndarray,
+    iou_matrix: np.ndarray,
+    overlap_threshold: float,
+    max_keep: int,
+) -> list[int]:
     """Greedy suppression in descending score order.
 
     A box is kept iff its IoU with every previously kept box is at most
-    ``overlap_threshold``.  Returns at most ``max_keep`` indices into the
-    input set, sorted by descending score; equal scores keep the lower
-    original index first.
+    ``overlap_threshold``; ``iou_matrix[i, j]`` is the IoU of boxes i and j.
+    Returns at most ``max_keep`` indices, sorted by descending score; equal
+    scores keep the lower index first.
     """
     if not (0.0 <= overlap_threshold <= 1.0):
         raise ValueError(f"overlap_threshold {overlap_threshold} outside [0, 1]")
     if max_keep < 1:
         raise ValueError(f"max_keep must be >= 1, got {max_keep}")
+    scores = np.asarray(scores, dtype=float)
+    if iou_matrix.shape != (scores.size, scores.size):
+        raise ValueError(
+            f"{scores.size} scores but an IoU matrix of shape {iou_matrix.shape}"
+        )
 
-    order = sorted(range(len(boxset)), key=lambda i: (-boxset.scores[i], i))
     kept: list[int] = []
-    for i in order:
-        if len(kept) >= max_keep:
-            break
-        if all(iou(boxset.boxes[i], boxset.boxes[j]) <= overlap_threshold for j in kept):
-            kept.append(i)
+    for i in np.argsort(-scores, kind="stable"):
+        if all(iou_matrix[i, j] <= overlap_threshold for j in kept):
+            kept.append(int(i))
+            if len(kept) >= max_keep:
+                break
     return kept
+
+
+def cell_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized x and y coordinates of the cell centers of an H x W grid."""
+    ys = (np.arange(height) + 0.5) / height
+    xs = (np.arange(width) + 0.5) / width
+    return xs, ys
+
+
+def coverage_mask(height: int, width: int, box: BBox) -> np.ndarray:
+    """Binary H x W mask of cells whose center lies inside the box."""
+    xs, ys = cell_centers(height, width)
+    in_x = (xs >= box.x1) & (xs <= box.x2)
+    in_y = (ys >= box.y1) & (ys <= box.y2)
+    return np.outer(in_y, in_x)

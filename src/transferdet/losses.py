@@ -11,8 +11,9 @@ Conventions shared across the package:
 The losses here are the background-activation penalty (``bd_loss``), the
 teacher-student distillation loss (``sdk_loss``), the image-level
 multi-label loss driving the first pseudo-labelling classifier, the
-pseudo-label cross-entropy for the later classifiers, and the per-stage
-weighted totals.
+pseudo-label cross-entropy for the later classifiers, and the fully
+supervised proposal loss.  The per-stage weighted totals are summed by the
+scene losses in :mod:`transferdet.pipeline`, with :class:`LossWeights`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox
+from .geometry import BBox, coverage_mask
 from .numerics import PROB_FLOOR, column_softmax, sigmoid
 
 
@@ -77,14 +78,10 @@ def bd_mask(grid_height: int, grid_width: int, gt_boxes: Sequence[BBox]) -> np.n
     """
     if grid_height < 1 or grid_width < 1:
         raise ValueError("grid dimensions must be >= 1")
-    mask = np.ones((grid_height, grid_width), dtype=bool)
-    for i in range(grid_height):
-        cy = (i + 0.5) / grid_height
-        for j in range(grid_width):
-            cx = (j + 0.5) / grid_width
-            if any(b.contains_point(cx, cy) for b in gt_boxes):
-                mask[i, j] = False
-    return mask
+    foreground = np.zeros((grid_height, grid_width), dtype=bool)
+    for box in gt_boxes:
+        foreground |= coverage_mask(grid_height, grid_width, box)
+    return ~foreground
 
 
 def bd_loss(grid: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
@@ -232,20 +229,3 @@ def proposal_cls_loss(
     grad = probs.copy()
     grad[labels, k_idx] -= 1.0
     return value, grad
-
-
-def rol_total(per_classifier_losses: Sequence[float]) -> float:
-    """Sum of the per-classifier labelling losses."""
-    if len(per_classifier_losses) == 0:
-        raise ValueError("need at least one classifier loss")
-    return float(sum(per_classifier_losses))
-
-
-def lstd_total(main: float, bd: float, sdk: float, w: LossWeights) -> float:
-    """Weighted total of the low-shot fine-tuning stage."""
-    return w.lambda_main * main + w.lambda_bd * bd + w.lambda_sdk * sdk
-
-
-def wstd_total(sdk: float, rol: float, w: LossWeights) -> float:
-    """Weighted total of the weakly-supervised stage."""
-    return w.lambda_wstd_sdk * sdk + w.lambda_wstd_rol * rol

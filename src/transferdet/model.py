@@ -1,9 +1,13 @@
 """The differentiable detector stand-in.
 
-A per-cell linear map (the backbone) turns raw observation grids into
-feature grids; proposals are mean-pooled over the cells their box covers;
-linear heads score pooled features per class.  Everything is linear up to
-the loss, so every gradient used in training is closed form and checked
+A per-cell linear map (the backbone) turns raw observation vectors into
+feature vectors; proposals are mean-pooled over the cells their box covers;
+linear heads score pooled features per class.  Because pooling is a mean
+and the backbone is linear, pooling the raw grid and then applying the
+backbone equals pooling the feature grid, so training pools raw means once
+per scene (:func:`pool_raw_means`) and only the heads and the map act per
+step (:func:`head_logits`, :func:`head_backward`).  Everything is linear up
+to the loss, so every gradient used in training is closed form and checked
 against finite differences.
 """
 
@@ -15,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox
+from .geometry import BBox, cell_centers, coverage_mask
 from .numerics import column_softmax
 
 HEAD_ROLES = ("main", "sdk_branch", "rol_classifier")
@@ -138,18 +142,7 @@ def init_head(
     )
 
 
-# --- forward pass -----------------------------------------------------------
-
-
-def forward_grid(backbone: Backbone, raw_grid: np.ndarray) -> np.ndarray:
-    """Apply the backbone map to every cell: (H, W, D0) -> (H, W, D)."""
-    raw_grid = np.asarray(raw_grid, dtype=float)
-    if raw_grid.ndim != 3 or raw_grid.shape[2] != backbone.raw_dim:
-        raise ValueError(
-            f"raw grid shape {raw_grid.shape} incompatible with raw dim "
-            f"{backbone.raw_dim}"
-        )
-    return np.einsum("do,hwo->hwd", backbone.map, raw_grid)
+# --- forward / backward ------------------------------------------------------
 
 
 def _covered_cells(height: int, width: int, box: BBox) -> np.ndarray:
@@ -158,96 +151,43 @@ def _covered_cells(height: int, width: int, box: BBox) -> np.ndarray:
     When no center is covered, falls back to the single cell whose center
     is nearest the box center.
     """
-    ys = (np.arange(height) + 0.5) / height
-    xs = (np.arange(width) + 0.5) / width
-    mask = np.outer(
-        (ys >= box.y1) & (ys <= box.y2), (xs >= box.x1) & (xs <= box.x2)
-    )
-    idx = np.nonzero(mask.ravel())[0]
+    idx = np.nonzero(coverage_mask(height, width, box).ravel())[0]
     if idx.size:
         return idx
+    xs, ys = cell_centers(height, width)
     cx = 0.5 * (box.x1 + box.x2)
     cy = 0.5 * (box.y1 + box.y2)
     d2 = (ys[:, None] - cy) ** 2 + (xs[None, :] - cx) ** 2
     return np.array([int(np.argmin(d2.ravel()))])
 
 
-def roi_pool(grid: np.ndarray, box: BBox) -> np.ndarray:
-    """Mean of the grid cell vectors covered by the box."""
-    grid = np.asarray(grid, dtype=float)
-    height, width, dim = grid.shape
-    idx = _covered_cells(height, width, box)
-    return grid.reshape(-1, dim)[idx].mean(axis=0)
-
-
-@dataclass
-class ForwardCache:
-    """Intermediate values of one forward pass, reused by the backward pass."""
-
-    raw_grid: np.ndarray  # (H, W, D0)
-    feature_grid: np.ndarray  # (H, W, D)
-    raw_means: np.ndarray  # (K, D0) mean raw vector per proposal
-    features: np.ndarray  # (K, D) pooled features
-
-
-def forward(backbone: Backbone, raw_grid: np.ndarray, boxes: Sequence[BBox]) -> ForwardCache:
-    """Backbone + ROI pooling over all proposals, with backward bookkeeping."""
-    raw_grid = np.asarray(raw_grid, dtype=float)
-    height, width, _ = raw_grid.shape
-    flat = raw_grid.reshape(height * width, -1)
-    raw_means = np.stack(
+def pool_raw_means(raw_grid: np.ndarray, boxes: Sequence[BBox]) -> np.ndarray:
+    """ROI pooling: the mean raw cell vector under each box, (K, D0)."""
+    height, width, dim = raw_grid.shape
+    flat = raw_grid.reshape(height * width, dim)
+    if not boxes:
+        return np.zeros((0, dim))
+    return np.stack(
         [flat[_covered_cells(height, width, b)].mean(axis=0) for b in boxes]
-    ) if boxes else np.zeros((0, backbone.raw_dim))
-    return ForwardCache(
-        raw_grid=raw_grid,
-        feature_grid=forward_grid(backbone, raw_grid),
-        raw_means=raw_means,
-        features=raw_means @ backbone.map.T,
     )
 
 
-def score_proposals(head: Head, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and per-column softmax probabilities for pooled features (K, D)."""
-    pooled = np.asarray(pooled, dtype=float)
-    if pooled.ndim != 2 or pooled.shape[1] != head.feature_dim:
-        raise ValueError(
-            f"pooled features shape {pooled.shape} incompatible with head "
-            f"feature dim {head.feature_dim}"
-        )
-    logits = head.weights[:, :-1] @ pooled.T + head.weights[:, -1:]
-    return logits, column_softmax(logits)
+def head_logits(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """(C+1) x K logits of a head (last weight column the bias) on (K, D) features."""
+    return weights[:, :-1] @ features.T + weights[:, -1:]
 
 
-def head_grads(
-    head: Head, features: np.ndarray, dlogits: np.ndarray
+def head_backward(
+    weights: np.ndarray, features: np.ndarray, dlogits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of a loss with respect to head weights and pooled features.
 
     ``dlogits`` is the loss gradient at the head's logit matrix.
     """
-    dweights = np.empty_like(head.weights)
+    dweights = np.empty_like(weights)
     dweights[:, :-1] = dlogits @ features
     dweights[:, -1] = dlogits.sum(axis=1)
-    dfeatures = dlogits.T @ head.weights[:, :-1]
-    return dweights, dfeatures
-
-
-def backbone_grad(
-    cache: ForwardCache,
-    dfeatures: np.ndarray | None = None,
-    dfeature_grid: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient with respect to the backbone map.
-
-    Accumulates the pooled-feature path (via per-proposal raw means) and,
-    when given, a direct feature-grid term such as the background penalty.
-    """
-    dmap = np.zeros((cache.feature_grid.shape[2], cache.raw_grid.shape[2]))
-    if dfeatures is not None and dfeatures.size:
-        dmap += dfeatures.T @ cache.raw_means
-    if dfeature_grid is not None:
-        dmap += np.einsum("hwd,hwo->do", dfeature_grid, cache.raw_grid)
-    return dmap
+    return dweights, dlogits.T @ weights[:, :-1]
 
 
 # --- optimizer --------------------------------------------------------------
@@ -331,9 +271,8 @@ def extract_sdk(
     through its logits; nothing here propagates gradients back.
     """
     head = teacher.source_knowledge_head()
-    cache = forward(teacher.backbone, raw_grid, list(proposals))
-    _, probs = score_proposals(head, cache.features)
-    return probs
+    features = pool_raw_means(raw_grid, list(proposals)) @ teacher.backbone.map.T
+    return column_softmax(head_logits(head.weights, features))
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -373,20 +312,30 @@ def load_model(path) -> DetectorModel:
     blocks: dict[str, tuple[np.ndarray, str | None]] = {}
     current: list[list[float]] = []
     name = None
+    rows = cols = 0
     role: str | None = None
 
     def close():
-        if name is not None:
-            blocks[name] = (np.array(current), role)
+        if name is None:
+            return
+        if len(current) != rows or any(len(row) != cols for row in current):
+            raise ValueError(f"block {name} does not match its shape {rows} {cols}")
+        blocks[name] = (np.array(current), role)
 
     for ln in lines[1:]:
         if ln.startswith("source_classes "):
-            source_classes = int(ln.split()[1])
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"malformed line {ln!r}")
+            source_classes = int(parts[1])
         elif ln.startswith("block "):
             close()
+            # block <name> shape <rows> <cols> [role <role>]
             parts = ln.split()
-            name = parts[1]
-            role = parts[parts.index("role") + 1] if "role" in parts else None
+            if len(parts) not in (5, 7) or parts[2] != "shape":
+                raise ValueError(f"malformed block header {ln!r}")
+            name, rows, cols = parts[1], int(parts[3]), int(parts[4])
+            role = parts[6] if len(parts) == 7 else None
             current = []
         elif ln.startswith("row "):
             current.append([float(v) for v in ln.split()[1:]])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -20,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evaluation import Detection, EvalConfig, evaluate_detections, mean_ap
-from .geometry import BBox, iou, pairwise_iou
+from .geometry import BBox, iou, nms, pairwise_iou
 from .labelling import ROLConfig, mine_support, oicr_label
 from .losses import (
     LossWeights,
@@ -29,7 +28,6 @@ from .losses import (
     image_multilabel_loss,
     proposal_cls_loss,
     rol_classifier_loss,
-    rol_total,
     sdk_loss,
 )
 from .model import (
@@ -41,9 +39,13 @@ from .model import (
     _covered_cells,
     adam_step,
     extract_sdk,
+    head_backward,
+    head_logits,
     init_backbone,
     init_head,
+    pool_raw_means,
 )
+from .numerics import column_softmax
 from .synthworld import (
     PROPOSAL_NMS_THRESHOLD,
     Scene,
@@ -137,16 +139,6 @@ class ScenePack:
     iou: np.ndarray | None = None  # pairwise IoU of boxes, labeller cache
 
 
-def _scene_raw_means(raw_grid: np.ndarray, boxes: Sequence[BBox]) -> np.ndarray:
-    height, width, dim = raw_grid.shape
-    flat = raw_grid.reshape(height * width, dim)
-    if not boxes:
-        return np.zeros((0, dim))
-    return np.stack(
-        [flat[_covered_cells(height, width, b)].mean(axis=0) for b in boxes]
-    )
-
-
 def proposal_labels(
     scene: Scene, num_classes: int, iou_threshold: float = PROPOSAL_LABEL_IOU
 ) -> np.ndarray:
@@ -168,7 +160,7 @@ def pack_source_scene(scene: Scene, world: World) -> ScenePack:
     boxes = list(scene.proposals)
     return ScenePack(
         boxes=boxes,
-        raw_means=_scene_raw_means(scene.raw_grid, boxes),
+        raw_means=pool_raw_means(scene.raw_grid, boxes),
         labels=proposal_labels(scene, world.config.classes_in("source")),
     )
 
@@ -178,7 +170,7 @@ def pack_lstd_scene(scene: Scene, world: World, source: DetectorModel) -> SceneP
     cfg = world.config
     return ScenePack(
         boxes=boxes,
-        raw_means=_scene_raw_means(scene.raw_grid, boxes),
+        raw_means=pool_raw_means(scene.raw_grid, boxes),
         raw_grid=scene.raw_grid,
         labels=proposal_labels(scene, cfg.classes_in("target")),
         background_mask=bd_mask(
@@ -252,19 +244,12 @@ def warmup_proposals(warmup: DetectorModel, scene: Scene, max_keep: int) -> list
     flat = scene.raw_grid.reshape(height * width, dim)
     anchor_means = np.stack([flat[idx].mean(axis=0) for idx in cells])
     pack_means = np.concatenate(
-        [_scene_raw_means(scene.raw_grid, scene.proposals), anchor_means]
+        [pool_raw_means(scene.raw_grid, scene.proposals), anchor_means]
     )
     features = pack_means @ warmup.backbone.map.T
-    logits = warmup.main_head.weights[:, :-1] @ features.T
-    logits += warmup.main_head.weights[:, -1:]
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=0, keepdims=True)
+    probs = column_softmax(head_logits(warmup.main_head.weights, features))
     objectness = 1.0 - probs[-1, :]
-    order = np.argsort(-objectness, kind="stable")
-    keep = _greedy_keep(
-        order, pairwise_iou(candidates), PROPOSAL_NMS_THRESHOLD, max_keep
-    )
+    keep = nms(objectness, pairwise_iou(candidates), PROPOSAL_NMS_THRESHOLD, max_keep)
     return [candidates[i] for i in keep]
 
 
@@ -273,7 +258,7 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel, cfg: StageConfig) -> Sc
     boxes = warmup_proposals(warmup, scene, len(scene.proposals))
     return ScenePack(
         boxes=boxes,
-        raw_means=_scene_raw_means(scene.raw_grid, boxes),
+        raw_means=pool_raw_means(scene.raw_grid, boxes),
         teacher=extract_sdk(warmup, scene.raw_grid, boxes),
         y_img=np.asarray(scene.image_label, dtype=float),
         iou=pairwise_iou(boxes),
@@ -283,28 +268,15 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel, cfg: StageConfig) -> Sc
 # --- per-scene losses (value + closed-form gradients) ------------------------
 
 
-def _head_logits(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return weights[:, :-1] @ features.T + weights[:, -1:]
-
-
-def _head_backward(
-    weights: np.ndarray, features: np.ndarray, dlogits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    dweights = np.empty_like(weights)
-    dweights[:, :-1] = dlogits @ features
-    dweights[:, -1] = dlogits.sum(axis=1)
-    return dweights, dlogits.T @ weights[:, :-1]
-
-
 def source_scene_loss(
     params: dict[str, np.ndarray], pack: ScenePack, cfg: StageConfig
 ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     backbone = params["backbone"]
     features = pack.raw_means @ backbone.T
-    logits = _head_logits(params["main_head"], features)
+    logits = head_logits(params["main_head"], features)
     value, dlogits = proposal_cls_loss(logits, pack.labels)
     dlogits = cfg.weights.lambda_main * dlogits
-    dhead, dfeatures = _head_backward(params["main_head"], features, dlogits)
+    dhead, dfeatures = head_backward(params["main_head"], features, dlogits)
     total = cfg.weights.lambda_main * value
     return (
         {"total": total, "main": value},
@@ -322,15 +294,15 @@ def lstd_scene_loss(
     backbone = params["backbone"]
     features = pack.raw_means @ backbone.T
 
-    main_logits = _head_logits(params["main_head"], features)
+    main_logits = head_logits(params["main_head"], features)
     main_val, dmain = proposal_cls_loss(main_logits, pack.labels)
-    dmain_head, dfeatures = _head_backward(
+    dmain_head, dfeatures = head_backward(
         params["main_head"], features, w.lambda_main * dmain
     )
 
-    sdk_logits = _head_logits(params["sdk_head"], features)
+    sdk_logits = head_logits(params["sdk_head"], features)
     sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits)
-    dsdk_head, df_sdk = _head_backward(params["sdk_head"], features, lam_sdk * dsdk)
+    dsdk_head, df_sdk = head_backward(params["sdk_head"], features, lam_sdk * dsdk)
     dfeatures = dfeatures + df_sdk
 
     dbackbone = dfeatures.T @ pack.raw_means
@@ -367,9 +339,9 @@ def wstd_scene_loss(
     features = pack.raw_means @ backbone.T
 
     grads: dict[str, np.ndarray] = {}
-    sdk_logits = _head_logits(params["sdk_head"], features)
+    sdk_logits = head_logits(params["sdk_head"], features)
     sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits, weighted=cfg.sdk_weighted)
-    grads["sdk_head"], dfeatures = _head_backward(
+    grads["sdk_head"], dfeatures = head_backward(
         params["sdk_head"], features, lam_sdk * dsdk
     )
 
@@ -379,7 +351,7 @@ def wstd_scene_loss(
     prev_probs: np.ndarray | None = None
     for i in range(cfg.rol.num_classifiers):
         weights_i = params[f"rol_head_{i}"]
-        logits = _head_logits(weights_i, features)
+        logits = head_logits(weights_i, features)
         if i == 0:
             value, dlogits = image_multilabel_loss(logits, pack.y_img)
         else:
@@ -391,16 +363,14 @@ def wstd_scene_loss(
                 )
             pseudo_used.append(pseudo)
             value, dlogits = rol_classifier_loss(logits, pseudo)
-        dhead, dfeat = _head_backward(weights_i, features, w.lambda_wstd_rol * dlogits)
+        dhead, dfeat = head_backward(weights_i, features, w.lambda_wstd_rol * dlogits)
         grads[f"rol_head_{i}"] = dhead
         dfeatures = dfeatures + dfeat
-        shifted = logits - logits.max(axis=0, keepdims=True)
-        prev_probs = np.exp(shifted)
-        prev_probs /= prev_probs.sum(axis=0, keepdims=True)
+        prev_probs = column_softmax(logits)
         rol_values.append(value)
         comps[f"rol_{i + 1}"] = value
 
-    rol_sum = rol_total(rol_values)
+    rol_sum = float(sum(rol_values))
     comps["rol"] = rol_sum
     comps["total"] = lam_sdk * sdk_val + w.lambda_wstd_rol * rol_sum
     if "backbone" in params:
@@ -611,18 +581,6 @@ def wstd_train(
 # --- inference and evaluation -----------------------------------------------
 
 
-def _greedy_keep(
-    order: Sequence[int], iou_matrix: np.ndarray, threshold: float, max_keep: int
-) -> list[int]:
-    kept: list[int] = []
-    for i in order:
-        if all(iou_matrix[i, j] <= threshold for j in kept):
-            kept.append(int(i))
-            if len(kept) >= max_keep:
-                break
-    return kept
-
-
 def _select_head(model: DetectorModel, classifier: int | None) -> Head:
     if classifier is not None:
         if not model.rol_heads:
@@ -643,17 +601,13 @@ def detect(
     """Per-class score + greedy suppression over the scene's proposals."""
     head = _select_head(model, classifier)
     boxes = list(scene.proposals)
-    features = _scene_raw_means(scene.raw_grid, boxes) @ model.backbone.map.T
-    logits = _head_logits(head.weights, features)
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=0, keepdims=True)
+    features = pool_raw_means(scene.raw_grid, boxes) @ model.backbone.map.T
+    probs = column_softmax(head_logits(head.weights, features))
     iou_matrix = pairwise_iou(boxes)
     detections: list[Detection] = []
     for c in range(head.num_rows - 1):
         scores = probs[c]
-        order = np.argsort(-scores, kind="stable")
-        for k in _greedy_keep(order, iou_matrix, nms_threshold, len(boxes)):
+        for k in nms(scores, iou_matrix, nms_threshold, len(boxes)):
             detections.append(Detection(scene_id, c, boxes[k], float(scores[k])))
     return detections
 
@@ -938,7 +892,6 @@ def run_experiment(
     name: str,
     seeds: Sequence[int] | None = None,
     out_dir=".",
-    threads: int = 1,
     overrides: dict[str, object] | None = None,
 ) -> list[RunReport]:
     """Execute every (cell, seed) of a registered experiment and write the
@@ -952,15 +905,7 @@ def run_experiment(
     seeds = tuple(experiment.default_seeds if seeds is None else seeds)
     overrides = overrides or {}
     started = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_seed = list(
-                pool.map(
-                    lambda s: _run_cells_for_seed(experiment, s, overrides), seeds
-                )
-            )
-    else:
-        per_seed = [_run_cells_for_seed(experiment, s, overrides) for s in seeds]
+    per_seed = [_run_cells_for_seed(experiment, s, overrides) for s in seeds]
 
     reports = [
         per_seed[seed_index][cell_index]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BBox, iou
+from .geometry import BBox, coverage_mask, iou
 
 DOMAINS = ("source", "target")
 MODES = ("full", "weak")
@@ -227,20 +227,6 @@ def _jitter_box(rng: np.random.Generator, box: BBox, jitter: float) -> BBox:
     return BBox(x1, y1, x2, y2)
 
 
-def _cell_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    ys = (np.arange(height) + 0.5) / height
-    xs = (np.arange(width) + 0.5) / width
-    return xs, ys
-
-
-def coverage_mask(height: int, width: int, box: BBox) -> np.ndarray:
-    """Binary H x W mask of cells whose center lies inside the box."""
-    xs, ys = _cell_centers(height, width)
-    in_x = (xs >= box.x1) & (xs <= box.x2)
-    in_y = (ys >= box.y1) & (ys <= box.y2)
-    return np.outer(in_y, in_x)
-
-
 def sample_scene(
     world: World, domain: str, mode: str, rng: np.random.Generator
 ) -> Scene:
@@ -408,11 +394,17 @@ def save_scenes(path, world: World, scenes: list[Scene]) -> None:
 
 
 def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
+    """Read a scene set; a record cut short or a scene count differing from
+    the ``count`` header raises ValueError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != SCENES_MAGIC:
         raise ValueError(f"{path} is not a scene set file")
     config = _parse_config([ln for ln in lines if ln.startswith("config ")])
+    counts = [ln.split() for ln in lines if ln.startswith("count ")]
+    if len(counts) != 1 or len(counts[0]) != 2:
+        raise ValueError("scene set needs exactly one 'count <n>' line")
+    count = int(counts[0][1])
     height, width, dim = config.grid_height, config.grid_width, config.raw_dim
 
     scenes: list[Scene] = []
@@ -423,6 +415,8 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
             continue
         _, _, mode, domain, n_gt, n_prop, label_len = lines[i].split()
         n_gt, n_prop, label_len = int(n_gt), int(n_prop), int(label_len)
+        if i + 1 + height * width + n_gt + n_prop + 1 > len(lines):
+            raise ValueError(f"scene record {len(scenes)} runs past the end of {path}")
         i += 1
         cells = []
         for _ in range(height * width):
@@ -453,4 +447,6 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
                 domain=domain,
             )
         )
+    if len(scenes) != count:
+        raise ValueError(f"{path} holds {len(scenes)} scenes but its header says {count}")
     return config, scenes

@@ -2,9 +2,13 @@
 layout, byte determinism, and the documented exit-code partition."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferdet.cli import (
     EXIT_CONFIG,
@@ -168,6 +172,18 @@ def test_train_garbage_checkpoint_exits_4(tmp_path):
     assert code == EXIT_MALFORMED
 
 
+def test_train_truncated_source_checkpoint_exits_4(tmp_path, train_root, capsys):
+    lines = (train_root / "source" / "source_model.txt").read_text().splitlines()
+    truncated = tmp_path / "source_model.txt"
+    truncated.write_text("\n".join(lines[:-1]) + "\n")
+    code = main([
+        "train", "lstd", "--seed", "7", "--shots", "1", "--epochs", "1",
+        "--source-model", str(truncated), "--out-dir", str(tmp_path / "lstd"),
+    ])
+    assert code == EXIT_MALFORMED
+    assert "main_head" in capsys.readouterr().err
+
+
 def test_train_wstd_zero_epochs_keeps_input_params(tmp_path, train_root):
     assert main([
         "train", "wstd", "--seed", "7", "--epochs", "0",
@@ -283,6 +299,36 @@ def test_eval_missing_inputs_exit_3(tmp_path):
     ]) == EXIT_MISSING_INPUT
 
 
+@pytest.fixture(scope="module")
+def three_scene_lines(tmp_path_factory):
+    root = tmp_path_factory.mktemp("world3")
+    assert main(["world", "--count", "3", "--seed", "3", "--out-dir", str(root)]) == 0
+    return (root / "scenes.txt").read_text().splitlines()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_truncated_scene_file_exits_4(three_scene_lines, data):
+    # Prefixes that end on a record boundary hold whole scenes, fewer than
+    # the header's count; draw them as often as arbitrary cut points.
+    boundaries = [i for i, ln in enumerate(three_scene_lines) if ln.startswith("scene ")]
+    keep = data.draw(
+        st.one_of(
+            st.integers(0, len(three_scene_lines) - 1), st.sampled_from(boundaries)
+        ),
+        label="lines kept",
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        scenes = Path(tmp) / "scenes.txt"
+        scenes.write_text("".join(ln + "\n" for ln in three_scene_lines[:keep]))
+        detections = Path(tmp) / "detections.csv"
+        detections.write_text("scene_id,class,x1,y1,x2,y2,score\n")
+        assert main([
+            "eval", "--detections", str(detections), "--scenes", str(scenes),
+            "--out-dir", tmp,
+        ]) == EXIT_MALFORMED
+
+
 # --- experiment ----------------------------------------------------------
 
 EXPERIMENT_ARGS = [
@@ -327,7 +373,7 @@ def test_gradcheck_suite_unit():
     assert all(passed for _, _, passed in results)
     with pytest.raises(ValueError, match="unknown loss"):
         run_gradcheck_suite(["nope"], instances=1)
-    assert len(GRADCHECKS) == 8
+    assert len(GRADCHECKS) == 9
 
 
 def test_gradcheck_default_passes(tmp_path, capsys):

@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
 
-from transferdet.geometry import BBox, ScoredBoxSet, intersection_area, iou, nms, pairwise_iou
+from transferdet.geometry import (
+    BBox,
+    coverage_mask,
+    intersection_area,
+    iou,
+    nms,
+    pairwise_iou,
+)
 
 from reference import random_boxes, ref_iou, ref_nms
 
 
 def box(t):
     return BBox(*t)
+
+
+def run_nms(boxes, scores, threshold, max_keep):
+    return nms(scores, pairwise_iou(boxes), threshold, max_keep)
 
 
 def test_bbox_rejects_degenerate_and_out_of_range():
@@ -24,14 +35,21 @@ def test_bbox_rejects_degenerate_and_out_of_range():
 def test_bbox_area_and_containment():
     b = BBox(0.25, 0.25, 0.75, 1.0)
     assert b.area == pytest.approx(0.375)
-    assert b.contains_point(0.25, 0.25)  # boundary counts
-    assert b.contains_point(0.5, 0.9)
-    assert not b.contains_point(0.2, 0.5)
+    # 4x4 cell centers at 0.125, 0.375, 0.625, 0.875; the edges of this box
+    # pass through centers, and boundary centers count as covered
+    edge = BBox(0.375, 0.125, 0.625, 0.875)
+    expected = np.zeros((4, 4), dtype=bool)
+    expected[:, 1:3] = True
+    assert np.array_equal(coverage_mask(4, 4, edge), expected)
+    assert not coverage_mask(4, 4, BBox(0.13, 0.13, 0.37, 0.37)).any()
 
 
-def test_scored_box_set_demands_parallel_lists():
+def test_nms_demands_parallel_scores_and_iou():
+    boxes = [BBox(0, 0, 0.5, 0.5)]
     with pytest.raises(ValueError):
-        ScoredBoxSet.of([BBox(0, 0, 0.5, 0.5)], [0.4, 0.2])
+        nms([0.4, 0.2], pairwise_iou(boxes), 0.5, 4)
+    with pytest.raises(ValueError):
+        nms([0.4], pairwise_iou(boxes, boxes + boxes), 0.5, 4)
 
 
 def test_iou_identical_boxes():
@@ -83,49 +101,49 @@ def test_pairwise_iou_bitwise_matches_scalar():
 
 
 def test_nms_single_box():
-    kept = nms(ScoredBoxSet.of([BBox(0, 0, 0.5, 0.5)], [0.3]), 0.5, 8)
+    kept = run_nms([BBox(0, 0, 0.5, 0.5)], [0.3], 0.5, 8)
     assert kept == [0]
 
 
 def test_nms_worked_example():
     boxes = [BBox(0, 0, 1, 1), BBox(0, 0, 1, 1), BBox(0.8, 0.8, 1, 1)]
-    kept = nms(ScoredBoxSet.of(boxes, [0.9, 0.8, 0.5]), 0.75, 8)
+    kept = run_nms(boxes, [0.9, 0.8, 0.5], 0.75, 8)
     assert kept == [0, 2]
 
 
 def test_nms_disjoint_boxes_all_kept():
     boxes = [BBox(0, 0, 0.3, 0.3), BBox(0.6, 0.6, 0.9, 0.9)]
-    assert nms(ScoredBoxSet.of(boxes, [0.2, 0.9]), 0.75, 8) == [1, 0]
+    assert run_nms(boxes, [0.2, 0.9], 0.75, 8) == [1, 0]
 
 
 def test_nms_empty_input():
-    assert nms(ScoredBoxSet.of([], []), 0.5, 4) == []
+    assert run_nms([], [], 0.5, 4) == []
 
 
 def test_nms_tie_keeps_lower_index():
     boxes = [BBox(0, 0, 0.5, 0.5), BBox(0, 0, 0.5, 0.5)]
-    assert nms(ScoredBoxSet.of(boxes, [0.7, 0.7]), 0.5, 8) == [0]
+    assert run_nms(boxes, [0.7, 0.7], 0.5, 8) == [0]
     disjoint = [BBox(0, 0, 0.3, 0.3), BBox(0.5, 0.5, 0.8, 0.8)]
-    assert nms(ScoredBoxSet.of(disjoint, [0.7, 0.7]), 0.5, 8) == [0, 1]
+    assert run_nms(disjoint, [0.7, 0.7], 0.5, 8) == [0, 1]
 
 
 def test_nms_max_keep_truncates():
     rng = np.random.default_rng(2)
     boxes = [box(t) for t in random_boxes(rng, 12)]
     scores = rng.uniform(size=12)
-    full = nms(ScoredBoxSet.of(boxes, scores), 0.9, 12)
-    short = nms(ScoredBoxSet.of(boxes, scores), 0.9, 3)
+    full = run_nms(boxes, scores, 0.9, 12)
+    short = run_nms(boxes, scores, 0.9, 3)
     assert short == full[:3]
 
 
 def test_nms_rejects_bad_threshold_and_max_keep():
-    sets = ScoredBoxSet.of([BBox(0, 0, 0.5, 0.5)], [0.5])
+    boxes = [BBox(0, 0, 0.5, 0.5)]
     with pytest.raises(ValueError):
-        nms(sets, 1.5, 4)
+        run_nms(boxes, [0.5], 1.5, 4)
     with pytest.raises(ValueError):
-        nms(sets, -0.1, 4)
+        run_nms(boxes, [0.5], -0.1, 4)
     with pytest.raises(ValueError):
-        nms(sets, 0.5, 0)
+        run_nms(boxes, [0.5], 0.5, 0)
 
 
 def test_nms_matches_brute_force_oracle():
@@ -140,7 +158,7 @@ def test_nms_matches_brute_force_oracle():
         threshold = float(rng.choice([0.0, 0.3, 0.5, 0.75, 1.0]))
         max_keep = int(rng.integers(1, count + 1))
         boxes = [box(t) for t in tuples]
-        got = nms(ScoredBoxSet.of(boxes, scores), threshold, max_keep)
+        got = run_nms(boxes, scores, threshold, max_keep)
         assert got == ref_nms(tuples, list(scores), threshold, max_keep)
 
 
@@ -150,10 +168,8 @@ def test_nms_idempotent():
         count = int(rng.integers(2, 16))
         boxes = [box(t) for t in random_boxes(rng, count)]
         scores = rng.uniform(size=count)
-        kept = nms(ScoredBoxSet.of(boxes, scores), 0.5, count)
-        again = nms(
-            ScoredBoxSet.of([boxes[i] for i in kept], [scores[i] for i in kept]),
-            0.5,
-            count,
+        kept = run_nms(boxes, scores, 0.5, count)
+        again = run_nms(
+            [boxes[i] for i in kept], [scores[i] for i in kept], 0.5, count
         )
         assert again == list(range(len(kept)))

@@ -11,15 +11,14 @@ from transferdet.losses import (
     check_score_matrix,
     image_multilabel_loss,
     image_score,
-    lstd_total,
     multilabel_loss,
     proposal_cls_loss,
     rol_classifier_loss,
-    rol_total,
     sdk_loss,
-    wstd_total,
 )
+from transferdet.labelling import ROLConfig
 from transferdet.numerics import grad_check, sigmoid
+from transferdet.pipeline import ScenePack, StageConfig, lstd_scene_loss, wstd_scene_loss
 
 LN2 = math.log(2.0)
 
@@ -249,52 +248,127 @@ def test_proposal_cls_loss_and_labels():
 
 
 # --- stage totals ----------------------------------------------------------------
+#
+# The scene losses in the pipeline sum the weighted stage totals; these tests
+# hold them to the weighted sum of the components they report.
+
+
+def lstd_instance(rng, num_target=3, num_source=4, dim=4, k=5):
+    pack = ScenePack(
+        boxes=[],
+        raw_means=rng.standard_normal((k, dim)),
+        raw_grid=rng.standard_normal((3, 3, dim)),
+        labels=rng.integers(0, num_target + 1, size=k),
+        background_mask=rng.uniform(size=(3, 3)) < 0.5,
+        teacher=random_score_matrix(rng, num_source + 1, k),
+    )
+    params = {
+        "backbone": rng.standard_normal((dim, dim)),
+        "main_head": rng.standard_normal((num_target + 1, dim + 1)),
+        "sdk_head": rng.standard_normal((num_source + 1, dim + 1)),
+    }
+    return pack, params
+
+
+def wstd_instance(rng, classifiers=3, num_target=3, num_source=4, dim=4, k=6):
+    boxes = [
+        BBox(x, y, x + 0.3, y + 0.3)
+        for x, y in rng.uniform(0.0, 0.7, size=(k, 2))
+    ]
+    y_img = np.zeros(num_target)
+    y_img[rng.integers(0, num_target)] = 1.0
+    pack = ScenePack(
+        boxes=boxes,
+        raw_means=rng.standard_normal((k, dim)),
+        teacher=random_score_matrix(rng, num_source + 1, k),
+        y_img=y_img,
+    )
+    params = {
+        "backbone": 0.5 * rng.standard_normal((dim, dim)),
+        "sdk_head": rng.standard_normal((num_source + 1, dim + 1)),
+    }
+    for i in range(classifiers):
+        params[f"rol_head_{i}"] = rng.standard_normal((num_target + 1, dim + 1))
+    return pack, params
 
 
 def test_rol_total():
-    assert rol_total([1.0]) == 1.0
-    assert rol_total([0.5, 0.25, 0.25]) == 1.0
-    assert rol_total([0.0, 0.0, 0.0]) == 0.0
+    rng = np.random.default_rng(7)
+    for classifiers in (2, 3):
+        pack, params = wstd_instance(rng, classifiers)
+        cfg = StageConfig(rol=ROLConfig(num_classifiers=classifiers))
+        comps, _, _ = wstd_scene_loss(params, pack, cfg)
+        per = [comps[f"rol_{i + 1}"] for i in range(classifiers)]
+        assert comps["rol"] == float(sum(per))
+        assert all(v >= 0.0 for v in per)
     with pytest.raises(ValueError):
-        rol_total([])
+        ROLConfig(num_classifiers=1)
 
 
 def test_lstd_total_cases():
-    w = LossWeights()
-    assert lstd_total(1.0, 2.0, 3.0, w) == 3.5
-    zero = LossWeights(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert lstd_total(1.0, 2.0, 3.0, zero) == 0.0
-    ft = LossWeights(lambda_bd=0.0, lambda_sdk=0.0)
-    assert lstd_total(1.25, 7.0, 9.0, ft) == 1.25
+    pack, params = lstd_instance(np.random.default_rng(8))
+    for w, flags in (
+        (LossWeights(), {}),
+        (LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), {}),
+        (LossWeights(lambda_bd=0.0, lambda_sdk=0.0), {}),
+        (LossWeights(), {"enable_bd": False}),
+        (LossWeights(), {"enable_sdk": False}),
+    ):
+        cfg = StageConfig(weights=w, **flags)
+        comps, _ = lstd_scene_loss(params, pack, cfg)
+        lam_bd = w.lambda_bd if cfg.enable_bd else 0.0
+        lam_sdk = w.lambda_sdk if cfg.enable_sdk else 0.0
+        assert comps["total"] == (
+            w.lambda_main * comps["main"] + lam_bd * comps["bd"] + lam_sdk * comps["sdk"]
+        )
+        if lam_bd == 0.0:
+            assert comps["bd"] == 0.0
+    zero, _ = lstd_scene_loss(
+        params, pack, StageConfig(weights=LossWeights(0.0, 0.0, 0.0, 0.0, 0.0))
+    )
+    assert zero["total"] == 0.0
+    main_only, _ = lstd_scene_loss(
+        params, pack, StageConfig(weights=LossWeights(lambda_bd=0.0, lambda_sdk=0.0))
+    )
+    assert main_only["total"] == main_only["main"] > 0.0
 
 
 def test_wstd_total_cases():
-    w = LossWeights()
-    assert wstd_total(1.0, 1.0, w) == 200.0
-    no_sdk = LossWeights(lambda_wstd_sdk=0.0)
-    assert wstd_total(5.0, 2.0, no_sdk) == 100.0
-    assert wstd_total(0.0, 0.0, w) == 0.0
+    pack, params = wstd_instance(np.random.default_rng(9))
+    for w, flags in (
+        (LossWeights(), {}),
+        (LossWeights(lambda_wstd_sdk=0.0), {}),
+        (LossWeights(), {"enable_sdk": False}),
+        (LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), {}),
+    ):
+        cfg = StageConfig(weights=w, **flags)
+        comps, _, _ = wstd_scene_loss(params, pack, cfg)
+        lam_sdk = w.lambda_wstd_sdk if cfg.enable_sdk else 0.0
+        assert comps["total"] == lam_sdk * comps["sdk"] + w.lambda_wstd_rol * comps["rol"]
+    no_sdk, _, _ = wstd_scene_loss(
+        params, pack, StageConfig(weights=LossWeights(lambda_wstd_sdk=0.0))
+    )
+    assert no_sdk["total"] == 50.0 * no_sdk["rol"]
 
 
 def test_totals_are_linear():
+    # Components do not depend on the weights, so each total is linear in them.
     rng = np.random.default_rng(5)
-    w = LossWeights(*rng.uniform(0.1, 3.0, size=5))
-    for _ in range(20):
-        a = rng.uniform(-2, 2, size=3)
-        b = rng.uniform(-2, 2, size=3)
+    lstd_pack, lstd_params = lstd_instance(rng)
+    wstd_pack, wstd_params = wstd_instance(rng)
+
+    def totals(weights):
+        cfg = StageConfig(weights=LossWeights(*weights))
+        lstd, _ = lstd_scene_loss(lstd_params, lstd_pack, cfg)
+        wstd, _, _ = wstd_scene_loss(wstd_params, wstd_pack, cfg)
+        return np.array([lstd["total"], wstd["total"]])
+
+    for _ in range(10):
+        a = rng.uniform(0.1, 3.0, size=5)
+        b = rng.uniform(0.1, 3.0, size=5)
         t = rng.uniform(0.1, 4.0)
-        assert lstd_total(*(t * a), w) == pytest.approx(
-            t * lstd_total(*a, w), rel=1e-12, abs=1e-12
-        )
-        assert lstd_total(*(a + b), w) == pytest.approx(
-            lstd_total(*a, w) + lstd_total(*b, w), rel=1e-12, abs=1e-12
-        )
-        assert wstd_total(t * a[0], t * a[1], w) == pytest.approx(
-            t * wstd_total(a[0], a[1], w), rel=1e-12, abs=1e-12
-        )
-        assert wstd_total(a[0] + b[0], a[1] + b[1], w) == pytest.approx(
-            wstd_total(a[0], a[1], w) + wstd_total(b[0], b[1], w), rel=1e-12, abs=1e-12
-        )
+        np.testing.assert_allclose(totals(t * a), t * totals(a), rtol=1e-12)
+        np.testing.assert_allclose(totals(a + b), totals(a) + totals(b), rtol=1e-12)
 
 
 # --- losses are nonnegative and gradients check ----------------------------------

@@ -9,21 +9,17 @@ from transferdet.model import (
     AdamState,
     Backbone,
     DetectorModel,
-    ForwardCache,
     Head,
     OptimizerConfig,
     adam_step,
-    backbone_grad,
     extract_sdk,
-    forward,
-    forward_grid,
-    head_grads,
+    head_backward,
+    head_logits,
     init_backbone,
     init_head,
     load_model,
-    roi_pool,
+    pool_raw_means,
     save_model,
-    score_proposals,
 )
 from transferdet.numerics import column_softmax
 
@@ -127,64 +123,65 @@ def test_init_head_shape_and_scale():
     assert np.abs(head.weights).max() < 0.2
 
 
-def test_forward_grid_matches_per_cell_map():
-    rng = np.random.default_rng(5)
-    backbone = Backbone(map=rng.standard_normal((3, 4)))
-    raw = rng.standard_normal((2, 5, 4))
-    out = forward_grid(backbone, raw)
-    assert out.shape == (2, 5, 3)
-    for i in range(2):
-        for j in range(5):
-            assert np.allclose(out[i, j], backbone.map @ raw[i, j], atol=1e-12)
-    with pytest.raises(ValueError, match="raw grid shape"):
-        forward_grid(backbone, rng.standard_normal((2, 5, 3)))
-
-
 def test_roi_pool_means_covered_cells():
     rng = np.random.default_rng(6)
     grid = rng.standard_normal((4, 4, 2))
     # 4x4 cell centers at 0.125, 0.375, 0.625, 0.875
-    single = roi_pool(grid, BBox(0.0, 0.0, 0.26, 0.26))
+    single, pair = pool_raw_means(
+        grid, [BBox(0.0, 0.0, 0.26, 0.26), BBox(0.0, 0.0, 0.6, 0.3)]
+    )
     assert np.allclose(single, grid[0, 0], atol=1e-12)
-    pair = roi_pool(grid, BBox(0.0, 0.0, 0.6, 0.3))
     assert np.allclose(pair, 0.5 * (grid[0, 0] + grid[0, 1]), atol=1e-12)
+    assert pool_raw_means(grid, []).shape == (0, 2)
 
 
 def test_roi_pool_empty_box_falls_back_to_nearest_cell():
     rng = np.random.default_rng(7)
     grid = rng.standard_normal((4, 4, 2))
     # covers no cell center; box center (0.325, 0.325) is nearest (0.375, 0.375)
-    pooled = roi_pool(grid, BBox(0.3, 0.3, 0.35, 0.35))
+    (pooled,) = pool_raw_means(grid, [BBox(0.3, 0.3, 0.35, 0.35)])
     assert np.allclose(pooled, grid[1, 1], atol=1e-12)
 
 
+def test_forward_grid_matches_per_cell_map():
+    # The feature grid the BD term reads is the backbone applied to every cell.
+    rng = np.random.default_rng(5)
+    backbone = Backbone(map=rng.standard_normal((3, 4)))
+    raw = rng.standard_normal((2, 5, 4))
+    out = np.einsum("do,hwo->hwd", backbone.map, raw)
+    assert out.shape == (2, 5, 3)
+    for i in range(2):
+        for j in range(5):
+            assert np.allclose(out[i, j], backbone.map @ raw[i, j], atol=1e-12)
+
+
 def test_forward_cache_consistency():
+    # Pooling raw means and then mapping equals mapping every cell (the
+    # feature grid) and then pooling: training relies on this to pool once.
     rng = np.random.default_rng(8)
     backbone = init_backbone(16, 10, rng)
     raw = rng.standard_normal((8, 8, 16))
-    boxes = [BBox(0.1, 0.1, 0.4, 0.4), BBox(0.5, 0.5, 0.9, 0.8)]
-    cache = forward(backbone, raw, boxes)
-    assert cache.features.shape == (2, 10)
-    feature_grid = forward_grid(backbone, raw)
-    for k, box in enumerate(boxes):
-        assert np.allclose(cache.features[k], roi_pool(feature_grid, box), atol=1e-10)
-        assert np.allclose(cache.raw_means[k], roi_pool(raw, box), atol=1e-12)
-    empty = forward(backbone, raw, [])
-    assert empty.features.shape == (0, 10)
+    feature_grid = np.einsum("do,hwo->hwd", backbone.map, raw)
+    boxes = [BBox(0.1, 0.1, 0.4, 0.4), BBox(0.5, 0.5, 0.9, 0.8), BBox(0.3, 0.3, 0.35, 0.35)]
+    features = pool_raw_means(raw, boxes) @ backbone.map.T
+    assert features.shape == (3, 10)
+    assert np.allclose(features, pool_raw_means(feature_grid, boxes), atol=1e-10)
+    assert (pool_raw_means(raw, []) @ backbone.map.T).shape == (0, 10)
 
 
 def test_score_proposals_shapes_and_softmax():
     rng = np.random.default_rng(9)
     head = init_head(4, 6, rng)
     pooled = rng.standard_normal((7, 6))
-    logits, probs = score_proposals(head, pooled)
-    assert logits.shape == (5, 7) and probs.shape == (5, 7)
-    manual = head.weights[:, :-1] @ pooled.T + head.weights[:, -1:]
-    assert np.allclose(logits, manual, atol=1e-12)
-    assert np.allclose(probs, column_softmax(logits), atol=1e-15)
+    logits = head_logits(head.weights, pooled)
+    assert logits.shape == (5, 7)
+    for k in range(7):
+        for c in range(5):
+            manual = head.weights[c, :-1] @ pooled[k] + head.weights[c, -1]
+            assert logits[c, k] == pytest.approx(manual, abs=1e-12)
+    probs = column_softmax(logits)
+    assert probs.shape == (5, 7)
     assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
-    with pytest.raises(ValueError, match="incompatible"):
-        score_proposals(head, rng.standard_normal((7, 5)))
 
 
 def test_head_grads_match_manual_products():
@@ -192,26 +189,10 @@ def test_head_grads_match_manual_products():
     head = init_head(3, 5, rng)
     features = rng.standard_normal((6, 5))
     dlogits = rng.standard_normal((4, 6))
-    dweights, dfeatures = head_grads(head, features, dlogits)
+    dweights, dfeatures = head_backward(head.weights, features, dlogits)
     assert np.allclose(dweights[:, :-1], dlogits @ features, atol=1e-12)
     assert np.allclose(dweights[:, -1], dlogits.sum(axis=1), atol=1e-12)
     assert np.allclose(dfeatures, dlogits.T @ head.weights[:, :-1], atol=1e-12)
-
-
-def test_backbone_grad_accumulates_both_paths():
-    rng = np.random.default_rng(11)
-    backbone = init_backbone(4, 6, rng)
-    raw = rng.standard_normal((3, 3, 4))
-    boxes = [BBox(0.1, 0.1, 0.5, 0.5)]
-    cache = forward(backbone, raw, boxes)
-    dfeatures = rng.standard_normal((1, 6))
-    dgrid = rng.standard_normal((3, 3, 6))
-    got = backbone_grad(cache, dfeatures=dfeatures, dfeature_grid=dgrid)
-    want = dfeatures.T @ cache.raw_means
-    want = want + np.einsum("hwd,hwo->do", dgrid, raw)
-    assert np.allclose(got, want, atol=1e-12)
-    only_grid = backbone_grad(cache, dfeature_grid=dgrid)
-    assert np.allclose(only_grid, np.einsum("hwd,hwo->do", dgrid, raw), atol=1e-12)
 
 
 def test_optimizer_config_pinned_defaults():
@@ -283,8 +264,8 @@ def test_extract_sdk_returns_teacher_distributions():
     probs = extract_sdk(model, raw, boxes)
     assert probs.shape == (7, 2)
     assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
-    cache = forward(model.backbone, raw, boxes)
-    _, manual = score_proposals(model.sdk_head, cache.features)
+    features = pool_raw_means(raw, boxes) @ model.backbone.map.T
+    manual = column_softmax(head_logits(model.sdk_head.weights, features))
     assert np.array_equal(probs, manual)
 
 
@@ -327,3 +308,30 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     )
     with pytest.raises(ValueError, match="missing backbone or main head"):
         load_model(path)
+
+
+def test_checkpoint_rows_must_match_shape_header(tmp_path):
+    rng = np.random.default_rng(17)
+    path = tmp_path / "model.txt"
+    save_model(path, small_model(rng))
+    lines = path.read_text().splitlines()
+    bad = tmp_path / "bad.txt"
+
+    bad.write_text("\n".join(lines[:-1]) + "\n")  # one row short
+    with pytest.raises(ValueError, match="does not match its shape"):
+        load_model(bad)
+    narrow = lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]  # one value short
+    bad.write_text("\n".join(narrow) + "\n")
+    with pytest.raises(ValueError, match="does not match its shape"):
+        load_model(bad)
+
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("block main_head"))
+    for broken in (
+        "block main_head shape 5",
+        "block main_head shape five 17 role main",
+        "block main_head shape 5 17 role",
+        "block",
+    ):
+        bad.write_text("\n".join(lines[:header] + [broken] + lines[header + 1:]) + "\n")
+        with pytest.raises(ValueError):
+            load_model(bad)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transferdet.geometry import BBox, iou
+from transferdet.geometry import BBox, coverage_mask, iou
 from transferdet.synthworld import (
     BOX_MAX_SIZE,
     BOX_MIN_SIZE,
@@ -11,7 +11,6 @@ from transferdet.synthworld import (
     Scene,
     World,
     WorldConfig,
-    coverage_mask,
     load_scenes,
     load_world,
     make_world,
