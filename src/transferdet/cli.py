@@ -301,9 +301,12 @@ def cmd_eval(args) -> int:
     }
     num_classes = world_cfg.classes_in(scenes[0].domain)
     eval_cfg = EvalConfig(iou_threshold=args.iou_threshold, ap_method=args.ap_method)
-    per_class, map_value = evaluate_detections(
-        detections, ground_truths, num_classes, eval_cfg
-    )
+    try:
+        per_class, map_value = evaluate_detections(
+            detections, ground_truths, num_classes, eval_cfg
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_MALFORMED, str(exc))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "eval.csv"

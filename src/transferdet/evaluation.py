@@ -134,9 +134,17 @@ def evaluate_detections(
 ) -> tuple[list[float | None], float]:
     """Per-class AP (None for classes with no ground truth) and mAP.
 
-    ``ground_truths`` maps scene id to (class index, box) pairs.
+    ``ground_truths`` maps scene id to (class index, box) pairs.  A
+    detection whose class index lies outside ``[0, num_classes)`` raises
+    ValueError.
     """
     detections = list(detections)
+    for d in detections:
+        if not 0 <= d.class_index < num_classes:
+            raise ValueError(
+                f"detection in scene {d.scene_id} has class {d.class_index}, "
+                f"outside [0, {num_classes})"
+            )
     per_class: list[float | None] = []
     for c in range(num_classes):
         class_gts = {

@@ -4,7 +4,14 @@ and which grid cells a box covers.
 Boxes live in normalized scene coordinates, so every coordinate is in
 [0, 1] and all overlap logic is resolution independent.  A box covers a
 grid cell when the cell's center lies inside the box (boundary included);
-scene painting, ROI pooling and the background mask all use this one test.
+scene painting, ROI pooling and the background mask all use this one test,
+batched over boxes by :func:`coverage_masks`.
+
+:func:`pairwise_iou` is elementwise and bitwise symmetric (``min``, ``max``
+and ``+`` commute), so a large IoU matrix may be assembled from blocks and
+transposed blocks without changing a bit.  :func:`nms` visits boxes in
+descending score order and suppresses with one vector step per kept box,
+reading only the kept boxes' columns of the IoU matrix.
 """
 
 from __future__ import annotations
@@ -91,7 +98,8 @@ def nms(
     """Greedy suppression in descending score order.
 
     A box is kept iff its IoU with every previously kept box is at most
-    ``overlap_threshold``; ``iou_matrix[i, j]`` is the IoU of boxes i and j.
+    ``overlap_threshold``; ``iou_matrix[c, k]`` is the IoU of candidate c
+    with box k, and only the columns of kept boxes are read.
     Returns at most ``max_keep`` indices, sorted by descending score; equal
     scores keep the lower index first.
     """
@@ -105,12 +113,16 @@ def nms(
             f"{scores.size} scores but an IoU matrix of shape {iou_matrix.shape}"
         )
 
+    # One pass over the score order; each kept box i suppresses, in one
+    # vector step, every candidate c with iou_matrix[c, i] above the threshold.
+    alive = np.ones(scores.size, dtype=bool)
     kept: list[int] = []
     for i in np.argsort(-scores, kind="stable"):
-        if all(iou_matrix[i, j] <= overlap_threshold for j in kept):
+        if alive[i]:
             kept.append(int(i))
             if len(kept) >= max_keep:
                 break
+            alive &= iou_matrix[:, i] <= overlap_threshold
     return kept
 
 
@@ -121,9 +133,10 @@ def cell_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def coverage_mask(height: int, width: int, box: BBox) -> np.ndarray:
-    """Binary H x W mask of cells whose center lies inside the box."""
+def coverage_masks(height: int, width: int, boxes: Sequence[BBox]) -> np.ndarray:
+    """Boolean K x H x W masks of the cells whose center lies inside each box."""
     xs, ys = cell_centers(height, width)
-    in_x = (xs >= box.x1) & (xs <= box.x2)
-    in_y = (ys >= box.y1) & (ys <= box.y2)
-    return np.outer(in_y, in_x)
+    coords = np.array([b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
+    in_x = (xs[None, :] >= coords[:, 0:1]) & (xs[None, :] <= coords[:, 2:3])
+    in_y = (ys[None, :] >= coords[:, 1:2]) & (ys[None, :] <= coords[:, 3:4])
+    return in_y[:, :, None] & in_x[:, None, :]

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, coverage_mask
+from .geometry import BBox, coverage_masks
 from .numerics import PROB_FLOOR, column_softmax, sigmoid
 
 
@@ -78,10 +78,7 @@ def bd_mask(grid_height: int, grid_width: int, gt_boxes: Sequence[BBox]) -> np.n
     """
     if grid_height < 1 or grid_width < 1:
         raise ValueError("grid dimensions must be >= 1")
-    foreground = np.zeros((grid_height, grid_width), dtype=bool)
-    for box in gt_boxes:
-        foreground |= coverage_mask(grid_height, grid_width, box)
-    return ~foreground
+    return ~coverage_masks(grid_height, grid_width, gt_boxes).any(axis=0)
 
 
 def bd_loss(grid: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
@@ -131,53 +128,45 @@ def sdk_loss(
     return value, grad
 
 
+def _image_logits(classifier1_logits: np.ndarray) -> np.ndarray:
+    """Per-class logit sums over proposals, object rows only."""
+    logits = np.asarray(classifier1_logits, dtype=float)
+    if logits.ndim != 2 or logits.shape[0] < 2:
+        raise ValueError(f"expected (C+1) x K logits, got shape {logits.shape}")
+    if logits.shape[1] == 0:
+        raise ValueError("image score needs at least one proposal")
+    return logits[:-1, :].sum(axis=1)
+
+
 def image_score(classifier1_logits: np.ndarray) -> np.ndarray:
     """Per-class image score: sigmoid of logit sums over proposals.
 
     Only the object rows contribute; the trailing background row is
     excluded from the returned vector.
     """
-    logits = np.asarray(classifier1_logits, dtype=float)
-    if logits.ndim != 2 or logits.shape[0] < 2:
-        raise ValueError(f"expected (C+1) x K logits, got shape {logits.shape}")
-    if logits.shape[1] == 0:
-        raise ValueError("image score needs at least one proposal")
-    row_sums = logits[:-1, :].sum(axis=1)
-    return sigmoid(row_sums)
-
-
-def multilabel_loss(p_img: np.ndarray, y_img: np.ndarray) -> tuple[float, np.ndarray]:
-    """Binary cross entropy between image scores and the image label vector.
-
-    Probabilities are clamped to [1e-12, 1 - 1e-12] before the logs; the
-    returned gradient is with respect to the (unclamped) input scores and
-    is zero wherever the clamp is active.
-    """
-    p = np.asarray(p_img, dtype=float)
-    y = np.asarray(y_img, dtype=float)
-    if p.shape != y.shape:
-        raise ValueError(f"score shape {p.shape} != label shape {y.shape}")
-    clamped = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    value = -float(np.sum(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped)))
-    grad = (-y / clamped + (1.0 - y) / (1.0 - clamped)) * (p == clamped)
-    return value, grad
+    return sigmoid(_image_logits(classifier1_logits))
 
 
 def image_multilabel_loss(
     classifier1_logits: np.ndarray, y_img: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Multi-label loss applied to image scores, differentiated to logits.
+    """Binary cross entropy between image scores and the image label vector,
+    differentiated to the classifier logits.
 
-    Composition of :func:`image_score` and :func:`multilabel_loss`; the
-    gradient with respect to logit (c, k) collapses to p_c - y_c for object
-    rows and zero for the background row.
+    With z the per-class logit sums of :func:`image_score`, the value is
+    ``sum(softplus(z) - y * z)``, which equals
+    ``-sum(y log p + (1 - y) log(1 - p))`` for ``p = sigmoid(z)`` but stays
+    exact where p saturates.  The gradient with respect to logit (c, k)
+    collapses to p_c - y_c for object rows and zero for the background row.
     """
     logits = np.asarray(classifier1_logits, dtype=float)
-    p = image_score(logits)
-    value, _ = multilabel_loss(p, y_img)
+    z = _image_logits(logits)
     y = np.asarray(y_img, dtype=float)
+    if z.shape != y.shape:
+        raise ValueError(f"score shape {z.shape} != label shape {y.shape}")
+    value = float(np.sum(np.logaddexp(0.0, z) - y * z))
     grad = np.zeros_like(logits)
-    grad[:-1, :] = (p - y)[:, None]
+    grad[:-1, :] = (sigmoid(z) - y)[:, None]
     return value, grad
 
 

@@ -9,6 +9,11 @@ per scene (:func:`pool_raw_means`) and only the heads and the map act per
 step (:func:`head_logits`, :func:`head_backward`).  Everything is linear up
 to the loss, so every gradient used in training is closed form and checked
 against finite differences.
+
+ROI pooling is one batched gather: :func:`pooling_index` turns boxes into
+a padded matrix of cell indices, which depends only on the grid shape and
+may be cached, and :func:`pool_indexed_means` averages the gathered rows
+bit-identically to a per-box ``mean``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, cell_centers, coverage_mask
+from .geometry import BBox, cell_centers, coverage_masks
 from .numerics import column_softmax
 
 HEAD_ROLES = ("main", "sdk_branch", "rol_classifier")
@@ -145,31 +150,57 @@ def init_head(
 # --- forward / backward ------------------------------------------------------
 
 
-def _covered_cells(height: int, width: int, box: BBox) -> np.ndarray:
-    """Flat indices of cells whose center lies inside the box; never empty.
+def pooling_index(
+    height: int, width: int, boxes: Sequence[BBox]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells each box pools over, as a padded (K, n_max) index matrix.
 
-    When no center is covered, falls back to the single cell whose center
-    is nearest the box center.
+    Row k lists, in ascending order, the flat indices of the cells whose
+    center box k covers, padded with ``height * width`` (one past the last
+    cell); ``counts[k]`` is the number of real entries.  A box covering no
+    cell center pools the single cell whose center is nearest its own.
     """
-    idx = np.nonzero(coverage_mask(height, width, box).ravel())[0]
-    if idx.size:
-        return idx
-    xs, ys = cell_centers(height, width)
-    cx = 0.5 * (box.x1 + box.x2)
-    cy = 0.5 * (box.y1 + box.y2)
-    d2 = (ys[:, None] - cy) ** 2 + (xs[None, :] - cx) ** 2
-    return np.array([int(np.argmin(d2.ravel()))])
+    cells = height * width
+    masks = coverage_masks(height, width, boxes).reshape(-1, cells)
+    counts = masks.sum(axis=1)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        xs, ys = cell_centers(height, width)
+        coords = np.array([boxes[k].as_tuple() for k in empty])
+        cx = 0.5 * (coords[:, 0] + coords[:, 2])
+        cy = 0.5 * (coords[:, 1] + coords[:, 3])
+        d2 = (ys[None, :, None] - cy[:, None, None]) ** 2 + (
+            xs[None, None, :] - cx[:, None, None]
+        ) ** 2
+        masks[empty, np.argmin(d2.reshape(empty.size, cells), axis=1)] = True
+        counts[empty] = 1
+    n_max = int(counts.max(initial=0))
+    # A stable sort of the complement puts each row's covered cells first,
+    # in ascending order.
+    first = np.argsort(~masks, axis=1, kind="stable")[:, :n_max]
+    index = np.where(np.arange(n_max)[None, :] < counts[:, None], first, cells)
+    return index, counts
+
+
+def pool_indexed_means(
+    raw_grid: np.ndarray, index: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Mean raw cell vector per row of a :func:`pooling_index` result, (K, D0).
+
+    The padding index gathers a zero row.  Summing the gathered rows in
+    order along axis 1 adds the cells in the order ``mean(axis=0)`` over
+    the covered cells would, and adding exact zeros changes no sum, so the
+    means are bit-identical to per-box means.
+    """
+    height, width, dim = raw_grid.shape
+    padded = np.vstack([raw_grid.reshape(height * width, dim), np.zeros((1, dim))])
+    return padded[index].sum(axis=1) / counts[:, None]
 
 
 def pool_raw_means(raw_grid: np.ndarray, boxes: Sequence[BBox]) -> np.ndarray:
     """ROI pooling: the mean raw cell vector under each box, (K, D0)."""
-    height, width, dim = raw_grid.shape
-    flat = raw_grid.reshape(height * width, dim)
-    if not boxes:
-        return np.zeros((0, dim))
-    return np.stack(
-        [flat[_covered_cells(height, width, b)].mean(axis=0) for b in boxes]
-    )
+    height, width, _ = raw_grid.shape
+    return pool_indexed_means(raw_grid, *pooling_index(height, width, boxes))
 
 
 def head_logits(weights: np.ndarray, features: np.ndarray) -> np.ndarray:

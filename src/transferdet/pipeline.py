@@ -36,14 +36,15 @@ from .model import (
     DetectorModel,
     Head,
     OptimizerConfig,
-    _covered_cells,
     adam_step,
     extract_sdk,
     head_backward,
     head_logits,
     init_backbone,
     init_head,
+    pool_indexed_means,
     pool_raw_means,
+    pooling_index,
 )
 from .numerics import column_softmax
 from .synthworld import (
@@ -212,18 +213,25 @@ def anchor_boxes(grid_height: int, grid_width: int) -> list[BBox]:
     return boxes
 
 
-# Lattice geometry is scene independent, so the boxes and the cells each
-# box pools over are computed once per grid shape.
-_LATTICE_CACHE: dict[tuple[int, int], tuple[list[BBox], list[np.ndarray]]] = {}
+@dataclass(frozen=True)
+class _Lattice:
+    boxes: list[BBox]
+    index: np.ndarray  # pooling_index of the boxes
+    counts: np.ndarray
+    iou: np.ndarray  # pairwise IoU of the boxes
 
 
-def _anchor_lattice(height: int, width: int) -> tuple[list[BBox], list[np.ndarray]]:
+# Lattice geometry is scene independent, so the boxes, the cells each box
+# pools over and their pairwise IoU are computed once per grid shape.
+_LATTICE_CACHE: dict[tuple[int, int], _Lattice] = {}
+
+
+def _anchor_lattice(height: int, width: int) -> _Lattice:
     key = (height, width)
     if key not in _LATTICE_CACHE:
         boxes = anchor_boxes(height, width)
-        _LATTICE_CACHE[key] = (
-            boxes,
-            [_covered_cells(height, width, b) for b in boxes],
+        _LATTICE_CACHE[key] = _Lattice(
+            boxes, *pooling_index(height, width, boxes), pairwise_iou(boxes)
         )
     return _LATTICE_CACHE[key]
 
@@ -238,18 +246,29 @@ def warmup_proposals(warmup: DetectorModel, scene: Scene, max_keep: int) -> list
     concentrates around likely objects, so it is much denser on true
     instances than the uniform detection-time proposal pool.
     """
-    height, width, dim = scene.raw_grid.shape
-    anchors, cells = _anchor_lattice(height, width)
-    candidates = list(scene.proposals) + anchors
-    flat = scene.raw_grid.reshape(height * width, dim)
-    anchor_means = np.stack([flat[idx].mean(axis=0) for idx in cells])
+    height, width, _ = scene.raw_grid.shape
+    lattice = _anchor_lattice(height, width)
+    proposals = list(scene.proposals)
+    candidates = proposals + lattice.boxes
     pack_means = np.concatenate(
-        [pool_raw_means(scene.raw_grid, scene.proposals), anchor_means]
+        [
+            pool_raw_means(scene.raw_grid, proposals),
+            pool_indexed_means(scene.raw_grid, lattice.index, lattice.counts),
+        ]
     )
     features = pack_means @ warmup.backbone.map.T
     probs = column_softmax(head_logits(warmup.main_head.weights, features))
     objectness = 1.0 - probs[-1, :]
-    keep = nms(objectness, pairwise_iou(candidates), PROPOSAL_NMS_THRESHOLD, max_keep)
+    # Only the proposal columns are scene specific.  IoU is bitwise
+    # symmetric, so their transpose and the cached anchor block complete
+    # the full candidate matrix exactly.
+    fresh = pairwise_iou(candidates, proposals)
+    p = len(proposals)
+    iou_matrix = np.empty((len(candidates), len(candidates)))
+    iou_matrix[:, :p] = fresh
+    iou_matrix[:p, p:] = fresh[p:].T
+    iou_matrix[p:, p:] = lattice.iou
+    keep = nms(objectness, iou_matrix, PROPOSAL_NMS_THRESHOLD, max_keep)
     return [candidates[i] for i in keep]
 
 

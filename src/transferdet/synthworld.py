@@ -5,8 +5,10 @@ target classes, then background).  A scene is an H x W grid of raw
 observation vectors: cells covered by an object emit that object's class
 prototype, uncovered cells emit a scaled background prototype, and
 isotropic Gaussian noise is added everywhere.  Proposals are the
-ground-truth boxes under corner jitter plus random background boxes,
-deduplicated by NMS.
+ground-truth boxes under corner jitter plus random background boxes clear
+of them, deduplicated by the pipeline's one greedy NMS
+(:func:`transferdet.geometry.nms`); cell coverage for painting comes from
+the same batched test that pooling uses.
 
 All randomness flows from named substreams of a single seed, so a fixed
 seed reproduces every world, scene, and experiment bit-exactly.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BBox, coverage_mask, iou
+from .geometry import BBox, coverage_masks, iou, nms, pairwise_iou
 
 DOMAINS = ("source", "target")
 MODES = ("full", "weak")
@@ -246,8 +248,7 @@ def sample_scene(
     height, width, dim = cfg.grid_height, cfg.grid_width, cfg.raw_dim
     covered = np.zeros((height, width), dtype=bool)
     grid = np.zeros((height, width, dim))
-    for cls, box in zip(classes, boxes):
-        cov = coverage_mask(height, width, box)
+    for cls, cov in zip(classes, coverage_masks(height, width, boxes)):
         proto = world.prototypes[world.prototype_index(domain, cls)]
         grid += cov[:, :, None] * proto[None, None, :]
         covered |= cov
@@ -259,19 +260,26 @@ def sample_scene(
     grid += cfg.noise_sigma * rng.standard_normal((height, width, dim))
 
     # Proposals: jittered ground truth first (kept unconditionally, so the
-    # zero-jitter case reproduces the GT boxes verbatim), then a random
-    # pool greedily deduplicated at 0.75 in uniform-random score order,
-    # padded with fresh random boxes to exactly K.
+    # zero-jitter case reproduces the GT boxes verbatim), then the random
+    # pool boxes clear of it, greedily deduplicated at 0.75 in
+    # uniform-random score order, padded with fresh random boxes to exactly K.
     proposals = [_jitter_box(rng, box, cfg.jitter) for box in boxes]
     pool = [_sample_box(rng) for _ in range(2 * cfg.proposals_per_scene)]
     pool_scores = rng.uniform(0.0, 1.0, size=len(pool))
-    for i in np.argsort(-pool_scores, kind="stable"):
-        if len(proposals) >= cfg.proposals_per_scene:
-            break
-        if all(
-            iou(pool[i], kept) <= PROPOSAL_NMS_THRESHOLD for kept in proposals
-        ):
-            proposals.append(pool[i])
+    room = cfg.proposals_per_scene - len(proposals)
+    if room > 0:
+        clear = np.flatnonzero(
+            np.all(pairwise_iou(pool, proposals) <= PROPOSAL_NMS_THRESHOLD, axis=1)
+        )
+        if clear.size:
+            clear_boxes = [pool[i] for i in clear]
+            keep = nms(
+                pool_scores[clear],
+                pairwise_iou(clear_boxes),
+                PROPOSAL_NMS_THRESHOLD,
+                room,
+            )
+            proposals += [clear_boxes[i] for i in keep]
     while len(proposals) < cfg.proposals_per_scene:
         proposals.append(_sample_box(rng))
 
@@ -330,16 +338,25 @@ def _config_lines(config: WorldConfig) -> list[str]:
     return lines
 
 
+_FLOAT_FIELDS = ("noise_sigma", "clutter_sigma", "jitter")
+
+
 def _parse_config(lines: list[str]) -> WorldConfig:
+    """WorldConfig from ``config <field> <value...>`` lines; a line with an
+    unknown field or a missing or non-numeric value raises ValueError."""
     kwargs = {}
     for line in lines:
-        _, name, *rest = line.split()
-        if name == "objects_per_scene":
-            kwargs[name] = (int(rest[0]), int(rest[1]))
-        elif name in ("noise_sigma", "clutter_sigma", "jitter"):
-            kwargs[name] = float(rest[0])
-        else:
-            kwargs[name] = int(rest[0])
+        name, *rest = line.split()[1:] or [""]
+        if name not in _CONFIG_FIELDS:
+            raise ValueError(f"unknown config field in line {line!r}")
+        arity = 2 if name == "objects_per_scene" else 1
+        if len(rest) != arity:
+            raise ValueError(f"config {name} needs {arity} value(s): {line!r}")
+        try:
+            values = [float(v) if name in _FLOAT_FIELDS else int(v) for v in rest]
+        except ValueError:
+            raise ValueError(f"non-numeric value in config line {line!r}") from None
+        kwargs[name] = tuple(values) if arity == 2 else values[0]
     return WorldConfig(**kwargs)
 
 

@@ -1,8 +1,8 @@
 """From-scratch oracle implementations the tests compare against.
 
 Everything here is written with plain Python loops straight from the
-definitions: greedy NMS, threshold-band pseudo-labelling, VOC matching
-and average precision.  Slow on purpose; nothing imports the package.
+definitions: per-box ROI pooling, greedy NMS, threshold-band
+pseudo-labelling, VOC matching and average precision.  Slow on purpose; nothing imports the package.
 """
 
 import numpy as np
@@ -18,6 +18,27 @@ def ref_iou(a, b):
     inter = w * h
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union
+
+
+def ref_pool(raw_grid, boxes):
+    """Per-box ROI pooling: the mean raw vector of the cells whose center
+    the box covers, or of the single cell nearest the box center when it
+    covers none.  Boxes are (x1, y1, x2, y2) tuples."""
+    height, width, dim = raw_grid.shape
+    flat = raw_grid.reshape(height * width, dim)
+    ys = (np.arange(height) + 0.5) / height
+    xs = (np.arange(width) + 0.5) / width
+    rows = []
+    for x1, y1, x2, y2 in boxes:
+        covered = np.outer((ys >= y1) & (ys <= y2), (xs >= x1) & (xs <= x2))
+        idx = np.nonzero(covered.ravel())[0]
+        if not idx.size:
+            cx = 0.5 * (x1 + x2)
+            cy = 0.5 * (y1 + y2)
+            d2 = (ys[:, None] - cy) ** 2 + (xs[None, :] - cx) ** 2
+            idx = np.array([int(np.argmin(d2.ravel()))])
+        rows.append(flat[idx].mean(axis=0))
+    return np.array(rows).reshape(-1, dim)
 
 
 def ref_nms(boxes, scores, threshold, max_keep):

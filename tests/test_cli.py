@@ -288,6 +288,34 @@ def test_eval_malformed_row_exits_4(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_eval_corrupt_config_line_exits_4(tmp_path, capsys):
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    text = scenes_path.read_text()
+    for corrupt in ("config seed\n", "config seed two\n", "config colour 3\n"):
+        scenes_path.write_text(text.replace("config seed 2\n", corrupt))
+        code = main([
+            "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_MALFORMED
+        assert "config" in capsys.readouterr().err
+
+
+def test_eval_out_of_range_class_exits_4(tmp_path, capsys):
+    # the fixture's scene file is over 4 target classes
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    for cls in (9, 4):
+        box = BBox(0.1, 0.1, 0.35, 0.35)
+        write_detections_csv(det_path, [Detection(0, cls, box, 0.9)])
+        code = main([
+            "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_MALFORMED
+        assert f"class {cls}" in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_eval_missing_inputs_exit_3(tmp_path):
     scenes_path, det_path = _eval_fixture(tmp_path)
     assert main([
@@ -385,6 +413,11 @@ def test_gradcheck_default_passes(tmp_path, capsys):
     assert len(rows) == 1 + len(GRADCHECKS)
     assert all(row.endswith(",true") for row in rows[1:])
     assert capsys.readouterr().out.count("ok") == len(GRADCHECKS)
+
+
+def test_gradcheck_passes_at_default_instances(tmp_path, capsys):
+    assert main(["gradcheck", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count(" ok\n") == len(GRADCHECKS)
 
 
 def test_gradcheck_only_restricts(tmp_path):

@@ -212,6 +212,13 @@ def test_evaluate_detections_excludes_absent_classes():
     assert mean == pytest.approx(1.0)
 
 
+def test_evaluate_detections_rejects_out_of_range_class():
+    gt = {0: [(0, BBox(0.2, 0.2, 0.6, 0.6))]}
+    for cls in (-1, 2, 9):
+        with pytest.raises(ValueError, match=f"class {cls}"):
+            evaluate_detections([det(0, cls, (0.2, 0.2, 0.6, 0.6), 0.9)], gt, 2)
+
+
 def test_evaluate_detections_empty_class_gets_zero():
     gt = {0: [(0, BBox(0.2, 0.2, 0.6, 0.6)), (1, BBox(0.2, 0.2, 0.6, 0.6))]}
     per_class, mean = evaluate_detections(

@@ -3,7 +3,7 @@ import pytest
 
 from transferdet.geometry import (
     BBox,
-    coverage_mask,
+    coverage_masks,
     intersection_area,
     iou,
     nms,
@@ -40,8 +40,12 @@ def test_bbox_area_and_containment():
     edge = BBox(0.375, 0.125, 0.625, 0.875)
     expected = np.zeros((4, 4), dtype=bool)
     expected[:, 1:3] = True
-    assert np.array_equal(coverage_mask(4, 4, edge), expected)
-    assert not coverage_mask(4, 4, BBox(0.13, 0.13, 0.37, 0.37)).any()
+    inner = BBox(0.13, 0.13, 0.37, 0.37)
+    masks = coverage_masks(4, 4, [edge, inner])
+    assert masks.shape == (2, 4, 4)
+    assert np.array_equal(masks[0], expected)
+    assert not masks[1].any()
+    assert coverage_masks(4, 4, []).shape == (0, 4, 4)
 
 
 def test_nms_demands_parallel_scores_and_iou():
@@ -50,6 +54,23 @@ def test_nms_demands_parallel_scores_and_iou():
         nms([0.4, 0.2], pairwise_iou(boxes), 0.5, 4)
     with pytest.raises(ValueError):
         nms([0.4], pairwise_iou(boxes, boxes + boxes), 0.5, 4)
+
+
+def test_nms_reads_candidate_rows_of_kept_columns():
+    # iou_matrix[candidate, kept] decides; the transposed entry is never read
+    iou_matrix = np.array([[1.0, 0.9], [0.1, 1.0]])
+    assert nms([0.9, 0.8], iou_matrix, 0.5, 4) == [0, 1]
+    assert nms([0.8, 0.9], iou_matrix, 0.5, 4) == [1]
+
+
+def test_pairwise_iou_is_bitwise_symmetric_and_blockwise():
+    rng = np.random.default_rng(11)
+    rows = [box(t) for t in random_boxes(rng, 20)]
+    cols = [box(t) for t in random_boxes(rng, 7)]
+    full = pairwise_iou(rows + cols)
+    assert np.array_equal(full, full.T)
+    assert np.array_equal(full[:20, 20:], pairwise_iou(rows, cols))
+    assert np.array_equal(full[20:, :20], pairwise_iou(rows, cols).T)
 
 
 def test_iou_identical_boxes():

@@ -11,7 +11,6 @@ from transferdet.losses import (
     check_score_matrix,
     image_multilabel_loss,
     image_score,
-    multilabel_loss,
     proposal_cls_loss,
     rol_classifier_loss,
     sdk_loss,
@@ -173,20 +172,37 @@ def test_image_score_no_proposals():
         image_score(np.zeros((3, 0)))
 
 
+def _logits_with_row_sums(z):
+    """(C+1) x 2 logits whose object rows sum to ``z``."""
+    logits = np.zeros((len(z) + 1, 2))
+    logits[:-1, 0] = z
+    return logits
+
+
 def test_multilabel_loss_matched_one_hot():
     y = np.array([1.0, 0.0, 0.0])
-    value, _ = multilabel_loss(np.array([1.0, 0.0, 0.0]), y)
+    value, _ = image_multilabel_loss(_logits_with_row_sums([40.0, -40.0, -40.0]), y)
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_multilabel_loss_uniform_negatives():
-    value, _ = multilabel_loss(np.full(20, 0.5), np.zeros(20))
+    value, _ = image_multilabel_loss(np.zeros((21, 3)), np.zeros(20))
     assert value == pytest.approx(20 * LN2, abs=1e-12)
 
 
 def test_multilabel_loss_single_positive():
-    value, _ = multilabel_loss(np.array([0.5]), np.array([1.0]))
+    value, _ = image_multilabel_loss(np.zeros((2, 3)), np.array([1.0]))
     assert value == pytest.approx(LN2, abs=1e-12)
+
+
+def test_multilabel_loss_exact_when_saturated():
+    # softplus form: no clamp, no log(1 - p) cancellation
+    logits = _logits_with_row_sums([50.0, -50.0, 800.0])
+    value, grad = image_multilabel_loss(logits, np.array([0.0, 1.0, 1.0]))
+    assert value == 100.0
+    assert np.all(np.isfinite(grad))
+    with pytest.raises(ValueError):
+        image_multilabel_loss(logits, np.zeros(2))
 
 
 def test_image_multilabel_background_row_gradient_zero():

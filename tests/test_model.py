@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transferdet.geometry import BBox
+from transferdet.geometry import BBox, coverage_masks
 from transferdet.model import (
     FEATURE_GAIN,
     AdamState,
@@ -19,9 +19,14 @@ from transferdet.model import (
     init_head,
     load_model,
     pool_raw_means,
+    pooling_index,
     save_model,
 )
 from transferdet.numerics import column_softmax
+from transferdet.pipeline import anchor_boxes
+from transferdet.synthworld import WorldConfig, make_world, sample_scenes, substream
+
+from reference import random_boxes, ref_pool
 
 
 def small_model(rng, with_sdk=True, rol=0, source_classes=6):
@@ -141,6 +146,63 @@ def test_roi_pool_empty_box_falls_back_to_nearest_cell():
     # covers no cell center; box center (0.325, 0.325) is nearest (0.375, 0.375)
     (pooled,) = pool_raw_means(grid, [BBox(0.3, 0.3, 0.35, 0.35)])
     assert np.allclose(pooled, grid[1, 1], atol=1e-12)
+
+
+def tuples(boxes):
+    return [b.as_tuple() for b in boxes]
+
+
+def test_pooling_index_pads_past_the_last_cell():
+    # 4x4 cell centers at 0.125, 0.375, 0.625, 0.875; the last box covers
+    # none and falls back to cell (1, 1), flat index 5
+    boxes = [
+        BBox(0.0, 0.0, 0.26, 0.26),
+        BBox(0.0, 0.0, 0.6, 0.3),
+        BBox(0.3, 0.3, 0.35, 0.35),
+    ]
+    index, counts = pooling_index(4, 4, boxes)
+    assert counts.tolist() == [1, 2, 1]
+    assert index.tolist() == [[0, 16], [0, 1], [5, 16]]
+    index, counts = pooling_index(4, 4, [])
+    assert index.shape == (0, 0) and counts.shape == (0,)
+
+
+@pytest.mark.parametrize("k", [16, 32, 64])
+def test_pool_raw_means_bit_identical_to_per_box_mean(k):
+    world = make_world(WorldConfig(seed=k, proposals_per_scene=k))
+    for scene in sample_scenes(world, "target", "weak", substream(k, "pool"), 25):
+        boxes = list(scene.proposals)
+        got = pool_raw_means(scene.raw_grid, boxes)
+        assert np.array_equal(got, ref_pool(scene.raw_grid, tuples(boxes)))
+
+
+def test_pool_raw_means_bit_identical_on_anchor_lattice():
+    rng = np.random.default_rng(21)
+    anchors = anchor_boxes(8, 8)
+    assert len(anchors) == 384
+    for _ in range(10):
+        grid = rng.standard_normal((8, 8, 16))
+        assert np.array_equal(
+            pool_raw_means(grid, anchors), ref_pool(grid, tuples(anchors))
+        )
+
+
+def test_pool_raw_means_bit_identical_on_boxes_covering_no_center():
+    rng = np.random.default_rng(22)
+    tiny = [BBox(*t) for t in random_boxes(rng, 30, lo=0.01, hi=0.1)]
+    large = [BBox(*t) for t in random_boxes(rng, 30, lo=0.2, hi=0.9)]
+    # centered on cell corners of the 8x8 grid: four nearest cells tie
+    ties = [BBox(a - 0.01, b - 0.01, a + 0.01, b + 0.01)
+            for a in (0.25, 0.5, 0.875) for b in (0.125, 0.625)]
+    tiny += ties
+    boxes = [b for pair in zip(tiny, large) for b in pair] + ties
+    assert (~coverage_masks(8, 8, tiny).any(axis=(1, 2))).sum() >= 16
+    for shape in ((8, 8, 16), (5, 7, 3)):
+        grid = rng.standard_normal(shape)
+        for chunk in (tiny, boxes):
+            assert np.array_equal(
+                pool_raw_means(grid, chunk), ref_pool(grid, tuples(chunk))
+            )
 
 
 def test_forward_grid_matches_per_cell_map():

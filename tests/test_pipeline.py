@@ -9,7 +9,8 @@ import pytest
 
 from transferdet.evaluation import mean_ap
 from transferdet.geometry import BBox, pairwise_iou
-from transferdet.model import init_backbone, init_head
+from transferdet.model import head_logits, init_backbone, init_head
+from transferdet.numerics import column_softmax
 from transferdet.pipeline import (
     EXPERIMENTS,
     INFERENCE_NMS_THRESHOLD,
@@ -37,12 +38,15 @@ from transferdet.pipeline import (
 )
 from transferdet.losses import LossWeights
 from transferdet.synthworld import (
+    PROPOSAL_NMS_THRESHOLD,
     Scene,
     WorldConfig,
     make_world,
     sample_scenes,
     substream,
 )
+
+from reference import ref_nms, ref_pool
 
 # Short stage lengths keep each fixture under a second while still moving
 # every parameter block away from its initialization.
@@ -202,6 +206,21 @@ def test_warmup_proposals_properties(warmup, weak_scene):
     assert np.all(off_diag <= 0.75 + 1e-12)
     again = warmup_proposals(warmup, weak_scene, 20)
     assert [b.as_tuple() for b in again] == [b.as_tuple() for b in kept]
+
+
+def test_warmup_proposals_match_full_matrix_oracle(warmup, world):
+    # per-box pooling over proposals plus anchors, then greedy suppression
+    # over the full pairwise candidate overlaps
+    anchors = [b.as_tuple() for b in anchor_boxes(8, 8)]
+    for scene in sample_scenes(world, "target", "weak", substream(7, "oracle"), 5):
+        candidates = [b.as_tuple() for b in scene.proposals] + anchors
+        features = ref_pool(scene.raw_grid, candidates) @ warmup.backbone.map.T
+        probs = column_softmax(head_logits(warmup.main_head.weights, features))
+        objectness = list(1.0 - probs[-1, :])
+        for max_keep in (8, 32, 64):
+            keep = ref_nms(candidates, objectness, PROPOSAL_NMS_THRESHOLD, max_keep)
+            got = warmup_proposals(warmup, scene, max_keep)
+            assert [b.as_tuple() for b in got] == [candidates[i] for i in keep]
 
 
 def test_pack_wstd_scene(warmup, weak_scene):

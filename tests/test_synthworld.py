@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from transferdet.geometry import BBox, coverage_mask, iou
+from transferdet.geometry import BBox, coverage_masks, iou
 from transferdet.synthworld import (
     BOX_MAX_SIZE,
     BOX_MIN_SIZE,
+    CLASS_REPEAT_AFFINITY,
     GT_MAX_OVERLAP,
+    PROPOSAL_NMS_THRESHOLD,
     Scene,
     World,
     WorldConfig,
@@ -20,6 +22,9 @@ from transferdet.synthworld import (
     save_world,
     substream,
 )
+from transferdet import synthworld
+
+from reference import ref_iou
 
 
 def test_substream_is_reproducible_and_tag_sensitive():
@@ -181,8 +186,52 @@ def test_proposal_count_respects_config_override():
         assert len(scene.proposals) == k
 
 
+def scalar_dedup_scene(world, domain, rng):
+    """Replay sample_scene's draws, deduplicating proposals one scalar IoU
+    at a time: each pool box in descending score order is kept iff it
+    overlaps no jittered GT box and no earlier kept box above 0.75."""
+    cfg = world.config
+    k = cfg.proposals_per_scene
+    lo, hi = cfg.objects_per_scene
+    n = int(rng.integers(lo, hi + 1))
+    rng.integers(0, cfg.classes_in(domain))
+    for _ in range(n - 1):
+        if rng.uniform() >= CLASS_REPEAT_AFFINITY:
+            rng.integers(0, cfg.classes_in(domain))
+    boxes = synthworld._sample_gt_boxes(rng, n)
+    rng.standard_normal((cfg.grid_height, cfg.grid_width, cfg.raw_dim))
+    proposals = [synthworld._jitter_box(rng, b, cfg.jitter).as_tuple() for b in boxes]
+    pool = [synthworld._sample_box(rng).as_tuple() for _ in range(2 * k)]
+    scores = rng.uniform(0.0, 1.0, size=len(pool))
+    for i in sorted(range(len(pool)), key=lambda i: (-scores[i], i)):
+        if len(proposals) >= k:
+            break
+        if all(ref_iou(pool[i], kept) <= PROPOSAL_NMS_THRESHOLD for kept in proposals):
+            proposals.append(pool[i])
+    while len(proposals) < k:
+        proposals.append(synthworld._sample_box(rng).as_tuple())
+    return proposals
+
+
+@pytest.mark.parametrize(
+    "k, objects", [(3, (3, 3)), (4, (1, 3)), (16, (1, 3)), (32, (1, 3)), (64, (2, 5))]
+)
+def test_sample_scene_proposals_match_scalar_dedup_oracle(k, objects):
+    # k == 3 with three objects leaves no room after the jittered GT boxes
+    for seed in (0, 1, 2):
+        world = make_world(
+            WorldConfig(seed=seed, proposals_per_scene=k, objects_per_scene=objects)
+        )
+        rng, oracle_rng = substream(seed, "dedup"), substream(seed, "dedup")
+        for _ in range(8):
+            scene = sample_scene(world, "target", "weak", rng)
+            expect = scalar_dedup_scene(world, "target", oracle_rng)
+            assert [b.as_tuple() for b in scene.proposals] == expect
+        assert rng.uniform() == oracle_rng.uniform()
+
+
 def test_coverage_mask_half_plane():
-    mask = coverage_mask(8, 8, BBox(0.0, 0.0, 0.5, 1.0))
+    (mask,) = coverage_masks(8, 8, [BBox(0.0, 0.0, 0.5, 1.0)])
     expected = np.zeros((8, 8), dtype=bool)
     expected[:, :4] = True
     assert np.array_equal(mask, expected)
@@ -190,10 +239,11 @@ def test_coverage_mask_half_plane():
 
 def test_coverage_mask_single_and_empty():
     # one cell center at (0.3125, 0.4375) for an 8x8 grid
-    mask = coverage_mask(8, 8, BBox(0.28, 0.40, 0.35, 0.47))
+    mask, tiny = coverage_masks(
+        8, 8, [BBox(0.28, 0.40, 0.35, 0.47), BBox(0.126, 0.126, 0.13, 0.13)]
+    )
     assert mask.sum() == 1
     assert mask[3, 2]
-    tiny = coverage_mask(8, 8, BBox(0.126, 0.126, 0.13, 0.13))
     assert not tiny.any()
 
 
@@ -206,7 +256,7 @@ def test_scene_grid_composition():
     covered = np.zeros((8, 8), dtype=bool)
     expected = np.zeros_like(scene.raw_grid)
     for cls, box in scene.gt:
-        cov = coverage_mask(8, 8, box)
+        (cov,) = coverage_masks(8, 8, [box])
         proto = world.prototypes[world.prototype_index("target", cls)]
         expected += cov[:, :, None] * proto
         covered |= cov
@@ -240,6 +290,23 @@ def test_world_file_rejects_shape_mismatch(tmp_path):
     del lines[-1]  # drop one prototype row
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="does not match"):
+        load_world(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["config seed", "config seed x", "config jitter", "config objects_per_scene 1",
+     "config colour 3", "config "],
+)
+def test_world_file_rejects_corrupt_config_line(tmp_path, line):
+    world = make_world(WorldConfig(seed=9))
+    path = tmp_path / "world.txt"
+    save_world(path, world)
+    lines = path.read_text().splitlines()
+    seed_line = lines.index("config seed 9")
+    lines[seed_line] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="config"):
         load_world(path)
 
 
