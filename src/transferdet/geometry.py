@@ -67,19 +67,27 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def pairwise_iou(
-    rows: Sequence[BBox], cols: Sequence[BBox] | None = None
-) -> np.ndarray:
-    """IoU matrix between two box sequences (square when ``cols`` is None).
+Boxes = Sequence[BBox] | np.ndarray
 
-    Entry [i, j] is bit-identical to ``iou(rows[i], cols[j])``: the batched
-    arithmetic applies the same operations in the same order, so callers may
-    mix the scalar and batched forms freely.
+
+def box_corners(boxes: Boxes) -> np.ndarray:
+    """(n, 4) float array of (x1, y1, x2, y2) rows of a box sequence; an
+    array of corner rows passes through."""
+    if isinstance(boxes, np.ndarray):
+        return np.asarray(boxes, dtype=float).reshape(-1, 4)
+    return np.array([b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def pairwise_iou(rows: Boxes, cols: Boxes | None = None) -> np.ndarray:
+    """IoU matrix between two box sets (square when ``cols`` is None).
+
+    Either set may be a sequence of boxes or an (n, 4) array of corner
+    rows.  Entry [i, j] is bit-identical to ``iou(rows[i], cols[j])``: the
+    batched arithmetic applies the same operations in the same order, so
+    callers may mix the scalar and batched forms freely.
     """
-    a = np.array([b.as_tuple() for b in rows], dtype=float).reshape(-1, 4)
-    b = a if cols is None else np.array(
-        [c.as_tuple() for c in cols], dtype=float
-    ).reshape(-1, 4)
+    a = box_corners(rows)
+    b = a if cols is None else box_corners(cols)
     w = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
     h = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
     inter = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
@@ -136,7 +144,7 @@ def cell_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 def coverage_masks(height: int, width: int, boxes: Sequence[BBox]) -> np.ndarray:
     """Boolean K x H x W masks of the cells whose center lies inside each box."""
     xs, ys = cell_centers(height, width)
-    coords = np.array([b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
+    coords = box_corners(boxes)
     in_x = (xs[None, :] >= coords[:, 0:1]) & (xs[None, :] <= coords[:, 2:3])
     in_y = (ys[None, :] >= coords[:, 1:2]) & (ys[None, :] <= coords[:, 3:4])
     return in_y[:, :, None] & in_x[:, None, :]

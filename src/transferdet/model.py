@@ -292,6 +292,11 @@ def adam_step(
 # --- distillation targets ---------------------------------------------------
 
 
+def pooled_probs(backbone: Backbone, head: Head, raw_means: np.ndarray) -> np.ndarray:
+    """(C+1) x K class probabilities of a head over K pooled raw means."""
+    return column_softmax(head_logits(head.weights, raw_means @ backbone.map.T))
+
+
 def extract_sdk(
     teacher: DetectorModel, raw_grid: np.ndarray, proposals: Sequence[BBox]
 ) -> np.ndarray:
@@ -302,8 +307,7 @@ def extract_sdk(
     through its logits; nothing here propagates gradients back.
     """
     head = teacher.source_knowledge_head()
-    features = pool_raw_means(raw_grid, list(proposals)) @ teacher.backbone.map.T
-    return column_softmax(head_logits(head.weights, features))
+    return pooled_probs(teacher.backbone, head, pool_raw_means(raw_grid, list(proposals)))
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -321,8 +325,8 @@ def save_model(path, model: DetectorModel, seed: int | None = None) -> None:
     def block(name: str, matrix: np.ndarray, role: str | None = None):
         suffix = f" role {role}" if role else ""
         lines.append(f"block {name} shape {matrix.shape[0]} {matrix.shape[1]}{suffix}")
-        for row in matrix:
-            lines.append("row " + " ".join(repr(float(v)) for v in row))
+        for row in matrix.tolist():
+            lines.append("row " + " ".join(map(repr, row)))
 
     block("backbone", model.backbone.map)
     block("main_head", model.main_head.weights, model.main_head.role)

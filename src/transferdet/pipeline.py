@@ -5,6 +5,13 @@ two fine-tunes it on a handful of fully annotated target scenes with the
 background and distillation regularizers, producing the warm-up detector.
 Stage three trains the final detector on weakly annotated scenes, guided
 by the frozen warm-up model and recurrent pseudo labelling.
+
+Each training packs its scenes once into per-scene constants
+(:class:`ScenePack`).  Weak packs depend only on the seed, the world, the
+warm-up model and the weak scene count, so the experiment runner builds
+one pack set per such combination and hands it to every weak-stage
+training that shares it, keeping at most one set alive; their arrays are
+read-only, so no training can change what another reads.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evaluation import Detection, EvalConfig, evaluate_detections, mean_ap
-from .geometry import BBox, iou, nms, pairwise_iou
+from .geometry import BBox, nms, pairwise_iou
 from .labelling import ROLConfig, mine_support, oicr_label
 from .losses import (
     LossWeights,
@@ -44,6 +51,7 @@ from .model import (
     init_head,
     pool_indexed_means,
     pool_raw_means,
+    pooled_probs,
     pooling_index,
 )
 from .numerics import column_softmax
@@ -143,18 +151,16 @@ class ScenePack:
 def proposal_labels(
     scene: Scene, num_classes: int, iou_threshold: float = PROPOSAL_LABEL_IOU
 ) -> np.ndarray:
-    """Integer class per proposal: best-overlap GT class above the
-    threshold, else the background index ``num_classes``."""
-    labels = np.full(len(scene.proposals), num_classes, dtype=int)
-    for k, prop in enumerate(scene.proposals):
-        best = 0.0
-        for cls, box in scene.gt:
-            v = iou(prop, box)
-            if v > best:
-                best = v
-                if best > iou_threshold:
-                    labels[k] = cls
-    return labels
+    """Integer class per proposal: the class of its best-overlap GT box
+    (the first on ties) when that overlap exceeds the threshold, else the
+    background index ``num_classes``."""
+    overlaps = pairwise_iou(scene.proposals, [box for _, box in scene.gt])
+    classes = np.array([cls for cls, _ in scene.gt], dtype=int)
+    return np.where(
+        overlaps.max(axis=1) > iou_threshold,
+        classes[overlaps.argmax(axis=1)],
+        num_classes,
+    )
 
 
 def pack_source_scene(scene: Scene, world: World) -> ScenePack:
@@ -236,7 +242,29 @@ def _anchor_lattice(height: int, width: int) -> _Lattice:
     return _LATTICE_CACHE[key]
 
 
-def warmup_proposals(warmup: DetectorModel, scene: Scene, max_keep: int) -> list[BBox]:
+@dataclass(frozen=True)
+class WarmupProposals:
+    """The boxes :func:`warmup_proposals` keeps, with what it computed on
+    the way: every candidate's pooled raw means and the full candidate IoU
+    matrix, so a caller can take the kept rows instead of pooling again.
+    Its length is the number of kept boxes."""
+
+    candidates: list[BBox]
+    raw_means: np.ndarray  # (C, D0) pooled raw mean per candidate
+    iou: np.ndarray  # (C, C) pairwise IoU of the candidates
+    keep: list[int]  # kept candidate indices, by descending objectness
+
+    @property
+    def boxes(self) -> list[BBox]:
+        return [self.candidates[i] for i in self.keep]
+
+    def __len__(self) -> int:
+        return len(self.keep)
+
+
+def warmup_proposals(
+    warmup: DetectorModel, scene: Scene, max_keep: int
+) -> WarmupProposals:
     """Proposals the frozen warm-up model passes on to weak training.
 
     The scene's own proposal pool is widened with a dense anchor lattice,
@@ -250,15 +278,13 @@ def warmup_proposals(warmup: DetectorModel, scene: Scene, max_keep: int) -> list
     lattice = _anchor_lattice(height, width)
     proposals = list(scene.proposals)
     candidates = proposals + lattice.boxes
-    pack_means = np.concatenate(
+    means = np.concatenate(
         [
             pool_raw_means(scene.raw_grid, proposals),
             pool_indexed_means(scene.raw_grid, lattice.index, lattice.counts),
         ]
     )
-    features = pack_means @ warmup.backbone.map.T
-    probs = column_softmax(head_logits(warmup.main_head.weights, features))
-    objectness = 1.0 - probs[-1, :]
+    objectness = 1.0 - pooled_probs(warmup.backbone, warmup.main_head, means)[-1, :]
     # Only the proposal columns are scene specific.  IoU is bitwise
     # symmetric, so their transpose and the cached anchor block complete
     # the full candidate matrix exactly.
@@ -269,19 +295,30 @@ def warmup_proposals(warmup: DetectorModel, scene: Scene, max_keep: int) -> list
     iou_matrix[:p, p:] = fresh[p:].T
     iou_matrix[p:, p:] = lattice.iou
     keep = nms(objectness, iou_matrix, PROPOSAL_NMS_THRESHOLD, max_keep)
-    return [candidates[i] for i in keep]
+    return WarmupProposals(candidates, means, iou_matrix, keep)
 
 
 def pack_wstd_scene(scene: Scene, warmup: DetectorModel, cfg: StageConfig) -> ScenePack:
-    """Weak-scene constants; reads only raw grid, proposals, image label."""
-    boxes = warmup_proposals(warmup, scene, len(scene.proposals))
-    return ScenePack(
-        boxes=boxes,
-        raw_means=pool_raw_means(scene.raw_grid, boxes),
-        teacher=extract_sdk(warmup, scene.raw_grid, boxes),
-        y_img=np.asarray(scene.image_label, dtype=float),
-        iou=pairwise_iou(boxes),
+    """Weak-scene constants; reads only raw grid, proposals, image label.
+
+    The kept warm-up proposals' means and IoU block are rows of what the
+    warm-up step computed (pooling and IoU are per box and per pair, so
+    the rows are bit-identical to pooling the kept boxes afresh).  A pack
+    may be shared by several trainings, so its arrays are read-only.
+    """
+    selection = warmup_proposals(warmup, scene, len(scene.proposals))
+    keep = selection.keep
+    raw_means = selection.raw_means[keep]
+    pack = ScenePack(
+        boxes=selection.boxes,
+        raw_means=raw_means,
+        teacher=pooled_probs(warmup.backbone, warmup.source_knowledge_head(), raw_means),
+        y_img=np.array(scene.image_label, dtype=float),
+        iou=selection.iou[np.ix_(keep, keep)],
     )
+    for array in (pack.raw_means, pack.teacher, pack.y_img, pack.iou):
+        array.flags.writeable = False
+    return pack
 
 
 # --- per-scene losses (value + closed-form gradients) ------------------------
@@ -547,28 +584,44 @@ def _reheaded(warmup: DetectorModel, num_classifiers: int) -> DetectorModel:
     )
 
 
+def pack_weak_scenes(
+    warmup: DetectorModel, world: World, cfg: StageConfig
+) -> list[ScenePack]:
+    """The weak scenes of ``cfg.seed``, packed against the frozen warm-up.
+
+    The packs depend only on the seed, the world, the warm-up model and
+    ``weak_scenes_per_class``, so trainings that share these may share
+    one pack set.
+    """
+    weak = collect_class_scenes(
+        world, "target", "weak", substream(cfg.seed, "wstd", "weak"),
+        cfg.weak_scenes_per_class,
+    )
+    return [pack_wstd_scene(s, warmup, cfg) for s in weak]
+
+
 def wstd_train(
     warmup: DetectorModel,
     world: World,
     cfg: StageConfig,
     report: RunReport | None = None,
+    packs: Sequence[ScenePack] | None = None,
 ) -> DetectorModel:
     """Weakly supervised training guided by the frozen warm-up model.
 
     The warm-up supplies proposals and distillation targets; the student's
     recurrent classifiers start as copies of the warm-up head, the first
     trained from image labels, the rest from mined pseudo labels.
+    ``packs`` is ``pack_weak_scenes(warmup, world, cfg)`` when given, and
+    is built here otherwise.
     """
     if warmup.sdk_head is None:
         raise ValueError("wstd_train requires a warm-up model with an SDK branch")
     student = _reheaded(warmup, cfg.rol.num_classifiers)
     if cfg.weak_scenes_per_class == 0:
         return student
-    weak = collect_class_scenes(
-        world, "target", "weak", substream(cfg.seed, "wstd", "weak"),
-        cfg.weak_scenes_per_class,
-    )
-    packs = [pack_wstd_scene(s, warmup, cfg) for s in weak]
+    if packs is None:
+        packs = pack_weak_scenes(warmup, world, cfg)
     params = {"sdk_head": student.sdk_head.weights}
     if not cfg.freeze_backbone:
         params["backbone"] = student.backbone.map
@@ -620,8 +673,7 @@ def detect(
     """Per-class score + greedy suppression over the scene's proposals."""
     head = _select_head(model, classifier)
     boxes = list(scene.proposals)
-    features = pool_raw_means(scene.raw_grid, boxes) @ model.backbone.map.T
-    probs = column_softmax(head_logits(head.weights, features))
+    probs = pooled_probs(model.backbone, head, pool_raw_means(scene.raw_grid, boxes))
     iou_matrix = pairwise_iou(boxes)
     detections: list[Detection] = []
     for c in range(head.num_rows - 1):
@@ -801,6 +853,10 @@ def _run_cells_for_seed(
     experiment: Experiment, seed: int, overrides: dict[str, object]
 ) -> list[RunReport]:
     cache: dict = {}
+    # Cells on one world and warm-up train on the same weak pack set.  The
+    # registry lists such cells consecutively, so holding only the latest
+    # set builds each set once without keeping two alive.
+    weak_packs: dict = {}
     reports: list[RunReport] = []
     for cell in experiment.cells:
         started = time.perf_counter()
@@ -837,15 +893,18 @@ def _run_cells_for_seed(
             ("source", world_cfg, _source_cache_key(cfg)),
             lambda: train_source(world, cfg, report),
         )
-        warmup = cached(
-            ("lstd", world_cfg, _lstd_cache_key(cfg)),
-            lambda: lstd_finetune(source, world, cfg, report),
-        )
+        warmup_key = ("lstd", world_cfg, _lstd_cache_key(cfg))
+        warmup = cached(warmup_key, lambda: lstd_finetune(source, world, cfg, report))
         if cell.stage == "wstd":
-            model = cached(
-                ("wstd", world_cfg, _wstd_cache_key(cfg)),
-                lambda: wstd_train(warmup, world, cfg, report),
-            )
+
+            def train():
+                key = (warmup_key, cfg.weak_scenes_per_class)
+                if key not in weak_packs:
+                    weak_packs.clear()  # release the last set before packing the next
+                    weak_packs[key] = pack_weak_scenes(warmup, world, cfg)
+                return wstd_train(warmup, world, cfg, report, weak_packs[key])
+
+            model = cached(("wstd", world_cfg, _wstd_cache_key(cfg)), train)
         else:
             model = warmup
         per_class, map_value = evaluate_model(

@@ -11,7 +11,12 @@ of them, deduplicated by the pipeline's one greedy NMS
 the same batched test that pooling uses.
 
 All randomness flows from named substreams of a single seed, so a fixed
-seed reproduces every world, scene, and experiment bit-exactly.
+seed reproduces every world, scene, and experiment bit-exactly.  The
+random proposal pool and its padding are each one block draw, mapped to
+boxes the way ``Generator.uniform`` maps its draws, so they consume the
+same doubles in the same order as one scalar draw per coordinate; only
+ground-truth rejection sampling and jitter, whose draw counts depend on
+the data, stay scalar.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BBox, coverage_masks, iou, nms, pairwise_iou
+from .geometry import BBox, box_corners, coverage_masks, iou, nms, pairwise_iou
 
 DOMAINS = ("source", "target")
 MODES = ("full", "weak")
@@ -205,6 +210,22 @@ def _sample_box(rng: np.random.Generator) -> BBox:
     return BBox(x1, y1, x1 + w, y1 + h)
 
 
+def _boxes_from_draws(u: np.ndarray) -> np.ndarray:
+    """(n, 4) corner rows from an (n, 4) block of unit draws, row i being
+    bit-identical to the box ``_sample_box`` makes from the same four draws.
+
+    ``Generator.uniform(low, high)`` returns ``low + (high - low) * u`` for
+    a unit draw ``u``, so mapping a block drawn with ``Generator.random``
+    the same way consumes the same doubles in the same order, and leaves
+    the generator in the same state, as ``n`` calls of ``_sample_box``.
+    """
+    w = BOX_MIN_SIZE + (BOX_MAX_SIZE - BOX_MIN_SIZE) * u[:, 0]
+    h = BOX_MIN_SIZE + (BOX_MAX_SIZE - BOX_MIN_SIZE) * u[:, 1]
+    x1 = (1.0 - w) * u[:, 2]
+    y1 = (1.0 - h) * u[:, 3]
+    return np.stack([x1, y1, x1 + w, y1 + h], axis=1)
+
+
 def _sample_gt_boxes(rng: np.random.Generator, count: int) -> list[BBox]:
     boxes: list[BBox] = []
     for _ in range(count):
@@ -263,8 +284,10 @@ def sample_scene(
     # zero-jitter case reproduces the GT boxes verbatim), then the random
     # pool boxes clear of it, greedily deduplicated at 0.75 in
     # uniform-random score order, padded with fresh random boxes to exactly K.
+    # The pool and the padding are one block draw each (see _boxes_from_draws);
+    # only the boxes a scene keeps become BBox objects.
     proposals = [_jitter_box(rng, box, cfg.jitter) for box in boxes]
-    pool = [_sample_box(rng) for _ in range(2 * cfg.proposals_per_scene)]
+    pool = _boxes_from_draws(rng.random((2 * cfg.proposals_per_scene, 4)))
     pool_scores = rng.uniform(0.0, 1.0, size=len(pool))
     room = cfg.proposals_per_scene - len(proposals)
     if room > 0:
@@ -272,16 +295,15 @@ def sample_scene(
             np.all(pairwise_iou(pool, proposals) <= PROPOSAL_NMS_THRESHOLD, axis=1)
         )
         if clear.size:
-            clear_boxes = [pool[i] for i in clear]
             keep = nms(
                 pool_scores[clear],
-                pairwise_iou(clear_boxes),
+                pairwise_iou(pool[clear]),
                 PROPOSAL_NMS_THRESHOLD,
                 room,
             )
-            proposals += [clear_boxes[i] for i in keep]
-    while len(proposals) < cfg.proposals_per_scene:
-        proposals.append(_sample_box(rng))
+            proposals += [BBox(*row) for row in pool[clear[keep]].tolist()]
+    pad = cfg.proposals_per_scene - len(proposals)
+    proposals += [BBox(*row) for row in _boxes_from_draws(rng.random((pad, 4))).tolist()]
 
     label = np.zeros(num_classes, dtype=int)
     for cls in classes:
@@ -342,13 +364,21 @@ _FLOAT_FIELDS = ("noise_sigma", "clutter_sigma", "jitter")
 
 
 def _parse_config(lines: list[str]) -> WorldConfig:
-    """WorldConfig from ``config <field> <value...>`` lines; a line with an
-    unknown field or a missing or non-numeric value raises ValueError."""
+    """WorldConfig from the ``config <field> <value...>`` lines of a file.
+
+    Every field of ``_CONFIG_FIELDS`` must appear exactly once; a missing,
+    repeated or unknown field, or a missing or non-numeric value, raises
+    ValueError.
+    """
     kwargs = {}
     for line in lines:
+        if line.split()[:1] != ["config"]:
+            continue
         name, *rest = line.split()[1:] or [""]
         if name not in _CONFIG_FIELDS:
             raise ValueError(f"unknown config field in line {line!r}")
+        if name in kwargs:
+            raise ValueError(f"config field {name} given more than once")
         arity = 2 if name == "objects_per_scene" else 1
         if len(rest) != arity:
             raise ValueError(f"config {name} needs {arity} value(s): {line!r}")
@@ -357,14 +387,17 @@ def _parse_config(lines: list[str]) -> WorldConfig:
         except ValueError:
             raise ValueError(f"non-numeric value in config line {line!r}") from None
         kwargs[name] = tuple(values) if arity == 2 else values[0]
+    missing = [name for name in _CONFIG_FIELDS if name not in kwargs]
+    if missing:
+        raise ValueError(f"missing config line(s) for {', '.join(missing)}")
     return WorldConfig(**kwargs)
 
 
 def save_world(path, world: World) -> None:
     lines = [WORLD_MAGIC, f"seed {world.config.seed}"]
     lines += _config_lines(world.config)
-    for row in world.prototypes:
-        lines.append("prototype " + " ".join(repr(float(v)) for v in row))
+    for row in world.prototypes.tolist():
+        lines.append("prototype " + " ".join(map(repr, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -374,7 +407,7 @@ def load_world(path) -> World:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != WORLD_MAGIC:
         raise ValueError(f"{path} is not a world file")
-    config = _parse_config([ln for ln in lines if ln.startswith("config ")])
+    config = _parse_config(lines)
     rows = [
         np.array([float(v) for v in ln.split()[1:]])
         for ln in lines
@@ -396,15 +429,13 @@ def save_scenes(path, world: World, scenes: list[Scene]) -> None:
             f"scene {idx} {scene.annotation_mode} {scene.domain} "
             f"{len(scene.gt)} {len(scene.proposals)} {scene.image_label.size}"
         )
-        flat = scene.raw_grid.reshape(-1, cfg.raw_dim)
-        for cell in flat:
-            lines.append("cell " + " ".join(repr(float(v)) for v in cell))
-        for cls, box in scene.gt:
-            lines.append(
-                f"gt {cls} " + " ".join(repr(float(v)) for v in box.as_tuple())
-            )
-        for box in scene.proposals:
-            lines.append("prop " + " ".join(repr(float(v)) for v in box.as_tuple()))
+        for cell in scene.raw_grid.reshape(-1, cfg.raw_dim).tolist():
+            lines.append("cell " + " ".join(map(repr, cell)))
+        gt_corners = box_corners([box for _, box in scene.gt]).tolist()
+        for (cls, _), corners in zip(scene.gt, gt_corners):
+            lines.append(f"gt {cls} " + " ".join(map(repr, corners)))
+        for corners in box_corners(scene.proposals).tolist():
+            lines.append("prop " + " ".join(map(repr, corners)))
         lines.append("label " + " ".join(str(int(v)) for v in scene.image_label))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -417,7 +448,7 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != SCENES_MAGIC:
         raise ValueError(f"{path} is not a scene set file")
-    config = _parse_config([ln for ln in lines if ln.startswith("config ")])
+    config = _parse_config(lines)
     counts = [ln.split() for ln in lines if ln.startswith("count ")]
     if len(counts) != 1 or len(counts[0]) != 2:
         raise ValueError("scene set needs exactly one 'count <n>' line")

@@ -1,7 +1,7 @@
 """From-scratch oracle implementations the tests compare against.
 
 Everything here is written with plain Python loops straight from the
-definitions: per-box ROI pooling, greedy NMS, threshold-band
+definitions: per-box ROI pooling, proposal labelling, greedy NMS, threshold-band
 pseudo-labelling, VOC matching and average precision.  Slow on purpose; nothing imports the package.
 """
 
@@ -39,6 +39,23 @@ def ref_pool(raw_grid, boxes):
             idx = np.array([int(np.argmin(d2.ravel()))])
         rows.append(flat[idx].mean(axis=0))
     return np.array(rows).reshape(-1, dim)
+
+
+def ref_proposal_labels(proposals, gt, num_classes, threshold):
+    """Class per proposal by a scalar IoU scan over the GT in order: a GT
+    box strictly improving the best overlap so far, with that overlap above
+    the threshold, labels the proposal; otherwise it stays background.
+    proposals: (x1, y1, x2, y2) tuples; gt: (class, tuple) pairs."""
+    labels = [num_classes] * len(proposals)
+    for k, prop in enumerate(proposals):
+        best = 0.0
+        for cls, box in gt:
+            v = ref_iou(prop, box)
+            if v > best:
+                best = v
+                if best > threshold:
+                    labels[k] = cls
+    return labels
 
 
 def ref_nms(boxes, scores, threshold, max_keep):

@@ -301,6 +301,21 @@ def test_eval_corrupt_config_line_exits_4(tmp_path, capsys):
         assert "config" in capsys.readouterr().err
 
 
+def test_eval_incomplete_config_exits_4(tmp_path, capsys):
+    # a config field without its line, or with two, is malformed too
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    text = scenes_path.read_text()
+    for edited in ("config\n", "", "config seed 2\nconfig seed 3\n"):
+        scenes_path.write_text(text.replace("config seed 2\n", edited))
+        code = main([
+            "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_MALFORMED
+        assert "config" in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_eval_out_of_range_class_exits_4(tmp_path, capsys):
     # the fixture's scene file is over 4 target classes
     scenes_path, det_path = _eval_fixture(tmp_path)

@@ -121,6 +121,20 @@ def test_pairwise_iou_bitwise_matches_scalar():
             assert square[i, j] == iou(a, b)
 
 
+def test_pairwise_iou_corner_arrays_match_box_sequences():
+    rng = np.random.default_rng(5)
+    rows = [box(t) for t in random_boxes(rng, 30)]
+    cols = [box(t) for t in random_boxes(rng, 12)]
+    row_arr = np.array([b.as_tuple() for b in rows])
+    col_arr = np.array([b.as_tuple() for b in cols])
+    expect = pairwise_iou(rows, cols)
+    assert np.array_equal(pairwise_iou(row_arr, col_arr), expect)
+    assert np.array_equal(pairwise_iou(row_arr, cols), expect)
+    assert np.array_equal(pairwise_iou(rows, col_arr), expect)
+    assert np.array_equal(pairwise_iou(row_arr), pairwise_iou(rows))
+    assert pairwise_iou(np.empty((0, 4)), cols).shape == (0, 12)
+
+
 def test_nms_single_box():
     kept = run_nms([BBox(0, 0, 0.5, 0.5)], [0.3], 0.5, 8)
     assert kept == [0]

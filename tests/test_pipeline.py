@@ -7,9 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from transferdet import pipeline
 from transferdet.evaluation import mean_ap
 from transferdet.geometry import BBox, pairwise_iou
-from transferdet.model import head_logits, init_backbone, init_head
+from transferdet.model import (
+    extract_sdk,
+    head_logits,
+    init_backbone,
+    init_head,
+    pool_raw_means,
+)
 from transferdet.numerics import column_softmax
 from transferdet.pipeline import (
     EXPERIMENTS,
@@ -46,7 +53,7 @@ from transferdet.synthworld import (
     substream,
 )
 
-from reference import ref_nms, ref_pool
+from reference import ref_nms, ref_pool, ref_proposal_labels
 
 # Short stage lengths keep each fixture under a second while still moving
 # every parameter block away from its initialization.
@@ -170,6 +177,20 @@ def test_proposal_labels_threshold():
     assert proposal_labels(scene2, 4, iou_threshold=2 / 3).tolist() == [4]
 
 
+def test_proposal_labels_match_scalar_oracle(world):
+    scenes = sample_scenes(world, "source", "full", substream(8, "labels"), 300)
+    num_classes = world.config.classes_in("source")
+    for scene in scenes:
+        proposals = [b.as_tuple() for b in scene.proposals]
+        gt = [(cls, b.as_tuple()) for cls, b in scene.gt]
+        for threshold in (PROPOSAL_LABEL_IOU, 0.3):
+            labels = proposal_labels(scene, num_classes, threshold)
+            assert labels.dtype == int
+            assert labels.tolist() == ref_proposal_labels(
+                proposals, gt, num_classes, threshold
+            )
+
+
 def test_pack_lstd_scene_shapes(world, source_model):
     scene = sample_scenes(world, "target", "full", substream(3, "s"), 1)[0]
     pack = pack_lstd_scene(scene, world, source_model)
@@ -195,8 +216,9 @@ def test_anchor_boxes_layout():
 
 
 def test_warmup_proposals_properties(warmup, weak_scene):
-    kept = warmup_proposals(warmup, weak_scene, 20)
-    assert 0 < len(kept) <= 20
+    selection = warmup_proposals(warmup, weak_scene, 20)
+    kept = selection.boxes
+    assert 0 < len(kept) == len(selection) <= 20
     candidates = {
         b.as_tuple() for b in weak_scene.proposals
     } | {b.as_tuple() for b in anchor_boxes(8, 8)}
@@ -204,7 +226,7 @@ def test_warmup_proposals_properties(warmup, weak_scene):
     overlaps = pairwise_iou(kept)
     off_diag = overlaps[~np.eye(len(kept), dtype=bool)]
     assert np.all(off_diag <= 0.75 + 1e-12)
-    again = warmup_proposals(warmup, weak_scene, 20)
+    again = warmup_proposals(warmup, weak_scene, 20).boxes
     assert [b.as_tuple() for b in again] == [b.as_tuple() for b in kept]
 
 
@@ -219,18 +241,38 @@ def test_warmup_proposals_match_full_matrix_oracle(warmup, world):
         objectness = list(1.0 - probs[-1, :])
         for max_keep in (8, 32, 64):
             keep = ref_nms(candidates, objectness, PROPOSAL_NMS_THRESHOLD, max_keep)
-            got = warmup_proposals(warmup, scene, max_keep)
+            got = warmup_proposals(warmup, scene, max_keep).boxes
             assert [b.as_tuple() for b in got] == [candidates[i] for i in keep]
 
 
 def test_pack_wstd_scene(warmup, weak_scene):
     pack = pack_wstd_scene(weak_scene, warmup, TINY)
-    expect = warmup_proposals(warmup, weak_scene, len(weak_scene.proposals))
+    expect = warmup_proposals(warmup, weak_scene, len(weak_scene.proposals)).boxes
     assert [b.as_tuple() for b in pack.boxes] == [b.as_tuple() for b in expect]
     assert pack.teacher.shape == (warmup.source_classes + 1, len(pack.boxes))
     assert np.array_equal(pack.y_img, weak_scene.image_label.astype(float))
     assert np.array_equal(pack.iou, pairwise_iou(pack.boxes))
     assert pack.labels is None
+
+
+@pytest.mark.parametrize("k", [16, 32, 64])
+def test_pack_wstd_scene_reuses_warmup_rows_bit_exactly(warmup, k):
+    # the kept rows of the warm-up step's means and IoU, and the teacher
+    # scored from them, equal pooling, overlapping and distilling the kept
+    # boxes afresh
+    world = make_world(WorldConfig(seed=5, proposals_per_scene=k))
+    for scene in sample_scenes(world, "target", "weak", substream(k, "reuse"), 6):
+        pack = pack_wstd_scene(scene, warmup, TINY)
+        assert np.array_equal(pack.raw_means, pool_raw_means(scene.raw_grid, pack.boxes))
+        assert np.array_equal(pack.iou, pairwise_iou(pack.boxes))
+        assert np.array_equal(pack.teacher, extract_sdk(warmup, scene.raw_grid, pack.boxes))
+
+
+def test_pack_wstd_scene_arrays_reject_writes(warmup, weak_scene):
+    pack = pack_wstd_scene(weak_scene, warmup, TINY)
+    for array in (pack.raw_means, pack.teacher, pack.y_img, pack.iou):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_collect_class_scenes_coverage(world):
@@ -594,6 +636,50 @@ def test_run_experiment_artifacts(tmp_path):
         assert experiment_output_paths(
             "table6", tmp_path / "b"
         )[key].read_text() == text
+
+
+def test_fig9_packs_weak_scenes_once_per_world_and_warmup(tmp_path, monkeypatch):
+    packed = []
+    original_pack = pipeline.pack_wstd_scene
+
+    def counting_pack(scene, warmup, cfg):
+        packed.append(scene)
+        return original_pack(scene, warmup, cfg)
+
+    monkeypatch.setattr(pipeline, "pack_wstd_scene", counting_pack)
+    seed = 3
+    reports = run_experiment(
+        "fig9", seeds=[seed], out_dir=tmp_path, overrides=SMOKE_OVERRIDES
+    )
+    monkeypatch.undo()
+
+    base = replace(apply_overrides(StageConfig(), SMOKE_OVERRIDES), seed=seed)
+    cells = EXPERIMENTS["fig9"].cells
+    models = {}
+    expected_packs = 0
+    for cell, report in zip(cells, reports):
+        world_cfg = apply_overrides(WorldConfig(seed=seed), dict(cell.world_overrides))
+        if world_cfg not in models:
+            world = make_world(world_cfg)
+            warmup = lstd_finetune(train_source(world, base), world, base)
+            models[world_cfg] = (world, warmup)
+            expected_packs += len(collect_class_scenes(
+                world, "target", "weak", substream(seed, "wstd", "weak"),
+                base.weak_scenes_per_class,
+            ))
+        world, warmup = models[world_cfg]
+        # a training on packs built afresh for this cell alone
+        cfg = apply_overrides(base, dict(cell.overrides))
+        student = wstd_train(warmup, world, cfg)
+        eval_scenes = sample_scenes(
+            world, "target", "full", substream(seed, "eval"), cfg.eval_scenes
+        )
+        per_class, map_value = evaluate_model(student, eval_scenes, cell.classifier)
+        assert report.per_class_aps == per_class, cell.cell_id
+        assert report.mean_ap == map_value, cell.cell_id
+    # seven cells on three worlds: one pack set per world and warm-up
+    assert len(models) == 3
+    assert len(packed) == expected_packs
 
 
 def test_constants_pinned():

@@ -186,20 +186,37 @@ def test_proposal_count_respects_config_override():
         assert len(scene.proposals) == k
 
 
-def scalar_dedup_scene(world, domain, rng):
-    """Replay sample_scene's draws, deduplicating proposals one scalar IoU
-    at a time: each pool box in descending score order is kept iff it
-    overlaps no jittered GT box and no earlier kept box above 0.75."""
+def scalar_scene(world, domain, rng):
+    """Replay sample_scene's draws one scalar at a time: classes, GT boxes,
+    the grid painted cell by cell, then proposals, each pool box drawn by
+    ``_sample_box`` and, in descending score order, kept iff it overlaps no
+    jittered GT box and no earlier kept box above 0.75.  Returns the grid,
+    the GT as (class, corners) pairs and the proposal corners."""
     cfg = world.config
     k = cfg.proposals_per_scene
     lo, hi = cfg.objects_per_scene
     n = int(rng.integers(lo, hi + 1))
-    rng.integers(0, cfg.classes_in(domain))
+    classes = [int(rng.integers(0, cfg.classes_in(domain)))]
     for _ in range(n - 1):
-        if rng.uniform() >= CLASS_REPEAT_AFFINITY:
-            rng.integers(0, cfg.classes_in(domain))
+        if rng.uniform() < CLASS_REPEAT_AFFINITY:
+            classes.append(classes[-1])
+        else:
+            classes.append(int(rng.integers(0, cfg.classes_in(domain))))
     boxes = synthworld._sample_gt_boxes(rng, n)
-    rng.standard_normal((cfg.grid_height, cfg.grid_width, cfg.raw_dim))
+    height, width, dim = cfg.grid_height, cfg.grid_width, cfg.raw_dim
+    noise = rng.standard_normal((height, width, dim))
+    grid = np.zeros((height, width, dim))
+    for i in range(height):
+        for j in range(width):
+            cx, cy = (j + 0.5) / width, (i + 0.5) / height
+            covered = False
+            for cls, b in zip(classes, boxes):
+                if b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2:
+                    grid[i, j] += world.prototypes[world.prototype_index(domain, cls)]
+                    covered = True
+            if not covered:
+                grid[i, j] += cfg.clutter_sigma * world.background_prototype
+            grid[i, j] += cfg.noise_sigma * noise[i, j]
     proposals = [synthworld._jitter_box(rng, b, cfg.jitter).as_tuple() for b in boxes]
     pool = [synthworld._sample_box(rng).as_tuple() for _ in range(2 * k)]
     scores = rng.uniform(0.0, 1.0, size=len(pool))
@@ -210,7 +227,7 @@ def scalar_dedup_scene(world, domain, rng):
             proposals.append(pool[i])
     while len(proposals) < k:
         proposals.append(synthworld._sample_box(rng).as_tuple())
-    return proposals
+    return grid, [(c, b.as_tuple()) for c, b in zip(classes, boxes)], proposals
 
 
 @pytest.mark.parametrize(
@@ -222,12 +239,17 @@ def test_sample_scene_proposals_match_scalar_dedup_oracle(k, objects):
         world = make_world(
             WorldConfig(seed=seed, proposals_per_scene=k, objects_per_scene=objects)
         )
-        rng, oracle_rng = substream(seed, "dedup"), substream(seed, "dedup")
-        for _ in range(8):
-            scene = sample_scene(world, "target", "weak", rng)
-            expect = scalar_dedup_scene(world, "target", oracle_rng)
-            assert [b.as_tuple() for b in scene.proposals] == expect
-        assert rng.uniform() == oracle_rng.uniform()
+        for domain in ("source", "target"):
+            rng, oracle_rng = substream(seed, "dedup"), substream(seed, "dedup")
+            for _ in range(8):
+                scene = sample_scene(world, domain, "weak", rng)
+                grid, gt, proposals = scalar_scene(world, domain, oracle_rng)
+                assert np.array_equal(scene.raw_grid, grid)
+                assert [(c, b.as_tuple()) for c, b in scene.gt] == gt
+                assert [b.as_tuple() for b in scene.proposals] == proposals
+                # the block draws yield Python floats, as scalar draws do
+                assert all(type(v) is float for b in scene.proposals for v in b.as_tuple())
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_coverage_mask_half_plane():
@@ -307,6 +329,28 @@ def test_world_file_rejects_corrupt_config_line(tmp_path, line):
     lines[seed_line] = line
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="config"):
+        load_world(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines, i: lines.__setitem__(i, "config"), "unknown config field"),
+        (lambda lines, i: lines.pop(i), "missing config line.*seed"),
+        (lambda lines, i: lines.pop(i - 1), "missing config line.*objects_per_scene"),
+        (lambda lines, i: lines.insert(i + 1, "config seed 3"), "more than once"),
+        (lambda lines, i: lines.insert(i, "config seed 9"), "more than once"),
+    ],
+    ids=["bare", "seed_dropped", "other_dropped", "repeated", "repeated_same"],
+)
+def test_world_file_needs_each_config_field_once(tmp_path, edit, message):
+    world = make_world(WorldConfig(seed=9))
+    path = tmp_path / "world.txt"
+    save_world(path, world)
+    lines = path.read_text().splitlines()
+    edit(lines, lines.index("config seed 9"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
         load_world(path)
 
 
