@@ -261,10 +261,10 @@ def cmd_train(args) -> int:
         model = train_source(world, cfg, report)
     elif args.stage == "lstd":
         source = _load_checkpoint(args.source_model, "source checkpoint")
-        model = lstd_finetune(source, world, cfg, report)
+        (model,) = lstd_finetune(source, world, [cfg], [report])
     else:
         warmup = _load_checkpoint(args.warmup_model, "warm-up checkpoint")
-        model = wstd_train(warmup, world, cfg, report)
+        (model,) = wstd_train(warmup, world, [cfg], [report])
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,8 +362,9 @@ def _random_boxes(rng, count: int) -> list[BBox]:
 
 def _end_to_end(loss, params: dict[str, np.ndarray]):
     """Finite-difference instance of a scene loss over all its parameter
-    blocks, flattened in sorted order; ``loss(params)`` returns the loss
-    components and the gradient of every block."""
+    blocks, flattened in sorted order; ``loss(stacked)`` takes the blocks
+    with a member axis of one (``p[None]``) and returns the loss components
+    and the gradient of every block, stacked alike."""
     keys = sorted(params)
     shapes = {k: params[k].shape for k in keys}
 
@@ -372,14 +373,14 @@ def _end_to_end(loss, params: dict[str, np.ndarray]):
         offset = 0
         for k in keys:
             size = int(np.prod(shapes[k]))
-            out[k] = vec[offset:offset + size].reshape(shapes[k])
+            out[k] = vec[offset:offset + size].reshape(shapes[k])[None]
             offset += size
         return out
 
-    _, grads = loss(params)
-    analytic = np.concatenate([grads[k].ravel() for k in keys])
+    _, grads = loss({k: p[None] for k, p in params.items()})
+    analytic = np.concatenate([grads[k][0].ravel() for k in keys])
     vector = np.concatenate([params[k].ravel() for k in keys])
-    return (lambda vec: loss(unflatten(vec))[0]["total"]), analytic, vector
+    return (lambda vec: float(loss(unflatten(vec))[0]["total"][0])), analytic, vector
 
 
 def _gc_bd(rng):
@@ -448,12 +449,12 @@ def _lstd_instance(rng):
 def _gc_source_end_to_end(rng):
     pack, params = _lstd_instance(rng)
     del params["sdk_head"]
-    return _end_to_end(lambda p: source_scene_loss(p, pack, StageConfig()), params)
+    return _end_to_end(lambda p: source_scene_loss(p, pack, [StageConfig()]), params)
 
 
 def _gc_lstd_end_to_end(rng):
     pack, params = _lstd_instance(rng)
-    return _end_to_end(lambda p: lstd_scene_loss(p, pack, StageConfig()), params)
+    return _end_to_end(lambda p: lstd_scene_loss(p, pack, [StageConfig()]), params)
 
 
 def _wstd_instance(rng):
@@ -479,11 +480,11 @@ def _wstd_instance(rng):
 
 def _gc_wstd_end_to_end(rng):
     pack, params = _wstd_instance(rng)
-    cfg = StageConfig()
+    cfgs = [StageConfig()]
     # Pseudo labels are constants of a step: probes keep the mined ones.
-    _, _, pseudo = wstd_scene_loss(params, pack, cfg)
+    _, _, pseudo = wstd_scene_loss({k: p[None] for k, p in params.items()}, pack, cfgs)
     return _end_to_end(
-        lambda p: wstd_scene_loss(p, pack, cfg, fixed_pseudo=pseudo)[:2], params
+        lambda p: wstd_scene_loss(p, pack, cfgs, fixed_pseudo=pseudo)[:2], params
     )
 
 

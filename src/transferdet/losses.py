@@ -7,6 +7,13 @@ Conventions shared across the package:
 * Probability matrices have nonnegative columns summing to 1.
 * All cross-entropy style losses are negative-log form, so every loss is
   nonnegative and minimized.
+* Sibling trainings run in lockstep (see :mod:`transferdet.pipeline`), so
+  the logit and grid arguments may carry a leading member axis: (M, C+1, K)
+  logits or (M, H, W, D) grids.  A loss then returns one value per member,
+  as an array of that leading shape, and the stacked gradient; each
+  member's slice is bit-identical to the unstacked call, which still
+  returns a float.  Teachers, labels and masks are shared by all members
+  unless given stacked too.
 
 The losses here are the background-activation penalty (``bd_loss``), the
 teacher-student distillation loss (``sdk_loss``), the image-level
@@ -59,15 +66,21 @@ def check_score_matrix(scores: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2:
         raise ValueError(f"score matrix must be 2-D, got shape {scores.shape}")
-    if np.any(scores < 0):
+    if (scores < 0).any():
         raise ValueError("score matrix has negative entries")
     if scores.shape[1] > 0:
         sums = scores.sum(axis=0)
         bad = np.abs(sums - 1.0) > tol
-        if np.any(bad):
+        if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"score column {k} sums to {sums[k]}, expected 1")
     return scores
+
+
+def _per_member(total: np.ndarray, axes: tuple[int, ...]):
+    """Sum over ``axes``: a float for one member, else one value per member."""
+    value = total.sum(axis=axes)
+    return float(value) if value.ndim == 0 else value
 
 
 def bd_mask(grid_height: int, grid_width: int, gt_boxes: Sequence[BBox]) -> np.ndarray:
@@ -86,44 +99,50 @@ def bd_loss(grid: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
 
     Returns the sum of squared activations across all channels of
     background cells, and its gradient with respect to the grid (exactly
-    zero on foreground cells).
+    zero on foreground cells).  A (M, H, W, D) stack of grids gives one
+    value per member.
     """
     grid = np.asarray(grid, dtype=float)
     mask = np.asarray(mask, dtype=bool)
-    if grid.ndim != 3:
+    if grid.ndim < 3:
         raise ValueError(f"feature grid must be H x W x D, got shape {grid.shape}")
-    if mask.shape != grid.shape[:2]:
+    if mask.shape != grid.shape[-3:-1]:
         raise ValueError(
-            f"mask shape {mask.shape} does not match grid cells {grid.shape[:2]}"
+            f"mask shape {mask.shape} does not match grid cells {grid.shape[-3:-1]}"
         )
     weighted = grid * mask[:, :, None]
-    value = float(np.sum(weighted * weighted))
+    value = _per_member(weighted * weighted, (-3, -2, -1))
     grad = 2.0 * weighted
     return value, grad
 
 
 def sdk_loss(
-    teacher: np.ndarray, student_logits: np.ndarray, weighted: bool = False
+    teacher: np.ndarray,
+    student_logits: np.ndarray,
+    weighted: bool | Sequence[bool] = False,
 ) -> tuple[float, np.ndarray]:
     """Cross entropy from a frozen teacher distribution to student logits.
 
     Student probabilities are the per-column softmax of ``student_logits``.
     In the weighted variant each term is additionally scaled by the teacher
     probability itself, emphasizing the classes the teacher is confident
-    about.  The gradient is closed form through the softmax.
+    about.  The gradient is closed form through the softmax.  The 2-D
+    ``teacher`` is shared by every member of stacked logits, and
+    ``weighted`` may be one flag per member.
     """
     teacher = check_score_matrix(teacher)
     student_logits = np.asarray(student_logits, dtype=float)
-    if teacher.shape != student_logits.shape:
+    if teacher.shape != student_logits.shape[-2:]:
         raise ValueError(
             f"teacher shape {teacher.shape} != student shape {student_logits.shape}"
         )
     probs = column_softmax(student_logits)
-    target = teacher * teacher if weighted else teacher
-    value = -float(np.sum(target * np.log(np.maximum(probs, PROB_FLOOR))))
+    flags = np.asarray(weighted, dtype=bool)[..., None, None]
+    target = np.where(flags, teacher * teacher, teacher)
+    value = -_per_member(target * np.log(np.maximum(probs, PROB_FLOOR)), (-2, -1))
     # Per column k: d/dz of -sum_c target(c,k) log softmax(z)(c,k)
     #             = probs(:,k) * sum_c target(c,k) - target(:,k)
-    col_mass = target.sum(axis=0, keepdims=True)
+    col_mass = target.sum(axis=-2, keepdims=True)
     grad = probs * col_mass - target
     return value, grad
 
@@ -131,11 +150,11 @@ def sdk_loss(
 def _image_logits(classifier1_logits: np.ndarray) -> np.ndarray:
     """Per-class logit sums over proposals, object rows only."""
     logits = np.asarray(classifier1_logits, dtype=float)
-    if logits.ndim != 2 or logits.shape[0] < 2:
+    if logits.ndim < 2 or logits.shape[-2] < 2:
         raise ValueError(f"expected (C+1) x K logits, got shape {logits.shape}")
-    if logits.shape[1] == 0:
+    if logits.shape[-1] == 0:
         raise ValueError("image score needs at least one proposal")
-    return logits[:-1, :].sum(axis=1)
+    return logits[..., :-1, :].sum(axis=-1)
 
 
 def image_score(classifier1_logits: np.ndarray) -> np.ndarray:
@@ -162,11 +181,11 @@ def image_multilabel_loss(
     logits = np.asarray(classifier1_logits, dtype=float)
     z = _image_logits(logits)
     y = np.asarray(y_img, dtype=float)
-    if z.shape != y.shape:
+    if z.shape[-1:] != y.shape:
         raise ValueError(f"score shape {z.shape} != label shape {y.shape}")
-    value = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    value = _per_member(np.logaddexp(0.0, z) - y * z, (-1,))
     grad = np.zeros_like(logits)
-    grad[:-1, :] = (sigmoid(z) - y)[:, None]
+    grad[..., :-1, :] = (sigmoid(z) - y)[..., None]
     return value, grad
 
 
@@ -185,11 +204,11 @@ def rol_classifier_loss(
         raise ValueError(
             f"pseudo label shape {pseudo.shape} != logits shape {student_logits.shape}"
         )
-    if np.any(pseudo < 0):
+    if (pseudo < 0).any():
         raise ValueError("pseudo labels must be nonnegative")
     probs = column_softmax(student_logits)
-    value = -float(np.sum(pseudo * np.log(np.maximum(probs, PROB_FLOOR))))
-    col_mass = pseudo.sum(axis=0, keepdims=True)
+    value = -_per_member(pseudo * np.log(np.maximum(probs, PROB_FLOOR)), (-2, -1))
+    col_mass = pseudo.sum(axis=-2, keepdims=True)
     grad = probs * col_mass - pseudo
     return value, grad
 
@@ -200,21 +219,22 @@ def proposal_cls_loss(
     """Fully supervised per-proposal cross entropy (the main detection loss).
 
     ``labels`` holds one integer class per proposal, the background class
-    being the last row index.
+    being the last row index; stacked logits share them.
     """
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if logits.ndim != 2 or labels.shape != (logits.shape[1],):
+    if logits.ndim < 2 or labels.shape != (logits.shape[-1],):
         raise ValueError(
             f"labels shape {labels.shape} does not match logits {logits.shape}"
         )
-    if np.any(labels < 0) or np.any(labels >= logits.shape[0]):
+    if (labels < 0).any() or (labels >= logits.shape[-2]).any():
         raise ValueError("label index outside class range")
     probs = column_softmax(logits)
-    k_idx = np.arange(logits.shape[1])
-    value = -float(
-        np.sum(np.log(np.maximum(probs[labels, k_idx], PROB_FLOOR)))
-    )
+    k_idx = np.arange(logits.shape[-1])
+    # The gather of a stack comes out member-minor; a C-ordered copy makes
+    # each member's row sum add in the order of the unstacked call.
+    picked = np.ascontiguousarray(probs[..., labels, k_idx])
+    value = -_per_member(np.log(np.maximum(picked, PROB_FLOOR)), (-1,))
     grad = probs.copy()
-    grad[labels, k_idx] -= 1.0
+    grad[..., labels, k_idx] -= 1.0
     return value, grad

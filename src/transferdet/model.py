@@ -14,6 +14,12 @@ ROI pooling is one batched gather: :func:`pooling_index` turns boxes into
 a padded matrix of cell indices, which depends only on the grid shape and
 may be cached, and :func:`pool_indexed_means` averages the gathered rows
 bit-identically to a per-box ``mean``.
+
+Sibling trainings (the same scenes, initialization and step order, other
+loss coefficients) run in lockstep: their parameters are stacked along a
+leading member axis, the head functions act on every member at once, and
+:func:`adam_step` is elementwise, so one step updates the whole stack.
+Each member's slice equals what the 2-D functions give on that member.
 """
 
 from __future__ import annotations
@@ -204,8 +210,13 @@ def pool_raw_means(raw_grid: np.ndarray, boxes: Sequence[BBox]) -> np.ndarray:
 
 
 def head_logits(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """(C+1) x K logits of a head (last weight column the bias) on (K, D) features."""
-    return weights[:, :-1] @ features.T + weights[:, -1:]
+    """(C+1) x K logits of a head (last weight column the bias) on (K, D) features.
+
+    With a leading member axis, (M, C+1, D+1) weights on (M, K, D) or
+    shared (K, D) features give (M, C+1, K) logits, each member's slice
+    bit-identical to the 2-D call on its own weights and features.
+    """
+    return weights[..., :-1] @ features.swapaxes(-1, -2) + weights[..., -1:]
 
 
 def head_backward(
@@ -213,12 +224,13 @@ def head_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of a loss with respect to head weights and pooled features.
 
-    ``dlogits`` is the loss gradient at the head's logit matrix.
+    ``dlogits`` is the loss gradient at the head's logit matrix.  Arguments
+    may carry a leading member axis, as in :func:`head_logits`.
     """
     dweights = np.empty_like(weights)
-    dweights[:, :-1] = dlogits @ features
-    dweights[:, -1] = dlogits.sum(axis=1)
-    return dweights, dlogits.T @ weights[:, :-1]
+    dweights[..., :-1] = dlogits @ features
+    dweights[..., -1] = dlogits.sum(axis=-1)
+    return dweights, dlogits.swapaxes(-1, -2) @ weights[..., :-1]
 
 
 # --- optimizer --------------------------------------------------------------
@@ -276,7 +288,7 @@ def adam_step(
     new_v: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient in parameter block {name!r}")
         g = g + cfg.weight_decay * p
         m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g

@@ -29,7 +29,7 @@ class GradCheckReport:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax of a 1-D logit vector, stable under large magnitudes."""
     logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("softmax requires finite logits")
     shifted = logits - logits.max()
     e = np.exp(shifted)
@@ -37,17 +37,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def column_softmax(logits: np.ndarray) -> np.ndarray:
-    """Per-column softmax of a 2-D logit matrix."""
+    """Per-column softmax of a logit matrix, or of a stack of them.
+
+    The softmax runs over axis -2, so a (M, C+1, K) stack gives each of its
+    M matrices exactly what the 2-D call on that matrix gives.
+    """
     logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {logits.shape}")
-    if not np.all(np.isfinite(logits)):
+    if logits.ndim < 2:
+        raise ValueError(
+            f"expected a matrix or a stack of them, got shape {logits.shape}"
+        )
+    if not np.isfinite(logits).all():
         raise ValueError("softmax requires finite logits")
-    if logits.shape[1] == 0:
+    if logits.shape[-1] == 0:
         return np.zeros_like(logits)
-    shifted = logits - logits.max(axis=0, keepdims=True)
+    shifted = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 def sigmoid(x):

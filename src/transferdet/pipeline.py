@@ -7,11 +7,19 @@ Stage three trains the final detector on weakly annotated scenes, guided
 by the frozen warm-up model and recurrent pseudo labelling.
 
 Each training packs its scenes once into per-scene constants
-(:class:`ScenePack`).  Weak packs depend only on the seed, the world, the
-warm-up model and the weak scene count, so the experiment runner builds
-one pack set per such combination and hands it to every weak-stage
-training that shares it, keeping at most one set alive; their arrays are
-read-only, so no training can change what another reads.
+(:class:`ScenePack`).  Pack arrays are read-only, so no training can change
+what another reads.
+
+Sibling trainings run in lockstep.  The cells of an ablation train, within
+one seed, from the same packs, initial heads and scene order, and differ
+only in loss coefficients or labeller settings.  :func:`lstd_finetune` and
+:func:`wstd_train` take one :class:`StageConfig` per such member, stack the
+members' parameters along a leading axis and train them with one Adam step
+per scene for the whole group; per-member coefficients scale the stacked
+gradients, and each member's slice is bit-identical to training it alone.
+A single training is a one-member group.  The experiment runner trains
+every uncached sibling cell of a seed in one group, which also builds the
+group's weak pack set once.
 """
 
 from __future__ import annotations
@@ -322,53 +330,118 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel, cfg: StageConfig) -> Sc
 
 
 # --- per-scene losses (value + closed-form gradients) ------------------------
+#
+# Parameters carry a leading member axis: one slice per training of a
+# lockstep group, ``cfgs`` one StageConfig per slice (a plain sequence, or
+# the group's :class:`Members` with its coefficients already gathered).
+# Components come back as one value per member, gradients stacked like the
+# parameters.
+
+
+@dataclass(frozen=True)
+class Members:
+    """The configs of a lockstep group, with their loss coefficients gathered.
+
+    ``weight[term]`` holds one coefficient per member as an (M,) array, which
+    scales the members' loss values, and ``scale[term]`` the same values
+    shaped (M, 1, 1), which scales stacked (M, rows, K) gradients.  A stage
+    builds them once per training, so its steps do not rebuild them.
+    """
+
+    cfgs: tuple[StageConfig, ...]
+    weight: dict[str, np.ndarray]
+    scale: dict[str, np.ndarray]
+    sdk_weighted: np.ndarray
+
+    @classmethod
+    def of(cls, cfgs: "Members | Sequence[StageConfig]") -> "Members":
+        """The group of ``cfgs``; a Members comes back as it is."""
+        if isinstance(cfgs, cls):
+            return cfgs
+        cfgs = tuple(cfgs)
+        terms = {
+            "main": lambda c: c.weights.lambda_main,
+            "bd": lambda c: c.weights.lambda_bd if c.enable_bd else 0.0,
+            "sdk": lambda c: c.weights.lambda_sdk if c.enable_sdk else 0.0,
+            "wstd_sdk": lambda c: c.weights.lambda_wstd_sdk if c.enable_sdk else 0.0,
+            "wstd_rol": lambda c: c.weights.lambda_wstd_rol,
+        }
+        weight = {
+            term: np.array([float(value(c)) for c in cfgs])
+            for term, value in terms.items()
+        }
+        return cls(
+            cfgs=cfgs,
+            weight=weight,
+            scale={term: w[:, None, None] for term, w in weight.items()},
+            sdk_weighted=np.array([c.sdk_weighted for c in cfgs], dtype=bool),
+        )
 
 
 def source_scene_loss(
-    params: dict[str, np.ndarray], pack: ScenePack, cfg: StageConfig
-) -> tuple[dict[str, float], dict[str, np.ndarray]]:
+    params: dict[str, np.ndarray],
+    pack: ScenePack,
+    cfgs: Members | Sequence[StageConfig],
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    members = Members.of(cfgs)
     backbone = params["backbone"]
-    features = pack.raw_means @ backbone.T
+    features = pack.raw_means @ backbone.transpose(0, 2, 1)
     logits = head_logits(params["main_head"], features)
     value, dlogits = proposal_cls_loss(logits, pack.labels)
-    dlogits = cfg.weights.lambda_main * dlogits
-    dhead, dfeatures = head_backward(params["main_head"], features, dlogits)
-    total = cfg.weights.lambda_main * value
+    dhead, dfeatures = head_backward(
+        params["main_head"], features, members.scale["main"] * dlogits
+    )
+    total = members.weight["main"] * value
     return (
         {"total": total, "main": value},
-        {"backbone": dfeatures.T @ pack.raw_means, "main_head": dhead},
+        {
+            "backbone": dfeatures.transpose(0, 2, 1) @ pack.raw_means,
+            "main_head": dhead,
+        },
     )
 
 
 def lstd_scene_loss(
-    params: dict[str, np.ndarray], pack: ScenePack, cfg: StageConfig
-) -> tuple[dict[str, float], dict[str, np.ndarray]]:
-    """Warm-up fine-tuning loss: main + background + distillation terms."""
-    w = cfg.weights
-    lam_bd = w.lambda_bd if cfg.enable_bd else 0.0
-    lam_sdk = w.lambda_sdk if cfg.enable_sdk else 0.0
+    params: dict[str, np.ndarray],
+    pack: ScenePack,
+    cfgs: Members | Sequence[StageConfig],
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Warm-up fine-tuning loss: main + background + distillation terms.
+
+    The background term is computed only for the members whose coefficient
+    is positive; the others report exactly 0.0 for it.
+    """
+    members = Members.of(cfgs)
+    weight, scale = members.weight, members.scale
     backbone = params["backbone"]
-    features = pack.raw_means @ backbone.T
+    features = pack.raw_means @ backbone.transpose(0, 2, 1)
 
     main_logits = head_logits(params["main_head"], features)
     main_val, dmain = proposal_cls_loss(main_logits, pack.labels)
     dmain_head, dfeatures = head_backward(
-        params["main_head"], features, w.lambda_main * dmain
+        params["main_head"], features, scale["main"] * dmain
     )
 
     sdk_logits = head_logits(params["sdk_head"], features)
     sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits)
-    dsdk_head, df_sdk = head_backward(params["sdk_head"], features, lam_sdk * dsdk)
+    dsdk_head, df_sdk = head_backward(
+        params["sdk_head"], features, scale["sdk"] * dsdk
+    )
     dfeatures = dfeatures + df_sdk
 
-    dbackbone = dfeatures.T @ pack.raw_means
-    bd_val = 0.0
-    if lam_bd > 0.0:
-        feature_grid = np.einsum("do,hwo->hwd", backbone, pack.raw_grid)
-        bd_val, dgrid = bd_loss(feature_grid, pack.background_mask)
-        dbackbone += lam_bd * np.einsum("hwd,hwo->do", dgrid, pack.raw_grid)
+    dbackbone = dfeatures.transpose(0, 2, 1) @ pack.raw_means
+    bd_val = np.zeros(len(members.cfgs))
+    active = np.flatnonzero(weight["bd"] > 0.0)
+    if active.size:
+        feature_grid = np.einsum("bdo,hwo->bhwd", backbone[active], pack.raw_grid)
+        bd_val[active], dgrid = bd_loss(feature_grid, pack.background_mask)
+        dbackbone[active] += scale["bd"][active] * np.einsum(
+            "bhwd,hwo->bdo", dgrid, pack.raw_grid
+        )
 
-    total = w.lambda_main * main_val + lam_bd * bd_val + lam_sdk * sdk_val
+    total = (
+        weight["main"] * main_val + weight["bd"] * bd_val + weight["sdk"] * sdk_val
+    )
     return (
         {"total": total, "main": main_val, "bd": bd_val, "sdk": sdk_val},
         {"backbone": dbackbone, "main_head": dmain_head, "sdk_head": dsdk_head},
@@ -378,34 +451,39 @@ def lstd_scene_loss(
 def wstd_scene_loss(
     params: dict[str, np.ndarray],
     pack: ScenePack,
-    cfg: StageConfig,
+    cfgs: Members | Sequence[StageConfig],
     fixed_pseudo: list[np.ndarray] | None = None,
     frozen_backbone: np.ndarray | None = None,
-) -> tuple[dict[str, float], dict[str, np.ndarray], list[np.ndarray]]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], list[np.ndarray]]:
     """Weak-stage loss over all recurrent classifiers plus distillation.
 
     Pseudo labels for classifier i come from classifier i-1 scores and are
-    constants of the step (no gradient flows through them); passing
-    ``fixed_pseudo`` pins them explicitly, which the detachment tests use.
+    constants of the step (no gradient flows through them); each member's
+    labels are mined with its own labeller and ROL thresholds and stacked.
+    Passing ``fixed_pseudo`` (one stacked array per labelled classifier)
+    pins them explicitly, which the detachment tests use.
+    ``frozen_backbone`` stands in, stacked, for a backbone outside
+    ``params``.
     """
-    w = cfg.weights
-    lam_sdk = w.lambda_wstd_sdk if cfg.enable_sdk else 0.0
-    labeller = mine_support if cfg.labeller == "rol" else oicr_label
+    members = Members.of(cfgs)
+    weight, scale = members.weight, members.scale
+    num_classifiers = members.cfgs[0].rol.num_classifiers
+    labellers = {"rol": mine_support, "oicr": oicr_label}
     backbone = params["backbone"] if "backbone" in params else frozen_backbone
-    features = pack.raw_means @ backbone.T
+    features = pack.raw_means @ backbone.transpose(0, 2, 1)
 
     grads: dict[str, np.ndarray] = {}
     sdk_logits = head_logits(params["sdk_head"], features)
-    sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits, weighted=cfg.sdk_weighted)
+    sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits, weighted=members.sdk_weighted)
     grads["sdk_head"], dfeatures = head_backward(
-        params["sdk_head"], features, lam_sdk * dsdk
+        params["sdk_head"], features, scale["wstd_sdk"] * dsdk
     )
 
-    comps: dict[str, float] = {"sdk": sdk_val}
-    rol_values: list[float] = []
+    comps: dict[str, np.ndarray] = {"sdk": sdk_val}
+    rol_values: list[np.ndarray] = []
     pseudo_used: list[np.ndarray] = []
     prev_probs: np.ndarray | None = None
-    for i in range(cfg.rol.num_classifiers):
+    for i in range(num_classifiers):
         weights_i = params[f"rol_head_{i}"]
         logits = head_logits(weights_i, features)
         if i == 0:
@@ -414,27 +492,38 @@ def wstd_scene_loss(
             if fixed_pseudo is not None:
                 pseudo = fixed_pseudo[i - 1]
             else:
-                pseudo = labeller(
-                    prev_probs, pack.boxes, pack.y_img, cfg.rol, iou_cache=pack.iou
-                )
+                pseudo = np.stack([
+                    labellers[cfg.labeller](
+                        probs, pack.boxes, pack.y_img, cfg.rol, iou_cache=pack.iou
+                    )
+                    for probs, cfg in zip(prev_probs, members.cfgs)
+                ])
             pseudo_used.append(pseudo)
             value, dlogits = rol_classifier_loss(logits, pseudo)
-        dhead, dfeat = head_backward(weights_i, features, w.lambda_wstd_rol * dlogits)
+        dhead, dfeat = head_backward(
+            weights_i, features, scale["wstd_rol"] * dlogits
+        )
         grads[f"rol_head_{i}"] = dhead
         dfeatures = dfeatures + dfeat
-        prev_probs = column_softmax(logits)
+        if i + 1 < num_classifiers:
+            prev_probs = column_softmax(logits)
         rol_values.append(value)
         comps[f"rol_{i + 1}"] = value
 
-    rol_sum = float(sum(rol_values))
+    rol_sum = sum(rol_values)
     comps["rol"] = rol_sum
-    comps["total"] = lam_sdk * sdk_val + w.lambda_wstd_rol * rol_sum
+    comps["total"] = weight["wstd_sdk"] * sdk_val + weight["wstd_rol"] * rol_sum
     if "backbone" in params:
-        grads["backbone"] = dfeatures.T @ pack.raw_means
+        grads["backbone"] = dfeatures.transpose(0, 2, 1) @ pack.raw_means
     return comps, grads, pseudo_used
 
 
 # --- training loop ----------------------------------------------------------
+
+
+def _stacked(array: np.ndarray, members: int) -> np.ndarray:
+    """``members`` copies of ``array`` along a new leading axis."""
+    return np.repeat(array[None], members, axis=0)
 
 
 def _train(
@@ -444,10 +533,14 @@ def _train(
     epochs: int,
     opt: OptimizerConfig,
     order_rng: np.random.Generator,
-    report: RunReport | None,
+    reports: Sequence[RunReport | None],
     prefix: str,
 ) -> dict[str, np.ndarray]:
-    """Adam over per-scene losses; learning rate drops once at 2/3 of steps."""
+    """Adam over per-scene losses; learning rate drops once at 2/3 of steps.
+
+    ``params`` are stacked along the member axis, and member m's loss
+    components go to ``reports[m]`` when it is given.
+    """
     state = AdamState.for_params(params)
     total_steps = epochs * len(packs)
     decay_at = (2 * total_steps) // 3
@@ -459,11 +552,12 @@ def _train(
             if total_steps > 0 and step >= decay_at:
                 lr *= opt.lr_decay_factor
             params, state = adam_step(params, grads, state, opt, lr)
-            if report is not None:
-                for key, value in comps.items():
-                    report.curves.setdefault(f"{prefix}.{key}", []).append(
-                        float(value)
-                    )
+            for member, report in enumerate(reports):
+                if report is not None:
+                    for key, value in comps.items():
+                        report.curves.setdefault(f"{prefix}.{key}", []).append(
+                            float(value[member])
+                        )
             step += 1
     return params
 
@@ -496,12 +590,73 @@ def collect_class_scenes(
 
 
 # --- stages -----------------------------------------------------------------
+#
+# A training stage takes one StageConfig per member of a lockstep group.
+# Members must agree on every field that decides the step sequence (the
+# stage's sibling key: seed, scenes, initialization, epochs, optimizer);
+# they may differ in the rest (the member fields: loss coefficients,
+# switches, labeller settings).  A stage's cache key is its sibling key
+# plus its member fields, so two configs with equal cache keys train
+# identical models.
+
+
+def _source_cache_key(cfg: StageConfig):
+    return (cfg.source_scenes, cfg.source_epochs, cfg.optimizer,
+            cfg.weights.lambda_main)
+
+
+def _lstd_sibling_key(cfg: StageConfig):
+    return (cfg.seed,) + _source_cache_key(cfg) + (
+        cfg.shots_per_class, cfg.lstd_epochs,
+    )
+
+
+def _lstd_cache_key(cfg: StageConfig):
+    # The weak-stage coefficients are left out: fine-tuning never reads them.
+    return _lstd_sibling_key(cfg) + (
+        cfg.enable_bd, cfg.enable_sdk, cfg.weights.lambda_bd, cfg.weights.lambda_sdk,
+    )
+
+
+def _wstd_sibling_key(cfg: StageConfig):
+    return _lstd_cache_key(cfg) + (
+        cfg.weak_scenes_per_class, cfg.wstd_epochs, cfg.rol.num_classifiers,
+        cfg.freeze_backbone,
+    )
+
+
+def _wstd_cache_key(cfg: StageConfig):
+    return _wstd_sibling_key(cfg) + (
+        cfg.labeller, cfg.sdk_weighted, cfg.rol, cfg.weights.lambda_wstd_sdk,
+        cfg.weights.lambda_wstd_rol,
+    )
+
+
+def _group(
+    stage: str,
+    cfgs: Sequence[StageConfig],
+    reports: Sequence[RunReport | None] | None,
+    sibling_key: Callable[[StageConfig], tuple],
+) -> tuple[Members, list[RunReport | None]]:
+    """Validated members of a lockstep group and one report slot each."""
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError(f"{stage} needs at least one config")
+    if any(sibling_key(cfg) != sibling_key(cfgs[0]) for cfg in cfgs[1:]):
+        raise ValueError(
+            f"{stage} configs are not siblings: they differ in a field that "
+            "decides the step sequence"
+        )
+    reports = [None] * len(cfgs) if reports is None else list(reports)
+    if len(reports) != len(cfgs):
+        raise ValueError(f"{stage} got {len(reports)} reports for {len(cfgs)} configs")
+    return Members.of(cfgs), reports
 
 
 def train_source(
     world: World, cfg: StageConfig, report: RunReport | None = None
 ) -> DetectorModel:
-    """Fully supervised training on source-domain scenes."""
+    """Fully supervised training on source-domain scenes (a one-member group)."""
     num_classes = world.config.classes_in("source")
     dim = world.config.raw_dim
     init_rng = substream(cfg.seed, "source", "init")
@@ -512,15 +667,16 @@ def train_source(
         cfg.source_scenes,
     )
     packs = [pack_source_scene(s, world) for s in scenes]
-    params = {"backbone": backbone.map, "main_head": head.weights}
+    params = {"backbone": backbone.map[None], "main_head": head.weights[None]}
+    members = Members.of([cfg])
     params = _train(
-        params, packs, lambda p, pk: source_scene_loss(p, pk, cfg),
+        params, packs, lambda p, pk: source_scene_loss(p, pk, members),
         cfg.source_epochs, cfg.optimizer, substream(cfg.seed, "source", "order"),
-        report, "source",
+        [report], "source",
     )
     return DetectorModel(
-        backbone=Backbone(map=params["backbone"]),
-        main_head=Head(weights=params["main_head"], role="main"),
+        backbone=Backbone(map=params["backbone"][0]),
+        main_head=Head(weights=params["main_head"][0], role="main"),
         source_classes=num_classes,
     )
 
@@ -528,19 +684,35 @@ def train_source(
 def lstd_finetune(
     source: DetectorModel,
     world: World,
-    cfg: StageConfig,
-    report: RunReport | None = None,
-) -> DetectorModel:
+    cfgs: Sequence[StageConfig] | StageConfig,
+    reports: Sequence[RunReport | None] | None = None,
+) -> list[DetectorModel] | DetectorModel:
     """Low-shot fine-tuning on fully annotated target scenes.
 
     The backbone starts from the source model; a fresh target head and a
     fresh source-class distillation head are trained jointly, the latter
     against the frozen source model's per-proposal distributions.
+
+    Every config in ``cfgs`` is one member of a lockstep group; they share
+    the support scenes, the initial heads and the step order, so they must
+    agree on the seed, the source training, ``shots_per_class``,
+    ``lstd_epochs`` and ``optimizer`` (else ``ValueError``).  Returns one
+    model per config, and member m's loss curves go to ``reports[m]``.
+    A single StageConfig (with a single report or None) trains one model
+    and returns it unwrapped, as ``perfbench/workloads.build_fixtures``
+    calls it; that form goes when the benchmark moves to the list form
+    (ROADMAP item 3).
     """
+    single = isinstance(cfgs, StageConfig)
+    if single:
+        cfgs, reports = [cfgs], [reports]
+    members, reports = _group("lstd_finetune", cfgs, reports, _lstd_sibling_key)
+    cfg = members.cfgs[0]
     if source is None:
         raise ValueError("lstd_finetune requires a trained source model")
     if cfg.shots_per_class < 1:
         raise ValueError("lstd_finetune requires shots_per_class >= 1")
+    count = len(members.cfgs)
     num_target = world.config.classes_in("target")
     num_source = world.config.classes_in("source")
     dim = world.config.raw_dim
@@ -553,35 +725,25 @@ def lstd_finetune(
     )
     packs = [pack_lstd_scene(s, world, source) for s in support]
     params = {
-        "backbone": source.backbone.map.copy(),
-        "main_head": main.weights,
-        "sdk_head": sdk.weights,
+        "backbone": _stacked(source.backbone.map, count),
+        "main_head": _stacked(main.weights, count),
+        "sdk_head": _stacked(sdk.weights, count),
     }
     params = _train(
-        params, packs, lambda p, pk: lstd_scene_loss(p, pk, cfg),
+        params, packs, lambda p, pk: lstd_scene_loss(p, pk, members),
         cfg.lstd_epochs, cfg.optimizer, substream(cfg.seed, "lstd", "order"),
-        report, "lstd",
+        reports, "lstd",
     )
-    return DetectorModel(
-        backbone=Backbone(map=params["backbone"]),
-        main_head=Head(weights=params["main_head"], role="main"),
-        sdk_head=Head(weights=params["sdk_head"], role="sdk_branch"),
-        source_classes=num_source,
-    )
-
-
-def _reheaded(warmup: DetectorModel, num_classifiers: int) -> DetectorModel:
-    rol_heads = [
-        Head(weights=warmup.main_head.weights.copy(), role="rol_classifier")
-        for _ in range(num_classifiers)
+    models = [
+        DetectorModel(
+            backbone=Backbone(map=params["backbone"][m].copy()),
+            main_head=Head(weights=params["main_head"][m].copy(), role="main"),
+            sdk_head=Head(weights=params["sdk_head"][m].copy(), role="sdk_branch"),
+            source_classes=num_source,
+        )
+        for m in range(count)
     ]
-    return DetectorModel(
-        backbone=Backbone(map=warmup.backbone.map.copy()),
-        main_head=Head(weights=warmup.main_head.weights.copy(), role="main"),
-        sdk_head=Head(weights=warmup.sdk_head.weights.copy(), role="sdk_branch"),
-        rol_heads=rol_heads,
-        source_classes=warmup.source_classes,
-    )
+    return models[0] if single else models
 
 
 def pack_weak_scenes(
@@ -603,51 +765,66 @@ def pack_weak_scenes(
 def wstd_train(
     warmup: DetectorModel,
     world: World,
-    cfg: StageConfig,
-    report: RunReport | None = None,
+    cfgs: Sequence[StageConfig],
+    reports: Sequence[RunReport | None] | None = None,
     packs: Sequence[ScenePack] | None = None,
-) -> DetectorModel:
+) -> list[DetectorModel]:
     """Weakly supervised training guided by the frozen warm-up model.
 
     The warm-up supplies proposals and distillation targets; the student's
     recurrent classifiers start as copies of the warm-up head, the first
     trained from image labels, the rest from mined pseudo labels.
-    ``packs`` is ``pack_weak_scenes(warmup, world, cfg)`` when given, and
-    is built here otherwise.
+
+    Every config in ``cfgs`` is one member of a lockstep group on the same
+    weak packs; they must agree on the warm-up (its cache key),
+    ``weak_scenes_per_class``, ``wstd_epochs``, ``optimizer``,
+    ``rol.num_classifiers`` and ``freeze_backbone`` (else ``ValueError``),
+    and may differ in the weak-stage coefficients, the labeller, its ROL
+    thresholds and ``sdk_weighted``.  Returns one student per config;
+    member m's loss curves go to ``reports[m]``.  ``packs`` is
+    ``pack_weak_scenes(warmup, world, cfgs[0])`` when given, and is built
+    here otherwise.
     """
+    members, reports = _group("wstd_train", cfgs, reports, _wstd_sibling_key)
+    cfg = members.cfgs[0]
     if warmup.sdk_head is None:
         raise ValueError("wstd_train requires a warm-up model with an SDK branch")
-    student = _reheaded(warmup, cfg.rol.num_classifiers)
-    if cfg.weak_scenes_per_class == 0:
-        return student
-    if packs is None:
-        packs = pack_weak_scenes(warmup, world, cfg)
-    params = {"sdk_head": student.sdk_head.weights}
+    count = len(members.cfgs)
+    classifiers = cfg.rol.num_classifiers
+    params = {"sdk_head": _stacked(warmup.sdk_head.weights, count)}
     if not cfg.freeze_backbone:
-        params["backbone"] = student.backbone.map
-    for i, head in enumerate(student.rol_heads):
-        params[f"rol_head_{i}"] = head.weights
-    frozen = warmup.backbone.map.copy() if cfg.freeze_backbone else None
+        params["backbone"] = _stacked(warmup.backbone.map, count)
+    for i in range(classifiers):
+        params[f"rol_head_{i}"] = _stacked(warmup.main_head.weights, count)
+    if cfg.weak_scenes_per_class > 0:
+        if packs is None:
+            packs = pack_weak_scenes(warmup, world, cfg)
+        frozen = _stacked(warmup.backbone.map, count) if cfg.freeze_backbone else None
 
-    def loss_fn(p, pk):
-        comps, grads, _ = wstd_scene_loss(p, pk, cfg, frozen_backbone=frozen)
-        return comps, grads
+        def loss_fn(p, pk):
+            comps, grads, _ = wstd_scene_loss(p, pk, members, frozen_backbone=frozen)
+            return comps, grads
 
-    params = _train(
-        params, packs, loss_fn, cfg.wstd_epochs, cfg.optimizer,
-        substream(cfg.seed, "wstd", "order"), report, "wstd",
-    )
-    backbone_map = params.get("backbone", warmup.backbone.map.copy())
-    return DetectorModel(
-        backbone=Backbone(map=backbone_map),
-        main_head=Head(weights=student.main_head.weights, role="main"),
-        sdk_head=Head(weights=params["sdk_head"], role="sdk_branch"),
-        rol_heads=[
-            Head(weights=params[f"rol_head_{i}"], role="rol_classifier")
-            for i in range(cfg.rol.num_classifiers)
-        ],
-        source_classes=warmup.source_classes,
-    )
+        params = _train(
+            params, packs, loss_fn, cfg.wstd_epochs, cfg.optimizer,
+            substream(cfg.seed, "wstd", "order"), reports, "wstd",
+        )
+    return [
+        DetectorModel(
+            backbone=Backbone(
+                map=(params["backbone"][m] if "backbone" in params
+                     else warmup.backbone.map).copy()
+            ),
+            main_head=Head(weights=warmup.main_head.weights.copy(), role="main"),
+            sdk_head=Head(weights=params["sdk_head"][m].copy(), role="sdk_branch"),
+            rol_heads=[
+                Head(weights=params[f"rol_head_{i}"][m].copy(), role="rol_classifier")
+                for i in range(classifiers)
+            ],
+            source_classes=warmup.source_classes,
+        )
+        for m in range(count)
+    ]
 
 
 # --- inference and evaluation -----------------------------------------------
@@ -830,43 +1007,22 @@ def _replace_path(obj, parts: list[str], value):
     return replace(obj, **{parts[0]: _replace_path(child, parts[1:], value)})
 
 
-def _source_cache_key(cfg: StageConfig):
-    return (cfg.source_scenes, cfg.source_epochs, cfg.optimizer,
-            cfg.weights.lambda_main)
-
-
-def _lstd_cache_key(cfg: StageConfig):
-    return _source_cache_key(cfg) + (
-        cfg.shots_per_class, cfg.lstd_epochs, cfg.enable_bd, cfg.enable_sdk,
-        cfg.weights,
-    )
-
-
-def _wstd_cache_key(cfg: StageConfig):
-    return _lstd_cache_key(cfg) + (
-        cfg.weak_scenes_per_class, cfg.wstd_epochs, cfg.labeller,
-        cfg.sdk_weighted, cfg.rol, cfg.freeze_backbone,
-    )
+def _cell_configs(
+    cell: ExperimentCell, seed: int, overrides: dict[str, object]
+) -> tuple[StageConfig, WorldConfig]:
+    cfg = apply_overrides(StageConfig(), overrides)
+    cfg = apply_overrides(cfg, dict(cell.overrides))
+    world_cfg = apply_overrides(WorldConfig(seed=seed), dict(cell.world_overrides))
+    return replace(cfg, seed=seed), world_cfg
 
 
 def _run_cells_for_seed(
     experiment: Experiment, seed: int, overrides: dict[str, object]
 ) -> list[RunReport]:
-    cache: dict = {}
-    # Cells on one world and warm-up train on the same weak pack set.  The
-    # registry lists such cells consecutively, so holding only the latest
-    # set builds each set once without keeping two alive.
-    weak_packs: dict = {}
-    reports: list[RunReport] = []
-    for cell in experiment.cells:
-        started = time.perf_counter()
-        cfg = apply_overrides(StageConfig(), overrides)
-        cfg = apply_overrides(cfg, dict(cell.overrides))
-        cfg = replace(cfg, seed=seed)
-        world_cfg = apply_overrides(
-            WorldConfig(seed=seed), dict(cell.world_overrides)
-        )
-        report = RunReport(
+    cells = experiment.cells
+    cfgs, world_cfgs = zip(*(_cell_configs(c, seed, overrides) for c in cells))
+    reports = [
+        RunReport(
             seed=seed,
             stage=cell.stage,
             cell_id=cell.cell_id,
@@ -876,12 +1032,41 @@ def _run_cells_for_seed(
             classifier=cell.classifier,
             config_echo=dataclasses.asdict(cfg),
         )
+        for cell, cfg in zip(cells, cfgs)
+    ]
+    cache: dict = {}
 
-        def cached(key, build):
-            if key not in cache:
-                cache[key] = build()
-            return cache[key]
+    def cached(key, build):
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
+    def stage_model(i, stage, users, sibling_key, cache_key, train):
+        """Cell i's model of ``stage``.  When it is not cached yet, it is
+        trained in one lockstep group with the uncached models of every
+        cell in ``users`` on the same world with the same sibling key: one
+        member per distinct cache key, whose curves go to the report of
+        the first cell that uses it."""
+        key = (stage, world_cfgs[i], cache_key(cfgs[i]))
+        if key not in cache:
+            group: dict = {}
+            for j in users:
+                member_key = (stage, world_cfgs[j], cache_key(cfgs[j]))
+                if (
+                    member_key not in cache
+                    and world_cfgs[j] == world_cfgs[i]
+                    and sibling_key(cfgs[j]) == sibling_key(cfgs[i])
+                ):
+                    group.setdefault(member_key, j)
+            members = list(group.values())
+            models = train([cfgs[j] for j in members], [reports[j] for j in members])
+            cache.update(zip(group, models))
+        return cache[key]
+
+    weak_cells = [j for j, cell in enumerate(cells) if cell.stage == "wstd"]
+    for i, cell in enumerate(cells):
+        started = time.perf_counter()
+        cfg, world_cfg, report = cfgs[i], world_cfgs[i], reports[i]
         world = cached(("world", world_cfg), lambda: make_world(world_cfg))
         eval_scenes = cached(
             ("eval", world_cfg, cfg.eval_scenes),
@@ -893,26 +1078,21 @@ def _run_cells_for_seed(
             ("source", world_cfg, _source_cache_key(cfg)),
             lambda: train_source(world, cfg, report),
         )
-        warmup_key = ("lstd", world_cfg, _lstd_cache_key(cfg))
-        warmup = cached(warmup_key, lambda: lstd_finetune(source, world, cfg, report))
+        model = stage_model(
+            i, "lstd", range(len(cells)), _lstd_sibling_key, _lstd_cache_key,
+            lambda cs, rs: lstd_finetune(source, world, cs, rs),
+        )
         if cell.stage == "wstd":
-
-            def train():
-                key = (warmup_key, cfg.weak_scenes_per_class)
-                if key not in weak_packs:
-                    weak_packs.clear()  # release the last set before packing the next
-                    weak_packs[key] = pack_weak_scenes(warmup, world, cfg)
-                return wstd_train(warmup, world, cfg, report, weak_packs[key])
-
-            model = cached(("wstd", world_cfg, _wstd_cache_key(cfg)), train)
-        else:
-            model = warmup
+            warmup = model
+            model = stage_model(
+                i, "wstd", weak_cells, _wstd_sibling_key, _wstd_cache_key,
+                lambda cs, rs: wstd_train(warmup, world, cs, rs),
+            )
         per_class, map_value = evaluate_model(
             model, eval_scenes, classifier=cell.classifier
         )
         report.set_result(per_class, map_value)
         report.wall_clock = time.perf_counter() - started
-        reports.append(report)
     return reports
 
 

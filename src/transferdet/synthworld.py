@@ -368,8 +368,15 @@ def _parse_config(lines: list[str]) -> WorldConfig:
 
     Every field of ``_CONFIG_FIELDS`` must appear exactly once; a missing,
     repeated or unknown field, or a missing or non-numeric value, raises
-    ValueError.
+    ValueError.  So does a ``seed <n>`` header line that is missing,
+    repeated, malformed or different from ``config seed``.
     """
+    seeds = [
+        line.split() for line in lines
+        if line.startswith("seed") and line.split()[0] == "seed"
+    ]
+    if len(seeds) != 1 or len(seeds[0]) != 2:
+        raise ValueError("file needs exactly one 'seed <n>' header line")
     kwargs = {}
     for line in lines:
         if line.split()[:1] != ["config"]:
@@ -390,6 +397,10 @@ def _parse_config(lines: list[str]) -> WorldConfig:
     missing = [name for name in _CONFIG_FIELDS if name not in kwargs]
     if missing:
         raise ValueError(f"missing config line(s) for {', '.join(missing)}")
+    if seeds[0][1] != str(kwargs["seed"]):
+        raise ValueError(
+            f"seed header {seeds[0][1]!r} does not match config seed {kwargs['seed']}"
+        )
     return WorldConfig(**kwargs)
 
 

@@ -316,6 +316,23 @@ def test_eval_incomplete_config_exits_4(tmp_path, capsys):
     assert not (tmp_path / "eval.csv").exists()
 
 
+def test_eval_seed_header_mismatch_exits_4(tmp_path, capsys):
+    # the seed header must be one line equal to the config seed
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    text = scenes_path.read_text()
+    assert text.count("seed 2\n") == 2  # the header and the config line
+    header = text.index("seed 2\n")
+    for edited in ("seed 9\n", "", "seed 2\nseed 2\n", "seed\n"):
+        scenes_path.write_text(text[:header] + edited + text[header + len("seed 2\n"):])
+        code = main([
+            "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_MALFORMED
+        assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_eval_out_of_range_class_exits_4(tmp_path, capsys):
     # the fixture's scene file is over 4 target classes
     scenes_path, det_path = _eval_fixture(tmp_path)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferdet.geometry import BBox
 from transferdet.losses import (
@@ -16,7 +18,8 @@ from transferdet.losses import (
     sdk_loss,
 )
 from transferdet.labelling import ROLConfig
-from transferdet.numerics import grad_check, sigmoid
+from transferdet.model import head_backward, head_logits
+from transferdet.numerics import column_softmax, grad_check, sigmoid
 from transferdet.pipeline import ScenePack, StageConfig, lstd_scene_loss, wstd_scene_loss
 
 LN2 = math.log(2.0)
@@ -266,7 +269,13 @@ def test_proposal_cls_loss_and_labels():
 # --- stage totals ----------------------------------------------------------------
 #
 # The scene losses in the pipeline sum the weighted stage totals; these tests
-# hold them to the weighted sum of the components they report.
+# hold them to the weighted sum of the components they report.  The scene
+# losses take parameters with a leading member axis and one config per
+# member.
+
+
+def stacked(params, members=1):
+    return {k: np.repeat(v[None], members, axis=0) for k, v in params.items()}
 
 
 def lstd_instance(rng, num_target=3, num_source=4, dim=4, k=5):
@@ -313,9 +322,9 @@ def test_rol_total():
     for classifiers in (2, 3):
         pack, params = wstd_instance(rng, classifiers)
         cfg = StageConfig(rol=ROLConfig(num_classifiers=classifiers))
-        comps, _, _ = wstd_scene_loss(params, pack, cfg)
-        per = [comps[f"rol_{i + 1}"] for i in range(classifiers)]
-        assert comps["rol"] == float(sum(per))
+        comps, _, _ = wstd_scene_loss(stacked(params), pack, [cfg])
+        per = [comps[f"rol_{i + 1}"][0] for i in range(classifiers)]
+        assert comps["rol"][0] == float(sum(per))
         assert all(v >= 0.0 for v in per)
     with pytest.raises(ValueError):
         ROLConfig(num_classifiers=1)
@@ -323,48 +332,61 @@ def test_rol_total():
 
 def test_lstd_total_cases():
     pack, params = lstd_instance(np.random.default_rng(8))
-    for w, flags in (
-        (LossWeights(), {}),
-        (LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), {}),
-        (LossWeights(lambda_bd=0.0, lambda_sdk=0.0), {}),
-        (LossWeights(), {"enable_bd": False}),
-        (LossWeights(), {"enable_sdk": False}),
-    ):
-        cfg = StageConfig(weights=w, **flags)
-        comps, _ = lstd_scene_loss(params, pack, cfg)
+    cfgs = [
+        StageConfig(weights=w, **flags)
+        for w, flags in (
+            (LossWeights(), {}),
+            (LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), {}),
+            (LossWeights(lambda_bd=0.0, lambda_sdk=0.0), {}),
+            (LossWeights(), {"enable_bd": False}),
+            (LossWeights(), {"enable_sdk": False}),
+        )
+    ]
+    # all cases as the members of one call
+    comps, _ = lstd_scene_loss(stacked(params, len(cfgs)), pack, cfgs)
+    for m, cfg in enumerate(cfgs):
+        w = cfg.weights
         lam_bd = w.lambda_bd if cfg.enable_bd else 0.0
         lam_sdk = w.lambda_sdk if cfg.enable_sdk else 0.0
-        assert comps["total"] == (
-            w.lambda_main * comps["main"] + lam_bd * comps["bd"] + lam_sdk * comps["sdk"]
+        assert comps["total"][m] == (
+            w.lambda_main * comps["main"][m] + lam_bd * comps["bd"][m]
+            + lam_sdk * comps["sdk"][m]
         )
         if lam_bd == 0.0:
-            assert comps["bd"] == 0.0
+            assert comps["bd"][m] == 0.0
     zero, _ = lstd_scene_loss(
-        params, pack, StageConfig(weights=LossWeights(0.0, 0.0, 0.0, 0.0, 0.0))
+        stacked(params), pack, [StageConfig(weights=LossWeights(0.0, 0.0, 0.0, 0.0, 0.0))]
     )
-    assert zero["total"] == 0.0
+    assert zero["total"][0] == 0.0
     main_only, _ = lstd_scene_loss(
-        params, pack, StageConfig(weights=LossWeights(lambda_bd=0.0, lambda_sdk=0.0))
+        stacked(params), pack,
+        [StageConfig(weights=LossWeights(lambda_bd=0.0, lambda_sdk=0.0))],
     )
-    assert main_only["total"] == main_only["main"] > 0.0
+    assert main_only["total"][0] == main_only["main"][0] > 0.0
 
 
 def test_wstd_total_cases():
     pack, params = wstd_instance(np.random.default_rng(9))
-    for w, flags in (
-        (LossWeights(), {}),
-        (LossWeights(lambda_wstd_sdk=0.0), {}),
-        (LossWeights(), {"enable_sdk": False}),
-        (LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), {}),
-    ):
-        cfg = StageConfig(weights=w, **flags)
-        comps, _, _ = wstd_scene_loss(params, pack, cfg)
+    cfgs = [
+        StageConfig(weights=w, **flags)
+        for w, flags in (
+            (LossWeights(), {}),
+            (LossWeights(lambda_wstd_sdk=0.0), {}),
+            (LossWeights(), {"enable_sdk": False}),
+            (LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), {}),
+        )
+    ]
+    comps, _, _ = wstd_scene_loss(stacked(params, len(cfgs)), pack, cfgs)
+    for m, cfg in enumerate(cfgs):
+        w = cfg.weights
         lam_sdk = w.lambda_wstd_sdk if cfg.enable_sdk else 0.0
-        assert comps["total"] == lam_sdk * comps["sdk"] + w.lambda_wstd_rol * comps["rol"]
+        assert comps["total"][m] == (
+            lam_sdk * comps["sdk"][m] + w.lambda_wstd_rol * comps["rol"][m]
+        )
     no_sdk, _, _ = wstd_scene_loss(
-        params, pack, StageConfig(weights=LossWeights(lambda_wstd_sdk=0.0))
+        stacked(params), pack, [StageConfig(weights=LossWeights(lambda_wstd_sdk=0.0))]
     )
-    assert no_sdk["total"] == 50.0 * no_sdk["rol"]
+    assert no_sdk["total"][0] == 50.0 * no_sdk["rol"][0]
 
 
 def test_totals_are_linear():
@@ -374,10 +396,10 @@ def test_totals_are_linear():
     wstd_pack, wstd_params = wstd_instance(rng)
 
     def totals(weights):
-        cfg = StageConfig(weights=LossWeights(*weights))
-        lstd, _ = lstd_scene_loss(lstd_params, lstd_pack, cfg)
-        wstd, _, _ = wstd_scene_loss(wstd_params, wstd_pack, cfg)
-        return np.array([lstd["total"], wstd["total"]])
+        cfgs = [StageConfig(weights=LossWeights(*weights))]
+        lstd, _ = lstd_scene_loss(stacked(lstd_params), lstd_pack, cfgs)
+        wstd, _, _ = wstd_scene_loss(stacked(wstd_params), wstd_pack, cfgs)
+        return np.array([lstd["total"][0], wstd["total"][0]])
 
     for _ in range(10):
         a = rng.uniform(0.1, 3.0, size=5)
@@ -446,3 +468,61 @@ def test_gradients_pass_finite_differences():
         _, grad = bd_loss(grid, mask)
         report = grad_check(lambda g: bd_loss(g, mask)[0], grad, grid)
         assert report.passed, report
+
+
+# --- the member axis ------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.integers(1, 3),
+    rows=st.integers(2, 6),
+    cols=st.integers(1, 9),
+    dim=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_member_slices_equal_unstacked_calls(members, rows, cols, dim, seed):
+    # Each member of a (M, ...) stack gets bit for bit what the unstacked
+    # call on its slice gives; a one-member stack is the 2-D call.
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((members, rows, cols))
+    weights = rng.standard_normal((members, rows, dim + 1))
+    features = rng.standard_normal((members, cols, dim))
+    teacher = random_score_matrix(rng, rows, cols)
+    flags = list(rng.uniform(size=members) < 0.5)
+    labels = rng.integers(0, rows, size=cols)
+    y = (rng.uniform(size=rows - 1) < 0.5).astype(float)
+    pseudo = rng.uniform(size=(members, rows, cols)) * (
+        rng.uniform(size=(members, rows, cols)) < 0.3
+    )
+    grid = rng.standard_normal((members, 3, 4, dim))
+    mask = rng.uniform(size=(3, 4)) < 0.5
+
+    stacked = {
+        "softmax": (column_softmax(logits),),
+        "logits": (head_logits(weights, features),),
+        "shared_logits": (head_logits(weights, features[0]),),
+        "backward": head_backward(weights, features, logits),
+        "sdk": sdk_loss(teacher, logits, weighted=flags),
+        "proposal": proposal_cls_loss(logits, labels),
+        "image": image_multilabel_loss(logits, y),
+        "rol": rol_classifier_loss(logits, pseudo),
+        "bd": bd_loss(grid, mask),
+    }
+    for m in range(members):
+        single = {
+            "softmax": (column_softmax(logits[m]),),
+            "logits": (head_logits(weights[m], features[m]),),
+            "shared_logits": (head_logits(weights[m], features[0]),),
+            "backward": head_backward(weights[m], features[m], logits[m]),
+            "sdk": sdk_loss(teacher, logits[m], weighted=flags[m]),
+            "proposal": proposal_cls_loss(logits[m], labels),
+            "image": image_multilabel_loss(logits[m], y),
+            "rol": rol_classifier_loss(logits[m], pseudo[m]),
+            "bd": bd_loss(grid[m], mask),
+        }
+        for name, outputs in single.items():
+            for got, want in zip(stacked[name], outputs):
+                if isinstance(want, float):
+                    assert got.shape == (members,), name
+                assert np.array_equal(got[m], want), name

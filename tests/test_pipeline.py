@@ -22,6 +22,7 @@ from transferdet.pipeline import (
     EXPERIMENTS,
     INFERENCE_NMS_THRESHOLD,
     PROPOSAL_LABEL_IOU,
+    Members,
     RunReport,
     StageConfig,
     UnknownExperimentError,
@@ -33,6 +34,7 @@ from transferdet.pipeline import (
     experiment_output_paths,
     lstd_finetune,
     pack_lstd_scene,
+    pack_weak_scenes,
     pack_wstd_scene,
     proposal_labels,
     run_experiment,
@@ -44,6 +46,7 @@ from transferdet.pipeline import (
     wstd_train,
 )
 from transferdet.losses import LossWeights
+from transferdet.model import OptimizerConfig
 from transferdet.synthworld import (
     PROPOSAL_NMS_THRESHOLD,
     Scene,
@@ -81,12 +84,14 @@ def source_model(world):
 
 @pytest.fixture(scope="module")
 def warmup(world, source_model):
-    return lstd_finetune(source_model, world, TINY)
+    (model,) = lstd_finetune(source_model, world, [TINY])
+    return model
 
 
 @pytest.fixture(scope="module")
 def student(world, warmup):
-    return wstd_train(warmup, world, TINY)
+    (model,) = wstd_train(warmup, world, [TINY])
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -322,12 +327,12 @@ def test_train_source_report_curves(world):
 
 def test_lstd_requires_source_and_shots(world):
     with pytest.raises(ValueError, match="trained source model"):
-        lstd_finetune(None, world, TINY)
+        lstd_finetune(None, world, [TINY])
     with pytest.raises(ValueError, match="shots_per_class >= 1"):
         lstd_finetune(
             train_source(world, replace(TINY, source_epochs=0)),
             world,
-            replace(TINY, shots_per_class=0),
+            [replace(TINY, shots_per_class=0)],
         )
 
 
@@ -342,8 +347,12 @@ def test_lstd_structure_and_determinism(world, source_model, warmup):
     assert warmup.sdk_head.role == "sdk_branch"
     assert not warmup.rol_heads
     assert not np.array_equal(warmup.backbone.map, source_model.backbone.map)
-    again = lstd_finetune(source_model, world, TINY)
+    (again,) = lstd_finetune(source_model, world, [TINY])
     assert_same_params(model_params(warmup), model_params(again))
+    # a single config trains one model and returns it
+    assert_same_params(
+        model_params(warmup), model_params(lstd_finetune(source_model, world, TINY))
+    )
 
 
 def test_zero_lambda_matches_disabled_flags(world, source_model):
@@ -351,8 +360,8 @@ def test_zero_lambda_matches_disabled_flags(world, source_model):
     zeroed = replace(
         TINY, weights=replace(LossWeights(), lambda_bd=0.0, lambda_sdk=0.0)
     )
-    a = lstd_finetune(source_model, world, flags_off)
-    b = lstd_finetune(source_model, world, zeroed)
+    (a,) = lstd_finetune(source_model, world, [flags_off])
+    (b,) = lstd_finetune(source_model, world, [zeroed])
     assert_same_params(model_params(a), model_params(b))
 
 
@@ -361,7 +370,7 @@ def test_sdk_loss_decreases_over_first_epoch(world, source_model):
     for seed in range(10):
         report = RunReport(seed=seed)
         cfg = replace(TINY, seed=seed, shots_per_class=3, lstd_epochs=1)
-        lstd_finetune(source_model, world, cfg, report)
+        lstd_finetune(source_model, world, [cfg], [report])
         curve = report.curves["lstd.sdk"]
         assert len(curve) >= 2
         deltas.append(curve[0] - curve[-1])
@@ -370,11 +379,11 @@ def test_sdk_loss_decreases_over_first_epoch(world, source_model):
 
 def test_wstd_requires_sdk_branch(world, source_model):
     with pytest.raises(ValueError, match="SDK branch"):
-        wstd_train(source_model, world, TINY)
+        wstd_train(source_model, world, [TINY])
 
 
 def test_wstd_zero_weak_scenes_reheads_warmup(world, warmup):
-    student = wstd_train(warmup, world, replace(TINY, weak_scenes_per_class=0))
+    (student,) = wstd_train(warmup, world, [replace(TINY, weak_scenes_per_class=0)])
     assert np.array_equal(student.backbone.map, warmup.backbone.map)
     assert np.array_equal(student.main_head.weights, warmup.main_head.weights)
     assert np.array_equal(student.sdk_head.weights, warmup.sdk_head.weights)
@@ -387,7 +396,7 @@ def test_wstd_zero_weak_scenes_reheads_warmup(world, warmup):
 
 
 def test_wstd_zero_epochs_keeps_reheaded_params(world, warmup):
-    student = wstd_train(warmup, world, replace(TINY, wstd_epochs=0))
+    (student,) = wstd_train(warmup, world, [replace(TINY, wstd_epochs=0)])
     assert np.array_equal(student.backbone.map, warmup.backbone.map)
     assert np.array_equal(student.sdk_head.weights, warmup.sdk_head.weights)
     for head in student.rol_heads:
@@ -396,7 +405,7 @@ def test_wstd_zero_epochs_keeps_reheaded_params(world, warmup):
 
 def test_wstd_never_touches_warmup(world, warmup):
     before = {k: v.copy() for k, v in model_params(warmup).items()}
-    wstd_train(warmup, world, TINY)
+    wstd_train(warmup, world, [TINY])
     assert_same_params(model_params(warmup), before)
 
 
@@ -406,12 +415,12 @@ def test_wstd_student_structure(world, warmup, student):
     assert not np.array_equal(student.backbone.map, warmup.backbone.map)
     for head in student.rol_heads:
         assert not np.array_equal(head.weights, warmup.main_head.weights)
-    again = wstd_train(warmup, world, TINY)
+    (again,) = wstd_train(warmup, world, [TINY])
     assert_same_params(model_params(student), model_params(again))
 
 
 def test_wstd_freeze_backbone(world, warmup):
-    student = wstd_train(warmup, world, replace(TINY, freeze_backbone=True))
+    (student,) = wstd_train(warmup, world, [replace(TINY, freeze_backbone=True)])
     assert np.array_equal(student.backbone.map, warmup.backbone.map)
     for head in student.rol_heads:
         assert not np.array_equal(head.weights, warmup.main_head.weights)
@@ -420,17 +429,19 @@ def test_wstd_freeze_backbone(world, warmup):
 def test_pseudo_labels_are_detached(warmup, weak_scene):
     pack = pack_wstd_scene(weak_scene, warmup, TINY)
     params = {
-        "backbone": warmup.backbone.map.copy(),
-        "sdk_head": warmup.sdk_head.weights.copy(),
+        "backbone": warmup.backbone.map[None].copy(),
+        "sdk_head": warmup.sdk_head.weights[None].copy(),
     }
     for i in range(TINY.rol.num_classifiers):
-        params[f"rol_head_{i}"] = warmup.main_head.weights.copy()
-    comps, grads, pseudo = wstd_scene_loss(params, pack, TINY)
+        params[f"rol_head_{i}"] = warmup.main_head.weights[None].copy()
+    comps, grads, pseudo = wstd_scene_loss(params, pack, [TINY])
     assert len(pseudo) == TINY.rol.num_classifiers - 1
 
     # pinning the recomputed labels is a no-op at the same parameters
-    comps_f, grads_f, _ = wstd_scene_loss(params, pack, TINY, fixed_pseudo=pseudo)
-    assert comps_f == comps
+    comps_f, grads_f, _ = wstd_scene_loss(params, pack, [TINY], fixed_pseudo=pseudo)
+    assert comps_f.keys() == comps.keys()
+    for key in comps:
+        assert np.array_equal(comps_f[key], comps[key]), key
     for key in grads:
         assert np.array_equal(grads_f[key], grads[key]), key
 
@@ -438,16 +449,140 @@ def test_pseudo_labels_are_detached(warmup, weak_scene):
     # their labels, so with labels held fixed the later losses are unmoved
     shifted = {k: v.copy() for k, v in params.items()}
     shifted["rol_head_0"] = shifted["rol_head_0"] + 0.05
-    comps_s, _, _ = wstd_scene_loss(shifted, pack, TINY, fixed_pseudo=pseudo)
-    assert comps_s["rol_1"] != comps["rol_1"]
-    assert comps_s["rol_2"] == comps["rol_2"]
-    assert comps_s["rol_3"] == comps["rol_3"]
+    comps_s, _, _ = wstd_scene_loss(shifted, pack, [TINY], fixed_pseudo=pseudo)
+    assert comps_s["rol_1"][0] != comps["rol_1"][0]
+    assert comps_s["rol_2"][0] == comps["rol_2"][0]
+    assert comps_s["rol_3"][0] == comps["rol_3"][0]
 
     # while the labels themselves do respond when recomputed
-    _, _, pseudo_s = wstd_scene_loss(shifted, pack, TINY)
+    _, _, pseudo_s = wstd_scene_loss(shifted, pack, [TINY])
     assert any(
         not np.array_equal(a, b) for a, b in zip(pseudo_s, pseudo)
     )
+
+
+# --- lockstep groups ----------------------------------------------------
+
+
+def assert_lockstep_matches_singles(train, cfgs):
+    """Members trained in one group equal one-member trainings of each
+    config, in every parameter and every curve value."""
+    reports = [RunReport(seed=cfg.seed) for cfg in cfgs]
+    models = train(cfgs, reports)
+    assert len(models) == len(cfgs)
+    for cfg, model, report in zip(cfgs, models, reports):
+        alone = RunReport(seed=cfg.seed)
+        (single,) = train([cfg], [alone])
+        assert_same_params(model_params(model), model_params(single))
+        assert report.curves and report.curves.keys() == alone.curves.keys()
+        for key, curve in report.curves.items():
+            assert np.array_equal(curve, alone.curves[key]), key
+
+
+def test_lstd_lockstep_matches_single_trainings(world, source_model):
+    # the table3 cells plus zeroed and uneven regularizer weights
+    cfgs = [
+        replace(TINY, enable_sdk=False, enable_bd=False),
+        replace(TINY, enable_bd=False),
+        TINY,
+        replace(TINY, weights=LossWeights(lambda_bd=0.0, lambda_sdk=0.0)),
+        replace(TINY, weights=LossWeights(lambda_bd=2.0, lambda_sdk=0.0)),
+    ]
+    assert_lockstep_matches_singles(
+        lambda group, reports: lstd_finetune(source_model, world, group, reports), cfgs
+    )
+
+
+WSTD_SIBLINGS = {
+    "fig9_bands": [
+        {}, {"rol.phi_obj": 0.4}, {"rol.phi_obj": 0.6},
+        {"rol.phi_bg": 0.2}, {"rol.phi_bg": 0.4},
+    ],
+    "table6_labellers": [{"labeller": "rol"}, {"labeller": "oicr"}],
+    "fig7_sdk_modes": [
+        {"weights.lambda_wstd_sdk": 0.0}, {}, {"sdk_weighted": True},
+    ],
+    "frozen_backbone": [
+        {"freeze_backbone": True},
+        {"freeze_backbone": True, "labeller": "oicr", "weights.lambda_wstd_rol": 5.0},
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WSTD_SIBLINGS))
+def test_wstd_lockstep_matches_single_trainings(world, warmup, case):
+    cfgs = [apply_overrides(TINY, o) for o in WSTD_SIBLINGS[case]]
+    packs = pack_weak_scenes(warmup, world, TINY)
+    assert_lockstep_matches_singles(
+        lambda group, reports: wstd_train(warmup, world, group, reports, packs), cfgs
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 12),
+        ("source_scenes", 41),
+        ("weights.lambda_main", 2.0),
+        ("shots_per_class", 2),
+        ("lstd_epochs", 29),
+        ("optimizer", OptimizerConfig(learning_rate=1e-3)),
+    ],
+)
+def test_lstd_rejects_non_siblings(world, source_model, field, value):
+    other = apply_overrides(TINY, {field: value})
+    with pytest.raises(ValueError, match="not siblings"):
+        lstd_finetune(source_model, world, [TINY, other])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("enable_bd", False),  # another warm-up
+        ("weak_scenes_per_class", 2),
+        ("wstd_epochs", 3),
+        ("optimizer", OptimizerConfig(learning_rate=1e-3)),
+        ("rol.num_classifiers", 2),
+        ("freeze_backbone", True),
+    ],
+)
+def test_wstd_rejects_non_siblings(world, warmup, field, value):
+    other = apply_overrides(TINY, {field: value})
+    with pytest.raises(ValueError, match="not siblings"):
+        wstd_train(warmup, world, [TINY, other])
+
+
+def test_lockstep_group_needs_configs_and_one_report_each(world, source_model, warmup):
+    with pytest.raises(ValueError, match="at least one config"):
+        lstd_finetune(source_model, world, [])
+    with pytest.raises(ValueError, match="at least one config"):
+        wstd_train(warmup, world, [])
+    with pytest.raises(ValueError, match="1 reports for 2 configs"):
+        lstd_finetune(source_model, world, [TINY, TINY], [RunReport(seed=0)])
+
+
+def test_members_gather_the_coefficients_of_each_config():
+    cfgs = [
+        replace(TINY, enable_bd=False),
+        replace(TINY, enable_sdk=False, sdk_weighted=True),
+        apply_overrides(TINY, {"weights.lambda_main": 0.5, "weights.lambda_wstd_rol": 7.0}),
+    ]
+    members = Members.of(cfgs)
+    assert Members.of(members) is members
+    assert members.cfgs == tuple(cfgs)
+    expected = {
+        "main": [c.weights.lambda_main for c in cfgs],
+        "bd": [0.0, TINY.weights.lambda_bd, TINY.weights.lambda_bd],
+        "sdk": [TINY.weights.lambda_sdk, 0.0, TINY.weights.lambda_sdk],
+        "wstd_sdk": [TINY.weights.lambda_wstd_sdk, 0.0, TINY.weights.lambda_wstd_sdk],
+        "wstd_rol": [TINY.weights.lambda_wstd_rol, TINY.weights.lambda_wstd_rol, 7.0],
+    }
+    assert members.weight.keys() == members.scale.keys() == expected.keys()
+    for term, values in expected.items():
+        assert np.array_equal(members.weight[term], values), term
+        assert members.scale[term].shape == (3, 1, 1)
+        assert np.array_equal(members.scale[term].ravel(), values), term
+    assert members.sdk_weighted.tolist() == [False, True, False]
 
 
 # --- inference ----------------------------------------------------------
@@ -661,7 +796,7 @@ def test_fig9_packs_weak_scenes_once_per_world_and_warmup(tmp_path, monkeypatch)
         world_cfg = apply_overrides(WorldConfig(seed=seed), dict(cell.world_overrides))
         if world_cfg not in models:
             world = make_world(world_cfg)
-            warmup = lstd_finetune(train_source(world, base), world, base)
+            (warmup,) = lstd_finetune(train_source(world, base), world, [base])
             models[world_cfg] = (world, warmup)
             expected_packs += len(collect_class_scenes(
                 world, "target", "weak", substream(seed, "wstd", "weak"),
@@ -670,7 +805,7 @@ def test_fig9_packs_weak_scenes_once_per_world_and_warmup(tmp_path, monkeypatch)
         world, warmup = models[world_cfg]
         # a training on packs built afresh for this cell alone
         cfg = apply_overrides(base, dict(cell.overrides))
-        student = wstd_train(warmup, world, cfg)
+        (student,) = wstd_train(warmup, world, [cfg])
         eval_scenes = sample_scenes(
             world, "target", "full", substream(seed, "eval"), cfg.eval_scenes
         )
@@ -680,6 +815,63 @@ def test_fig9_packs_weak_scenes_once_per_world_and_warmup(tmp_path, monkeypatch)
     # seven cells on three worlds: one pack set per world and warm-up
     assert len(models) == 3
     assert len(packed) == expected_packs
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # two shot counts, three cells each: one group per shot count
+        ("table3", {"lstd_finetune": 2, "wstd_train": 0, "pack_weak_scenes": 0}),
+        # three worlds; the five default-world cells share one warm-up
+        ("fig9", {"lstd_finetune": 3, "wstd_train": 3, "pack_weak_scenes": 3}),
+        # the weak-stage coefficients do not reach the warm-up key
+        ("fig7", {"lstd_finetune": 1, "wstd_train": 1, "pack_weak_scenes": 1}),
+    ],
+)
+def test_runner_trains_sibling_cells_in_one_call(tmp_path, monkeypatch, name, expected):
+    # Counted through the module attributes, which are also what the
+    # benchmark's tracer wraps.  Every report equals its cell trained alone.
+    calls = dict.fromkeys(expected, 0)
+    for attr in calls:
+        original = getattr(pipeline, attr)
+
+        def counting(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, attr, counting)
+    seed = 2
+    reports = run_experiment(
+        name, seeds=[seed], out_dir=tmp_path, overrides=SMOKE_OVERRIDES
+    )
+    monkeypatch.undo()
+    assert calls == expected
+
+    base = replace(apply_overrides(StageConfig(), SMOKE_OVERRIDES), seed=seed)
+    trained_keys = set()
+    for cell, report in zip(EXPERIMENTS[name].cells, reports):
+        world_cfg = apply_overrides(WorldConfig(seed=seed), dict(cell.world_overrides))
+        world = make_world(world_cfg)
+        cfg = apply_overrides(base, dict(cell.overrides))
+        alone = RunReport(seed=seed)
+        (model,) = lstd_finetune(train_source(world, cfg), world, [cfg], [alone])
+        stages = [("lstd", pipeline._lstd_cache_key(cfg))]
+        if cell.stage == "wstd":
+            (model,) = wstd_train(model, world, [cfg], [alone])
+            stages.append(("wstd", pipeline._wstd_cache_key(cfg)))
+        for stage, key in stages:
+            # the first cell on a model gets its curves
+            if (world_cfg, key) not in trained_keys:
+                trained_keys.add((world_cfg, key))
+                assert report.curves[f"{stage}.total"] == alone.curves[f"{stage}.total"]
+            else:
+                assert f"{stage}.total" not in report.curves
+        eval_scenes = sample_scenes(
+            world, "target", "full", substream(seed, "eval"), cfg.eval_scenes
+        )
+        assert (report.per_class_aps, report.mean_ap) == evaluate_model(
+            model, eval_scenes, cell.classifier
+        ), cell.cell_id
 
 
 def test_constants_pinned():

@@ -354,6 +354,31 @@ def test_world_file_needs_each_config_field_once(tmp_path, edit, message):
         load_world(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("seed 3", "does not match config seed 9"),
+        ("seed x", "does not match config seed 9"),
+        ("seed", "exactly one 'seed <n>'"),
+        ("seed 9\nseed 9", "exactly one 'seed <n>'"),
+        ("", "exactly one 'seed <n>'"),
+    ],
+    ids=["other_seed", "non_numeric", "bare", "repeated", "dropped"],
+)
+def test_world_file_seed_header_must_match_config(tmp_path, header, message):
+    # the prototypes are made from the header's seed, the config from its
+    # own line: a file where they disagree is corrupt
+    world = make_world(WorldConfig(seed=9))
+    path = tmp_path / "world.txt"
+    save_world(path, world)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "seed 9"
+    lines[1:2] = header.splitlines()
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_world(path)
+
+
 def test_scenes_round_trip(tmp_path):
     world = make_world(WorldConfig(seed=10))
     scenes = sample_scenes(world, "target", "weak", substream(10, "rt"), 5)
