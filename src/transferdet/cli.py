@@ -258,7 +258,7 @@ def cmd_train(args) -> int:
     world = _load_world_arg(args, seed)
     report = RunReport(seed=seed, stage=args.stage)
     if args.stage == "source":
-        model = train_source(world, cfg, report)
+        (model,) = train_source([world], [cfg], [report])
     elif args.stage == "lstd":
         source = _load_checkpoint(args.source_model, "source checkpoint")
         (model,) = lstd_finetune(source, world, [cfg], [report])

@@ -40,22 +40,6 @@ class ROLConfig:
             raise ValueError("need at least two classifiers")
 
 
-def check_pseudo_matrix(pseudo: np.ndarray) -> np.ndarray:
-    """Validate pseudo labels: columns all-zero or single entry in (0, 1]."""
-    pseudo = np.asarray(pseudo, dtype=float)
-    if pseudo.ndim != 2:
-        raise ValueError(f"pseudo matrix must be 2-D, got shape {pseudo.shape}")
-    if np.any(pseudo < 0):
-        raise ValueError("pseudo matrix has negative entries")
-    for k in range(pseudo.shape[1]):
-        nz = np.nonzero(pseudo[:, k])[0]
-        if nz.size > 1:
-            raise ValueError(f"pseudo column {k} has {nz.size} nonzero entries")
-        if nz.size == 1 and not (0.0 < pseudo[nz[0], k] <= 1.0):
-            raise ValueError(f"pseudo column {k} weight {pseudo[nz[0], k]} outside (0, 1]")
-    return pseudo
-
-
 def present_classes(y_img: np.ndarray) -> list[int]:
     y = np.asarray(y_img)
     classes = [int(c) for c in np.nonzero(y)[0]]

@@ -219,22 +219,26 @@ def proposal_cls_loss(
     """Fully supervised per-proposal cross entropy (the main detection loss).
 
     ``labels`` holds one integer class per proposal, the background class
-    being the last row index; stacked logits share them.
+    being the last row index.  Stacked (M, C+1, K) logits share (K,) labels
+    or take one label row per member, as (M, K).
     """
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if logits.ndim < 2 or labels.shape != (logits.shape[-1],):
+    stacked = logits.ndim == 3 and labels.shape == (logits.shape[0], logits.shape[-1])
+    if logits.ndim < 2 or not (stacked or labels.shape == (logits.shape[-1],)):
         raise ValueError(
             f"labels shape {labels.shape} does not match logits {logits.shape}"
         )
     if (labels < 0).any() or (labels >= logits.shape[-2]).any():
         raise ValueError("label index outside class range")
     probs = column_softmax(logits)
-    k_idx = np.arange(logits.shape[-1])
-    # The gather of a stack comes out member-minor; a C-ordered copy makes
-    # each member's row sum add in the order of the unstacked call.
-    picked = np.ascontiguousarray(probs[..., labels, k_idx])
+    rows = np.arange(len(labels))[:, None] if stacked else Ellipsis
+    index = (rows, labels, np.arange(logits.shape[-1]))
+    # The gather of shared labels from a stack comes out member-minor; a
+    # C-ordered copy makes each member's row sum add in the order of the
+    # unstacked call.
+    picked = np.ascontiguousarray(probs[index])
     value = -_per_member(np.log(np.maximum(picked, PROB_FLOOR)), (-1,))
     grad = probs.copy()
-    grad[..., labels, k_idx] -= 1.0
+    grad[index] -= 1.0
     return value, grad

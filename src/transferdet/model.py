@@ -20,11 +20,18 @@ loss coefficients) run in lockstep: their parameters are stacked along a
 leading member axis, the head functions act on every member at once, and
 :func:`adam_step` is elementwise, so one step updates the whole stack.
 Each member's slice equals what the 2-D functions give on that member.
+
+A training keeps all its parameter blocks as views into one contiguous
+float64 buffer (:class:`ParamLayout`), with Adam's moments as flat buffers
+of the same length.  Each step joins the blocks' gradients in buffer order
+and runs :func:`adam_step` once over the whole buffer, with one finiteness
+scan; being elementwise, that equals a step per block bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -252,53 +259,87 @@ class OptimizerConfig:
             raise ValueError("betas must lie in [0, 1)")
 
 
+@dataclass(frozen=True)
+class ParamLayout:
+    """Where each named parameter block lies in one flat buffer.
+
+    Blocks follow each other in ``names`` order, each raveled in C order;
+    block i ends at ``stops[i]``.
+    """
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    stops: tuple[int, ...]
+
+    @classmethod
+    def of(cls, blocks: dict[str, np.ndarray]) -> "ParamLayout":
+        names = tuple(blocks)
+        shapes = tuple(blocks[name].shape for name in names)
+        stops = tuple(itertools.accumulate(int(np.prod(shape)) for shape in shapes))
+        return cls(names, shapes, stops)
+
+    def flatten(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
+        """The blocks joined into one new buffer, in layout order."""
+        return np.concatenate([blocks[name] for name in self.names], axis=None)
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Each block as a view into ``buffer``, shaped like the original."""
+        starts = (0,) + self.stops[:-1]
+        blocks = zip(self.names, self.shapes, starts, self.stops)
+        return {
+            name: buffer[start:stop].reshape(shape)
+            for name, shape, start, stop in blocks
+        }
+
+    def block_at(self, index: int) -> str:
+        """The name of the block holding flat position ``index``."""
+        return self.names[int(np.searchsorted(self.stops, index, side="right"))]
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators per parameter block."""
+    """First/second moment accumulators, flat like the parameter buffer."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(v) for k, v in params.items()},
-            v={k: np.zeros_like(v) for k, v in params.items()},
-            step=0,
-        )
+    def zeros(cls, size: int) -> "AdamState":
+        return cls(m=np.zeros(size), v=np.zeros(size), step=0)
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     cfg: OptimizerConfig,
+    layout: ParamLayout,
     learning_rate: float | None = None,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; pure (inputs are not mutated).
+) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update of a flat buffer; pure (inputs are
+    not mutated).
 
     Weight decay enters as an additive gradient term.  ``learning_rate``
-    overrides the config rate so callers can apply decay schedules.
+    overrides the config rate so callers can apply decay schedules.  Every
+    operation is elementwise, so one step over a buffer of several blocks
+    equals a step per block.  A non-finite gradient raises ``ValueError``
+    naming its block in ``layout``.
     """
+    if not np.isfinite(grads).all():
+        index = int(np.flatnonzero(~np.isfinite(grads))[0])
+        raise ValueError(
+            f"non-finite gradient in parameter block {layout.block_at(index)!r}"
+        )
     lr = cfg.learning_rate if learning_rate is None else learning_rate
     t = state.step + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient in parameter block {name!r}")
-        g = g + cfg.weight_decay * p
-        m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(m=new_m, v=new_v, step=t)
+    g = grads + cfg.weight_decay * params
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return new_params, AdamState(m=m, v=v, step=t)
 
 
 # --- distillation targets ---------------------------------------------------

@@ -20,6 +20,22 @@ gradients, and each member's slice is bit-identical to training it alone.
 A single training is a one-member group.  The experiment runner trains
 every uncached sibling cell of a seed in one group, which also builds the
 group's weak pack set once.
+
+Source trainings also run in lockstep across seeds.  Every seed follows
+the same schedule (``source_epochs`` × ``source_scenes`` steps on worlds
+that differ only in their seed), so :func:`train_source` takes one world
+and one config per seed, stacks each member's packs once and gathers every
+member's own scene at each step.  The runner trains, in one call, every
+untrained source of all requested seeds that shares a sibling key; the
+group's time, the other seeds' world builds included, goes to the
+``wall_clock`` of the cell that first needs one of its sources, a cell of
+the first seed.  Only these source models outlive their seed: worlds,
+eval scenes and the later stages' models and packs are dropped before the
+next seed starts.
+
+Each training keeps its parameters as views into one flat buffer, so one
+Adam step per scene updates every block of every member (see
+:mod:`transferdet.model`).
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ from .model import (
     DetectorModel,
     Head,
     OptimizerConfig,
+    ParamLayout,
     adam_step,
     extract_sdk,
     head_backward,
@@ -383,6 +400,9 @@ def source_scene_loss(
     pack: ScenePack,
     cfgs: Members | Sequence[StageConfig],
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Fully supervised proposal loss.  The pack's raw means and labels are
+    shared by every member, or hold one scene per member, stacked as
+    (M, K, D0) and (M, K)."""
     members = Members.of(cfgs)
     backbone = params["backbone"]
     features = pack.raw_means @ backbone.transpose(0, 2, 1)
@@ -526,39 +546,46 @@ def _stacked(array: np.ndarray, members: int) -> np.ndarray:
     return np.repeat(array[None], members, axis=0)
 
 
+def _step_order(rng: np.random.Generator, scenes: int, epochs: int) -> np.ndarray:
+    """The scene of every step: one permutation of the scenes per epoch."""
+    steps = [rng.permutation(scenes) for _ in range(epochs)]
+    return np.array(steps, dtype=int).reshape(-1)
+
+
 def _train(
     params: dict[str, np.ndarray],
-    packs: Sequence[ScenePack],
-    loss_fn: Callable[[dict, ScenePack], tuple[dict, dict]],
-    epochs: int,
+    loss_fn: Callable[[dict, object], tuple[dict, dict]],
+    order: np.ndarray,
     opt: OptimizerConfig,
-    order_rng: np.random.Generator,
     reports: Sequence[RunReport | None],
     prefix: str,
 ) -> dict[str, np.ndarray]:
     """Adam over per-scene losses; learning rate drops once at 2/3 of steps.
 
-    ``params`` are stacked along the member axis, and member m's loss
-    components go to ``reports[m]`` when it is given.
+    Step s calls ``loss_fn(params, order[s])``.  ``params`` are stacked
+    along the member axis and become views into one flat buffer, which one
+    :func:`adam_step` per step updates; the result is views into it.
+    Member m's loss components go to ``reports[m]`` when it is given.
     """
-    state = AdamState.for_params(params)
-    total_steps = epochs * len(packs)
-    decay_at = (2 * total_steps) // 3
-    step = 0
-    for _ in range(epochs):
-        for idx in order_rng.permutation(len(packs)):
-            comps, grads = loss_fn(params, packs[idx])
-            lr = opt.learning_rate
-            if total_steps > 0 and step >= decay_at:
-                lr *= opt.lr_decay_factor
-            params, state = adam_step(params, grads, state, opt, lr)
-            for member, report in enumerate(reports):
-                if report is not None:
-                    for key, value in comps.items():
-                        report.curves.setdefault(f"{prefix}.{key}", []).append(
-                            float(value[member])
-                        )
-            step += 1
+    layout = ParamLayout.of(params)
+    buffer = layout.flatten(params)
+    params = layout.views(buffer)
+    state = AdamState.zeros(buffer.size)
+    decay_at = (2 * len(order)) // 3
+    for step, scene in enumerate(order):
+        comps, grads = loss_fn(params, scene)
+        lr = opt.learning_rate
+        if step >= decay_at:
+            lr *= opt.lr_decay_factor
+        grad = layout.flatten(grads)
+        updated, state = adam_step(buffer, grad, state, opt, layout, lr)
+        buffer[...] = updated
+        for member, report in enumerate(reports):
+            if report is not None:
+                for key, value in comps.items():
+                    report.curves.setdefault(f"{prefix}.{key}", []).append(
+                        float(value[member])
+                    )
     return params
 
 
@@ -603,6 +630,12 @@ def collect_class_scenes(
 def _source_cache_key(cfg: StageConfig):
     return (cfg.source_scenes, cfg.source_epochs, cfg.optimizer,
             cfg.weights.lambda_main)
+
+
+def _source_sibling_key(world_cfg: WorldConfig, cfg: StageConfig):
+    # Source trainings of different seeds step alike: the seed picks only
+    # the world, the initialization, the scenes and their order.
+    return (replace(world_cfg, seed=0),) + _source_cache_key(cfg)
 
 
 def _lstd_sibling_key(cfg: StageConfig):
@@ -653,32 +686,103 @@ def _group(
     return Members.of(cfgs), reports
 
 
+def _stacked_source_scenes(
+    world: World, cfg: StageConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw means (N, K, D0) and labels (N, K) of ``cfg``'s source scenes.
+
+    The scenes are drawn and packed one at a time, the same draws as one
+    ``sample_scenes`` call of N, so no scene outlives its packing.
+    """
+    rng = substream(cfg.seed, "source", "scenes")
+    means, labels = [], []
+    for _ in range(cfg.source_scenes):
+        scene = sample_scenes(world, "source", "full", rng, 1)[0]
+        pack = pack_source_scene(scene, world)
+        means.append(pack.raw_means)
+        labels.append(pack.labels)
+    return np.stack(means), np.stack(labels)
+
+
 def train_source(
-    world: World, cfg: StageConfig, report: RunReport | None = None
-) -> DetectorModel:
-    """Fully supervised training on source-domain scenes (a one-member group)."""
-    num_classes = world.config.classes_in("source")
-    dim = world.config.raw_dim
-    init_rng = substream(cfg.seed, "source", "init")
-    backbone = init_backbone(dim, dim, init_rng)
-    head = init_head(num_classes, dim, init_rng)
-    scenes = sample_scenes(
-        world, "source", "full", substream(cfg.seed, "source", "scenes"),
-        cfg.source_scenes,
-    )
-    packs = [pack_source_scene(s, world) for s in scenes]
-    params = {"backbone": backbone.map[None], "main_head": head.weights[None]}
-    members = Members.of([cfg])
+    worlds: Sequence[World] | World,
+    cfgs: Sequence[StageConfig] | StageConfig,
+    reports: Sequence[RunReport | None] | RunReport | None = None,
+) -> list[DetectorModel] | DetectorModel:
+    """Fully supervised training on source-domain scenes.
+
+    Every (world, config) pair is one member of a lockstep group, usually
+    one per seed.  Each member draws its own initialization, scenes and
+    step order from its config's seed, on its own world; the members must
+    agree on the source training (``source_scenes``, ``source_epochs``,
+    ``optimizer``, ``weights.lambda_main``) and their worlds on every field
+    but the seed, so that every member's scenes have the same proposal
+    count (else ``ValueError``).  Each member's scenes are packed one at a
+    time and stacked once, and each step gathers every member's scene with
+    one index.  Returns one
+    model per member, and member m's loss curves go to ``reports[m]``.
+    :func:`run_experiment` charges the time of the whole group to the
+    ``wall_clock`` of the cell that first needs one of its sources, a cell
+    of the first seed; the other seeds' cells show none of it.
+    A single World and StageConfig (with a single report or None) train
+    one model and return it unwrapped, as
+    ``perfbench/workloads.build_fixtures`` calls it; that form goes with
+    :func:`lstd_finetune`'s (ROADMAP item 1).
+    """
+    single = isinstance(cfgs, StageConfig)
+    if single:
+        worlds, cfgs, reports = [worlds], [cfgs], [reports]
+    members, reports = _group("train_source", cfgs, reports, _source_cache_key)
+    worlds = list(worlds)
+    if len(worlds) != len(members.cfgs):
+        raise ValueError(
+            f"train_source got {len(worlds)} worlds for {len(members.cfgs)} configs"
+        )
+    keys = {_source_sibling_key(w.config, c) for w, c in zip(worlds, members.cfgs)}
+    if len(keys) > 1:
+        raise ValueError(
+            "train_source worlds are not siblings: they differ in a field "
+            "other than the seed"
+        )
+    num_classes = worlds[0].config.classes_in("source")
+    dim = worlds[0].config.raw_dim
+    backbones, heads, raw_means, labels, orders = [], [], [], [], []
+    for world, cfg in zip(worlds, members.cfgs):
+        init_rng = substream(cfg.seed, "source", "init")
+        backbones.append(init_backbone(dim, dim, init_rng).map)
+        heads.append(init_head(num_classes, dim, init_rng).weights)
+        member_means, member_labels = _stacked_source_scenes(world, cfg)
+        raw_means.append(member_means)
+        labels.append(member_labels)
+        orders.append(_step_order(
+            substream(cfg.seed, "source", "order"), len(member_labels),
+            cfg.source_epochs,
+        ))
+    # (M, N, K, D0) raw means and (M, N, K) labels; step s trains member m
+    # on its scene orders[m][s].
+    raw_means, labels = np.stack(raw_means), np.stack(labels)
+    rows = np.arange(len(members.cfgs))
+
+    def loss_fn(p, scene):
+        pack = ScenePack(
+            boxes=[], raw_means=raw_means[rows, scene], labels=labels[rows, scene]
+        )
+        return source_scene_loss(p, pack, members)
+
     params = _train(
-        params, packs, lambda p, pk: source_scene_loss(p, pk, members),
-        cfg.source_epochs, cfg.optimizer, substream(cfg.seed, "source", "order"),
-        [report], "source",
+        {"backbone": np.stack(backbones), "main_head": np.stack(heads)},
+        loss_fn, np.stack(orders, axis=1), members.cfgs[0].optimizer, reports,
+        "source",
     )
-    return DetectorModel(
-        backbone=Backbone(map=params["backbone"][0]),
-        main_head=Head(weights=params["main_head"][0], role="main"),
-        source_classes=num_classes,
-    )
+    models = [
+        DetectorModel(
+            backbone=Backbone(map=params["backbone"][m].copy()),
+            main_head=Head(weights=params["main_head"][m].copy(), role="main"),
+            source_classes=num_classes,
+        )
+        for m in rows
+    ]
+    return models[0] if single else models
 
 
 def lstd_finetune(
@@ -701,7 +805,7 @@ def lstd_finetune(
     A single StageConfig (with a single report or None) trains one model
     and returns it unwrapped, as ``perfbench/workloads.build_fixtures``
     calls it; that form goes when the benchmark moves to the list form
-    (ROADMAP item 3).
+    (ROADMAP item 1).
     """
     single = isinstance(cfgs, StageConfig)
     if single:
@@ -729,10 +833,12 @@ def lstd_finetune(
         "main_head": _stacked(main.weights, count),
         "sdk_head": _stacked(sdk.weights, count),
     }
+    order = _step_order(
+        substream(cfg.seed, "lstd", "order"), len(packs), cfg.lstd_epochs
+    )
     params = _train(
-        params, packs, lambda p, pk: lstd_scene_loss(p, pk, members),
-        cfg.lstd_epochs, cfg.optimizer, substream(cfg.seed, "lstd", "order"),
-        reports, "lstd",
+        params, lambda p, i: lstd_scene_loss(p, packs[i], members), order,
+        cfg.optimizer, reports, "lstd",
     )
     models = [
         DetectorModel(
@@ -801,14 +907,16 @@ def wstd_train(
             packs = pack_weak_scenes(warmup, world, cfg)
         frozen = _stacked(warmup.backbone.map, count) if cfg.freeze_backbone else None
 
-        def loss_fn(p, pk):
-            comps, grads, _ = wstd_scene_loss(p, pk, members, frozen_backbone=frozen)
+        def loss_fn(p, i):
+            comps, grads, _ = wstd_scene_loss(
+                p, packs[i], members, frozen_backbone=frozen
+            )
             return comps, grads
 
-        params = _train(
-            params, packs, loss_fn, cfg.wstd_epochs, cfg.optimizer,
-            substream(cfg.seed, "wstd", "order"), reports, "wstd",
+        order = _step_order(
+            substream(cfg.seed, "wstd", "order"), len(packs), cfg.wstd_epochs
         )
+        params = _train(params, loss_fn, order, cfg.optimizer, reports, "wstd")
     return [
         DetectorModel(
             backbone=Backbone(
@@ -1016,9 +1124,18 @@ def _cell_configs(
     return replace(cfg, seed=seed), world_cfg
 
 
-def _run_cells_for_seed(
+@dataclass
+class _SeedRun:
+    """The cells of one seed: their stage and world configs and reports."""
+
+    cfgs: tuple[StageConfig, ...]
+    world_cfgs: tuple[WorldConfig, ...]
+    reports: list[RunReport]
+
+
+def _plan_seed(
     experiment: Experiment, seed: int, overrides: dict[str, object]
-) -> list[RunReport]:
+) -> _SeedRun:
     cells = experiment.cells
     cfgs, world_cfgs = zip(*(_cell_configs(c, seed, overrides) for c in cells))
     reports = [
@@ -1034,6 +1151,17 @@ def _run_cells_for_seed(
         )
         for cell, cfg in zip(cells, cfgs)
     ]
+    return _SeedRun(cfgs, world_cfgs, reports)
+
+
+def _run_cells_for_seed(
+    experiment: Experiment,
+    run: _SeedRun,
+    source_model: Callable[[_SeedRun, int, World], DetectorModel],
+) -> list[RunReport]:
+    cells, cfgs, world_cfgs, reports = (
+        experiment.cells, run.cfgs, run.world_cfgs, run.reports
+    )
     cache: dict = {}
 
     def cached(key, build):
@@ -1071,13 +1199,10 @@ def _run_cells_for_seed(
         eval_scenes = cached(
             ("eval", world_cfg, cfg.eval_scenes),
             lambda: sample_scenes(
-                world, "target", "full", substream(seed, "eval"), cfg.eval_scenes
+                world, "target", "full", substream(cfg.seed, "eval"), cfg.eval_scenes
             ),
         )
-        source = cached(
-            ("source", world_cfg, _source_cache_key(cfg)),
-            lambda: train_source(world, cfg, report),
-        )
+        source = source_model(run, i, world)
         model = stage_model(
             i, "lstd", range(len(cells)), _lstd_sibling_key, _lstd_cache_key,
             lambda cs, rs: lstd_finetune(source, world, cs, rs),
@@ -1161,9 +1286,45 @@ def run_experiment(
         )
     experiment = EXPERIMENTS[name]
     seeds = tuple(experiment.default_seeds if seeds is None else seeds)
+    if not seeds:
+        raise ValueError("run_experiment needs at least one seed")
     overrides = overrides or {}
     started = time.perf_counter()
-    per_seed = [_run_cells_for_seed(experiment, s, overrides) for s in seeds]
+    runs = [_plan_seed(experiment, s, overrides) for s in seeds]
+    sources: dict = {}
+
+    def source_model(run: _SeedRun, i: int, world: World) -> DetectorModel:
+        """Cell i of ``run``'s source model.  When it is not trained yet, it
+        is trained in one lockstep group with every untrained source of
+        every seed's cells that has its sibling key: one member per
+        distinct cache key, whose curves go to the report of the first
+        cell of the first seed that uses it."""
+        key = (run.world_cfgs[i], _source_cache_key(run.cfgs[i]))
+        if key not in sources:
+            sibling = _source_sibling_key(run.world_cfgs[i], run.cfgs[i])
+            group: dict = {}
+            for other in runs:
+                for j, (cfg, world_cfg) in enumerate(zip(other.cfgs, other.world_cfgs)):
+                    member_key = (world_cfg, _source_cache_key(cfg))
+                    if (
+                        member_key not in sources
+                        and _source_sibling_key(world_cfg, cfg) == sibling
+                    ):
+                        group.setdefault(member_key, (other, j))
+            # Other seeds' worlds are built for the group and dropped after.
+            worlds = [
+                world if world_cfg == run.world_cfgs[i] else make_world(world_cfg)
+                for world_cfg, _ in group
+            ]
+            models = train_source(
+                worlds,
+                [other.cfgs[j] for other, j in group.values()],
+                [other.reports[j] for other, j in group.values()],
+            )
+            sources.update(zip(group, models))
+        return sources[key]
+
+    per_seed = [_run_cells_for_seed(experiment, run, source_model) for run in runs]
 
     reports = [
         per_seed[seed_index][cell_index]

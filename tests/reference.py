@@ -2,7 +2,8 @@
 
 Everything here is written with plain Python loops straight from the
 definitions: per-box ROI pooling, proposal labelling, greedy NMS, threshold-band
-pseudo-labelling, VOC matching and average precision.  Slow on purpose; nothing imports the package.
+pseudo-labelling and the shape of its output, per-block Adam, VOC matching
+and average precision.  Slow on purpose; nothing imports the package.
 """
 
 import numpy as np
@@ -116,6 +117,47 @@ def ref_label(scores, boxes, y_img, phi_obj, phi_bg, mode):
             if w > 0.0:
                 pseudo[bg, k] = w
     return pseudo
+
+
+def check_pseudo_matrix(pseudo):
+    """Validate pseudo labels: every column is all zero or holds a single
+    entry in (0, 1].  Returns the matrix as floats."""
+    pseudo = np.asarray(pseudo, dtype=float)
+    if pseudo.ndim != 2:
+        raise ValueError(f"pseudo matrix must be 2-D, got shape {pseudo.shape}")
+    if np.any(pseudo < 0):
+        raise ValueError("pseudo matrix has negative entries")
+    for k in range(pseudo.shape[1]):
+        nz = np.nonzero(pseudo[:, k])[0]
+        if nz.size > 1:
+            raise ValueError(f"pseudo column {k} has {nz.size} nonzero entries")
+        if nz.size == 1 and not (0.0 < pseudo[nz[0], k] <= 1.0):
+            raise ValueError(f"pseudo column {k} weight {pseudo[nz[0], k]} outside (0, 1]")
+    return pseudo
+
+
+def ref_adam_train(params, loss_fn, order, opt):
+    """Adam with one update per named parameter block, the learning rate
+    dropping once at 2/3 of the steps; returns the final blocks and each
+    step's loss components."""
+    params = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    decay_at = (2 * len(order)) // 3
+    history = []
+    for step, scene in enumerate(order):
+        comps, grads = loss_fn(params, scene)
+        history.append(comps)
+        lr = opt.learning_rate * (opt.lr_decay_factor if step >= decay_at else 1.0)
+        t = step + 1
+        for name, p in params.items():
+            g = grads[name] + opt.weight_decay * p
+            m[name] = opt.beta1 * m[name] + (1.0 - opt.beta1) * g
+            v[name] = opt.beta2 * v[name] + (1.0 - opt.beta2) * g * g
+            m_hat = m[name] / (1.0 - opt.beta1**t)
+            v_hat = v[name] / (1.0 - opt.beta2**t)
+            params[name] = p - lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    return params, history
 
 
 def ref_match(dets, gts, threshold):

@@ -405,6 +405,14 @@ def test_experiment_unknown_name_exits_5(tmp_path, capsys):
     assert "fig7, fig9, table3, table5, table6" in err
 
 
+@pytest.mark.parametrize("seeds", ["", "3:1"])
+def test_experiment_empty_seed_list_exits_2(tmp_path, capsys, seeds):
+    code = main(["experiment", "table3", "--seeds", seeds, "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "at least one seed" in capsys.readouterr().err
+    assert not (tmp_path / "table3.csv").exists()
+
+
 def test_experiment_runs_and_reproduces(tmp_path, capsys):
     argv = ["experiment", "fig7", "--seeds", "0"] + EXPERIMENT_ARGS
     assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0

@@ -4,14 +4,13 @@ import pytest
 from transferdet.geometry import BBox, iou, pairwise_iou
 from transferdet.labelling import (
     ROLConfig,
-    check_pseudo_matrix,
     mine_support,
     oicr_label,
     present_classes,
     top_proposal,
 )
 
-from reference import random_boxes, ref_label
+from reference import check_pseudo_matrix, random_boxes, ref_label
 
 CFG = ROLConfig()
 

@@ -264,6 +264,19 @@ def test_proposal_cls_loss_and_labels():
     assert value == pytest.approx(2 * math.log(3.0), abs=1e-12)
     with pytest.raises(ValueError):
         proposal_cls_loss(logits, np.array([0, 3]))
+    # one label row per member of a stack, and no other 2-D label shape
+    stacked = np.zeros((2, 3, 2))
+    values, _ = proposal_cls_loss(stacked, np.array([[0, 2], [1, 1]]))
+    assert values.shape == (2,)
+    for labels, logits_ in (
+        (np.array([[0, 2]]), logits),
+        (np.array([[0, 2], [1, 1], [0, 0]]), stacked),
+        (np.array([[0, 2, 1], [1, 1, 0]]), stacked),
+    ):
+        with pytest.raises(ValueError, match="does not match"):
+            proposal_cls_loss(logits_, labels)
+    with pytest.raises(ValueError, match="outside class range"):
+        proposal_cls_loss(stacked, np.array([[0, 2], [1, 3]]))
 
 
 # --- stage totals ----------------------------------------------------------------
@@ -491,6 +504,7 @@ def test_member_slices_equal_unstacked_calls(members, rows, cols, dim, seed):
     teacher = random_score_matrix(rng, rows, cols)
     flags = list(rng.uniform(size=members) < 0.5)
     labels = rng.integers(0, rows, size=cols)
+    label_rows = rng.integers(0, rows, size=(members, cols))
     y = (rng.uniform(size=rows - 1) < 0.5).astype(float)
     pseudo = rng.uniform(size=(members, rows, cols)) * (
         rng.uniform(size=(members, rows, cols)) < 0.3
@@ -505,6 +519,7 @@ def test_member_slices_equal_unstacked_calls(members, rows, cols, dim, seed):
         "backward": head_backward(weights, features, logits),
         "sdk": sdk_loss(teacher, logits, weighted=flags),
         "proposal": proposal_cls_loss(logits, labels),
+        "proposal_rows": proposal_cls_loss(logits, label_rows),
         "image": image_multilabel_loss(logits, y),
         "rol": rol_classifier_loss(logits, pseudo),
         "bd": bd_loss(grid, mask),
@@ -517,6 +532,7 @@ def test_member_slices_equal_unstacked_calls(members, rows, cols, dim, seed):
             "backward": head_backward(weights[m], features[m], logits[m]),
             "sdk": sdk_loss(teacher, logits[m], weighted=flags[m]),
             "proposal": proposal_cls_loss(logits[m], labels),
+            "proposal_rows": proposal_cls_loss(logits[m], label_rows[m]),
             "image": image_multilabel_loss(logits[m], y),
             "rol": rol_classifier_loss(logits[m], pseudo[m]),
             "bd": bd_loss(grid[m], mask),

@@ -11,6 +11,7 @@ from transferdet.model import (
     DetectorModel,
     Head,
     OptimizerConfig,
+    ParamLayout,
     adam_step,
     extract_sdk,
     head_backward,
@@ -274,22 +275,23 @@ def test_optimizer_config_pinned_defaults():
 def test_adam_step_matches_scalar_recurrence():
     rng = np.random.default_rng(12)
     cfg = OptimizerConfig()
-    params = {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
-    state = AdamState.for_params(params)
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(val) for k, val in params.items()}
-    current = {k: val.copy() for k, val in params.items()}
+    layout = ParamLayout.of({"w": np.zeros((3, 2)), "b": np.zeros(4)})
+    current = rng.standard_normal(10)
+    state = AdamState.zeros(10)
+    m = np.zeros(10)
+    v = np.zeros(10)
     for t in range(1, 6):
-        grads = {k: rng.standard_normal(val.shape) for k, val in current.items()}
-        new_params, state = adam_step(current, grads, state, cfg)
-        for k in current:
-            g = grads[k] + cfg.weight_decay * current[k]
-            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
-            v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g * g
-            m_hat = m[k] / (1 - cfg.beta1**t)
-            v_hat = v[k] / (1 - cfg.beta2**t)
-            expected = current[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-            assert np.allclose(new_params[k], expected, atol=1e-15)
+        grads = rng.standard_normal(10)
+        new_params, state = adam_step(current, grads, state, cfg, layout)
+        for i in range(10):
+            g = grads[i] + cfg.weight_decay * current[i]
+            m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+            v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
+            m_hat = m[i] / (1 - cfg.beta1**t)
+            v_hat = v[i] / (1 - cfg.beta2**t)
+            step = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            expected = current[i] - step
+            assert abs(new_params[i] - expected) <= 1e-15
         current = new_params
     assert state.step == 5
 
@@ -297,25 +299,57 @@ def test_adam_step_matches_scalar_recurrence():
 def test_adam_step_is_pure_and_supports_lr_override():
     rng = np.random.default_rng(13)
     cfg = OptimizerConfig()
-    params = {"w": rng.standard_normal(5)}
-    grads = {"w": rng.standard_normal(5)}
-    before = params["w"].copy()
-    state = AdamState.for_params(params)
-    fast, _ = adam_step(params, grads, state, cfg, learning_rate=2e-3)
-    assert np.array_equal(params["w"], before)
-    assert np.array_equal(state.m["w"], np.zeros(5))
-    slow, _ = adam_step(params, grads, state, cfg)
-    moved_fast = np.abs(fast["w"] - before)
-    moved_slow = np.abs(slow["w"] - before)
+    layout = ParamLayout.of({"w": np.zeros(5)})
+    params = rng.standard_normal(5)
+    grads = rng.standard_normal(5)
+    before = params.copy()
+    grads_before = grads.copy()
+    state = AdamState.zeros(5)
+    fast, _ = adam_step(params, grads, state, cfg, layout, learning_rate=2e-3)
+    assert np.array_equal(params, before)
+    assert np.array_equal(grads, grads_before)
+    assert np.array_equal(state.m, np.zeros(5)) and np.array_equal(state.v, np.zeros(5))
+    assert state.step == 0
+    slow, _ = adam_step(params, grads, state, cfg, layout)
+    moved_fast = np.abs(fast - before)
+    moved_slow = np.abs(slow - before)
     assert np.all(moved_fast > moved_slow)
 
 
 def test_adam_step_rejects_nonfinite_gradients():
     cfg = OptimizerConfig()
-    params = {"w": np.ones(3)}
-    grads = {"w": np.array([0.0, np.nan, 0.0])}
-    with pytest.raises(ValueError, match="non-finite gradient"):
-        adam_step(params, grads, AdamState.for_params(params), cfg)
+    layout = ParamLayout.of({"w": np.ones(3), "b": np.ones((2, 2))})
+    params = layout.flatten({"w": np.ones(3), "b": np.ones((2, 2))})
+    for bad, block in ((1, "w"), (3, "b"), (6, "b")):
+        grads = np.zeros(7)
+        grads[bad] = [np.nan, np.inf, -np.inf][bad % 3]
+        message = f"non-finite gradient in parameter block '{block}'"
+        with pytest.raises(ValueError, match=message):
+            adam_step(params, grads, AdamState.zeros(7), cfg, layout)
+
+
+def test_param_layout_views_share_one_buffer():
+    rng = np.random.default_rng(15)
+    blocks = {"a": rng.standard_normal((2, 3, 4)), "b": rng.standard_normal((5,)),
+              "c": rng.standard_normal((2, 1, 3))}
+    layout = ParamLayout.of(blocks)
+    assert layout.names == ("a", "b", "c")
+    assert layout.stops == (24, 29, 35)
+    buffer = layout.flatten(blocks)
+    assert buffer.shape == (35,) and buffer.flags.c_contiguous
+    views = layout.views(buffer)
+    for name, block in blocks.items():
+        assert views[name].shape == block.shape
+        assert np.array_equal(views[name], block)
+        assert np.shares_memory(views[name], buffer)
+    buffer[...] = 0.0
+    assert not any(views[name].any() for name in views)
+    assert [layout.block_at(i) for i in (0, 23, 24, 28, 29, 34)] == list("aabbcc")
+    # gradients shaped like the blocks, even non-contiguous ones, join in
+    # buffer order
+    grads = {"a": blocks["a"].transpose(0, 2, 1).copy().transpose(0, 2, 1),
+             "b": blocks["b"], "c": blocks["c"]}
+    assert np.array_equal(layout.flatten(grads), layout.flatten(blocks))
 
 
 def test_extract_sdk_returns_teacher_distributions():

@@ -33,6 +33,7 @@ from transferdet.pipeline import (
     evaluate_model,
     experiment_output_paths,
     lstd_finetune,
+    lstd_scene_loss,
     pack_lstd_scene,
     pack_weak_scenes,
     pack_wstd_scene,
@@ -56,7 +57,7 @@ from transferdet.synthworld import (
     substream,
 )
 
-from reference import ref_nms, ref_pool, ref_proposal_labels
+from reference import ref_adam_train, ref_nms, ref_pool, ref_proposal_labels
 
 # Short stage lengths keep each fixture under a second while still moving
 # every parameter block away from its initialization.
@@ -323,6 +324,108 @@ def test_train_source_report_curves(world):
     for key in ("source.total", "source.main"):
         assert len(report.curves[key]) == steps
         assert np.all(np.isfinite(report.curves[key]))
+
+
+def test_train_source_single_form_equals_list_form(world, source_model):
+    report, listed = RunReport(seed=TINY.seed), RunReport(seed=TINY.seed)
+    single = train_source(world, TINY, report)
+    (model,) = train_source([world], [TINY], [listed])
+    assert_same_params(model_params(single), model_params(model))
+    assert_same_params(model_params(single), model_params(source_model))
+    assert report.curves == listed.curves
+
+
+def test_source_scenes_drawn_one_at_a_time_match_one_draw(world):
+    cfg = replace(TINY, source_scenes=12)
+    scenes = sample_scenes(
+        world, "source", "full", substream(cfg.seed, "source", "scenes"), 12
+    )
+    packs = [pipeline.pack_source_scene(scene, world) for scene in scenes]
+    means, labels = pipeline._stacked_source_scenes(world, cfg)
+    assert np.array_equal(means, np.stack([p.raw_means for p in packs]))
+    assert np.array_equal(labels, np.stack([p.labels for p in packs]))
+
+
+def test_flat_adam_training_matches_per_block_adam(world, source_model):
+    # three parameter blocks of a two-member group, trained through one
+    # flat buffer, equal Adam run block by block, in every step's loss
+    cfgs = [TINY, replace(TINY, enable_bd=False, weights=LossWeights(lambda_sdk=2.0))]
+    members = Members.of(cfgs)
+    support = collect_class_scenes(
+        world, "target", "full", substream(TINY.seed, "lstd", "support"), 2
+    )
+    packs = [pack_lstd_scene(scene, world, source_model) for scene in support]
+    rng = np.random.default_rng(31)
+    columns = world.config.raw_dim + 1
+    params = {
+        "backbone": np.stack([source_model.backbone.map] * 2),
+        "main_head": 0.1 * rng.standard_normal(
+            (2, world.config.classes_in("target") + 1, columns)
+        ),
+        "sdk_head": 0.1 * rng.standard_normal(
+            (2, world.config.classes_in("source") + 1, columns)
+        ),
+    }
+    before = {name: p.copy() for name, p in params.items()}
+    order = rng.integers(0, len(packs), size=60)
+    opt = OptimizerConfig(learning_rate=5e-3)
+
+    def loss(p, i):
+        return lstd_scene_loss(p, packs[i], members)
+
+    reports = [RunReport(seed=0), RunReport(seed=1)]
+    got = pipeline._train(params, loss, order, opt, reports, "lstd")
+    want, history = ref_adam_train(params, loss, order, opt)
+    assert_same_params(params, before)
+    assert_same_params(got, want)
+    for m, report in enumerate(reports):
+        for key in history[0]:
+            want_curve = [float(comps[key][m]) for comps in history]
+            assert report.curves[f"lstd.{key}"] == want_curve, key
+
+
+@pytest.mark.parametrize("k", [16, 32, 64])
+def test_train_source_lockstep_matches_single_trainings(k):
+    # one member per seed, each on its own world
+    cfgs = [replace(TINY, seed=s) for s in (11, 12, 13)]
+    worlds = {
+        cfg.seed: make_world(WorldConfig(seed=cfg.seed, proposals_per_scene=k))
+        for cfg in cfgs
+    }
+
+    def train(group, reports):
+        return train_source([worlds[c.seed] for c in group], group, reports)
+
+    for count in (1, 2, 3):
+        assert_lockstep_matches_singles(train, cfgs[:count])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("proposals_per_scene", 16),
+        ("source_epochs", 5),
+        ("source_scenes", 41),
+        ("optimizer", OptimizerConfig(learning_rate=1e-3)),
+        ("weights.lambda_main", 2.0),
+    ],
+)
+def test_train_source_rejects_non_siblings(world, field, value):
+    other_world = make_world(WorldConfig(seed=12))
+    other = replace(TINY, seed=12)
+    if field == "proposals_per_scene":
+        other_world = make_world(WorldConfig(seed=12, proposals_per_scene=value))
+    else:
+        other = apply_overrides(other, {field: value})
+    with pytest.raises(ValueError, match="not siblings"):
+        train_source([world, other_world], [TINY, other])
+
+
+def test_train_source_group_needs_one_world_each(world):
+    with pytest.raises(ValueError, match="1 worlds for 2 configs"):
+        train_source([world], [TINY, replace(TINY, seed=12)])
+    with pytest.raises(ValueError, match="at least one config"):
+        train_source([], [])
 
 
 def test_lstd_requires_source_and_shots(world):
@@ -872,6 +975,48 @@ def test_runner_trains_sibling_cells_in_one_call(tmp_path, monkeypatch, name, ex
         assert (report.per_class_aps, report.mean_ap) == evaluate_model(
             model, eval_scenes, cell.classifier
         ), cell.cell_id
+
+
+def _report_fields(report):
+    fields = dict(vars(report))
+    del fields["wall_clock"]
+    return fields
+
+
+@pytest.mark.parametrize("name, calls", [("table3", 1), ("fig9", 3)])
+def test_runner_trains_every_seeds_source_in_one_call(
+    tmp_path, monkeypatch, name, calls
+):
+    # table3 has one world, fig9 three: one source group per world for
+    # both seeds.  Every report equals its seed run alone, curves included.
+    groups = []
+    original = pipeline.train_source
+
+    def counting(worlds, cfgs, reports=None):
+        groups.append([cfg.seed for cfg in cfgs])
+        return original(worlds, cfgs, reports)
+
+    monkeypatch.setattr(pipeline, "train_source", counting)
+    reports = run_experiment(name, seeds=[0, 1], out_dir=tmp_path / "both",
+                             overrides=SMOKE_OVERRIDES)
+    monkeypatch.undo()
+    assert groups == [[0, 1]] * calls
+
+    for seed in (0, 1):
+        alone = run_experiment(name, seeds=[seed], out_dir=tmp_path / str(seed),
+                               overrides=SMOKE_OVERRIDES)
+        together = [r for r in reports if r.seed == seed]
+        assert [_report_fields(r) for r in together] == [
+            _report_fields(r) for r in alone
+        ]
+        assert sum("source.total" in r.curves for r in together) == calls
+
+
+def test_repeated_seed_gives_identical_rows(tmp_path):
+    run_experiment("table3", seeds=[0, 0], out_dir=tmp_path, overrides=SMOKE_OVERRIDES)
+    rows = (tmp_path / "table3.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 2 * len(EXPERIMENTS["table3"].cells)
+    assert rows[0::2] == rows[1::2]
 
 
 def test_constants_pinned():
