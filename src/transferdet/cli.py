@@ -5,12 +5,21 @@ Subcommands: ``world`` (generate a benchmark), ``train`` (one stage),
 ``gradcheck`` (finite-difference audit of every loss and of each stage's
 scene loss end to end).  Exit codes: 2 bad configuration, 3 missing
 input, 4 malformed data, 5 unknown experiment, 6 gradient-check failure.
+
+``world``, ``train`` and ``experiment`` take config overrides as
+``key=value`` lines of a ``--config`` file, then repeatable ``--set``
+options; a later value of a key wins.  Dotted keys reach nested fields
+(``rol.phi_obj=0.4``).  A value is typed by its field: a boolean word
+(1/true/yes/on, 0/false/no/off), an int, a float, or for
+``objects_per_scene`` two ints split on ``,`` or ``:``.  An unknown field,
+a whole config group (``weights``, ``rol``, ``optimizer``) or a value the
+field rejects exits 2 before any work.  Seeds come only from ``--seed``
+(``--seeds`` for ``experiment``), never from an override.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import secrets
@@ -40,6 +49,7 @@ from .losses import (
 from .model import load_model, save_model
 from .numerics import grad_check
 from .pipeline import (
+    EXPERIMENTS,
     RunReport,
     StageConfig,
     ScenePack,
@@ -83,53 +93,6 @@ class CliError(Exception):
 # --- configuration plumbing ---------------------------------------------------
 
 
-def _coerce_value(raw: str, annotation: str):
-    ann = annotation.strip()
-    if ann == "bool":
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    if ann == "int":
-        return int(raw)
-    if ann == "float":
-        return float(raw)
-    if ann.startswith("tuple"):
-        parts = [p for p in raw.replace(":", ",").split(",") if p.strip()]
-        return tuple(int(p) for p in parts)
-    return raw
-
-
-def _field_annotation(default_obj, dotted: str) -> str:
-    obj = default_obj
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not hasattr(obj, part):
-            raise ValueError(f"unknown config field {dotted!r}")
-        obj = getattr(obj, part)
-    for f in dataclasses.fields(type(obj)):
-        if f.name == parts[-1]:
-            return str(f.type)
-    raise ValueError(f"unknown config field {dotted!r}")
-
-
-def parse_overrides(pairs, default_obj) -> dict[str, object]:
-    """Turn ``key=value`` strings into typed override values."""
-    overrides: dict[str, object] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ValueError(f"expected key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        key = key.strip()
-        try:
-            overrides[key] = _coerce_value(raw.strip(), _field_annotation(default_obj, key))
-        except ValueError as exc:
-            raise ValueError(f"config field {key!r}: {exc}")
-    return overrides
-
-
 def _read_config_file(path) -> list[str]:
     lines = []
     for ln in Path(path).read_text().splitlines():
@@ -139,14 +102,22 @@ def _read_config_file(path) -> list[str]:
     return lines
 
 
-def _gather_overrides(args, default_obj) -> dict[str, object]:
+def _gather_overrides(args) -> dict[str, str]:
+    """The ``--config`` file's lines, then the ``--set`` values, as
+    ``{key: raw value}``; :func:`apply_overrides` types and checks them."""
     pairs: list[str] = []
     if args.config:
         if not Path(args.config).exists():
             raise CliError(EXIT_MISSING_INPUT, f"config file not found: {args.config}")
         pairs.extend(_read_config_file(args.config))
     pairs.extend(args.set or [])
-    return parse_overrides(pairs, default_obj)
+    overrides: dict[str, str] = {}
+    for pair in pairs:
+        if "=" not in pair:
+            raise ValueError(f"expected key=value, got {pair!r}")
+        key, raw = pair.split("=", 1)
+        overrides[key.strip()] = raw.strip()
+    return overrides
 
 
 def _resolve_seed(args) -> int:
@@ -204,9 +175,8 @@ def _require_input(path, what: str) -> Path:
 
 def cmd_world(args) -> int:
     started = time.perf_counter()
-    overrides = _gather_overrides(args, WorldConfig())
     seed = _resolve_seed(args)
-    cfg = replace(apply_overrides(WorldConfig(), overrides), seed=seed)
+    cfg = replace(apply_overrides(WorldConfig(), _gather_overrides(args)), seed=seed)
     world = make_world(cfg)
     scenes = sample_scenes(
         world, args.domain, args.mode, substream(seed, "cli", "scenes"), args.count
@@ -243,18 +213,8 @@ def _load_checkpoint(path, what: str):
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    overrides = _gather_overrides(args, StageConfig())
     seed = _resolve_seed(args)
-    cfg = replace(apply_overrides(StageConfig(), overrides), seed=seed)
-    if args.shots is not None:
-        cfg = replace(cfg, shots_per_class=args.shots)
-    if args.weak_scenes is not None:
-        cfg = replace(cfg, weak_scenes_per_class=args.weak_scenes)
-    if args.labeller is not None:
-        cfg = replace(cfg, labeller=args.labeller)
-    if args.epochs is not None:
-        cfg = replace(cfg, **{f"{args.stage}_epochs": args.epochs})
-
+    cfg = replace(apply_overrides(StageConfig(), _gather_overrides(args)), seed=seed)
     world = _load_world_arg(args, seed)
     report = RunReport(seed=seed, stage=args.stage)
     if args.stage == "source":
@@ -319,7 +279,8 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     started = time.perf_counter()
-    overrides = _gather_overrides(args, StageConfig())
+    overrides = _gather_overrides(args)
+    apply_overrides(StageConfig(), overrides)  # a bad override fails before any work
     seeds = _parse_seeds(args.seeds)
     out = Path(args.out_dir)
     try:
@@ -329,8 +290,9 @@ def cmd_experiment(args) -> int:
     except UnknownExperimentError as exc:
         raise CliError(EXIT_UNKNOWN_EXPERIMENT, str(exc))
     paths = experiment_output_paths(args.name, out)
-    used_seeds = sorted({r.seed for r in reports})
-    _write_manifest(args, out, used_seeds, list(paths.values()), started)
+    if seeds is None:
+        seeds = list(EXPERIMENTS[args.name].default_seeds)
+    _write_manifest(args, out, seeds, list(paths.values()), started)
     by_cell: dict[str, list[float]] = {}
     for r in reports:
         by_cell.setdefault(r.cell_id, []).append(r.mean_ap)
@@ -564,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
-        help="config override, repeatable; dotted keys reach nested fields",
+        help="config override, repeatable; dotted keys reach nested fields, "
+             "the value is typed by its field (bool word, int, float, ints "
+             "split on , or :); seeds come only from --seed/--seeds",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -580,10 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--world", help="world file (defaults to seed-built world)")
     p_train.add_argument("--source-model", help="source checkpoint (lstd)")
     p_train.add_argument("--warmup-model", help="warm-up checkpoint (wstd)")
-    p_train.add_argument("--shots", type=int, default=None)
-    p_train.add_argument("--weak-scenes", type=int, default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--labeller", choices=("rol", "oicr"), default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", parents=[common],

@@ -147,39 +147,25 @@ def sdk_loss(
     return value, grad
 
 
-def _image_logits(classifier1_logits: np.ndarray) -> np.ndarray:
-    """Per-class logit sums over proposals, object rows only."""
-    logits = np.asarray(classifier1_logits, dtype=float)
-    if logits.ndim < 2 or logits.shape[-2] < 2:
-        raise ValueError(f"expected (C+1) x K logits, got shape {logits.shape}")
-    if logits.shape[-1] == 0:
-        raise ValueError("image score needs at least one proposal")
-    return logits[..., :-1, :].sum(axis=-1)
-
-
-def image_score(classifier1_logits: np.ndarray) -> np.ndarray:
-    """Per-class image score: sigmoid of logit sums over proposals.
-
-    Only the object rows contribute; the trailing background row is
-    excluded from the returned vector.
-    """
-    return sigmoid(_image_logits(classifier1_logits))
-
-
 def image_multilabel_loss(
     classifier1_logits: np.ndarray, y_img: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Binary cross entropy between image scores and the image label vector,
     differentiated to the classifier logits.
 
-    With z the per-class logit sums of :func:`image_score`, the value is
-    ``sum(softplus(z) - y * z)``, which equals
-    ``-sum(y log p + (1 - y) log(1 - p))`` for ``p = sigmoid(z)`` but stays
-    exact where p saturates.  The gradient with respect to logit (c, k)
-    collapses to p_c - y_c for object rows and zero for the background row.
+    With z the per-class logit sums over proposals, object rows only (the
+    trailing background row is left out), the image scores are
+    ``p = sigmoid(z)`` and the value is ``sum(softplus(z) - y * z)``, which
+    equals ``-sum(y log p + (1 - y) log(1 - p))`` but stays exact where p
+    saturates.  The gradient with respect to logit (c, k) collapses to
+    p_c - y_c for object rows and zero for the background row.
     """
     logits = np.asarray(classifier1_logits, dtype=float)
-    z = _image_logits(logits)
+    if logits.ndim < 2 or logits.shape[-2] < 2:
+        raise ValueError(f"expected (C+1) x K logits, got shape {logits.shape}")
+    if logits.shape[-1] == 0:
+        raise ValueError("image score needs at least one proposal")
+    z = logits[..., :-1, :].sum(axis=-1)
     y = np.asarray(y_img, dtype=float)
     if z.shape[-1:] != y.shape:
         raise ValueError(f"score shape {z.shape} != label shape {y.shape}")

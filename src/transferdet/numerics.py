@@ -26,16 +26,6 @@ class GradCheckReport:
     passed: bool
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax of a 1-D logit vector, stable under large magnitudes."""
-    logits = np.asarray(logits, dtype=float)
-    if not np.isfinite(logits).all():
-        raise ValueError("softmax requires finite logits")
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def column_softmax(logits: np.ndarray) -> np.ndarray:
     """Per-column softmax of a logit matrix, or of a stack of them.
 

@@ -29,9 +29,9 @@ member's own scene at each step.  The runner trains, in one call, every
 untrained source of all requested seeds that shares a sibling key; the
 group's time, the other seeds' world builds included, goes to the
 ``wall_clock`` of the cell that first needs one of its sources, a cell of
-the first seed.  Only these source models outlive their seed: worlds,
-eval scenes and the later stages' models and packs are dropped before the
-next seed starts.
+the first seed.  Every stage's models outlive their seed, so a repeated
+seed trains nothing twice; worlds, eval scenes and packs are dropped
+before the next seed starts.
 
 Each training keeps its parameters as views into one flat buffer, so one
 Adam step per scene updates every block of every member (see
@@ -665,6 +665,17 @@ def _wstd_cache_key(cfg: StageConfig):
     )
 
 
+# The experiment runner's keys per stage, over a cell's world config and
+# stage config: the cache key (with the world config it names a model) and
+# the sibling key of a runner group.  Source groups span seeds; the later
+# stages' sibling keys hold the seed, so their groups stay within one.
+_RUNNER_KEYS = {
+    "source": (_source_cache_key, _source_sibling_key),
+    "lstd": (_lstd_cache_key, lambda world_cfg, cfg: (world_cfg, _lstd_sibling_key(cfg))),
+    "wstd": (_wstd_cache_key, lambda world_cfg, cfg: (world_cfg, _wstd_sibling_key(cfg))),
+}
+
+
 def _group(
     stage: str,
     cfgs: Sequence[StageConfig],
@@ -1095,24 +1106,60 @@ def _build_registry() -> dict[str, Experiment]:
 EXPERIMENTS = _build_registry()
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def apply_overrides(cfg, overrides: dict[str, object]):
-    """Replace (possibly dotted) fields on a frozen config dataclass."""
+    """``cfg`` with each ``{"a.b": value}`` override applied.
+
+    A dotted key reaches a field of a nested config group.  A string value
+    is coerced by the type of the field's current value: a boolean word
+    (1/true/yes/on, 0/false/no/off), an int, a float, or an int tuple split
+    on ``,`` or ``:``; a string field takes it as it is.  Any other value
+    is set unchanged.  Raises ``ValueError`` naming the key for an unknown
+    field, a path through a field that is not a config group, a value for a
+    whole group, ``seed`` (a run's seed is given apart from its config),
+    and a value the field or its config rejects.
+    """
     for key, value in overrides.items():
+        if key == "seed":
+            raise ValueError(
+                "config field 'seed' cannot be overridden; give --seed or --seeds"
+            )
         parts = key.split(".")
+        chain = [cfg]  # the configs along the dotted path
+        for part in parts:
+            obj = chain[-1]
+            if not (
+                dataclasses.is_dataclass(obj)
+                and part in {f.name for f in dataclasses.fields(obj)}
+            ):
+                raise ValueError(f"unknown config field {key!r}")
+            chain.append(getattr(obj, part))
+        current = chain.pop()
+        if dataclasses.is_dataclass(current):
+            raise ValueError(
+                f"config field {key!r} is a group; set its fields as {key}.<name>"
+            )
         try:
-            cfg = _replace_path(cfg, parts, value)
-        except TypeError:
-            raise ValueError(f"unknown config field {key!r}")
+            if isinstance(value, str) and isinstance(current, bool):
+                if value.lower() not in _BOOL_WORDS:
+                    raise ValueError(f"expected a boolean, got {value!r}")
+                value = _BOOL_WORDS[value.lower()]
+            elif isinstance(value, str) and isinstance(current, tuple):
+                items = value.replace(":", ",").split(",")
+                value = tuple(int(item) for item in items if item.strip())
+            elif isinstance(value, str) and isinstance(current, (int, float)):
+                value = type(current)(value)
+            for obj, part in zip(reversed(chain), reversed(parts)):
+                value = replace(obj, **{part: value})
+        except ValueError as exc:
+            raise ValueError(f"config field {key!r}: {exc}") from None
+        cfg = value
     return cfg
-
-
-def _replace_path(obj, parts: list[str], value):
-    if len(parts) == 1:
-        return replace(obj, **{parts[0]: value})
-    child = getattr(obj, parts[0], None)
-    if child is None or not dataclasses.is_dataclass(child):
-        raise TypeError(parts[0])
-    return replace(obj, **{parts[0]: _replace_path(child, parts[1:], value)})
 
 
 def _cell_configs(
@@ -1157,41 +1204,18 @@ def _plan_seed(
 def _run_cells_for_seed(
     experiment: Experiment,
     run: _SeedRun,
-    source_model: Callable[[_SeedRun, int, World], DetectorModel],
+    trained: Callable[..., DetectorModel],
 ) -> list[RunReport]:
     cells, cfgs, world_cfgs, reports = (
         experiment.cells, run.cfgs, run.world_cfgs, run.reports
     )
-    cache: dict = {}
+    cache: dict = {}  # this seed's worlds and eval scenes
 
     def cached(key, build):
         if key not in cache:
             cache[key] = build()
         return cache[key]
 
-    def stage_model(i, stage, users, sibling_key, cache_key, train):
-        """Cell i's model of ``stage``.  When it is not cached yet, it is
-        trained in one lockstep group with the uncached models of every
-        cell in ``users`` on the same world with the same sibling key: one
-        member per distinct cache key, whose curves go to the report of
-        the first cell that uses it."""
-        key = (stage, world_cfgs[i], cache_key(cfgs[i]))
-        if key not in cache:
-            group: dict = {}
-            for j in users:
-                member_key = (stage, world_cfgs[j], cache_key(cfgs[j]))
-                if (
-                    member_key not in cache
-                    and world_cfgs[j] == world_cfgs[i]
-                    and sibling_key(cfgs[j]) == sibling_key(cfgs[i])
-                ):
-                    group.setdefault(member_key, j)
-            members = list(group.values())
-            models = train([cfgs[j] for j in members], [reports[j] for j in members])
-            cache.update(zip(group, models))
-        return cache[key]
-
-    weak_cells = [j for j, cell in enumerate(cells) if cell.stage == "wstd"]
     for i, cell in enumerate(cells):
         started = time.perf_counter()
         cfg, world_cfg, report = cfgs[i], world_cfgs[i], reports[i]
@@ -1202,16 +1226,17 @@ def _run_cells_for_seed(
                 world, "target", "full", substream(cfg.seed, "eval"), cfg.eval_scenes
             ),
         )
-        source = source_model(run, i, world)
-        model = stage_model(
-            i, "lstd", range(len(cells)), _lstd_sibling_key, _lstd_cache_key,
-            lambda cs, rs: lstd_finetune(source, world, cs, rs),
+        # Other seeds' worlds are built for a source group and dropped after.
+        source = trained("source", run, i, lambda member_worlds, cs, rs: train_source(
+            [world if w == world_cfg else make_world(w) for w in member_worlds], cs, rs
+        ))
+        model = trained(
+            "lstd", run, i, lambda _, cs, rs: lstd_finetune(source, world, cs, rs)
         )
         if cell.stage == "wstd":
             warmup = model
-            model = stage_model(
-                i, "wstd", weak_cells, _wstd_sibling_key, _wstd_cache_key,
-                lambda cs, rs: wstd_train(warmup, world, cs, rs),
+            model = trained(
+                "wstd", run, i, lambda _, cs, rs: wstd_train(warmup, world, cs, rs)
             )
         per_class, map_value = evaluate_model(
             model, eval_scenes, classifier=cell.classifier
@@ -1291,40 +1316,39 @@ def run_experiment(
     overrides = overrides or {}
     started = time.perf_counter()
     runs = [_plan_seed(experiment, s, overrides) for s in seeds]
-    sources: dict = {}
+    models: dict = {}
 
-    def source_model(run: _SeedRun, i: int, world: World) -> DetectorModel:
-        """Cell i of ``run``'s source model.  When it is not trained yet, it
-        is trained in one lockstep group with every untrained source of
-        every seed's cells that has its sibling key: one member per
-        distinct cache key, whose curves go to the report of the first
-        cell of the first seed that uses it."""
-        key = (run.world_cfgs[i], _source_cache_key(run.cfgs[i]))
-        if key not in sources:
-            sibling = _source_sibling_key(run.world_cfgs[i], run.cfgs[i])
+    def trained(stage: str, run: _SeedRun, i: int, train) -> DetectorModel:
+        """Cell i of ``run``'s model of ``stage``.  When it is not trained
+        yet, it is trained in one lockstep group with every untrained model
+        of ``stage`` that a cell of any seed needs and that shares its
+        runner sibling key: one member per distinct cache key, whose curves
+        go to the report of the first cell of the first seed that uses it.
+        ``train(world_cfgs, cfgs, reports)`` trains the members."""
+        cache_key, sibling_key = _RUNNER_KEYS[stage]
+        key = (stage, run.world_cfgs[i], cache_key(run.cfgs[i]))
+        if key not in models:
+            sibling = sibling_key(run.world_cfgs[i], run.cfgs[i])
             group: dict = {}
             for other in runs:
-                for j, (cfg, world_cfg) in enumerate(zip(other.cfgs, other.world_cfgs)):
-                    member_key = (world_cfg, _source_cache_key(cfg))
+                for j, cell in enumerate(experiment.cells):
+                    world_cfg, cfg = other.world_cfgs[j], other.cfgs[j]
+                    member_key = (stage, world_cfg, cache_key(cfg))
                     if (
-                        member_key not in sources
-                        and _source_sibling_key(world_cfg, cfg) == sibling
+                        (stage != "wstd" or cell.stage == "wstd")
+                        and member_key not in models
+                        and sibling_key(world_cfg, cfg) == sibling
                     ):
                         group.setdefault(member_key, (other, j))
-            # Other seeds' worlds are built for the group and dropped after.
-            worlds = [
-                world if world_cfg == run.world_cfgs[i] else make_world(world_cfg)
-                for world_cfg, _ in group
-            ]
-            models = train_source(
-                worlds,
-                [other.cfgs[j] for other, j in group.values()],
-                [other.reports[j] for other, j in group.values()],
-            )
-            sources.update(zip(group, models))
-        return sources[key]
+            members = list(group.values())
+            models.update(zip(group, train(
+                [other.world_cfgs[j] for other, j in members],
+                [other.cfgs[j] for other, j in members],
+                [other.reports[j] for other, j in members],
+            )))
+        return models[key]
 
-    per_seed = [_run_cells_for_seed(experiment, run, source_model) for run in runs]
+    per_seed = [_run_cells_for_seed(experiment, run, trained) for run in runs]
 
     reports = [
         per_seed[seed_index][cell_index]
@@ -1345,13 +1369,13 @@ def run_experiment(
         "description": experiment.description,
         "artifact_version": __version__,
         "seeds": list(seeds),
-        "overrides": {k: repr(v) for k, v in overrides.items()},
+        "overrides": {k: str(v) for k, v in overrides.items()},
         "cells": [
             {
                 "cell": c.cell_id,
                 "stage": c.stage,
-                "overrides": {k: repr(v) for k, v in c.overrides},
-                "world_overrides": {k: repr(v) for k, v in c.world_overrides},
+                "overrides": {k: str(v) for k, v in c.overrides},
+                "world_overrides": {k: str(v) for k, v in c.world_overrides},
                 "classifier": c.classifier,
             }
             for c in experiment.cells

@@ -3,6 +3,7 @@ layout, byte determinism, and the documented exit-code partition."""
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +18,21 @@ from transferdet.cli import (
     EXIT_MISSING_INPUT,
     EXIT_UNKNOWN_EXPERIMENT,
     GRADCHECKS,
+    _gather_overrides,
     _parse_seeds,
+    build_parser,
     main,
-    parse_overrides,
     run_gradcheck_suite,
 )
 from transferdet.evaluation import Detection, write_detections_csv
 from transferdet.geometry import BBox
 from transferdet.model import load_model
-from transferdet.pipeline import StageConfig
+from transferdet.pipeline import EXPERIMENTS, StageConfig, apply_overrides
 from transferdet.synthworld import Scene, WorldConfig, make_world, save_scenes
 
-# Every stage length is pinned tiny through flags, so these tests never
-# depend on the production training defaults.
-SOURCE_ARGS = ["--epochs", "2", "--set", "source_scenes=20"]
+# Every stage length is pinned tiny through overrides, so these tests
+# never depend on the production training defaults.
+SOURCE_ARGS = ["--set", "source_epochs=2", "--set", "source_scenes=20"]
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +43,8 @@ def train_root(tmp_path_factory):
         + SOURCE_ARGS
     ) == 0
     assert main([
-        "train", "lstd", "--seed", "7", "--shots", "1", "--epochs", "5",
+        "train", "lstd", "--seed", "7",
+        "--set", "shots_per_class=1", "--set", "lstd_epochs=5",
         "--source-model", str(root / "source" / "source_model.txt"),
         "--out-dir", str(root / "lstd"),
     ]) == 0
@@ -61,20 +64,64 @@ def test_parse_seeds():
     assert _parse_seeds("4, 1,9") == [4, 1, 9]
 
 
-def test_parse_overrides_types():
-    got = parse_overrides(
-        ["shots_per_class=4", "rol.phi_obj=0.45", "enable_bd=false"],
-        StageConfig(),
-    )
-    assert got == {
-        "shots_per_class": 4, "rol.phi_obj": 0.45, "enable_bd": False
+def test_parse_overrides_types(tmp_path):
+    # The CLI splits each line at its first '='; apply_overrides types it.
+    cfg_file = tmp_path / "stage.cfg"
+    cfg_file.write_text("# comment\n shots_per_class = 2\nlabeller=oicr\n")
+    args = build_parser().parse_args([
+        "train", "source", "--config", str(cfg_file),
+        "--set", "shots_per_class=4", "--set", "rol.phi_obj=0.45",
+        "--set", "enable_bd=false",
+    ])
+    raw = _gather_overrides(args)
+    assert raw == {
+        "shots_per_class": "4", "labeller": "oicr", "rol.phi_obj": "0.45",
+        "enable_bd": "false",
     }
+    cfg = apply_overrides(StageConfig(), raw)
+    assert (cfg.shots_per_class, cfg.labeller, cfg.rol.phi_obj, cfg.enable_bd) == (
+        4, "oicr", 0.45, False
+    )
+    args = build_parser().parse_args(["world", "--set", "shots_per_class"])
     with pytest.raises(ValueError, match="expected key=value"):
-        parse_overrides(["shots_per_class"], StageConfig())
-    with pytest.raises(ValueError, match="unknown config field"):
-        parse_overrides(["bogus=1"], StageConfig())
-    with pytest.raises(ValueError, match="'enable_bd'"):
-        parse_overrides(["enable_bd=maybe"], StageConfig())
+        _gather_overrides(args)
+
+
+# Each malformed override, the offending key, which stderr must name.
+BAD_OVERRIDES = [
+    ("seed.x=1", "seed.x"),
+    ("weights=1", "weights"),
+    ("optimizer=x", "optimizer"),
+    ("rol.bogus=1", "rol.bogus"),
+    ("seed=5", "seed"),
+    ("objects_per_scene=a", "objects_per_scene"),
+    ("enable_bd=maybe", "enable_bd"),
+    ("shots_per_class", "shots_per_class"),
+]
+
+OVERRIDE_COMMANDS = {
+    "world": ["world", "--seed", "1", "--count", "1"],
+    "train": ["train", "source", "--seed", "1"],
+    "experiment": ["experiment", "table3", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize("line, key", BAD_OVERRIDES)
+@pytest.mark.parametrize("command", sorted(OVERRIDE_COMMANDS))
+def test_malformed_override_exits_2(tmp_path, capsys, command, line, key, via):
+    if via == "set":
+        extra = ["--set", line]
+    else:
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n")
+        extra = ["--config", str(cfg_file)]
+    out = tmp_path / "out"
+    code = main(OVERRIDE_COMMANDS[command] + extra + ["--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+    assert not out.exists()  # rejected before any work
 
 
 # --- world ---------------------------------------------------------------
@@ -177,7 +224,8 @@ def test_train_truncated_source_checkpoint_exits_4(tmp_path, train_root, capsys)
     truncated = tmp_path / "source_model.txt"
     truncated.write_text("\n".join(lines[:-1]) + "\n")
     code = main([
-        "train", "lstd", "--seed", "7", "--shots", "1", "--epochs", "1",
+        "train", "lstd", "--seed", "7",
+        "--set", "shots_per_class=1", "--set", "lstd_epochs=1",
         "--source-model", str(truncated), "--out-dir", str(tmp_path / "lstd"),
     ])
     assert code == EXIT_MALFORMED
@@ -186,8 +234,8 @@ def test_train_truncated_source_checkpoint_exits_4(tmp_path, train_root, capsys)
 
 def test_train_wstd_zero_epochs_keeps_input_params(tmp_path, train_root):
     assert main([
-        "train", "wstd", "--seed", "7", "--epochs", "0",
-        "--weak-scenes", "2", "--warmup-model", warmup_path(train_root),
+        "train", "wstd", "--seed", "7", "--set", "wstd_epochs=0",
+        "--set", "weak_scenes_per_class=2", "--warmup-model", warmup_path(train_root),
         "--out-dir", str(tmp_path),
     ]) == 0
     warm = load_model(warmup_path(train_root))
@@ -202,8 +250,8 @@ def test_train_wstd_zero_epochs_keeps_input_params(tmp_path, train_root):
 def test_train_wstd_labeller_flag(tmp_path, train_root):
     for labeller in ("rol", "oicr"):
         assert main([
-            "train", "wstd", "--seed", "7", "--epochs", "1",
-            "--weak-scenes", "2", "--labeller", labeller,
+            "train", "wstd", "--seed", "7", "--set", "wstd_epochs=1",
+            "--set", "weak_scenes_per_class=2", "--set", f"labeller={labeller}",
             "--warmup-model", warmup_path(train_root),
             "--out-dir", str(tmp_path / labeller),
         ]) == 0
@@ -430,6 +478,20 @@ def test_experiment_runs_and_reproduces(tmp_path, capsys):
         ).read_bytes()
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["seeds"] == [0]
+    fig7 = json.loads((tmp_path / "a" / "fig7_manifest.json").read_text())
+    assert fig7["seeds"] == manifest["seeds"]
+
+
+@pytest.mark.parametrize("seeds, expected", [("0,0", [0, 0]), (None, [1, 0])])
+def test_experiment_manifests_agree_on_seeds(tmp_path, monkeypatch, seeds, expected):
+    # Both manifests list the seeds as run, the defaults when none are given.
+    monkeypatch.setitem(
+        EXPERIMENTS, "table3", replace(EXPERIMENTS["table3"], default_seeds=(1, 0))
+    )
+    argv = ["experiment", "table3", "--out-dir", str(tmp_path)] + EXPERIMENT_ARGS
+    assert main(argv + (["--seeds", seeds] if seeds else [])) == 0
+    for name in ("manifest.json", "table3_manifest.json"):
+        assert json.loads((tmp_path / name).read_text())["seeds"] == expected
 
 
 # --- gradcheck -----------------------------------------------------------

@@ -12,7 +12,6 @@ from transferdet.losses import (
     bd_mask,
     check_score_matrix,
     image_multilabel_loss,
-    image_score,
     proposal_cls_loss,
     rol_classifier_loss,
     sdk_loss,
@@ -145,34 +144,45 @@ def test_sdk_loss_minimum_at_teacher():
 # --- image-level losses ---------------------------------------------------------
 
 
+# The image score p = sigmoid(z) of the object rows' logit sums z shows in
+# the multilabel gradient: with all-zero labels, each column of object row
+# c carries p_c.
+
+
 def test_image_score_zero_logits():
-    np.testing.assert_allclose(image_score(np.zeros((4, 3))), 0.5)
+    value, grad = image_multilabel_loss(np.zeros((4, 3)), np.zeros(3))
+    np.testing.assert_allclose(grad[:-1], 0.5)
+    assert value == pytest.approx(3 * LN2, abs=1e-12)
 
 
 def test_image_score_single_proposal():
     logits = np.zeros((3, 1))
     logits[1, 0] = 1.7
-    scores = image_score(logits)
-    assert scores[1] == pytest.approx(sigmoid(1.7), abs=1e-15)
-    assert scores[0] == 0.5
+    _, grad = image_multilabel_loss(logits, np.zeros(2))
+    assert grad[1, 0] == pytest.approx(sigmoid(1.7), abs=1e-15)
+    assert grad[0, 0] == 0.5
 
 
 def test_image_score_sums_logits():
     logits = np.zeros((2, 2))
     logits[0] = [1.0, 2.0]
-    assert image_score(logits)[0] == pytest.approx(sigmoid(3.0), abs=1e-15)
+    _, grad = image_multilabel_loss(logits, np.zeros(1))
+    np.testing.assert_allclose(grad[0], sigmoid(3.0), atol=1e-15)
 
 
 def test_image_score_excludes_background_row():
     logits = np.zeros((3, 2))
     logits[2] = [9.0, 9.0]
-    assert image_score(logits).shape == (2,)
-    np.testing.assert_allclose(image_score(logits), 0.5)
+    with pytest.raises(ValueError, match="label shape"):
+        image_multilabel_loss(logits, np.zeros(3))
+    value, grad = image_multilabel_loss(logits, np.zeros(2))
+    np.testing.assert_allclose(grad[:-1], 0.5)
+    assert value == pytest.approx(2 * LN2, abs=1e-12)
 
 
 def test_image_score_no_proposals():
-    with pytest.raises(ValueError):
-        image_score(np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="at least one proposal"):
+        image_multilabel_loss(np.zeros((3, 0)), np.zeros(2))
 
 
 def _logits_with_row_sums(z):

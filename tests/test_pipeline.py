@@ -154,6 +154,61 @@ def test_apply_overrides():
         apply_overrides(TINY, {"rol.bogus": 1})
     with pytest.raises(ValueError, match="unknown config field 'seed.x'"):
         apply_overrides(TINY, {"seed.x": 1})
+    for group in ("weights", "rol", "optimizer"):
+        with pytest.raises(ValueError, match=f"'{group}' is a group"):
+            apply_overrides(TINY, {group: getattr(TINY, group)})
+    for cfg in (TINY, WorldConfig()):
+        with pytest.raises(ValueError, match="'seed'.*--seed or --seeds"):
+            apply_overrides(cfg, {"seed": 5})
+    with pytest.raises(ValueError, match="'shots_per_class'.*nonnegative"):
+        apply_overrides(TINY, {"shots_per_class": -1})
+
+
+def test_apply_overrides_coerces_strings():
+    cfg = apply_overrides(TINY, {
+        "shots_per_class": "4", "rol.phi_obj": "0.45", "labeller": "oicr",
+        "enable_bd": "off", "freeze_backbone": "Yes", "optimizer.beta1": "0.5",
+    })
+    assert (cfg.shots_per_class, cfg.rol.phi_obj, cfg.labeller) == (4, 0.45, "oicr")
+    assert (cfg.enable_bd, cfg.freeze_backbone, cfg.optimizer.beta1) == (False, True, 0.5)
+    assert type(cfg.shots_per_class) is int and type(cfg.rol.phi_obj) is float
+    for raw, expected in (("2,4", (2, 4)), ("2:4", (2, 4)), (" 3 , 3 ", (3, 3))):
+        world_cfg = apply_overrides(WorldConfig(), {"objects_per_scene": raw})
+        assert world_cfg.objects_per_scene == expected
+    for key, raw in (
+        ("enable_bd", "maybe"), ("shots_per_class", "1.5"),
+        ("rol.phi_obj", "high"), ("labeller", "greedy"),
+    ):
+        with pytest.raises(ValueError, match=f"config field '{key}'"):
+            apply_overrides(TINY, {key: raw})
+    for raw in ("a", "2", "1,2,3"):
+        with pytest.raises(ValueError, match="config field 'objects_per_scene'"):
+            apply_overrides(WorldConfig(), {"objects_per_scene": raw})
+
+
+def test_registry_cells_apply_to_the_defaults():
+    for experiment in EXPERIMENTS.values():
+        for cell in experiment.cells:
+            cfg = apply_overrides(StageConfig(), dict(cell.overrides))
+            world_cfg = apply_overrides(WorldConfig(), dict(cell.world_overrides))
+            for key, value in cell.overrides:
+                assert _field(cfg, key) == value, (experiment.name, cell.cell_id)
+            for key, value in cell.world_overrides:
+                assert _field(world_cfg, key) == value, (experiment.name, cell.cell_id)
+
+
+def _field(cfg, dotted):
+    for part in dotted.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+def _changed(cfg, field, value):
+    """``cfg`` with one field set; a whole group or the seed, which
+    ``apply_overrides`` refuses, is set with ``replace``."""
+    if "." in field:
+        return apply_overrides(cfg, {field: value})
+    return replace(cfg, **{field: value})
 
 
 # --- scene packing ------------------------------------------------------
@@ -416,7 +471,7 @@ def test_train_source_rejects_non_siblings(world, field, value):
     if field == "proposals_per_scene":
         other_world = make_world(WorldConfig(seed=12, proposals_per_scene=value))
     else:
-        other = apply_overrides(other, {field: value})
+        other = _changed(other, field, value)
     with pytest.raises(ValueError, match="not siblings"):
         train_source([world, other_world], [TINY, other])
 
@@ -633,7 +688,7 @@ def test_wstd_lockstep_matches_single_trainings(world, warmup, case):
     ],
 )
 def test_lstd_rejects_non_siblings(world, source_model, field, value):
-    other = apply_overrides(TINY, {field: value})
+    other = _changed(TINY, field, value)
     with pytest.raises(ValueError, match="not siblings"):
         lstd_finetune(source_model, world, [TINY, other])
 
@@ -650,7 +705,7 @@ def test_lstd_rejects_non_siblings(world, source_model, field, value):
     ],
 )
 def test_wstd_rejects_non_siblings(world, warmup, field, value):
-    other = apply_overrides(TINY, {field: value})
+    other = _changed(TINY, field, value)
     with pytest.raises(ValueError, match="not siblings"):
         wstd_train(warmup, world, [TINY, other])
 
@@ -865,15 +920,16 @@ def test_run_experiment_artifacts(tmp_path):
     assert manifest["outputs"] == ["table6.csv", "table6_summary.csv"]
     assert manifest["overrides"]["source_scenes"] == "30"
 
-    # identical bytes on a rerun
-    run_experiment(
-        "table6", seeds=seeds, out_dir=tmp_path / "b", overrides=SMOKE_OVERRIDES
-    )
+    # identical bytes on a rerun with the overrides as strings
+    raw = {key: str(value) for key, value in SMOKE_OVERRIDES.items()}
+    run_experiment("table6", seeds=seeds, out_dir=tmp_path / "b", overrides=raw)
     for key in ("runs", "summary"):
         text = experiment_output_paths("table6", tmp_path / "a")[key].read_text()
         assert experiment_output_paths(
             "table6", tmp_path / "b"
         )[key].read_text() == text
+    rerun = experiment_output_paths("table6", tmp_path / "b")["manifest"]
+    assert json.loads(rerun.read_text())["overrides"] == manifest["overrides"]
 
 
 def test_fig9_packs_weak_scenes_once_per_world_and_warmup(tmp_path, monkeypatch):
@@ -1010,6 +1066,32 @@ def test_runner_trains_every_seeds_source_in_one_call(
             _report_fields(r) for r in alone
         ]
         assert sum("source.total" in r.curves for r in together) == calls
+
+
+@pytest.mark.parametrize("seeds", [[0], [0, 0]])
+def test_repeated_seed_trains_nothing_twice(tmp_path, monkeypatch, seeds):
+    calls = {"lstd_finetune": 0, "wstd_train": 0}
+    for attr in calls:
+        original = getattr(pipeline, attr)
+
+        def counting(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, attr, counting)
+    reports = run_experiment(
+        "table5", seeds=seeds, out_dir=tmp_path, overrides=SMOKE_OVERRIDES
+    )
+    monkeypatch.undo()
+    # two shot counts: one LSTD and one WSTD group each
+    assert calls == {"lstd_finetune": 2, "wstd_train": 2}
+    if len(seeds) == 2:
+        first, again = reports[0::2], reports[1::2]
+        assert [(r.per_class_aps, r.mean_ap) for r in again] == [
+            (r.per_class_aps, r.mean_ap) for r in first
+        ]
+        # the curves go to the first seed-0 cell that trained each model
+        assert not any(r.curves for r in again)
 
 
 def test_repeated_seed_gives_identical_rows(tmp_path):
