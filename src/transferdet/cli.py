@@ -137,9 +137,13 @@ def _parse_seeds(raw: str | None):
 
 
 def _config_digest(args) -> str:
-    if args.config:
-        return hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
-    payload = "\n".join(sorted(args.set or []))
+    """SHA-256 of the overrides a command read: its ``--config`` file, or
+    else its sorted ``--set`` lines.  A command that takes no overrides
+    (``eval``, ``gradcheck``) hashes nothing."""
+    config = getattr(args, "config", None)
+    if config:
+        return hashlib.sha256(Path(config).read_bytes()).hexdigest()
+    payload = "\n".join(sorted(getattr(args, "set", None) or []))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -521,10 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument(
+    # Only the commands that read config overrides accept them.
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", help="key=value config file")
+    configured.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="config override, repeatable; dotted keys reach nested fields, "
              "the value is typed by its field (bool word, int, float, ints "
@@ -532,14 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_world = sub.add_parser("world", parents=[common],
+    p_world = sub.add_parser("world", parents=[configured],
                              help="generate a world and a scene set")
     p_world.add_argument("--domain", choices=("source", "target"), default="target")
     p_world.add_argument("--mode", choices=("full", "weak"), default="full")
     p_world.add_argument("--count", type=int, default=32)
     p_world.set_defaults(func=cmd_world)
 
-    p_train = sub.add_parser("train", parents=[common], help="train one stage")
+    p_train = sub.add_parser("train", parents=[configured], help="train one stage")
     p_train.add_argument("stage", choices=("source", "lstd", "wstd"))
     p_train.add_argument("--world", help="world file (defaults to seed-built world)")
     p_train.add_argument("--source-model", help="source checkpoint (lstd)")
@@ -555,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="voc07_11point")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_exp = sub.add_parser("experiment", parents=[common],
+    p_exp = sub.add_parser("experiment", parents=[configured],
                            help="run a registered experiment")
     p_exp.add_argument("name")
     p_exp.add_argument("--seeds", default=None,

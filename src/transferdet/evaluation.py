@@ -6,19 +6,32 @@ descending score order and claim their best-overlapping still-unmatched
 ground-truth box; duplicates on an already-matched box count as false
 positives.  AP defaults to the 11-point interpolation; the all-points
 precision-envelope integral is available behind a flag.
+
+One greedy matcher, :func:`match_rows`, works on each detection's row of
+IoUs against its scene's ground-truth boxes of the class.  Its skip rule:
+a detection whose best IoU over all of those boxes is at most the
+threshold is a false positive that changes no matching state, so only the
+detections above it enter the per-box loop.  :func:`match_detections`
+feeds it rows from the scalar IoU of :class:`Detection` objects (the CLI
+path); the experiment path gathers rows from per-scene proposal-by-GT IoU
+blocks (see :func:`transferdet.pipeline.evaluate_model`).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .geometry import BBox, iou
 
 AP_METHODS = ("voc07_11point", "all_points")
+
+# IoU row entry past a scene's ground-truth count: below any real overlap,
+# so it never matches and never wins a best-overlap scan.
+NO_GT = -1.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,52 @@ class DetectionsFormatError(ValueError):
         self.line_number = line_number
 
 
+def match_rows(
+    scores: Sequence[float] | np.ndarray,
+    scenes: Sequence[Hashable],
+    rows: np.ndarray,
+    threshold: float,
+) -> list[bool]:
+    """The greedy matcher: TP/FP flags for one class, in descending score
+    order (score ties keep input order).
+
+    Detection i lies in scene ``scenes[i]``; ``rows[i, g]`` is its IoU
+    with ground-truth box g of the class in that scene, in a fixed GT
+    order, and entries past a scene's GT count hold :data:`NO_GT`.  A
+    detection claims its best-overlapping still-unmatched box (the first on
+    ties) when that overlap exceeds ``threshold``.
+
+    Skip rule: a detection whose best IoU over *all* its scene's boxes is
+    at most ``threshold`` cannot match one of them, so it is a false
+    positive and changes no matching state; only the others enter the
+    per-box loop.
+    """
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or len(rows) != len(order) or len(scenes) != len(order):
+        raise ValueError(
+            f"{len(order)} scores, {len(scenes)} scenes and IoU rows of shape "
+            f"{rows.shape}: need one scene and one row per score"
+        )
+    hits = rows.max(axis=1, initial=NO_GT) > threshold
+    flags = [False] * len(order)
+    matched: dict[Hashable, list[bool]] = {}
+    for position in np.flatnonzero(hits[order]).tolist():
+        i = order[position]
+        taken = matched.setdefault(scenes[i], [False] * rows.shape[1])
+        best_iou = 0.0
+        best_g = -1
+        for g, overlap in enumerate(rows[i].tolist()):
+            if not taken[g] and overlap > best_iou:
+                best_iou = overlap
+                best_g = g
+        if best_g >= 0 and best_iou > threshold:
+            taken[best_g] = True
+            flags[position] = True
+    return flags
+
+
 def match_detections(
     dets: Sequence[Detection],
     gts: dict[int, list[BBox]],
@@ -62,31 +121,19 @@ def match_detections(
 
     ``gts`` maps scene id to that scene's ground-truth boxes of the class
     under evaluation.  Each ground-truth box matches at most one detection.
-    Score ties keep insertion order (stable sort).
+    Score ties keep insertion order (stable sort).  The IoU rows come from
+    the scalar :func:`~transferdet.geometry.iou`; :func:`match_rows`
+    matches them.
     """
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    matched: dict[int, list[bool]] = {
-        scene: [False] * len(boxes) for scene, boxes in gts.items()
-    }
-    flags: list[bool] = []
-    for i in order:
-        det = dets[i]
-        boxes = gts.get(det.scene_id, [])
-        best_iou = 0.0
-        best_g = -1
-        for g, gt_box in enumerate(boxes):
-            if matched[det.scene_id][g]:
-                continue
-            overlap = iou(det.box, gt_box)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_g = g
-        if best_g >= 0 and best_iou > cfg.iou_threshold:
-            matched[det.scene_id][best_g] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+    width = max((len(boxes) for boxes in gts.values()), default=0)
+    rows = np.full((len(dets), width), NO_GT)
+    for i, d in enumerate(dets):
+        boxes = gts.get(d.scene_id)
+        if boxes:
+            rows[i, : len(boxes)] = [iou(d.box, gt_box) for gt_box in boxes]
+    return match_rows(
+        [d.score for d in dets], [d.scene_id for d in dets], rows, cfg.iou_threshold
+    )
 
 
 def average_precision(

@@ -10,8 +10,11 @@ batched over boxes by :func:`coverage_masks`.
 :func:`pairwise_iou` is elementwise and bitwise symmetric (``min``, ``max``
 and ``+`` commute), so a large IoU matrix may be assembled from blocks and
 transposed blocks without changing a bit.  :func:`nms` visits boxes in
-descending score order and suppresses with one vector step per kept box,
-reading only the kept boxes' columns of the IoU matrix.
+descending score order and reads only the kept boxes' columns of the IoU
+matrix.  Its form follows the shape of the scores: one score vector
+suppresses with one vector step per kept box, and a stack of score rows
+(every class of every model on every scene of an evaluation) advances all
+rows in lockstep, one rank step at a time.
 """
 
 from __future__ import annotations
@@ -102,36 +105,82 @@ def nms(
     iou_matrix: np.ndarray,
     overlap_threshold: float,
     max_keep: int,
-) -> list[int]:
+) -> list[int] | np.ndarray:
     """Greedy suppression in descending score order.
 
     A box is kept iff its IoU with every previously kept box is at most
     ``overlap_threshold``; ``iou_matrix[c, k]`` is the IoU of candidate c
-    with box k, and only the columns of kept boxes are read.
-    Returns at most ``max_keep`` indices, sorted by descending score; equal
-    scores keep the lower index first.
+    with box k, and only the columns of kept boxes are read.  Boxes are
+    visited by descending score; equal scores visit the lower index first.
+
+    The form is chosen by the shape of ``scores``:
+
+    * (K,) scores and a (K, K) matrix return the list of at most
+      ``max_keep`` kept indices in visit order.  One vector step per kept
+      box suppresses its overlaps.
+    * (..., K) scores are rows suppressed independently, each against the
+      matrix of its batch index; the matrices' batch shape broadcasts
+      against the rows', so a (S, K, K) stack serves (M, C, S, K) rows.
+      All rows advance in lockstep, one rank step at a time.  Returns a
+      (..., min(K, max_keep)) int array: each row's kept indices in visit
+      order, padded with -1.  Row r equals the 1-D call on row r.
     """
     if not (0.0 <= overlap_threshold <= 1.0):
         raise ValueError(f"overlap_threshold {overlap_threshold} outside [0, 1]")
     if max_keep < 1:
         raise ValueError(f"max_keep must be >= 1, got {max_keep}")
     scores = np.asarray(scores, dtype=float)
-    if iou_matrix.shape != (scores.size, scores.size):
+    if scores.ndim == 0:
+        raise ValueError("nms needs a score vector or rows of them")
+    count = scores.shape[-1]
+    iou_matrix = np.asarray(iou_matrix)
+    if iou_matrix.ndim < 2 or iou_matrix.shape[-2:] != (count, count):
         raise ValueError(
-            f"{scores.size} scores but an IoU matrix of shape {iou_matrix.shape}"
+            f"{count} scores per row but an IoU matrix of shape {iou_matrix.shape}"
         )
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    if scores.ndim == 1:
+        if iou_matrix.ndim != 2:
+            raise ValueError(
+                f"one score row but a stack of IoU matrices {iou_matrix.shape}"
+            )
+        # Each kept box i suppresses, in one vector step, every candidate c
+        # with iou_matrix[c, i] above the threshold.
+        alive = np.ones(count, dtype=bool)
+        kept: list[int] = []
+        for i in order:
+            if alive[i]:
+                kept.append(int(i))
+                if len(kept) >= max_keep:
+                    break
+                alive &= iou_matrix[:, i] <= overlap_threshold
+        return kept
 
-    # One pass over the score order; each kept box i suppresses, in one
-    # vector step, every candidate c with iou_matrix[c, i] above the threshold.
-    alive = np.ones(scores.size, dtype=bool)
-    kept: list[int] = []
-    for i in np.argsort(-scores, kind="stable"):
-        if alive[i]:
-            kept.append(int(i))
-            if len(kept) >= max_keep:
-                break
-            alive &= iou_matrix[:, i] <= overlap_threshold
-    return kept
+    batch, matrix_batch = scores.shape[:-1], iou_matrix.shape[:-2]
+    matrix_count = int(np.prod(matrix_batch))
+    try:
+        matrix_of_row = np.broadcast_to(
+            np.arange(matrix_count).reshape(matrix_batch), batch
+        ).ravel()
+    except ValueError:
+        raise ValueError(
+            f"IoU matrices of batch shape {matrix_batch} do not broadcast "
+            f"to score rows of batch shape {batch}"
+        ) from None
+    matrices = iou_matrix.reshape(matrix_count, count, count)
+    order = order.reshape(matrix_of_row.size, count)
+    rows = np.arange(order.shape[0])
+    alive = np.ones(order.shape, dtype=bool)
+    kept_rows = np.full((order.shape[0], min(count, max_keep)), -1)
+    kept_count = np.zeros(order.shape[0], dtype=int)
+    for rank in range(count):
+        i = order[:, rank]
+        take = alive[rows, i] & (kept_count < max_keep)
+        r, i = rows[take], i[take]
+        kept_rows[r, kept_count[r]] = i
+        kept_count[r] += 1
+        alive[r] &= matrices[matrix_of_row[r], :, i] <= overlap_threshold
+    return kept_rows.reshape(batch + (kept_rows.shape[-1],))
 
 
 def cell_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -128,9 +128,19 @@ def sdk_loss(
     probability itself, emphasizing the classes the teacher is confident
     about.  The gradient is closed form through the softmax.  The 2-D
     ``teacher`` is shared by every member of stacked logits, and
-    ``weighted`` may be one flag per member.
+    ``weighted`` may be one flag per member.  The teacher is checked with
+    :func:`check_score_matrix`.
     """
-    teacher = check_score_matrix(teacher)
+    return _sdk_loss(check_score_matrix(teacher), student_logits, weighted)
+
+
+def _sdk_loss(
+    teacher: np.ndarray,
+    student_logits: np.ndarray,
+    weighted: bool | Sequence[bool] | np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """:func:`sdk_loss` on a float teacher already checked by
+    :func:`check_score_matrix`, such as a scene pack's."""
     student_logits = np.asarray(student_logits, dtype=float)
     if teacher.shape != student_logits.shape[-2:]:
         raise ValueError(
@@ -199,24 +209,42 @@ def rol_classifier_loss(
     return value, grad
 
 
+def check_labels(labels: np.ndarray, rows: int) -> np.ndarray:
+    """Validate integer proposal labels for (rows) x K logits: every label
+    a class index in [0, rows), the last one background."""
+    labels = np.asarray(labels, dtype=int)
+    if (labels < 0).any() or (labels >= rows).any():
+        raise ValueError("label index outside class range")
+    return labels
+
+
 def proposal_cls_loss(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Fully supervised per-proposal cross entropy (the main detection loss).
 
     ``labels`` holds one integer class per proposal, the background class
-    being the last row index.  Stacked (M, C+1, K) logits share (K,) labels
-    or take one label row per member, as (M, K).
+    being the last row index; they are checked with :func:`check_labels`.
+    Stacked (M, C+1, K) logits share (K,) labels or take one label row per
+    member, as (M, K).
     """
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=int)
+    if logits.ndim >= 2:
+        check_labels(labels, logits.shape[-2])
+    return _proposal_cls_loss(logits, labels)
+
+
+def _proposal_cls_loss(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """:func:`proposal_cls_loss` on integer labels already checked by
+    :func:`check_labels`, such as a scene pack's."""
     stacked = logits.ndim == 3 and labels.shape == (logits.shape[0], logits.shape[-1])
     if logits.ndim < 2 or not (stacked or labels.shape == (logits.shape[-1],)):
         raise ValueError(
             f"labels shape {labels.shape} does not match logits {logits.shape}"
         )
-    if (labels < 0).any() or (labels >= logits.shape[-2]).any():
-        raise ValueError("label index outside class range")
     probs = column_softmax(logits)
     rows = np.arange(len(labels))[:, None] if stacked else Ellipsis
     index = (rows, labels, np.arange(logits.shape[-1]))

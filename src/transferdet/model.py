@@ -253,6 +253,9 @@ class OptimizerConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "lr_decay_factor", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

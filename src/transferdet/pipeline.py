@@ -36,6 +36,14 @@ before the next seed starts.
 Each training keeps its parameters as views into one flat buffer, so one
 Adam step per scene updates every block of every member (see
 :mod:`transferdet.model`).
+
+Evaluation runs once per (seed, world, eval count), after all of that
+seed's cells are trained: :func:`evaluate_model` takes every model to be
+scored on those eval scenes, pools and overlaps each scene once for all of
+them, scores them in one stacked head pass and suppresses every (model,
+class, scene) row in one lockstep NMS.  The group's eval time, the
+sampling of its eval scenes included, goes to the ``wall_clock`` of the
+group's first cell, the same rule as for training.
 """
 
 from __future__ import annotations
@@ -49,17 +57,28 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evaluation import Detection, EvalConfig, evaluate_detections, mean_ap
+from .evaluation import (
+    NO_GT,
+    Detection,
+    EvalConfig,
+    average_precision,
+    evaluate_detections,  # noqa: F401  (perfbench/tracer.py wraps it here)
+    match_rows,
+    mean_ap,
+)
 from .geometry import BBox, nms, pairwise_iou
 from .labelling import ROLConfig, mine_support, oicr_label
 from .losses import (
     LossWeights,
+    _proposal_cls_loss,
+    _sdk_loss,
     bd_loss,
     bd_mask,
+    check_labels,
+    check_score_matrix,
     image_multilabel_loss,
-    proposal_cls_loss,
     rol_classifier_loss,
-    sdk_loss,
+    sdk_loss,  # noqa: F401  (perfbench/tracer.py wraps pipeline.sdk_loss)
 )
 from .model import (
     AdamState,
@@ -161,7 +180,12 @@ class RunReport:
 
 @dataclass
 class ScenePack:
-    """Per-scene constants precomputed once before a training loop."""
+    """Per-scene constants precomputed once before a training loop.
+
+    The pack builders check the constants a loss would otherwise check at
+    every step (labels in class range, teachers as probability columns),
+    and the scene losses take them as they are.
+    """
 
     boxes: list[BBox]
     raw_means: np.ndarray  # (K, D0) mean raw vector per proposal box
@@ -190,25 +214,27 @@ def proposal_labels(
 
 def pack_source_scene(scene: Scene, world: World) -> ScenePack:
     boxes = list(scene.proposals)
+    num_classes = world.config.classes_in("source")
     return ScenePack(
         boxes=boxes,
         raw_means=pool_raw_means(scene.raw_grid, boxes),
-        labels=proposal_labels(scene, world.config.classes_in("source")),
+        labels=check_labels(proposal_labels(scene, num_classes), num_classes + 1),
     )
 
 
 def pack_lstd_scene(scene: Scene, world: World, source: DetectorModel) -> ScenePack:
     boxes = list(scene.proposals)
     cfg = world.config
+    num_classes = cfg.classes_in("target")
     return ScenePack(
         boxes=boxes,
         raw_means=pool_raw_means(scene.raw_grid, boxes),
         raw_grid=scene.raw_grid,
-        labels=proposal_labels(scene, cfg.classes_in("target")),
+        labels=check_labels(proposal_labels(scene, num_classes), num_classes + 1),
         background_mask=bd_mask(
             cfg.grid_height, cfg.grid_width, [b for _, b in scene.gt]
         ),
-        teacher=extract_sdk(source, scene.raw_grid, boxes),
+        teacher=check_score_matrix(extract_sdk(source, scene.raw_grid, boxes)),
     )
 
 
@@ -337,7 +363,9 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel, cfg: StageConfig) -> Sc
     pack = ScenePack(
         boxes=selection.boxes,
         raw_means=raw_means,
-        teacher=pooled_probs(warmup.backbone, warmup.source_knowledge_head(), raw_means),
+        teacher=check_score_matrix(
+            pooled_probs(warmup.backbone, warmup.source_knowledge_head(), raw_means)
+        ),
         y_img=np.array(scene.image_label, dtype=float),
         iou=selection.iou[np.ix_(keep, keep)],
     )
@@ -352,7 +380,9 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel, cfg: StageConfig) -> Sc
 # lockstep group, ``cfgs`` one StageConfig per slice (a plain sequence, or
 # the group's :class:`Members` with its coefficients already gathered).
 # Components come back as one value per member, gradients stacked like the
-# parameters.
+# parameters.  A pack's labels and teacher were checked when it was built,
+# so the losses here run the unchecked cores of proposal_cls_loss and
+# sdk_loss.
 
 
 @dataclass(frozen=True)
@@ -407,7 +437,7 @@ def source_scene_loss(
     backbone = params["backbone"]
     features = pack.raw_means @ backbone.transpose(0, 2, 1)
     logits = head_logits(params["main_head"], features)
-    value, dlogits = proposal_cls_loss(logits, pack.labels)
+    value, dlogits = _proposal_cls_loss(logits, pack.labels)
     dhead, dfeatures = head_backward(
         params["main_head"], features, members.scale["main"] * dlogits
     )
@@ -437,13 +467,13 @@ def lstd_scene_loss(
     features = pack.raw_means @ backbone.transpose(0, 2, 1)
 
     main_logits = head_logits(params["main_head"], features)
-    main_val, dmain = proposal_cls_loss(main_logits, pack.labels)
+    main_val, dmain = _proposal_cls_loss(main_logits, pack.labels)
     dmain_head, dfeatures = head_backward(
         params["main_head"], features, scale["main"] * dmain
     )
 
     sdk_logits = head_logits(params["sdk_head"], features)
-    sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits)
+    sdk_val, dsdk = _sdk_loss(pack.teacher, sdk_logits, False)
     dsdk_head, df_sdk = head_backward(
         params["sdk_head"], features, scale["sdk"] * dsdk
     )
@@ -494,7 +524,7 @@ def wstd_scene_loss(
 
     grads: dict[str, np.ndarray] = {}
     sdk_logits = head_logits(params["sdk_head"], features)
-    sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits, weighted=members.sdk_weighted)
+    sdk_val, dsdk = _sdk_loss(pack.teacher, sdk_logits, members.sdk_weighted)
     grads["sdk_head"], dfeatures = head_backward(
         params["sdk_head"], features, scale["wstd_sdk"] * dsdk
     )
@@ -959,6 +989,28 @@ def _select_head(model: DetectorModel, classifier: int | None) -> Head:
     return model.rol_heads[-1] if model.rol_heads else model.main_head
 
 
+def _proposal_probs(
+    models: Sequence[DetectorModel],
+    classifiers: Sequence[int | None],
+    raw_means: np.ndarray,
+) -> np.ndarray:
+    """(M, C+1, S, K) class probabilities of each model's selected head
+    over the proposals of S scenes, from their (S, K, D0) pooled raw means.
+
+    The models' heads are stacked along a member axis for one head pass;
+    each (model, scene) slice is bit-identical to
+    :func:`~transferdet.model.pooled_probs` of that model on that scene.
+    Every matrix product stays one scene high: a product over all S*K
+    proposals at once is large enough for a threaded BLAS to split across
+    cores, which costs milliseconds per call on a busy machine.
+    """
+    heads = [_select_head(m, c) for m, c in zip(models, classifiers)]
+    features = np.stack([raw_means @ m.backbone.map.T for m in models])
+    weights = np.stack([h.weights for h in heads])[:, None]
+    # (M, S, C+1, K) logits, returned as an (M, C+1, S, K) view
+    return column_softmax(head_logits(weights, features)).transpose(0, 2, 1, 3)
+
+
 def detect(
     model: DetectorModel,
     scene: Scene,
@@ -966,35 +1018,101 @@ def detect(
     classifier: int | None = None,
     nms_threshold: float = INFERENCE_NMS_THRESHOLD,
 ) -> list[Detection]:
-    """Per-class score + greedy suppression over the scene's proposals."""
-    head = _select_head(model, classifier)
+    """Per-class score + greedy suppression over the scene's proposals:
+    the one-model, one-scene case of :func:`evaluate_model`'s scoring and
+    suppression, as :class:`Detection` objects in class order, each
+    class's by descending score."""
     boxes = list(scene.proposals)
-    probs = pooled_probs(model.backbone, head, pool_raw_means(scene.raw_grid, boxes))
-    iou_matrix = pairwise_iou(boxes)
-    detections: list[Detection] = []
-    for c in range(head.num_rows - 1):
-        scores = probs[c]
-        for k in nms(scores, iou_matrix, nms_threshold, len(boxes)):
-            detections.append(Detection(scene_id, c, boxes[k], float(scores[k])))
-    return detections
+    raw_means = pool_raw_means(scene.raw_grid, boxes)[None]
+    probs = _proposal_probs([model], [classifier], raw_means)[0, :, 0]
+    kept = nms(probs[:-1], pairwise_iou(boxes), nms_threshold, len(boxes))
+    return [
+        Detection(scene_id, c, boxes[k], float(probs[c, k]))
+        for c, row in enumerate(kept.tolist())
+        for k in row
+        if k >= 0
+    ]
 
 
 def evaluate_model(
-    model: DetectorModel,
+    models: Sequence[DetectorModel],
     scenes: Sequence[Scene],
-    classifier: int | None = None,
+    classifiers: Sequence[int | None],
     eval_cfg: EvalConfig = EvalConfig(),
-) -> tuple[list[float | None], float]:
-    """Detect on every scene and score against its full annotations."""
-    head = _select_head(model, classifier)
-    detections: list[Detection] = []
-    ground_truths: dict[int, list[tuple[int, BBox]]] = {}
-    for scene_id, scene in enumerate(scenes):
-        detections.extend(detect(model, scene, scene_id, classifier))
-        ground_truths[scene_id] = [(cls, box) for cls, box in scene.gt]
-    return evaluate_detections(
-        detections, ground_truths, head.num_rows - 1, eval_cfg
+) -> list[tuple[list[float | None], float]]:
+    """Per-class AP and mAP of each model (with its selected classifier,
+    None for the default head) on the scenes against their full
+    annotations: what :func:`detect` on every scene scored by
+    :func:`~transferdet.evaluation.evaluate_detections` gives, bit for bit.
+
+    The model-independent work runs once for all models: the scenes'
+    proposals are pooled into one (S, K, D0) block, and their proposal IoU
+    and proposal-by-GT IoU are computed once per scene.  One stacked head
+    pass scores every model, one lockstep :func:`~transferdet.geometry.nms`
+    suppresses every (model, class, scene) row, and
+    :func:`~transferdet.evaluation.match_rows` matches each class's kept
+    proposals on their rows of the proposal-by-GT IoU, with no
+    :class:`Detection` objects.  The scenes must share one proposal count.
+    """
+    if len(classifiers) != len(models):
+        raise ValueError(
+            f"evaluate_model got {len(classifiers)} classifiers for {len(models)} models"
+        )
+    if not models:
+        return []
+    if not scenes:
+        raise ValueError("evaluate_model needs at least one scene")
+    boxes = [list(scene.proposals) for scene in scenes]
+    count = len(boxes[0])
+    if any(len(b) != count for b in boxes):
+        raise ValueError("evaluation scenes differ in proposal count")
+    raw_means = np.stack(
+        [pool_raw_means(scene.raw_grid, b) for scene, b in zip(scenes, boxes)]
     )
+    probs = _proposal_probs(models, classifiers, raw_means)
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite detection score")
+    num_classes = probs.shape[1] - 1
+    kept = nms(
+        probs[:, :-1], np.stack([pairwise_iou(b) for b in boxes]),
+        INFERENCE_NMS_THRESHOLD, count,
+    )
+
+    # Per class: a (S, K, G) block of each proposal's IoU with the class's
+    # GT boxes of its scene, in GT order, padded with NO_GT, and the GT total.
+    gt_classes = [np.array([cls for cls, _ in scene.gt], dtype=int) for scene in scenes]
+    widths = [
+        max(int((classes == c).sum()) for classes in gt_classes)
+        for c in range(num_classes)
+    ]
+    blocks = [np.full((len(scenes), count, w), NO_GT) for w in widths]
+    totals = [0] * num_classes
+    for s, (scene, classes) in enumerate(zip(scenes, gt_classes)):
+        if not scene.gt:
+            continue
+        overlaps = pairwise_iou(boxes[s], [box for _, box in scene.gt])
+        for c in range(num_classes):
+            columns = np.flatnonzero(classes == c)
+            blocks[c][s, :, : columns.size] = overlaps[:, columns]
+            totals[c] += columns.size
+
+    results = []
+    for m in range(len(models)):
+        per_class: list[float | None] = []
+        for c in range(num_classes):
+            if totals[c] == 0:
+                per_class.append(None)
+                continue
+            # Kept proposals in detect's order: scene by scene, each by rank.
+            scene_index, rank = np.nonzero(kept[m, c] >= 0)
+            k = kept[m, c][scene_index, rank]
+            flags = match_rows(
+                probs[m, c, scene_index, k], scene_index, blocks[c][scene_index, k],
+                eval_cfg.iou_threshold,
+            )
+            per_class.append(average_precision(flags, totals[c], eval_cfg))
+        results.append((per_class, mean_ap(per_class)))
+    return results
 
 
 # --- experiment registry ----------------------------------------------------
@@ -1209,23 +1327,14 @@ def _run_cells_for_seed(
     cells, cfgs, world_cfgs, reports = (
         experiment.cells, run.cfgs, run.world_cfgs, run.reports
     )
-    cache: dict = {}  # this seed's worlds and eval scenes
-
-    def cached(key, build):
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
-
+    worlds: dict[WorldConfig, World] = {}  # this seed's worlds
+    models: list[DetectorModel] = []
     for i, cell in enumerate(cells):
         started = time.perf_counter()
-        cfg, world_cfg, report = cfgs[i], world_cfgs[i], reports[i]
-        world = cached(("world", world_cfg), lambda: make_world(world_cfg))
-        eval_scenes = cached(
-            ("eval", world_cfg, cfg.eval_scenes),
-            lambda: sample_scenes(
-                world, "target", "full", substream(cfg.seed, "eval"), cfg.eval_scenes
-            ),
-        )
+        cfg, world_cfg = cfgs[i], world_cfgs[i]
+        if world_cfg not in worlds:
+            worlds[world_cfg] = make_world(world_cfg)
+        world = worlds[world_cfg]
         # Other seeds' worlds are built for a source group and dropped after.
         source = trained("source", run, i, lambda member_worlds, cs, rs: train_source(
             [world if w == world_cfg else make_world(w) for w in member_worlds], cs, rs
@@ -1238,11 +1347,26 @@ def _run_cells_for_seed(
             model = trained(
                 "wstd", run, i, lambda _, cs, rs: wstd_train(warmup, world, cs, rs)
             )
-        per_class, map_value = evaluate_model(
-            model, eval_scenes, classifier=cell.classifier
+        models.append(model)
+        reports[i].wall_clock = time.perf_counter() - started
+
+    # One evaluation per (world, eval count), over every model evaluated on
+    # those scenes; its time goes to the group's first cell.
+    groups: dict[tuple, list[int]] = {}
+    for i in range(len(cells)):
+        groups.setdefault((world_cfgs[i], cfgs[i].eval_scenes), []).append(i)
+    for (world_cfg, eval_count), members in groups.items():
+        started = time.perf_counter()
+        scenes = sample_scenes(
+            worlds[world_cfg], "target", "full",
+            substream(cfgs[members[0]].seed, "eval"), eval_count,
         )
-        report.set_result(per_class, map_value)
-        report.wall_clock = time.perf_counter() - started
+        results = evaluate_model(
+            [models[i] for i in members], scenes, [cells[i].classifier for i in members]
+        )
+        for i, (per_class, map_value) in zip(members, results):
+            reports[i].set_result(per_class, map_value)
+        reports[members[0]].wall_clock += time.perf_counter() - started
     return reports
 
 

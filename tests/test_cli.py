@@ -97,6 +97,11 @@ BAD_OVERRIDES = [
     ("objects_per_scene=a", "objects_per_scene"),
     ("enable_bd=maybe", "enable_bd"),
     ("shots_per_class", "shots_per_class"),
+    ("optimizer.learning_rate=nan", "optimizer.learning_rate"),
+    ("optimizer.learning_rate=inf", "optimizer.learning_rate"),
+    ("optimizer.weight_decay=nan", "optimizer.weight_decay"),
+    ("optimizer.lr_decay_factor=inf", "optimizer.lr_decay_factor"),
+    ("optimizer.epsilon=-inf", "optimizer.epsilon"),
 ]
 
 OVERRIDE_COMMANDS = {
@@ -122,6 +127,26 @@ def test_malformed_override_exits_2(tmp_path, capsys, command, line, key, via):
     err = capsys.readouterr().err
     assert repr(key) in err and "Traceback" not in err
     assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize("command", ["eval", "gradcheck"])
+def test_commands_without_overrides_reject_them(tmp_path, capsys, command, via):
+    # eval and gradcheck read no config, so an override is a usage error
+    # (argparse exits 2) rather than silently ignored.
+    cfg_file = tmp_path / "any.cfg"
+    cfg_file.write_text("bogus=1\n")
+    extra = ["--set", "bogus=1"] if via == "set" else ["--config", str(cfg_file)]
+    argv = {
+        "eval": ["eval", "--detections", "d.csv", "--scenes", "s.txt"],
+        "gradcheck": ["gradcheck", "--instances", "1"],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + extra + ["--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- world ---------------------------------------------------------------

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from transferdet.evaluation import (
+    NO_GT,
     Detection,
     DetectionsFormatError,
     EvalConfig,
     average_precision,
     evaluate_detections,
     match_detections,
+    match_rows,
     mean_ap,
     read_detections_csv,
     write_detections_csv,
@@ -19,7 +21,7 @@ from transferdet.evaluation import (
 )
 from transferdet.geometry import BBox
 
-from reference import random_boxes, ref_ap, ref_match
+from reference import random_boxes, ref_ap, ref_iou, ref_match
 
 CFG_11 = EvalConfig()
 CFG_ALL = EvalConfig(ap_method="all_points")
@@ -159,6 +161,55 @@ def test_ap_matches_reference_on_random_instances():
         assert ap11 == pytest.approx(ref_ap(flags, total_gt, "voc07_11point"), abs=1e-12)
         ap_all = average_precision(flags, total_gt, CFG_ALL)
         assert ap_all == pytest.approx(ref_ap(flags, total_gt, "all_points"), abs=1e-12)
+
+
+def test_match_rows_equals_reference_matcher():
+    # Detections cluster on GT boxes, so several compete for one box and
+    # later ones meet it already matched; duplicated GT boxes tie on IoU.
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        threshold = float(rng.choice([0.1, 0.5, 0.7]))
+        gts = []
+        for _ in range(int(rng.integers(1, 5))):
+            boxes = random_boxes(rng, int(rng.integers(0, 4)), lo=0.1, hi=0.5)
+            if len(boxes) > 1 and rng.random() < 0.4:
+                boxes[1] = boxes[0]
+            gts.append(boxes)
+        det_flat = []
+        for scene, boxes in enumerate(gts):
+            for _ in range(int(rng.integers(0, 7))):
+                if boxes and rng.random() < 0.7:
+                    x1, y1, x2, y2 = boxes[int(rng.integers(len(boxes)))]
+                    dx, dy = rng.uniform(-0.05, 0.05, size=2)
+                    box = (
+                        max(x1 + dx, 0.0), max(y1 + dy, 0.0),
+                        min(x2 + dx, 1.0), min(y2 + dy, 1.0),
+                    )
+                else:
+                    box = random_boxes(rng, 1, lo=0.1, hi=0.5)[0]
+                score = float(rng.integers(0, 5)) / 4.0  # ties
+                det_flat.append((scene, score, box))
+        width = max(len(boxes) for boxes in gts)
+        rows = np.full((len(det_flat), width), NO_GT)
+        for i, (scene, _, box) in enumerate(det_flat):
+            for g, gt_box in enumerate(gts[scene]):
+                rows[i, g] = ref_iou(box, gt_box)
+        flags = match_rows(
+            [score for _, score, _ in det_flat], [scene for scene, _, _ in det_flat],
+            rows, threshold,
+        )
+        gt_flat = [(scene, b) for scene, boxes in enumerate(gts) for b in boxes]
+        assert flags == ref_match(det_flat, gt_flat, threshold)
+
+
+def test_match_rows_needs_one_scene_and_row_per_score():
+    assert match_rows([], [], np.empty((0, 2)), 0.5) == []
+    with pytest.raises(ValueError, match="one scene and one row"):
+        match_rows([0.5], [0], np.zeros((2, 1)), 0.5)
+    with pytest.raises(ValueError, match="one scene and one row"):
+        match_rows([0.5], [], np.zeros((1, 1)), 0.5)
+    with pytest.raises(ValueError, match="one scene and one row"):
+        match_rows([0.5], [0], np.zeros(1), 0.5)
 
 
 def test_matching_invariant_under_monotone_score_transforms():

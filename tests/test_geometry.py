@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferdet.geometry import (
     BBox,
@@ -208,3 +210,55 @@ def test_nms_idempotent():
             [boxes[i] for i in kept], [scores[i] for i in kept], 0.5, count
         )
         assert again == list(range(len(kept)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 3),
+    scenes=st.integers(1, 3),
+    count=st.integers(0, 9),
+    threshold=st.sampled_from([0.0, 0.3, 0.5, 0.75, 1.0]),
+    max_keep=st.integers(1, 10),
+)
+def test_stacked_nms_rows_equal_the_1d_call_and_oracle(
+    seed, rows, scenes, count, threshold, max_keep
+):
+    rng = np.random.default_rng(seed)
+    tuples = []
+    for _ in range(scenes):
+        scene = random_boxes(rng, count, lo=0.1, hi=0.6)
+        if count > 1 and rng.uniform() < 0.5:
+            scene[-1] = scene[0]  # duplicate boxes
+        tuples.append(scene)
+    iou = np.stack([pairwise_iou(np.array(t).reshape(-1, 4)) for t in tuples])
+    # coarse scores make exact ties common
+    scores = rng.integers(0, 4, size=(rows, scenes, count)) / 4.0
+    kept = nms(scores, iou, threshold, max_keep)
+    assert kept.shape == (rows, scenes, min(count, max_keep))
+    for r in range(rows):
+        for s in range(scenes):
+            row = kept[r, s].tolist()
+            got = [k for k in row if k >= 0]
+            assert row == got + [-1] * (len(row) - len(got))  # padding trails
+            assert got == nms(scores[r, s], iou[s], threshold, max_keep)
+            assert got == ref_nms(tuples[s], list(scores[r, s]), threshold, max_keep)
+
+
+def test_stacked_nms_validates_like_the_1d_call():
+    iou = pairwise_iou([BBox(0, 0, 0.5, 0.5), BBox(0.5, 0.5, 1, 1)])
+    stack = np.stack([iou, iou, iou])
+    with pytest.raises(ValueError, match="outside"):
+        nms(np.ones((3, 2)), stack, 1.5, 4)
+    with pytest.raises(ValueError, match="max_keep"):
+        nms(np.ones((3, 2)), stack, 0.5, 0)
+    with pytest.raises(ValueError, match="IoU matrix"):
+        nms(np.ones((3, 3)), stack, 0.5, 4)
+    with pytest.raises(ValueError, match="broadcast"):
+        nms(np.ones((2, 2)), stack, 0.5, 4)
+    with pytest.raises(ValueError, match="stack"):
+        nms(np.ones(2), stack, 0.5, 4)
+    # one matrix serves every row
+    assert nms(np.array([[0.2, 0.9], [0.9, 0.2]]), iou, 0.5, 4).tolist() == [
+        [1, 0], [0, 1],
+    ]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from transferdet import pipeline
-from transferdet.evaluation import mean_ap
+from transferdet.evaluation import evaluate_detections, mean_ap
 from transferdet.geometry import BBox, pairwise_iou
 from transferdet.model import (
     extract_sdk,
@@ -57,7 +57,15 @@ from transferdet.synthworld import (
     substream,
 )
 
-from reference import ref_adam_train, ref_nms, ref_pool, ref_proposal_labels
+from reference import (
+    ref_adam_train,
+    ref_ap,
+    ref_iou,
+    ref_match,
+    ref_nms,
+    ref_pool,
+    ref_proposal_labels,
+)
 
 # Short stage lengths keep each fixture under a second while still moving
 # every parameter block away from its initialization.
@@ -787,13 +795,80 @@ def test_detect_classifier_selection(world, warmup, student):
 
 def test_evaluate_model_consistency(world, student):
     scenes = sample_scenes(world, "target", "full", substream(23, "e"), 6)
-    per_class, map_value = evaluate_model(student, scenes)
+    [(per_class, map_value)] = evaluate_model([student], scenes, [None])
     assert len(per_class) == world.config.classes_in("target")
     for ap in per_class:
         assert ap is None or 0.0 <= ap <= 1.0
     assert abs(map_value - mean_ap(per_class)) <= 1e-12
-    same = evaluate_model(student, scenes, classifier=len(student.rol_heads))
-    assert same == (per_class, map_value)
+    same = evaluate_model([student], scenes, [len(student.rol_heads)])
+    assert same == [(per_class, map_value)]
+
+
+def oracle_evaluation(model, head, scenes, method):
+    """Per-class AP of one model head from the reference pooling, NMS,
+    matching and AP, scene by scene and class by class."""
+    num_classes = head.num_rows - 1
+    dets = {c: [] for c in range(num_classes)}
+    gts = {c: [] for c in range(num_classes)}
+    for scene_id, scene in enumerate(scenes):
+        boxes = [b.as_tuple() for b in scene.proposals]
+        features = ref_pool(scene.raw_grid, boxes) @ model.backbone.map.T
+        probs = column_softmax(head_logits(head.weights, features))
+        for c in range(num_classes):
+            scores = probs[c].tolist()
+            for k in ref_nms(boxes, scores, INFERENCE_NMS_THRESHOLD, len(boxes)):
+                dets[c].append((scene_id, scores[k], boxes[k]))
+        for cls, box in scene.gt:
+            gts[cls].append((scene_id, box.as_tuple()))
+    return [
+        ref_ap(ref_match(dets[c], gts[c], 0.5), len(gts[c]), method)
+        if gts[c] else None
+        for c in range(num_classes)
+    ]
+
+
+def test_evaluate_model_list_form_equals_reference_oracle(world, warmup, student):
+    scenes = sample_scenes(world, "target", "full", substream(24, "e"), 8)
+    models = [warmup, student, student, student]
+    classifiers = [None, 1, 2, 3]
+    heads = [warmup.main_head] + student.rol_heads
+    assert len(heads) == len(models)
+    results = evaluate_model(models, scenes, classifiers)
+    assert len(results) == len(models)
+    ground_truths = {i: list(scene.gt) for i, scene in enumerate(scenes)}
+    for model, classifier, head, (per_class, map_value) in zip(
+        models, classifiers, heads, results
+    ):
+        expected = oracle_evaluation(model, head, scenes, "voc07_11point")
+        assert [ap is None for ap in per_class] == [ap is None for ap in expected]
+        for ap, want in zip(per_class, expected):
+            assert ap == pytest.approx(want, abs=1e-12)
+        assert map_value == mean_ap(per_class)
+        # bit for bit the Detection path it replaces
+        detections = [
+            d for i, scene in enumerate(scenes)
+            for d in detect(model, scene, i, classifier)
+        ]
+        assert (per_class, map_value) == evaluate_detections(
+            detections, ground_truths, head.num_rows - 1
+        )
+    # the same model alone, and the models in another order, agree
+    assert evaluate_model([student], scenes, [2]) == [results[2]]
+    assert evaluate_model(models[::-1], scenes, classifiers[::-1]) == results[::-1]
+
+
+def test_evaluate_model_rejects_mismatched_inputs(world, student):
+    scenes = sample_scenes(world, "target", "full", substream(25, "e"), 2)
+    assert evaluate_model([], scenes, []) == []
+    with pytest.raises(ValueError, match="classifiers"):
+        evaluate_model([student], scenes, [])
+    with pytest.raises(ValueError, match="at least one scene"):
+        evaluate_model([student], [], [None])
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate_model([student], scenes, [len(student.rol_heads) + 1])
+    short = replace(scenes[1], proposals=scenes[1].proposals[:-1])
+    with pytest.raises(ValueError, match="proposal count"):
+        evaluate_model([student], [scenes[0], short], [None])
 
 
 # --- experiment runner --------------------------------------------------
@@ -968,7 +1043,9 @@ def test_fig9_packs_weak_scenes_once_per_world_and_warmup(tmp_path, monkeypatch)
         eval_scenes = sample_scenes(
             world, "target", "full", substream(seed, "eval"), cfg.eval_scenes
         )
-        per_class, map_value = evaluate_model(student, eval_scenes, cell.classifier)
+        [(per_class, map_value)] = evaluate_model(
+            [student], eval_scenes, [cell.classifier]
+        )
         assert report.per_class_aps == per_class, cell.cell_id
         assert report.mean_ap == map_value, cell.cell_id
     # seven cells on three worlds: one pack set per world and warm-up
@@ -1028,9 +1105,27 @@ def test_runner_trains_sibling_cells_in_one_call(tmp_path, monkeypatch, name, ex
         eval_scenes = sample_scenes(
             world, "target", "full", substream(seed, "eval"), cfg.eval_scenes
         )
-        assert (report.per_class_aps, report.mean_ap) == evaluate_model(
-            model, eval_scenes, cell.classifier
+        assert [(report.per_class_aps, report.mean_ap)] == evaluate_model(
+            [model], eval_scenes, [cell.classifier]
         ), cell.cell_id
+
+
+@pytest.mark.parametrize("name, sizes", [("table3", [6]), ("fig9", [5, 1, 1])])
+def test_runner_evaluates_once_per_world(tmp_path, monkeypatch, name, sizes):
+    # One evaluation per (seed, world, eval count) after the seed's cells
+    # train, over every model evaluated on that world's scenes.
+    calls = []
+    original = pipeline.evaluate_model
+
+    def counting(models, scenes, classifiers, *args, **kwargs):
+        calls.append(len(models))
+        return original(models, scenes, classifiers, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "evaluate_model", counting)
+    reports = run_experiment(name, seeds=[0], out_dir=tmp_path, overrides=SMOKE_OVERRIDES)
+    monkeypatch.undo()
+    assert calls == sizes
+    assert all(r.mean_ap is not None and r.wall_clock > 0.0 for r in reports)
 
 
 def _report_fields(report):
