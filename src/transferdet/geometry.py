@@ -167,7 +167,8 @@ def nms(
             f"IoU matrices of batch shape {matrix_batch} do not broadcast "
             f"to score rows of batch shape {batch}"
         ) from None
-    matrices = iou_matrix.reshape(matrix_count, count, count)
+    # Which pairs may coexist, as booleans: an eighth of the IoU bytes.
+    compatible = (iou_matrix <= overlap_threshold).reshape(matrix_count, count, count)
     order = order.reshape(matrix_of_row.size, count)
     rows = np.arange(order.shape[0])
     alive = np.ones(order.shape, dtype=bool)
@@ -179,7 +180,7 @@ def nms(
         r, i = rows[take], i[take]
         kept_rows[r, kept_count[r]] = i
         kept_count[r] += 1
-        alive[r] &= matrices[matrix_of_row[r], :, i] <= overlap_threshold
+        alive[r] &= compatible[matrix_of_row[r], :, i]
     return kept_rows.reshape(batch + (kept_rows.shape[-1],))
 
 

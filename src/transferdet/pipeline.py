@@ -997,18 +997,23 @@ def _proposal_probs(
     """(M, C+1, S, K) class probabilities of each model's selected head
     over the proposals of S scenes, from their (S, K, D0) pooled raw means.
 
-    The models' heads are stacked along a member axis for one head pass;
-    each (model, scene) slice is bit-identical to
+    Each model's head scores all S scenes in one stacked call; each
+    (model, scene) slice is bit-identical to
     :func:`~transferdet.model.pooled_probs` of that model on that scene.
+    Only one model's features, logits and softmax temporaries exist at a
+    time, so the evaluation's peak memory stays near one model's share.
     Every matrix product stays one scene high: a product over all S*K
     proposals at once is large enough for a threaded BLAS to split across
     cores, which costs milliseconds per call on a busy machine.
     """
-    heads = [_select_head(m, c) for m, c in zip(models, classifiers)]
-    features = np.stack([raw_means @ m.backbone.map.T for m in models])
-    weights = np.stack([h.weights for h in heads])[:, None]
-    # (M, S, C+1, K) logits, returned as an (M, C+1, S, K) view
-    return column_softmax(head_logits(weights, features)).transpose(0, 2, 1, 3)
+    probs = np.stack([
+        column_softmax(
+            head_logits(_select_head(m, c).weights, raw_means @ m.backbone.map.T)
+        )
+        for m, c in zip(models, classifiers)
+    ])
+    # (M, S, C+1, K), returned as an (M, C+1, S, K) view
+    return probs.transpose(0, 2, 1, 3)
 
 
 def detect(
@@ -1066,10 +1071,9 @@ def evaluate_model(
     count = len(boxes[0])
     if any(len(b) != count for b in boxes):
         raise ValueError("evaluation scenes differ in proposal count")
-    raw_means = np.stack(
+    probs = _proposal_probs(models, classifiers, np.stack(
         [pool_raw_means(scene.raw_grid, b) for scene, b in zip(scenes, boxes)]
-    )
-    probs = _proposal_probs(models, classifiers, raw_means)
+    ))
     if not np.isfinite(probs).all():
         raise ValueError("non-finite detection score")
     num_classes = probs.shape[1] - 1
