@@ -60,7 +60,6 @@ from transferdet.synthworld import (
 from reference import (
     ref_adam_train,
     ref_ap,
-    ref_iou,
     ref_match,
     ref_nms,
     ref_pool,
