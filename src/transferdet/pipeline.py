@@ -40,8 +40,8 @@ Adam step per scene updates every block of every member (see
 Evaluation runs once per (seed, world, eval count), after all of that
 seed's cells are trained: :func:`evaluate_model` takes every model to be
 scored on those eval scenes, pools and overlaps each scene once for all of
-them, scores them in one stacked head pass and suppresses every (model,
-class, scene) row in one lockstep NMS.  The group's eval time, the
+them, scores each model on all the scenes in one stacked head call and
+suppresses every (model, class, scene) row in one lockstep NMS.  The group's eval time, the
 sampling of its eval scenes included, goes to the ``wall_clock`` of the
 group's first cell, the same rule as for training.
 """
@@ -1053,8 +1053,9 @@ def evaluate_model(
     The model-independent work runs once for all models: the scenes'
     proposals are pooled into one (S, K, D0) block, and their proposal IoU
     and proposal-by-GT IoU are computed once per scene.  One stacked head
-    pass scores every model, one lockstep :func:`~transferdet.geometry.nms`
-    suppresses every (model, class, scene) row, and
+    call per model scores all the scenes, one lockstep
+    :func:`~transferdet.geometry.nms` suppresses every (model, class, scene)
+    row, and
     :func:`~transferdet.evaluation.match_rows` matches each class's kept
     proposals on their rows of the proposal-by-GT IoU, with no
     :class:`Detection` objects.  The scenes must share one proposal count.
