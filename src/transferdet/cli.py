@@ -38,7 +38,7 @@ from .evaluation import (
     read_detections_csv,
     write_eval_csv,
 )
-from .geometry import BBox
+from .geometry import BBox, pairwise_iou
 from .losses import (
     bd_loss,
     image_multilabel_loss,
@@ -328,8 +328,8 @@ def _random_boxes(rng, count: int) -> list[BBox]:
 
 def _end_to_end(loss, params: dict[str, np.ndarray]):
     """Finite-difference instance of a scene loss over all its parameter
-    blocks, flattened in sorted order; ``loss(stacked)`` takes the blocks
-    with a member axis of one (``p[None]``) and returns the loss components
+    blocks, flattened in sorted order.  The blocks carry a member axis of
+    one, as ``loss(params)`` takes them, and it returns the loss components
     and the gradient of every block, stacked alike."""
     keys = sorted(params)
     shapes = {k: params[k].shape for k in keys}
@@ -339,12 +339,12 @@ def _end_to_end(loss, params: dict[str, np.ndarray]):
         offset = 0
         for k in keys:
             size = int(np.prod(shapes[k]))
-            out[k] = vec[offset:offset + size].reshape(shapes[k])[None]
+            out[k] = vec[offset:offset + size].reshape(shapes[k])
             offset += size
         return out
 
-    _, grads = loss({k: p[None] for k, p in params.items()})
-    analytic = np.concatenate([grads[k][0].ravel() for k in keys])
+    _, grads = loss(params)
+    analytic = np.concatenate([grads[k].ravel() for k in keys])
     vector = np.concatenate([params[k].ravel() for k in keys])
     return (lambda vec: float(loss(unflatten(vec))[0]["total"][0])), analytic, vector
 
@@ -405,9 +405,9 @@ def _lstd_instance(rng):
         teacher=_random_score_matrix(rng, num_source + 1, k),
     )
     params = {
-        "backbone": 0.7 * rng.standard_normal((dim, dim)),
-        "main_head": 0.5 * rng.standard_normal((num_target + 1, dim + 1)),
-        "sdk_head": 0.5 * rng.standard_normal((num_source + 1, dim + 1)),
+        "backbone": 0.7 * rng.standard_normal((1, dim, dim)),
+        "main_head": 0.5 * rng.standard_normal((1, num_target + 1, dim + 1)),
+        "sdk_head": 0.5 * rng.standard_normal((1, num_source + 1, dim + 1)),
     }
     return pack, params
 
@@ -429,18 +429,20 @@ def _wstd_instance(rng):
     y[rng.integers(0, num_target)] = 1.0
     if rng.uniform() < 0.5:
         y[rng.integers(0, num_target)] = 1.0
+    boxes = _random_boxes(rng, k)
     pack = ScenePack(
-        boxes=_random_boxes(rng, k),
+        boxes=boxes,
         raw_means=rng.standard_normal((k, dim)),
         teacher=_random_score_matrix(rng, num_source + 1, k),
         y_img=y,
+        iou=pairwise_iou(boxes),
+        present=np.flatnonzero(y),
     )
     params = {
-        "backbone": 0.7 * rng.standard_normal((dim, dim)),
-        "sdk_head": 0.5 * rng.standard_normal((num_source + 1, dim + 1)),
+        "backbone": 0.7 * rng.standard_normal((1, dim, dim)),
+        "sdk_head": 0.5 * rng.standard_normal((1, num_source + 1, dim + 1)),
+        "rol_heads": 0.5 * rng.standard_normal((3, 1, num_target + 1, dim + 1)),
     }
-    for i in range(3):
-        params[f"rol_head_{i}"] = 0.5 * rng.standard_normal((num_target + 1, dim + 1))
     return pack, params
 
 
@@ -448,7 +450,7 @@ def _gc_wstd_end_to_end(rng):
     pack, params = _wstd_instance(rng)
     cfgs = [StageConfig()]
     # Pseudo labels are constants of a step: probes keep the mined ones.
-    _, _, pseudo = wstd_scene_loss({k: p[None] for k, p in params.items()}, pack, cfgs)
+    _, _, pseudo = wstd_scene_loss(params, pack, cfgs)
     return _end_to_end(
         lambda p: wstd_scene_loss(p, pack, cfgs, fixed_pseudo=pseudo)[:2], params
     )

@@ -4,8 +4,16 @@ Given detached scores from the previous classifier, each present class
 contributes its single most confident proposal as a seed.  Proposals
 tightly overlapping a seed inherit its class; proposals with moderate
 overlap become confident background; everything else stays unlabelled.
-``oicr_label`` is the baseline variant that labels every leftover proposal
-as background instead of leaving it out.
+The OICR variant is the baseline that labels every leftover proposal as
+background instead of leaving it out.
+
+The labeller works on rows.  A row is one (C+1) x K score matrix with its
+own thresholds and labeller kind, and :func:`label_rows` labels any stack
+of rows against one scene's proposal IoU matrix and present classes in one
+vectorised pass; weak training labels every (classifier, member) pair of a
+step that way.  It uses only argmax, max and selection, so each row is
+bit-identical to labelling it alone.  :func:`mine_support` and
+:func:`oicr_label` are its one-row forms.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ class ROLConfig:
 
     ``phi_obj`` is the minimum IoU (strict) with a class seed for a
     proposal to inherit the object label; ``phi_bg`` the lower edge of the
-    background band (phi_bg < IoU < phi_obj).
+    background band (phi_bg < IoU < phi_obj).  No IoU exceeds 1, so
+    ``phi_obj`` must stay below 1 for a seed to label even itself.
     """
 
     phi_obj: float = 0.5
@@ -32,9 +41,9 @@ class ROLConfig:
     num_classifiers: int = 3
 
     def __post_init__(self):
-        if not (0.0 <= self.phi_bg < self.phi_obj <= 1.0):
+        if not (0.0 <= self.phi_bg < self.phi_obj < 1.0):
             raise ValueError(
-                f"need 0 <= phi_bg < phi_obj <= 1, got ({self.phi_bg}, {self.phi_obj})"
+                f"need 0 <= phi_bg < phi_obj < 1, got ({self.phi_bg}, {self.phi_obj})"
             )
         if self.num_classifiers < 2:
             raise ValueError("need at least two classifiers")
@@ -48,49 +57,64 @@ def present_classes(y_img: np.ndarray) -> list[int]:
     return classes
 
 
-def top_proposal(scores: np.ndarray, class_index: int) -> int:
-    """Index of the most confident proposal for an object class.
+def label_rows(
+    scores: np.ndarray,
+    iou: np.ndarray,
+    present: np.ndarray,
+    phi_obj: float | np.ndarray,
+    phi_bg: float | np.ndarray,
+    oicr: bool | np.ndarray,
+) -> np.ndarray:
+    """Pseudo labels of a stack of (C+1) x K score rows, (..., C+1, K).
 
-    Ties keep the lowest proposal index.  The background row may not be
-    queried.
+    ``iou`` is the (K, K) IoU matrix of the proposals, ``present`` the
+    ascending indices of the present classes (at least one), both shared
+    by every row.  ``phi_obj``, ``phi_bg`` and ``oicr`` (True for the OICR
+    labeller, False for selective mining) broadcast against the rows'
+    leading shape.  Per row:
+
+    * each present class c seeds at its top proposal j_c, the lowest index
+      on ties, with weight s_c = scores[c, j_c];
+    * a proposal k with IoU(k, j_c) > phi_obj for some c takes the largest
+      such s_c on the row of its class, ties going to the lower class;
+    * a column that holds no nonzero object weight (so a seed scoring
+      exactly 0.0 leaves it unlabelled) becomes background with the
+      largest s_c whose band phi_bg < IoU(k, j_c) < phi_obj holds it, or
+      stays all zero when no band does; under OICR it becomes background
+      with the largest s_c of the row instead.
+
+    The inputs are not checked; the one-row forms check theirs.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[1] < 1:
-        raise ValueError(f"expected (C+1) x K scores with K >= 1, got {scores.shape}")
-    num_object_rows = scores.shape[0] - 1
-    if not (0 <= class_index < num_object_rows):
-        raise ValueError(
-            f"class index {class_index} is not an object row (0..{num_object_rows - 1})"
-        )
-    return int(np.argmax(scores[class_index, :]))
+    obj = scores[..., present, :]
+    seeds = obj.argmax(axis=-1)
+    weight = obj.max(axis=-1, keepdims=True)
+    overlap = iou.T[seeds]  # [..., p, k] = iou[k, seed of class p]
+    phi_obj = np.asarray(phi_obj)[..., None, None]
+    phi_bg = np.asarray(phi_bg)[..., None, None]
+
+    claim = np.where(overlap > phi_obj, weight, -np.inf)
+    best = claim.max(axis=-2)
+    object_weight = np.where(np.isfinite(best), best, 0.0)
+    winner = present[claim.argmax(axis=-2)]
+    rows = np.arange(scores.shape[-2])[:, None]
+    pseudo = np.where(rows == winner[..., None, :], object_weight[..., None, :], 0.0)
+
+    band = (phi_bg < overlap) & (overlap < phi_obj)
+    support = np.where(band, weight, -np.inf).max(axis=-2)
+    background = np.where(np.asarray(oicr)[..., None], weight.max(axis=-2), support)
+    fill = (object_weight == 0.0) & np.isfinite(background)
+    pseudo[..., -1, :] = np.where(fill, background, 0.0)
+    return pseudo
 
 
-def _class_seeds(
-    prev_scores: np.ndarray, y_img: np.ndarray
-) -> list[tuple[int, int, float]]:
-    """(class, seed proposal, seed score) for every present class."""
-    return [
-        (c, j, float(prev_scores[c, j]))
-        for c in present_classes(y_img)
-        for j in [top_proposal(prev_scores, c)]
-    ]
-
-
-def _object_labels(
+def _one_row(
     prev_scores: np.ndarray,
     boxes: Sequence[BBox],
     y_img: np.ndarray,
     cfg: ROLConfig,
-    iou_cache: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[tuple[int, int, float]], np.ndarray]:
-    """Shared object-labelling step of both labellers.
-
-    Returns the pseudo matrix with object labels filled in, the class
-    seeds, and the per-proposal best background candidate weight
-    (moderate-overlap band; -inf where the band never hit) for the
-    selective labeller.  ``iou_cache`` may hold the precomputed pairwise
-    IoU matrix of ``boxes`` to spare recomputation inside training loops.
-    """
+    iou_cache: np.ndarray | None,
+    oicr: bool,
+) -> np.ndarray:
     prev_scores = np.asarray(prev_scores, dtype=float)
     num_classes = prev_scores.shape[0] - 1
     k_total = prev_scores.shape[1]
@@ -100,35 +124,9 @@ def _object_labels(
         raise ValueError(
             f"image label length {len(np.asarray(y_img))} != class count {num_classes}"
         )
-
-    seeds = _class_seeds(prev_scores, y_img)
-    seed_idx = [j for _, j, _ in seeds]
-    if iou_cache is None:
-        seed_cols = pairwise_iou(boxes, [boxes[j] for j in seed_idx])
-    else:
-        seed_cols = iou_cache[:, seed_idx]
-
-    pseudo = np.zeros_like(prev_scores)
-    # Winning object label per proposal; conflicts keep the larger weight,
-    # ties the lower class index.  The class sentinel never survives because
-    # any real seed beats weight -inf first.
-    best_w = np.full(k_total, -np.inf)
-    best_c = np.full(k_total, num_classes, dtype=int)
-    bg_best = np.full(k_total, -np.inf)
-
-    for col, (c, _, s) in enumerate(seeds):
-        overlap = seed_cols[:, col]
-        take = (overlap > cfg.phi_obj) & (
-            (s > best_w) | ((s == best_w) & (c < best_c))
-        )
-        best_w[take] = s
-        best_c[take] = c
-        band = (cfg.phi_bg < overlap) & (overlap < cfg.phi_obj)
-        np.maximum(bg_best, np.where(band, s, -np.inf), out=bg_best)
-
-    labelled = np.nonzero(np.isfinite(best_w))[0]
-    pseudo[best_c[labelled], labelled] = best_w[labelled]
-    return pseudo, seeds, bg_best
+    present = np.array(present_classes(y_img))
+    iou = pairwise_iou(boxes) if iou_cache is None else iou_cache
+    return label_rows(prev_scores, iou, present, cfg.phi_obj, cfg.phi_bg, oicr)
 
 
 def mine_support(
@@ -146,13 +144,11 @@ def mine_support(
     phi_obj) and no object label get the background label with weight s.
     Proposals in neither band keep an all-zero column.  Object labels beat
     background labels; among object labels the larger weight wins, ties
-    going to the lower class index.
+    going to the lower class index.  The one-row form of
+    :func:`label_rows`; ``iou_cache`` may hold the pairwise IoU matrix of
+    ``boxes``.
     """
-    pseudo, _, bg_best = _object_labels(prev_scores, boxes, y_img, cfg, iou_cache)
-    bg_row = pseudo.shape[0] - 1
-    support_bg = np.isfinite(bg_best) & ~pseudo.any(axis=0)
-    pseudo[bg_row, support_bg] = bg_best[support_bg]
-    return pseudo
+    return _one_row(prev_scores, boxes, y_img, cfg, iou_cache, oicr=False)
 
 
 def oicr_label(
@@ -166,10 +162,7 @@ def oicr_label(
 
     Object labelling is identical to :func:`mine_support`, but every
     proposal left without an object label becomes background, weighted by
-    the maximum seed score among present classes, so no column stays zero.
+    the maximum seed score among present classes, so no column stays zero
+    unless that score is 0.0.  The one-row OICR form of :func:`label_rows`.
     """
-    pseudo, seeds, _ = _object_labels(prev_scores, boxes, y_img, cfg, iou_cache)
-    bg_row = pseudo.shape[0] - 1
-    bg_weight = max(s for _, _, s in seeds)
-    pseudo[bg_row, ~pseudo.any(axis=0)] = bg_weight
-    return pseudo
+    return _one_row(prev_scores, boxes, y_img, cfg, iou_cache, oicr=True)

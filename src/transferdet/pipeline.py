@@ -37,6 +37,16 @@ Each training keeps its parameters as views into one flat buffer, so one
 Adam step per scene updates every block of every member (see
 :mod:`transferdet.model`).
 
+A weak-stage step is one stacked pass over the recurrent classifier
+stack.  The N classifiers of the M members are one (N, M, C+1, D+1)
+parameter block, ``rol_heads``, laid out in the flat buffer as N
+per-classifier blocks would be.  One head call scores every (classifier,
+member) pair, one softmax and one :func:`~transferdet.labelling.label_rows`
+call mine the pseudo labels of classifiers 2..N, and one head backward
+gives every head's gradient.  The feature gradient adds the distillation
+term, then classifiers 1, 2, ..., N in that order, so it is bit-identical
+to looping over the classifiers.
+
 Evaluation runs once per (seed, world, eval count), after all of that
 seed's cells are trained: :func:`evaluate_model` takes every model to be
 scored on those eval scenes, pools and overlaps each scene once for all of
@@ -66,8 +76,13 @@ from .evaluation import (
     match_rows,
     mean_ap,
 )
-from .geometry import BBox, nms, pairwise_iou
-from .labelling import ROLConfig, mine_support, oicr_label
+from .geometry import BBox, box_corners, nms, pairwise_iou
+from .labelling import (
+    ROLConfig,
+    label_rows,
+    mine_support,  # noqa: F401  (perfbench/tracer.py wraps pipeline.mine_support)
+    present_classes,
+)
 from .losses import (
     LossWeights,
     _proposal_cls_loss,
@@ -194,7 +209,8 @@ class ScenePack:
     background_mask: np.ndarray | None = None
     teacher: np.ndarray | None = None  # distillation target probabilities
     y_img: np.ndarray | None = None  # image-level labels, weak supervision
-    iou: np.ndarray | None = None  # pairwise IoU of boxes, labeller cache
+    iou: np.ndarray | None = None  # pairwise IoU of boxes, for the labeller
+    present: np.ndarray | None = None  # indices of y_img's present classes
 
 
 def proposal_labels(
@@ -273,13 +289,15 @@ def anchor_boxes(grid_height: int, grid_width: int) -> list[BBox]:
 @dataclass(frozen=True)
 class _Lattice:
     boxes: list[BBox]
+    corners: np.ndarray  # box_corners of the boxes
     index: np.ndarray  # pooling_index of the boxes
     counts: np.ndarray
     iou: np.ndarray  # pairwise IoU of the boxes
 
 
-# Lattice geometry is scene independent, so the boxes, the cells each box
-# pools over and their pairwise IoU are computed once per grid shape.
+# Lattice geometry is scene independent, so the boxes, their corners, the
+# cells each box pools over and their pairwise IoU are computed once per
+# grid shape.
 _LATTICE_CACHE: dict[tuple[int, int], _Lattice] = {}
 
 
@@ -288,7 +306,10 @@ def _anchor_lattice(height: int, width: int) -> _Lattice:
     if key not in _LATTICE_CACHE:
         boxes = anchor_boxes(height, width)
         _LATTICE_CACHE[key] = _Lattice(
-            boxes, *pooling_index(height, width, boxes), pairwise_iou(boxes)
+            boxes,
+            box_corners(boxes),
+            *pooling_index(height, width, boxes),
+            pairwise_iou(boxes),
         )
     return _LATTICE_CACHE[key]
 
@@ -339,8 +360,9 @@ def warmup_proposals(
     # Only the proposal columns are scene specific.  IoU is bitwise
     # symmetric, so their transpose and the cached anchor block complete
     # the full candidate matrix exactly.
-    fresh = pairwise_iou(candidates, proposals)
     p = len(proposals)
+    corners = np.concatenate([box_corners(proposals), lattice.corners])
+    fresh = pairwise_iou(corners, corners[:p])
     iou_matrix = np.empty((len(candidates), len(candidates)))
     iou_matrix[:, :p] = fresh
     iou_matrix[:p, p:] = fresh[p:].T
@@ -349,14 +371,24 @@ def warmup_proposals(
     return WarmupProposals(candidates, means, iou_matrix, keep)
 
 
-def pack_wstd_scene(scene: Scene, warmup: DetectorModel, cfg: StageConfig) -> ScenePack:
+def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
     """Weak-scene constants; reads only raw grid, proposals, image label.
 
     The kept warm-up proposals' means and IoU block are rows of what the
     warm-up step computed (pooling and IoU are per box and per pair, so
-    the rows are bit-identical to pooling the kept boxes afresh).  A pack
-    may be shared by several trainings, so its arrays are read-only.
+    the rows are bit-identical to pooling the kept boxes afresh).  The
+    teacher, the image label's length (one entry per target class of the
+    warm-up's main head) and its present classes (at least one) are
+    checked here, once; the labeller reads ``iou`` and ``present`` as they
+    are.  A pack may be shared by several trainings, so its arrays are
+    read-only.
     """
+    y_img = np.array(scene.image_label, dtype=float)
+    if y_img.shape != (warmup.main_head.num_rows - 1,):
+        raise ValueError(
+            f"image label of shape {y_img.shape} for "
+            f"{warmup.main_head.num_rows - 1} target classes"
+        )
     selection = warmup_proposals(warmup, scene, len(scene.proposals))
     keep = selection.keep
     raw_means = selection.raw_means[keep]
@@ -366,10 +398,11 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel, cfg: StageConfig) -> Sc
         teacher=check_score_matrix(
             pooled_probs(warmup.backbone, warmup.source_knowledge_head(), raw_means)
         ),
-        y_img=np.array(scene.image_label, dtype=float),
+        y_img=y_img,
         iou=selection.iou[np.ix_(keep, keep)],
+        present=np.array(present_classes(y_img)),
     )
-    for array in (pack.raw_means, pack.teacher, pack.y_img, pack.iou):
+    for array in (pack.raw_means, pack.teacher, pack.y_img, pack.iou, pack.present):
         array.flags.writeable = False
     return pack
 
@@ -391,14 +424,19 @@ class Members:
 
     ``weight[term]`` holds one coefficient per member as an (M,) array, which
     scales the members' loss values, and ``scale[term]`` the same values
-    shaped (M, 1, 1), which scales stacked (M, rows, K) gradients.  A stage
-    builds them once per training, so its steps do not rebuild them.
+    shaped (M, 1, 1), which scales stacked (M, rows, K) gradients.  The
+    labeller settings are gathered the same way, one (M,) entry per
+    member.  A stage builds them once per training, so its steps do not
+    rebuild them.
     """
 
     cfgs: tuple[StageConfig, ...]
     weight: dict[str, np.ndarray]
     scale: dict[str, np.ndarray]
     sdk_weighted: np.ndarray
+    phi_obj: np.ndarray
+    phi_bg: np.ndarray
+    oicr: np.ndarray  # True where the member labels with OICR
 
     @classmethod
     def of(cls, cfgs: "Members | Sequence[StageConfig]") -> "Members":
@@ -422,6 +460,9 @@ class Members:
             weight=weight,
             scale={term: w[:, None, None] for term, w in weight.items()},
             sdk_weighted=np.array([c.sdk_weighted for c in cfgs], dtype=bool),
+            phi_obj=np.array([c.rol.phi_obj for c in cfgs]),
+            phi_bg=np.array([c.rol.phi_bg for c in cfgs]),
+            oicr=np.array([c.labeller == "oicr" for c in cfgs]),
         )
 
 
@@ -502,23 +543,30 @@ def wstd_scene_loss(
     params: dict[str, np.ndarray],
     pack: ScenePack,
     cfgs: Members | Sequence[StageConfig],
-    fixed_pseudo: list[np.ndarray] | None = None,
+    fixed_pseudo: np.ndarray | None = None,
     frozen_backbone: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], list[np.ndarray]]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
     """Weak-stage loss over all recurrent classifiers plus distillation.
 
-    Pseudo labels for classifier i come from classifier i-1 scores and are
-    constants of the step (no gradient flows through them); each member's
-    labels are mined with its own labeller and ROL thresholds and stacked.
-    Passing ``fixed_pseudo`` (one stacked array per labelled classifier)
-    pins them explicitly, which the detachment tests use.
+    ``params["rol_heads"]`` holds the N classifiers of the M members as one
+    (N, M, C+1, D+1) block, and the whole stack runs as one pass: one
+    :func:`head_logits` call gives (N, M, C+1, K) logits, one softmax
+    scores classifiers 1..N-1, and one :func:`label_rows` call mines the
+    pseudo labels of classifiers 2..N from them, every (classifier,
+    member) row with that member's labeller and ROL thresholds.  The
+    labels are constants of the step (no gradient flows through them);
+    passing ``fixed_pseudo``, an (N-1, M, C+1, K) array like the one
+    returned, pins them explicitly, which the detachment tests use.
+    Classifier 1 takes :func:`image_multilabel_loss` and the rest one
+    stacked :func:`rol_classifier_loss`; one :func:`head_backward` gives
+    every head's gradient.  The feature gradient adds the distillation
+    term, then heads 1, 2, ..., N in that order, as a per-classifier loop
+    would, so the backbone gradient is bit-identical to one.
     ``frozen_backbone`` stands in, stacked, for a backbone outside
     ``params``.
     """
     members = Members.of(cfgs)
     weight, scale = members.weight, members.scale
-    num_classifiers = members.cfgs[0].rol.num_classifiers
-    labellers = {"rol": mine_support, "oicr": oicr_label}
     backbone = params["backbone"] if "backbone" in params else frozen_backbone
     features = pack.raw_means @ backbone.transpose(0, 2, 1)
 
@@ -529,43 +577,34 @@ def wstd_scene_loss(
         params["sdk_head"], features, scale["wstd_sdk"] * dsdk
     )
 
-    comps: dict[str, np.ndarray] = {"sdk": sdk_val}
-    rol_values: list[np.ndarray] = []
-    pseudo_used: list[np.ndarray] = []
-    prev_probs: np.ndarray | None = None
-    for i in range(num_classifiers):
-        weights_i = params[f"rol_head_{i}"]
-        logits = head_logits(weights_i, features)
-        if i == 0:
-            value, dlogits = image_multilabel_loss(logits, pack.y_img)
-        else:
-            if fixed_pseudo is not None:
-                pseudo = fixed_pseudo[i - 1]
-            else:
-                pseudo = np.stack([
-                    labellers[cfg.labeller](
-                        probs, pack.boxes, pack.y_img, cfg.rol, iou_cache=pack.iou
-                    )
-                    for probs, cfg in zip(prev_probs, members.cfgs)
-                ])
-            pseudo_used.append(pseudo)
-            value, dlogits = rol_classifier_loss(logits, pseudo)
-        dhead, dfeat = head_backward(
-            weights_i, features, scale["wstd_rol"] * dlogits
+    heads = params["rol_heads"]
+    logits = head_logits(heads, features)
+    if fixed_pseudo is None:
+        pseudo = label_rows(
+            column_softmax(logits[:-1]), pack.iou, pack.present,
+            members.phi_obj, members.phi_bg, members.oicr,
         )
-        grads[f"rol_head_{i}"] = dhead
+    else:
+        pseudo = fixed_pseudo
+    values = np.empty(logits.shape[:2])
+    dlogits = np.empty_like(logits)
+    values[0], dlogits[0] = image_multilabel_loss(logits[0], pack.y_img)
+    values[1:], dlogits[1:] = rol_classifier_loss(logits[1:], pseudo)
+    grads["rol_heads"], dheads = head_backward(
+        heads, features, scale["wstd_rol"] * dlogits
+    )
+    for dfeat in dheads:
         dfeatures = dfeatures + dfeat
-        if i + 1 < num_classifiers:
-            prev_probs = column_softmax(logits)
-        rol_values.append(value)
-        comps[f"rol_{i + 1}"] = value
 
-    rol_sum = sum(rol_values)
+    comps: dict[str, np.ndarray] = {"sdk": sdk_val}
+    for i, value in enumerate(values):
+        comps[f"rol_{i + 1}"] = value
+    rol_sum = sum(values)
     comps["rol"] = rol_sum
     comps["total"] = weight["wstd_sdk"] * sdk_val + weight["wstd_rol"] * rol_sum
     if "backbone" in params:
         grads["backbone"] = dfeatures.transpose(0, 2, 1) @ pack.raw_means
-    return comps, grads, pseudo_used
+    return comps, grads, pseudo
 
 
 # --- training loop ----------------------------------------------------------
@@ -906,7 +945,7 @@ def pack_weak_scenes(
         world, "target", "weak", substream(cfg.seed, "wstd", "weak"),
         cfg.weak_scenes_per_class,
     )
-    return [pack_wstd_scene(s, warmup, cfg) for s in weak]
+    return [pack_wstd_scene(s, warmup) for s in weak]
 
 
 def wstd_train(
@@ -927,7 +966,10 @@ def wstd_train(
     ``weak_scenes_per_class``, ``wstd_epochs``, ``optimizer``,
     ``rol.num_classifiers`` and ``freeze_backbone`` (else ``ValueError``),
     and may differ in the weak-stage coefficients, the labeller, its ROL
-    thresholds and ``sdk_weighted``.  Returns one student per config;
+    thresholds and ``sdk_weighted``.  The members' N recurrent classifiers
+    train as one (N, M, C+1, D+1) parameter block, ``rol_heads``, after
+    ``sdk_head`` and ``backbone`` in the flat buffer: classifier 1 of every
+    member, then classifier 2, and so on.  Returns one student per config;
     member m's loss curves go to ``reports[m]``.  ``packs`` is
     ``pack_weak_scenes(warmup, world, cfgs[0])`` when given, and is built
     here otherwise.
@@ -941,8 +983,9 @@ def wstd_train(
     params = {"sdk_head": _stacked(warmup.sdk_head.weights, count)}
     if not cfg.freeze_backbone:
         params["backbone"] = _stacked(warmup.backbone.map, count)
-    for i in range(classifiers):
-        params[f"rol_head_{i}"] = _stacked(warmup.main_head.weights, count)
+    params["rol_heads"] = _stacked(
+        _stacked(warmup.main_head.weights, count), classifiers
+    )
     if cfg.weak_scenes_per_class > 0:
         if packs is None:
             packs = pack_weak_scenes(warmup, world, cfg)
@@ -967,7 +1010,7 @@ def wstd_train(
             main_head=Head(weights=warmup.main_head.weights.copy(), role="main"),
             sdk_head=Head(weights=params["sdk_head"][m].copy(), role="sdk_branch"),
             rol_heads=[
-                Head(weights=params[f"rol_head_{i}"][m].copy(), role="rol_classifier")
+                Head(weights=params["rol_heads"][i, m].copy(), role="rol_classifier")
                 for i in range(classifiers)
             ],
             source_classes=warmup.source_classes,

@@ -1,9 +1,10 @@
 """From-scratch oracle implementations the tests compare against.
 
 Everything here is written with plain Python loops straight from the
-definitions: per-box ROI pooling, proposal labelling, greedy NMS, threshold-band
-pseudo-labelling and the shape of its output, per-block Adam, VOC matching
-and average precision.  Slow on purpose; nothing imports the package.
+definitions: per-box ROI pooling, proposal labelling, greedy NMS,
+threshold-band pseudo-labelling and the shape of its output, the weak-stage
+loss one classifier at a time, per-block Adam, VOC matching and average
+precision.  Slow on purpose; nothing imports the package.
 """
 
 import numpy as np
@@ -81,6 +82,7 @@ def ref_label(scores, boxes, y_img, phi_obj, phi_bg, mode):
     become background, everything else stays an all-zero column.
     mode "oicr": every unassigned proposal becomes background weighted
     by the largest top-proposal score.
+    A proposal whose best claim weighs exactly 0.0 counts as unassigned.
     """
     rows, num = np.asarray(scores).shape
     bg = rows - 1
@@ -102,7 +104,7 @@ def ref_label(scores, boxes, y_img, phi_obj, phi_bg, mode):
                 if assigned[k] is None or s > assigned[k][1]:
                     assigned[k] = (c, s)
     for k in range(num):
-        if assigned[k] is not None:
+        if assigned[k] is not None and assigned[k][1] != 0.0:
             c, s = assigned[k]
             pseudo[c, k] = s
         elif mode == "oicr":
@@ -117,6 +119,81 @@ def ref_label(scores, boxes, y_img, phi_obj, phi_bg, mode):
             if w > 0.0:
                 pseudo[bg, k] = w
     return pseudo
+
+
+def ref_softmax(logits):
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_wstd_loss(backbone, sdk_head, rol_heads, raw_means, teacher, boxes, y_img,
+                  member):
+    """One member's weak-stage loss, one classifier at a time: distillation,
+    then classifier 1 on the image label, then each later classifier on
+    labels mined by :func:`ref_label` from the previous one's softmax, the
+    feature gradient summed in that order.  ``member`` holds ``lam_sdk``,
+    ``lam_rol``, ``weighted``, ``phi_obj``, ``phi_bg`` and ``mode`` (as for
+    ref_label).  Returns the loss components, the gradients (``rol_heads``
+    as a list) and the mined labels."""
+    features = raw_means @ backbone.T
+
+    def forward(weights):
+        return weights[:, :-1] @ features.T + weights[:, -1:]
+
+    def backward(weights, dlogits):
+        dweights = np.empty_like(weights)
+        dweights[:, :-1] = dlogits @ features
+        dweights[:, -1] = dlogits.sum(axis=-1)
+        return dweights, dlogits.T @ weights[:, :-1]
+
+    def cross_entropy(logits, target):
+        probs = ref_softmax(logits)
+        value = -(target * np.log(np.maximum(probs, 1e-12))).sum()
+        return value, probs * target.sum(axis=0, keepdims=True) - target
+
+    target = teacher * teacher if member["weighted"] else teacher
+    sdk_val, dsdk = cross_entropy(forward(sdk_head), target)
+    dsdk_head, dfeatures = backward(sdk_head, member["lam_sdk"] * dsdk)
+
+    comps = {"sdk": sdk_val}
+    values, dheads, pseudo = [], [], []
+    prev_probs = None
+    for i, weights in enumerate(rol_heads):
+        logits = forward(weights)
+        if i == 0:
+            z = logits[:-1].sum(axis=-1)
+            value = (np.logaddexp(0.0, z) - y_img * z).sum()
+            dlogits = np.zeros_like(logits)
+            dlogits[:-1] = (ref_sigmoid(z) - y_img)[:, None]
+        else:
+            labels = ref_label(prev_probs, boxes, y_img, member["phi_obj"],
+                               member["phi_bg"], member["mode"])
+            pseudo.append(labels)
+            value, dlogits = cross_entropy(logits, labels)
+        dhead, dfeat = backward(weights, member["lam_rol"] * dlogits)
+        dheads.append(dhead)
+        dfeatures = dfeatures + dfeat
+        prev_probs = ref_softmax(logits)
+        values.append(value)
+        comps[f"rol_{i + 1}"] = value
+    comps["rol"] = sum(values)
+    comps["total"] = member["lam_sdk"] * sdk_val + member["lam_rol"] * comps["rol"]
+    grads = {
+        "backbone": dfeatures.T @ raw_means,
+        "sdk_head": dsdk_head,
+        "rol_heads": dheads,
+    }
+    return comps, grads, pseudo
 
 
 def check_pseudo_matrix(pseudo):

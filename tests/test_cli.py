@@ -20,6 +20,7 @@ from transferdet.cli import (
     GRADCHECKS,
     _gather_overrides,
     _parse_seeds,
+    _wstd_instance,
     build_parser,
     main,
     run_gradcheck_suite,
@@ -102,6 +103,7 @@ BAD_OVERRIDES = [
     ("optimizer.weight_decay=nan", "optimizer.weight_decay"),
     ("optimizer.lr_decay_factor=inf", "optimizer.lr_decay_factor"),
     ("optimizer.epsilon=-inf", "optimizer.epsilon"),
+    ("rol.phi_obj=1", "rol.phi_obj"),
 ]
 
 OVERRIDE_COMMANDS = {
@@ -127,6 +129,16 @@ def test_malformed_override_exits_2(tmp_path, capsys, command, line, key, via):
     err = capsys.readouterr().err
     assert repr(key) in err and "Traceback" not in err
     assert not out.exists()  # rejected before any work
+
+
+def test_train_wstd_refuses_phi_obj_1(tmp_path, capsys):
+    # no IoU exceeds 1, so phi_obj = 1 could never label a seed
+    out = tmp_path / "out"
+    argv = ["train", "wstd", "--seed", "1", "--set", "rol.phi_obj=1"]
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'rol.phi_obj'" in err and "phi_obj < 1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("via", ["set", "config"])
@@ -529,6 +541,14 @@ def test_gradcheck_suite_unit():
     with pytest.raises(ValueError, match="unknown loss"):
         run_gradcheck_suite(["nope"], instances=1)
     assert len(GRADCHECKS) == 9
+
+
+def test_wstd_gradcheck_probes_the_stacked_rol_heads():
+    rng = np.random.default_rng(0)
+    pack, params = _wstd_instance(rng)
+    assert params["rol_heads"].shape == (3, 1, 4, 5)
+    _, analytic, point = GRADCHECKS["wstd_end_to_end"](rng)
+    assert point.size == analytic.size == sum(p.size for p in params.values())
 
 
 def test_gradcheck_default_passes(tmp_path, capsys):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferdet.geometry import BBox, iou, pairwise_iou
 from transferdet.labelling import (
     ROLConfig,
+    label_rows,
     mine_support,
     oicr_label,
     present_classes,
-    top_proposal,
 )
 
 from reference import check_pseudo_matrix, random_boxes, ref_label
@@ -37,6 +39,9 @@ def test_rol_config_defaults_and_validation():
         ROLConfig(phi_obj=0.3, phi_bg=0.5)
     with pytest.raises(ValueError):
         ROLConfig(phi_obj=1.2)
+    # no IoU exceeds 1, so phi_obj = 1 would leave even the seed unlabelled
+    with pytest.raises(ValueError, match="phi_obj < 1"):
+        ROLConfig(phi_obj=1.0)
     with pytest.raises(ValueError):
         ROLConfig(num_classifiers=1)
 
@@ -57,15 +62,28 @@ def test_present_classes():
         present_classes(np.zeros(3))
 
 
-def test_top_proposal():
-    scores = np.array([[0.1, 0.9, 0.3], [0.9, 0.1, 0.7]])
-    assert top_proposal(scores, 0) == 1
-    assert top_proposal(np.array([[0.5, 0.5], [0.5, 0.5]]), 0) == 0  # tie
-    assert top_proposal(np.array([[0.2], [0.8]]), 0) == 0
-    with pytest.raises(ValueError):
-        top_proposal(scores, 1)  # background row
-    with pytest.raises(ValueError):
-        top_proposal(scores, -1)
+def test_seed_is_the_first_top_proposal():
+    # class 0 ties at columns 1 and 2, each far from the other: the seed is
+    # column 1, so only it is object-labelled
+    boxes = [strip(0.0, 0.2), strip(0.3, 0.2), strip(0.7, 0.2)]
+    scores = np.array([[0.1, 0.6, 0.6], [0.9, 0.4, 0.4]])
+    mined = mine_support(scores, boxes, np.array([1.0]), CFG)
+    np.testing.assert_array_equal(mined, [[0.0, 0.6, 0.0], [0.0, 0.0, 0.0]])
+
+
+def test_zero_score_seed_leaves_its_column_unlabelled():
+    # class 1's seed scores exactly 0.0: its column counts as unlabelled,
+    # so class 0's band makes it background; OICR fills it too
+    boxes = [strip(0.0, 0.5), strip(0.215, 0.5)]
+    assert 0.3 < iou(boxes[0], boxes[1]) < 0.5
+    scores = np.array([[0.7, 0.0], [0.0, 0.0], [0.3, 1.0]])
+    y = np.array([1.0, 1.0])
+    np.testing.assert_array_equal(
+        mine_support(scores, boxes, y, CFG), [[0.7, 0.0], [0.0, 0.0], [0.0, 0.7]]
+    )
+    np.testing.assert_array_equal(
+        oicr_label(scores, boxes, y, CFG), [[0.7, 0.0], [0.0, 0.0], [0.0, 0.7]]
+    )
 
 
 def test_worked_band_example():
@@ -222,3 +240,51 @@ def test_shape_mismatch_rejected():
         mine_support(scores, boxes, np.array([1.0]), CFG)
     with pytest.raises(ValueError):
         mine_support(scores[:, :1], boxes, np.array([1.0, 0.0]), CFG)
+
+
+# (phi_obj, phi_bg) pairs
+BANDS = [(0.5, 0.3), (0.5, 0.0), (0.7, 0.1), (0.5, 0.45), (0.05, 0.0), (0.99, 0.6)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_classes=st.integers(1, 4),
+    count=st.integers(1, 10),
+    depth=st.integers(1, 3),
+    members=st.integers(1, 4),
+    subset=st.integers(1, 15),
+)
+def test_stacked_labeller_rows_equal_one_row_forms_and_oracle(
+    seed, num_classes, count, depth, members, subset
+):
+    rng = np.random.default_rng(seed)
+    tuples = random_boxes(rng, count, lo=0.1, hi=0.6)
+    if count > 1 and rng.uniform() < 0.5:
+        tuples[-1] = tuples[0]  # duplicate boxes
+    boxes = [BBox(*t) for t in tuples]
+    # coarse scores make tied seeds, tied claims and zero-score seeds common
+    scores = rng.integers(0, 4, size=(depth, members, num_classes + 1, count)) / 4.0
+    y = np.array([(subset >> c) & 1 for c in range(num_classes)], dtype=float)
+    if not y.any():
+        y[subset % num_classes] = 1.0
+    cfgs = [ROLConfig(*BANDS[i]) for i in rng.integers(0, len(BANDS), size=members)]
+    oicr = rng.uniform(size=members) < 0.5
+    cache = pairwise_iou(boxes)
+
+    stacked = label_rows(
+        scores, cache, np.flatnonzero(y),
+        np.array([c.phi_obj for c in cfgs]), np.array([c.phi_bg for c in cfgs]), oicr,
+    )
+    assert stacked.shape == scores.shape
+    for d in range(depth):
+        for m, cfg in enumerate(cfgs):
+            row = scores[d, m]
+            labeller = oicr_label if oicr[m] else mine_support
+            mode = "oicr" if oicr[m] else "support"
+            got = stacked[d, m]
+            assert np.array_equal(got, labeller(row, boxes, y, cfg, iou_cache=cache))
+            assert np.array_equal(got, labeller(row, boxes, y, cfg))
+            assert np.array_equal(
+                got, ref_label(row, tuples, y, cfg.phi_obj, cfg.phi_bg, mode)
+            )

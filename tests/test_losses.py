@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferdet.geometry import BBox
+from transferdet.geometry import BBox, pairwise_iou
 from transferdet.losses import (
     LossWeights,
     bd_loss,
@@ -298,7 +298,13 @@ def test_proposal_cls_loss_and_labels():
 
 
 def stacked(params, members=1):
-    return {k: np.repeat(v[None], members, axis=0) for k, v in params.items()}
+    """Each block repeated ``members`` times along its member axis: the
+    leading one, or the second of the (N, M, C+1, D+1) ``rol_heads``."""
+    axis = {k: int(k == "rol_heads") for k in params}
+    return {
+        k: np.repeat(np.expand_dims(v, axis[k]), members, axis=axis[k])
+        for k, v in params.items()
+    }
 
 
 def lstd_instance(rng, num_target=3, num_source=4, dim=4, k=5):
@@ -330,13 +336,14 @@ def wstd_instance(rng, classifiers=3, num_target=3, num_source=4, dim=4, k=6):
         raw_means=rng.standard_normal((k, dim)),
         teacher=random_score_matrix(rng, num_source + 1, k),
         y_img=y_img,
+        iou=pairwise_iou(boxes),
+        present=np.flatnonzero(y_img),
     )
     params = {
         "backbone": 0.5 * rng.standard_normal((dim, dim)),
         "sdk_head": rng.standard_normal((num_source + 1, dim + 1)),
+        "rol_heads": rng.standard_normal((classifiers, num_target + 1, dim + 1)),
     }
-    for i in range(classifiers):
-        params[f"rol_head_{i}"] = rng.standard_normal((num_target + 1, dim + 1))
     return pack, params
 
 

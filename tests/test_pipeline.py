@@ -46,6 +46,7 @@ from transferdet.pipeline import (
     wstd_scene_loss,
     wstd_train,
 )
+from transferdet.labelling import ROLConfig
 from transferdet.losses import LossWeights
 from transferdet.model import OptimizerConfig
 from transferdet.synthworld import (
@@ -64,6 +65,7 @@ from reference import (
     ref_nms,
     ref_pool,
     ref_proposal_labels,
+    ref_wstd_loss,
 )
 
 # Short stage lengths keep each fixture under a second while still moving
@@ -314,13 +316,25 @@ def test_warmup_proposals_match_full_matrix_oracle(warmup, world):
 
 
 def test_pack_wstd_scene(warmup, weak_scene):
-    pack = pack_wstd_scene(weak_scene, warmup, TINY)
+    pack = pack_wstd_scene(weak_scene, warmup)
     expect = warmup_proposals(warmup, weak_scene, len(weak_scene.proposals)).boxes
     assert [b.as_tuple() for b in pack.boxes] == [b.as_tuple() for b in expect]
     assert pack.teacher.shape == (warmup.source_classes + 1, len(pack.boxes))
     assert np.array_equal(pack.y_img, weak_scene.image_label.astype(float))
     assert np.array_equal(pack.iou, pairwise_iou(pack.boxes))
+    assert pack.present.tolist() == np.flatnonzero(weak_scene.image_label).tolist()
     assert pack.labels is None
+
+
+def test_pack_wstd_scene_checks_the_image_label_once(warmup, weak_scene):
+    # the labeller reads the pack's present classes unchecked, so a label
+    # marking none, or of the wrong length, is refused when packing
+    empty = replace(weak_scene, image_label=np.zeros_like(weak_scene.image_label))
+    with pytest.raises(ValueError, match="no present class"):
+        pack_wstd_scene(empty, warmup)
+    longer = replace(weak_scene, image_label=np.append(weak_scene.image_label, 1))
+    with pytest.raises(ValueError, match="image label"):
+        pack_wstd_scene(longer, warmup)
 
 
 @pytest.mark.parametrize("k", [16, 32, 64])
@@ -330,15 +344,15 @@ def test_pack_wstd_scene_reuses_warmup_rows_bit_exactly(warmup, k):
     # boxes afresh
     world = make_world(WorldConfig(seed=5, proposals_per_scene=k))
     for scene in sample_scenes(world, "target", "weak", substream(k, "reuse"), 6):
-        pack = pack_wstd_scene(scene, warmup, TINY)
+        pack = pack_wstd_scene(scene, warmup)
         assert np.array_equal(pack.raw_means, pool_raw_means(scene.raw_grid, pack.boxes))
         assert np.array_equal(pack.iou, pairwise_iou(pack.boxes))
         assert np.array_equal(pack.teacher, extract_sdk(warmup, scene.raw_grid, pack.boxes))
 
 
 def test_pack_wstd_scene_arrays_reject_writes(warmup, weak_scene):
-    pack = pack_wstd_scene(weak_scene, warmup, TINY)
-    for array in (pack.raw_means, pack.teacher, pack.y_img, pack.iou):
+    pack = pack_wstd_scene(weak_scene, warmup)
+    for array in (pack.raw_means, pack.teacher, pack.y_img, pack.iou, pack.present):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -592,15 +606,17 @@ def test_wstd_freeze_backbone(world, warmup):
 
 
 def test_pseudo_labels_are_detached(warmup, weak_scene):
-    pack = pack_wstd_scene(weak_scene, warmup, TINY)
+    pack = pack_wstd_scene(weak_scene, warmup)
+    classifiers = TINY.rol.num_classifiers
     params = {
         "backbone": warmup.backbone.map[None].copy(),
         "sdk_head": warmup.sdk_head.weights[None].copy(),
+        "rol_heads": np.repeat(warmup.main_head.weights[None, None], classifiers, 0),
     }
-    for i in range(TINY.rol.num_classifiers):
-        params[f"rol_head_{i}"] = warmup.main_head.weights[None].copy()
     comps, grads, pseudo = wstd_scene_loss(params, pack, [TINY])
-    assert len(pseudo) == TINY.rol.num_classifiers - 1
+    assert pseudo.shape == (classifiers - 1, 1) + (
+        warmup.main_head.num_rows, len(pack.boxes)
+    )
 
     # pinning the recomputed labels is a no-op at the same parameters
     comps_f, grads_f, _ = wstd_scene_loss(params, pack, [TINY], fixed_pseudo=pseudo)
@@ -613,7 +629,7 @@ def test_pseudo_labels_are_detached(warmup, weak_scene):
     # a classifier-1 perturbation reaches later classifiers only through
     # their labels, so with labels held fixed the later losses are unmoved
     shifted = {k: v.copy() for k, v in params.items()}
-    shifted["rol_head_0"] = shifted["rol_head_0"] + 0.05
+    shifted["rol_heads"][0] += 0.05
     comps_s, _, _ = wstd_scene_loss(shifted, pack, [TINY], fixed_pseudo=pseudo)
     assert comps_s["rol_1"][0] != comps["rol_1"][0]
     assert comps_s["rol_2"][0] == comps["rol_2"][0]
@@ -624,6 +640,69 @@ def test_pseudo_labels_are_detached(warmup, weak_scene):
     assert any(
         not np.array_equal(a, b) for a, b in zip(pseudo_s, pseudo)
     )
+
+
+# The fig9 ROL bands, the default one labelled by OICR, with per-member
+# weak-stage coefficients and one weighted distillation.
+WSTD_GROUP = [
+    replace(TINY, labeller="oicr"),
+    replace(TINY, rol=ROLConfig(phi_obj=0.4), sdk_weighted=True),
+    replace(TINY, rol=ROLConfig(phi_obj=0.6), weights=LossWeights(lambda_wstd_rol=20.0)),
+    replace(TINY, rol=ROLConfig(phi_bg=0.2), weights=LossWeights(lambda_wstd_sdk=0.0)),
+    replace(TINY, rol=ROLConfig(phi_bg=0.4)),
+]
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, freeze):
+    # one stacked pass over every (classifier, member) equals, bit for bit,
+    # each member's loss computed one classifier at a time
+    cfgs = [replace(cfg, freeze_backbone=freeze) for cfg in WSTD_GROUP]
+    count, classifiers = len(cfgs), TINY.rol.num_classifiers
+    rng = np.random.default_rng(21)
+    backbone = warmup.backbone.map + 0.1 * rng.standard_normal((count, *warmup.backbone.map.shape))
+    sdk_head = warmup.sdk_head.weights + 0.1 * rng.standard_normal(
+        (count, *warmup.sdk_head.weights.shape)
+    )
+    heads = warmup.main_head.weights + 0.5 * rng.standard_normal(
+        (classifiers, count, *warmup.main_head.weights.shape)
+    )
+    params = {"sdk_head": sdk_head, "rol_heads": heads}
+    if not freeze:
+        params["backbone"] = backbone
+    frozen = backbone if freeze else None
+    labelled = {"object": 0, "background": 0}
+    for pack in pack_weak_scenes(warmup, world, TINY):
+        comps, grads, pseudo = wstd_scene_loss(params, pack, cfgs, frozen_backbone=frozen)
+        assert pseudo.shape == (classifiers - 1, count) + heads.shape[2:3] + (len(pack.boxes),)
+        assert ("backbone" in grads) == (not freeze)
+        boxes = [b.as_tuple() for b in pack.boxes]
+        for m, cfg in enumerate(cfgs):
+            member = {
+                "lam_sdk": cfg.weights.lambda_wstd_sdk,
+                "lam_rol": cfg.weights.lambda_wstd_rol,
+                "weighted": cfg.sdk_weighted,
+                "phi_obj": cfg.rol.phi_obj,
+                "phi_bg": cfg.rol.phi_bg,
+                "mode": "oicr" if cfg.labeller == "oicr" else "support",
+            }
+            ref_comps, ref_grads, ref_pseudo = ref_wstd_loss(
+                backbone[m], sdk_head[m], heads[:, m], pack.raw_means, pack.teacher,
+                boxes, pack.y_img, member,
+            )
+            assert comps.keys() == ref_comps.keys()
+            for key, value in ref_comps.items():
+                assert comps[key][m] == value, key
+            assert np.array_equal(grads["sdk_head"][m], ref_grads["sdk_head"])
+            for i in range(classifiers):
+                assert np.array_equal(grads["rol_heads"][i, m], ref_grads["rol_heads"][i])
+            for i in range(classifiers - 1):
+                assert np.array_equal(pseudo[i, m], ref_pseudo[i])
+                labelled["object"] += int((pseudo[i, m, :-1] > 0).sum())
+                labelled["background"] += int((pseudo[i, m, -1] > 0).sum())
+            if not freeze:
+                assert np.array_equal(grads["backbone"][m], ref_grads["backbone"])
+    assert labelled["object"] > 0 and labelled["background"] > 0
 
 
 # --- lockstep groups ----------------------------------------------------
@@ -1010,9 +1089,9 @@ def test_fig9_packs_weak_scenes_once_per_world_and_warmup(tmp_path, monkeypatch)
     packed = []
     original_pack = pipeline.pack_wstd_scene
 
-    def counting_pack(scene, warmup, cfg):
+    def counting_pack(scene, warmup):
         packed.append(scene)
-        return original_pack(scene, warmup, cfg)
+        return original_pack(scene, warmup)
 
     monkeypatch.setattr(pipeline, "pack_wstd_scene", counting_pack)
     seed = 3
