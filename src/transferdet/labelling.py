@@ -67,9 +67,9 @@ def label_rows(
 ) -> np.ndarray:
     """Pseudo labels of a stack of (C+1) x K score rows, (..., C+1, K).
 
-    ``iou`` is the (K, K) IoU matrix of the proposals, ``present`` the
-    ascending indices of the present classes (at least one), both shared
-    by every row.  ``phi_obj``, ``phi_bg`` and ``oicr`` (True for the OICR
+    ``iou`` is the (K, K) IoU matrix of the proposals and ``present`` an
+    int array of the present classes' indices, ascending and at least one;
+    both are shared by every row.  ``phi_obj``, ``phi_bg`` and ``oicr`` (True for the OICR
     labeller, False for selective mining) broadcast against the rows'
     leading shape.  Per row:
 

@@ -72,18 +72,15 @@ def test_seed_is_the_first_top_proposal():
 
 
 def test_zero_score_seed_leaves_its_column_unlabelled():
-    # class 1's seed scores exactly 0.0: its column counts as unlabelled,
-    # so class 0's band makes it background; OICR fills it too
+    # class 1 scores 0.0 everywhere, so its seed (column 0) weighs 0.0: the
+    # column counts as unlabelled and class 0's band makes it background
     boxes = [strip(0.0, 0.5), strip(0.215, 0.5)]
     assert 0.3 < iou(boxes[0], boxes[1]) < 0.5
-    scores = np.array([[0.7, 0.0], [0.0, 0.0], [0.3, 1.0]])
+    scores = np.array([[0.2, 0.7], [0.0, 0.0], [0.8, 0.3]])
     y = np.array([1.0, 1.0])
-    np.testing.assert_array_equal(
-        mine_support(scores, boxes, y, CFG), [[0.7, 0.0], [0.0, 0.0], [0.0, 0.7]]
-    )
-    np.testing.assert_array_equal(
-        oicr_label(scores, boxes, y, CFG), [[0.7, 0.0], [0.0, 0.0], [0.0, 0.7]]
-    )
+    expected = [[0.0, 0.7], [0.0, 0.0], [0.7, 0.0]]
+    np.testing.assert_array_equal(mine_support(scores, boxes, y, CFG), expected)
+    np.testing.assert_array_equal(oicr_label(scores, boxes, y, CFG), expected)
 
 
 def test_worked_band_example():
@@ -265,6 +262,8 @@ def test_stacked_labeller_rows_equal_one_row_forms_and_oracle(
     boxes = [BBox(*t) for t in tuples]
     # coarse scores make tied seeds, tied claims and zero-score seeds common
     scores = rng.integers(0, 4, size=(depth, members, num_classes + 1, count)) / 4.0
+    if rng.uniform() < 0.5:
+        scores[..., rng.integers(0, num_classes), :] = 0.0
     y = np.array([(subset >> c) & 1 for c in range(num_classes)], dtype=float)
     if not y.any():
         y[subset % num_classes] = 1.0

@@ -647,7 +647,9 @@ def test_pseudo_labels_are_detached(warmup, weak_scene):
 WSTD_GROUP = [
     replace(TINY, labeller="oicr"),
     replace(TINY, rol=ROLConfig(phi_obj=0.4), sdk_weighted=True),
-    replace(TINY, rol=ROLConfig(phi_obj=0.6), weights=LossWeights(lambda_wstd_rol=20.0)),
+    replace(
+        TINY, rol=ROLConfig(phi_obj=0.6), weights=LossWeights(lambda_wstd_rol=20.0)
+    ),
     replace(TINY, rol=ROLConfig(phi_bg=0.2), weights=LossWeights(lambda_wstd_sdk=0.0)),
     replace(TINY, rol=ROLConfig(phi_bg=0.4)),
 ]
@@ -660,21 +662,23 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, freeze):
     cfgs = [replace(cfg, freeze_backbone=freeze) for cfg in WSTD_GROUP]
     count, classifiers = len(cfgs), TINY.rol.num_classifiers
     rng = np.random.default_rng(21)
-    backbone = warmup.backbone.map + 0.1 * rng.standard_normal((count, *warmup.backbone.map.shape))
-    sdk_head = warmup.sdk_head.weights + 0.1 * rng.standard_normal(
-        (count, *warmup.sdk_head.weights.shape)
-    )
-    heads = warmup.main_head.weights + 0.5 * rng.standard_normal(
-        (classifiers, count, *warmup.main_head.weights.shape)
-    )
+    def perturbed(array, scale, *lead):
+        return array + scale * rng.standard_normal(lead + array.shape)
+
+    backbone = perturbed(warmup.backbone.map, 0.1, count)
+    sdk_head = perturbed(warmup.sdk_head.weights, 0.1, count)
+    heads = perturbed(warmup.main_head.weights, 0.5, classifiers, count)
     params = {"sdk_head": sdk_head, "rol_heads": heads}
     if not freeze:
         params["backbone"] = backbone
     frozen = backbone if freeze else None
     labelled = {"object": 0, "background": 0}
     for pack in pack_weak_scenes(warmup, world, TINY):
-        comps, grads, pseudo = wstd_scene_loss(params, pack, cfgs, frozen_backbone=frozen)
-        assert pseudo.shape == (classifiers - 1, count) + heads.shape[2:3] + (len(pack.boxes),)
+        comps, grads, pseudo = wstd_scene_loss(
+            params, pack, cfgs, frozen_backbone=frozen
+        )
+        k = len(pack.boxes)
+        assert pseudo.shape == (classifiers - 1,) + heads.shape[1:3] + (k,)
         assert ("backbone" in grads) == (not freeze)
         boxes = [b.as_tuple() for b in pack.boxes]
         for m, cfg in enumerate(cfgs):
@@ -695,7 +699,9 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, freeze):
                 assert comps[key][m] == value, key
             assert np.array_equal(grads["sdk_head"][m], ref_grads["sdk_head"])
             for i in range(classifiers):
-                assert np.array_equal(grads["rol_heads"][i, m], ref_grads["rol_heads"][i])
+                assert np.array_equal(
+                    grads["rol_heads"][i, m], ref_grads["rol_heads"][i]
+                )
             for i in range(classifiers - 1):
                 assert np.array_equal(pseudo[i, m], ref_pseudo[i])
                 labelled["object"] += int((pseudo[i, m, :-1] > 0).sum())
@@ -703,6 +709,35 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, freeze):
             if not freeze:
                 assert np.array_equal(grads["backbone"][m], ref_grads["backbone"])
     assert labelled["object"] > 0 and labelled["background"] > 0
+
+
+def test_wstd_step_is_one_call_per_layer_for_the_whole_stack(
+    world, warmup, monkeypatch
+):
+    # every (classifier, member) pair of a step is scored, labelled, taken
+    # the loss of and backpropagated by one call each
+    names = (
+        "head_logits", "head_backward", "label_rows", "image_multilabel_loss",
+        "rol_classifier_loss", "mine_support",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    packs = pack_weak_scenes(warmup, world, TINY)
+    wstd_train(warmup, world, WSTD_GROUP, packs=packs)
+    steps = len(packs) * TINY.wstd_epochs
+    # one head call each for the distillation branch and the ROL stack
+    assert calls == {
+        "head_logits": 2 * steps, "head_backward": 2 * steps, "label_rows": steps,
+        "image_multilabel_loss": steps, "rol_classifier_loss": steps, "mine_support": 0,
+    }
 
 
 # --- lockstep groups ----------------------------------------------------
