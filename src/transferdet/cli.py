@@ -179,6 +179,8 @@ def _require_input(path, what: str) -> Path:
 
 def cmd_world(args) -> int:
     started = time.perf_counter()
+    if args.count < 1:
+        raise CliError(EXIT_CONFIG, f"--count must be at least 1, got {args.count}")
     seed = _resolve_seed(args)
     cfg = replace(apply_overrides(WorldConfig(), _gather_overrides(args)), seed=seed)
     world = make_world(cfg)

@@ -7,25 +7,37 @@ ground-truth box; duplicates on an already-matched box count as false
 positives.  AP defaults to the 11-point interpolation; the all-points
 precision-envelope integral is available behind a flag.
 
+Detections are columns from file to AP: :func:`read_detections_csv`
+parses a detections file into one :class:`Detections` (scene ids,
+classes, (n, 4) corner boxes, scores), and :func:`evaluate_detections`
+and :func:`match_detections` take it.  :class:`Detection` is only the
+type that producers build (:func:`transferdet.pipeline.detect`,
+:func:`write_detections_csv`); ``Detections.of`` turns a list of them
+into columns.
+
 One greedy matcher, :func:`match_rows`, works on each detection's row of
 IoUs against its scene's ground-truth boxes of the class.  Its skip rule:
 a detection whose best IoU over all of those boxes is at most the
 threshold is a false positive that changes no matching state, so only the
 detections above it enter the per-box loop.  :func:`match_detections`
-feeds it rows from the scalar IoU of :class:`Detection` objects (the CLI
-path); the experiment path gathers rows from per-scene proposal-by-GT IoU
-blocks (see :func:`transferdet.pipeline.evaluate_model`).
+feeds it rows from one elementwise IoU of the detections against a padded
+per-scene ground-truth array (the CLI path); the experiment path gathers
+rows from per-scene proposal-by-GT IoU blocks (see
+:func:`transferdet.pipeline.evaluate_model`).  Both apply the operations
+of the scalar :func:`~transferdet.geometry.iou` in its order, so every
+row entry is the scalar IoU bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import BBox, iou
+from .geometry import BBox, box_corners, elementwise_iou
 
 AP_METHODS = ("voc07_11point", "all_points")
 
@@ -44,6 +56,48 @@ class Detection:
     def __post_init__(self):
         if not np.isfinite(self.score):
             raise ValueError(f"non-finite detection score {self.score}")
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """n detections as columns: int64 scene ids and classes, an (n, 4)
+    float array of (x1, y1, x2, y2) corner rows, and float scores.  Row i
+    is one detection; rows keep the order they were read or built in."""
+
+    scene_ids: np.ndarray
+    classes: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.scores)
+        shapes = (self.scene_ids.shape, self.classes.shape, self.boxes.shape,
+                  self.scores.shape)
+        if shapes != ((n,), (n,), (n, 4), (n,)):
+            raise ValueError(
+                f"detection columns of shapes {shapes}: need (n,), (n,), (n, 4), (n,)"
+            )
+
+    @classmethod
+    def of(cls, detections: Iterable[Detection]) -> "Detections":
+        """Columns of a sequence of :class:`Detection` objects, in order."""
+        detections = list(detections)
+        return cls(
+            scene_ids=np.array([d.scene_id for d in detections], dtype=np.int64),
+            classes=np.array([d.class_index for d in detections], dtype=np.int64),
+            boxes=box_corners([d.box for d in detections]),
+            scores=np.array([d.score for d in detections], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def take(self, index) -> "Detections":
+        """The rows an index array or boolean mask selects, in its order."""
+        return Detections(
+            self.scene_ids[index], self.classes[index], self.boxes[index],
+            self.scores[index],
+        )
 
 
 @dataclass(frozen=True)
@@ -112,27 +166,48 @@ def match_rows(
     return flags
 
 
+def gt_iou_rows(dets: Detections, gts: dict[int, list[BBox]]) -> np.ndarray:
+    """IoU rows of ``dets`` against their scenes' boxes in ``gts``, as
+    :func:`match_rows` takes them.
+
+    The boxes of ``gts`` go into one (scenes, widest scene, 4) array padded
+    with zero boxes; each detection gathers its scene's slice of it and one
+    :func:`~transferdet.geometry.elementwise_iou` gives every row.  Entries
+    past a scene's box count, and every entry of a detection whose scene is
+    not a key of ``gts``, hold :data:`NO_GT`.
+    """
+    keys = np.array(sorted(gts), dtype=np.int64)
+    boxes = [gts[k] for k in keys.tolist()]
+    counts = np.array([len(b) for b in boxes] + [0], dtype=np.int64)
+    # One slot per scene, and a last one without boxes for unknown scenes.
+    table = np.zeros((len(counts), int(counts.max()), 4))
+    slot_of_box = np.repeat(np.arange(len(counts)), counts)
+    first_of_slot = np.cumsum(counts) - counts
+    rank_of_box = np.arange(slot_of_box.size) - first_of_slot[slot_of_box]
+    table[slot_of_box, rank_of_box] = box_corners([b for bs in boxes for b in bs])
+    slot = np.searchsorted(keys, dets.scene_ids)
+    known = (slot < len(keys)) & (np.append(keys, 0)[slot] == dets.scene_ids)
+    slot[~known] = len(keys)
+    rows = elementwise_iou(dets.boxes[:, None, :], table[slot])
+    rows[np.arange(table.shape[1]) >= counts[slot][:, None]] = NO_GT
+    return rows
+
+
 def match_detections(
-    dets: Sequence[Detection],
+    dets: Detections,
     gts: dict[int, list[BBox]],
     cfg: EvalConfig = EvalConfig(),
 ) -> list[bool]:
     """TP/FP flags for one class, in descending score order.
 
     ``gts`` maps scene id to that scene's ground-truth boxes of the class
-    under evaluation.  Each ground-truth box matches at most one detection.
-    Score ties keep insertion order (stable sort).  The IoU rows come from
-    the scalar :func:`~transferdet.geometry.iou`; :func:`match_rows`
-    matches them.
+    under evaluation; a detection in a scene without a key matches nothing.
+    Each ground-truth box matches at most one detection.  Score ties keep
+    row order (stable sort).  :func:`gt_iou_rows` gives the IoU rows and
+    :func:`match_rows` matches them.
     """
-    width = max((len(boxes) for boxes in gts.values()), default=0)
-    rows = np.full((len(dets), width), NO_GT)
-    for i, d in enumerate(dets):
-        boxes = gts.get(d.scene_id)
-        if boxes:
-            rows[i, : len(boxes)] = [iou(d.box, gt_box) for gt_box in boxes]
     return match_rows(
-        [d.score for d in dets], [d.scene_id for d in dets], rows, cfg.iou_threshold
+        dets.scores, dets.scene_ids, gt_iou_rows(dets, gts), cfg.iou_threshold
     )
 
 
@@ -144,8 +219,9 @@ def average_precision(
         raise ValueError("average_precision needs at least one ground-truth box")
     if len(flags) == 0:
         return 0.0
-    tp = np.cumsum([1.0 if f else 0.0 for f in flags])
-    fp = np.cumsum([0.0 if f else 1.0 for f in flags])
+    hits = np.asarray(flags, dtype=float)
+    tp = np.cumsum(hits)
+    fp = np.cumsum(1.0 - hits)
     recall = tp / total_gt
     precision = tp / np.maximum(tp + fp, 1e-12)
 
@@ -174,7 +250,7 @@ def mean_ap(per_class_aps: Sequence[float | None]) -> float:
 
 
 def evaluate_detections(
-    detections: Iterable[Detection],
+    detections: Detections,
     ground_truths: dict[int, list[tuple[int, BBox]]],
     num_classes: int,
     cfg: EvalConfig = EvalConfig(),
@@ -182,16 +258,24 @@ def evaluate_detections(
     """Per-class AP (None for classes with no ground truth) and mAP.
 
     ``ground_truths`` maps scene id to (class index, box) pairs.  A
-    detection whose class index lies outside ``[0, num_classes)`` raises
-    ValueError.
+    detection whose class index lies outside ``[0, num_classes)``, or whose
+    scene id is not a key of ``ground_truths``, raises ValueError naming
+    the first such detection.
     """
-    detections = list(detections)
-    for d in detections:
-        if not 0 <= d.class_index < num_classes:
-            raise ValueError(
-                f"detection in scene {d.scene_id} has class {d.class_index}, "
-                f"outside [0, {num_classes})"
-            )
+    classes, scene_ids = detections.classes, detections.scene_ids
+    bad_class = (classes < 0) | (classes >= num_classes)
+    if bad_class.any():
+        i = int(np.argmax(bad_class))
+        raise ValueError(
+            f"detection in scene {scene_ids[i]} has class {classes[i]}, "
+            f"outside [0, {num_classes})"
+        )
+    unknown = ~np.isin(scene_ids, np.array(list(ground_truths), dtype=np.int64))
+    if unknown.any():
+        raise ValueError(
+            f"detection in scene {scene_ids[np.argmax(unknown)]}, which the "
+            f"ground truth of {len(ground_truths)} scene(s) does not hold"
+        )
     per_class: list[float | None] = []
     for c in range(num_classes):
         class_gts = {
@@ -202,8 +286,7 @@ def evaluate_detections(
         if total_gt == 0:
             per_class.append(None)
             continue
-        class_dets = [d for d in detections if d.class_index == c]
-        flags = match_detections(class_dets, class_gts, cfg)
+        flags = match_detections(detections.take(classes == c), class_gts, cfg)
         per_class.append(average_precision(flags, total_gt, cfg))
     return per_class, mean_ap(per_class)
 
@@ -225,7 +308,66 @@ def write_detections_csv(path, detections: Iterable[Detection]) -> None:
             )
 
 
-def read_detections_csv(path) -> list[Detection]:
+# One detections row as numpy's C reader parses it.
+_ROW_DTYPE = np.dtype([
+    ("scene_id", np.int64), ("class", np.int64),
+    ("box", np.float64, (4,)), ("score", np.float64),
+])
+_INT64 = np.iinfo(np.int64)
+
+
+def read_detections_csv(path) -> Detections:
+    """The detections of a file written by :func:`write_detections_csv`.
+
+    One ``np.loadtxt`` call parses every row, and the box bounds and score
+    finiteness are checked on whole columns.  When that parse or a check
+    fails, or the file holds what only the csv module reads (quoted fields,
+    say), the row parser reads the file again: it raises
+    :class:`DetectionsFormatError` naming the first bad line, or returns
+    the same columns.  Blank lines are skipped.
+    """
+    detections = _read_detections_bulk(path)
+    return detections if detections is not None else _read_detections_rows(path)
+
+
+def _read_detections_bulk(path) -> Detections | None:
+    """Columns from one C-level parse, or None when the file needs the row
+    parser.  ``np.loadtxt`` rounds correctly, so its floats are those of
+    ``float()``."""
+    with open(path, newline="") as fh:
+        if fh.readline().rstrip("\r\n") != ",".join(DETECTIONS_HEADER):
+            return None
+        try:
+            with warnings.catch_warnings():
+                # a file without rows warns; the row parser reads it
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
+                )
+        except (ValueError, Warning):
+            return None
+    boxes = np.ascontiguousarray(table["box"])
+    x1, y1, x2, y2 = boxes.T
+    in_bounds = (
+        (0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
+    )
+    scores = np.ascontiguousarray(table["score"])
+    if not (in_bounds.all() and np.isfinite(scores).all()):
+        return None
+    return Detections(
+        np.ascontiguousarray(table["scene_id"]), np.ascontiguousarray(table["class"]),
+        boxes, scores,
+    )
+
+
+def _int64(text: str) -> int:
+    value = int(text)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{text!r} is outside the int64 range")
+    return value
+
+
+def _read_detections_rows(path) -> Detections:
     detections = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -243,14 +385,15 @@ def read_detections_csv(path) -> list[Detection]:
                     line_number, f"expected 7 fields, got {len(row)}"
                 )
             try:
-                scene_id = int(row[0])
-                class_index = int(row[1])
+                scene_id = _int64(row[0])
+                class_index = _int64(row[1])
                 x1, y1, x2, y2, score = (float(v) for v in row[2:])
-                box = BBox(x1, y1, x2, y2)
+                detections.append(
+                    Detection(scene_id, class_index, BBox(x1, y1, x2, y2), score)
+                )
             except ValueError as exc:
                 raise DetectionsFormatError(line_number, str(exc)) from exc
-            detections.append(Detection(scene_id, class_index, box, score))
-    return detections
+    return Detections.of(detections)
 
 
 def write_eval_csv(path, per_class_aps: Sequence[float | None], map_value: float) -> None:

@@ -7,8 +7,10 @@ grid cell when the cell's center lies inside the box (boundary included);
 scene painting, ROI pooling and the background mask all use this one test,
 batched over boxes by :func:`coverage_masks`.
 
-:func:`pairwise_iou` is elementwise and bitwise symmetric (``min``, ``max``
-and ``+`` commute), so a large IoU matrix may be assembled from blocks and
+:func:`elementwise_iou` applies the scalar :func:`iou`'s operations in
+its order to corner arrays, and :func:`pairwise_iou` is it over all pairs
+of two box sets.  Both are bitwise symmetric (``min``, ``max`` and ``+``
+commute), so a large IoU matrix may be assembled from blocks and
 transposed blocks without changing a bit.  :func:`nms` visits boxes in
 descending score order and reads only the kept boxes' columns of the IoU
 matrix.  Its form follows the shape of the scores: one score vector
@@ -81,6 +83,22 @@ def box_corners(boxes: Boxes) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
 
 
+def elementwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner arrays ``a`` and ``b``, (..., 4) each, broadcast
+    against each other over their leading axes.
+
+    Each entry applies the operations of :func:`iou` in the same order, so
+    it is bit-identical to the scalar IoU of the two boxes.
+    """
+    w = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    h = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    return np.where(inter == 0.0, 0.0, inter / union)
+
+
 def pairwise_iou(rows: Boxes, cols: Boxes | None = None) -> np.ndarray:
     """IoU matrix between two box sets (square when ``cols`` is None).
 
@@ -91,13 +109,7 @@ def pairwise_iou(rows: Boxes, cols: Boxes | None = None) -> np.ndarray:
     """
     a = box_corners(rows)
     b = a if cols is None else box_corners(cols)
-    w = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    h = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(inter == 0.0, 0.0, inter / union)
+    return elementwise_iou(a[:, None, :], b[None, :, :])
 
 
 def nms(

@@ -327,7 +327,10 @@ def sample_scenes(
 # --- serialization ----------------------------------------------------------
 #
 # Line-oriented text records.  Floats are written with repr(), which
-# round-trips float64 exactly, making save/load bit-identical.
+# round-trips float64 exactly, making save/load bit-identical: the loaders
+# parse with float() or, for the bulk of a scene set (its cell rows), with
+# one np.loadtxt call, which rounds correctly too and so gives the same
+# floats.
 
 WORLD_MAGIC = "# transferdet world v1"
 SCENES_MAGIC = "# transferdet scene set v1"
@@ -371,6 +374,11 @@ def _parse_config(lines: list[str]) -> WorldConfig:
     ValueError.  So does a ``seed <n>`` header line that is missing,
     repeated, malformed or different from ``config seed``.
     """
+    # Only these lines can have "seed" or "config" as their first word.
+    lines = [
+        line for line in lines
+        if line.startswith(("seed", "config")) or line[:1].isspace()
+    ]
     seeds = [
         line.split() for line in lines
         if line.startswith("seed") and line.split()[0] == "seed"
@@ -453,10 +461,17 @@ def save_scenes(path, world: World, scenes: list[Scene]) -> None:
 
 
 def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
-    """Read a scene set; a record cut short or a scene count differing from
-    the ``count`` header raises ValueError."""
+    """Read a scene set; a record cut short, a scene count differing from
+    the ``count`` header, or a cell row that is not ``cell`` and
+    ``raw_dim`` numbers raises ValueError.
+
+    A scan over the record lines finds every scene's cell rows, and one
+    ``np.loadtxt`` call parses all of them.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines or lines[0] != SCENES_MAGIC:
         raise ValueError(f"{path} is not a scene set file")
     config = _parse_config(lines)
@@ -465,8 +480,10 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
         raise ValueError("scene set needs exactly one 'count <n>' line")
     count = int(counts[0][1])
     height, width, dim = config.grid_height, config.grid_width, config.raw_dim
+    cell_rows = height * width
 
-    scenes: list[Scene] = []
+    records = []
+    cell_starts = []
     i = 0
     while i < len(lines):
         if not lines[i].startswith("scene "):
@@ -474,14 +491,10 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
             continue
         _, _, mode, domain, n_gt, n_prop, label_len = lines[i].split()
         n_gt, n_prop, label_len = int(n_gt), int(n_prop), int(label_len)
-        if i + 1 + height * width + n_gt + n_prop + 1 > len(lines):
-            raise ValueError(f"scene record {len(scenes)} runs past the end of {path}")
-        i += 1
-        cells = []
-        for _ in range(height * width):
-            cells.append([float(v) for v in lines[i].split()[1:]])
-            i += 1
-        grid = np.array(cells).reshape(height, width, dim)
+        if i + 1 + cell_rows + n_gt + n_prop + 1 > len(lines):
+            raise ValueError(f"scene record {len(records)} runs past the end of {path}")
+        cell_starts.append(i + 1)
+        i += 1 + cell_rows
         gt = []
         for _ in range(n_gt):
             parts = lines[i].split()
@@ -496,16 +509,55 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
         if label.size != label_len:
             raise ValueError("label length mismatch in scene record")
         i += 1
-        scenes.append(
-            Scene(
-                raw_grid=grid,
-                gt=tuple(gt),
-                proposals=tuple(proposals),
-                annotation_mode=mode,
-                image_label=label,
-                domain=domain,
-            )
+        records.append((tuple(gt), tuple(proposals), mode, label, domain))
+    if len(records) != count:
+        raise ValueError(f"{path} holds {len(records)} scenes but its header says {count}")
+
+    grids = _parse_cells(lines, cell_starts, cell_rows, dim).reshape(
+        len(records), height, width, dim
+    )
+    scenes = [
+        Scene(
+            raw_grid=grid,
+            gt=gt,
+            proposals=proposals,
+            annotation_mode=mode,
+            image_label=label,
+            domain=domain,
         )
-    if len(scenes) != count:
-        raise ValueError(f"{path} holds {len(scenes)} scenes but its header says {count}")
+        for grid, (gt, proposals, mode, label, domain) in zip(grids, records)
+    ]
     return config, scenes
+
+
+_CELL = "cell "
+
+
+def _parse_cells(lines: list[str], starts: list[int], rows: int, dim: int) -> np.ndarray:
+    """The (len(starts) * rows, dim) values of the ``cell`` lines in the
+    blocks of ``rows`` lines from each start, parsed in one call.  A line
+    that is not ``cell`` and ``dim`` numbers raises ValueError naming it."""
+    block = [ln for start in starts for ln in lines[start:start + rows]]
+    try:
+        if not all(ln.startswith(_CELL) for ln in block):
+            raise ValueError("not a cell line")
+        values = np.loadtxt(
+            [ln[len(_CELL):] for ln in block], dtype=float, comments=None, ndmin=2
+        ) if block else np.empty((0, dim))
+        if values.shape != (len(block), dim):
+            raise ValueError(f"cell rows of shape {values.shape}")
+        return values
+    except ValueError as exc:
+        # Name the first bad line; float() takes what np.loadtxt takes.
+        for k, ln in enumerate(block):
+            values = ln[len(_CELL):].split()
+            try:
+                ok = ln.startswith(_CELL) and len([float(v) for v in values]) == dim
+            except ValueError:
+                ok = False
+            if not ok:
+                line_number = starts[k // rows] + k % rows + 1
+                raise ValueError(
+                    f"line {line_number}: expected 'cell' and {dim} numbers, got {ln!r}"
+                ) from None
+        raise ValueError(f"malformed cell rows: {exc}") from None

@@ -3,8 +3,9 @@
 Everything here is written with plain Python loops straight from the
 definitions: per-box ROI pooling, proposal labelling, greedy NMS,
 threshold-band pseudo-labelling and the shape of its output, the weak-stage
-loss one classifier at a time, per-block Adam, VOC matching and average
-precision.  Slow on purpose; nothing imports the package.
+loss one classifier at a time, per-block Adam, VOC matching (one class, or
+every class of an evaluation from scalar IoUs) and average precision.  Slow
+on purpose; nothing imports the package.
 """
 
 import numpy as np
@@ -299,3 +300,26 @@ def random_boxes(rng, count, lo=0.05, hi=0.4):
         y1 = rng.uniform(0.0, 1.0 - h)
         boxes.append((x1, y1, x1 + w, y1 + h))
     return boxes
+
+
+def ref_evaluate_flags(dets, ground_truths, num_classes, threshold):
+    """Per class, the (TP flags, GT count) of the per-detection scalar-IoU
+    evaluation, or None for a class without ground truth.
+
+    dets: list of (scene_id, class, score, box) in insertion order.
+    ground_truths: {scene_id: [(class, box), ...]}.
+    """
+    out = []
+    for c in range(num_classes):
+        gts = [
+            (scene, box)
+            for scene, entries in ground_truths.items()
+            for cls, box in entries
+            if cls == c
+        ]
+        if not gts:
+            out.append(None)
+            continue
+        class_dets = [(scene, score, box) for scene, cls, score, box in dets if cls == c]
+        out.append((ref_match(class_dets, gts, threshold), len(gts)))
+    return out

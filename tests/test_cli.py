@@ -183,6 +183,15 @@ def test_world_outputs_and_determinism(tmp_path, capsys):
         ).read_bytes()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_world_count_below_1_exits_2(tmp_path, capsys, count):
+    out = tmp_path / "w"
+    code = main(["world", "--seed", "1", "--count", count, "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_world_draws_seed_when_omitted(tmp_path, capsys):
     assert main(["world", "--count", "2", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -431,6 +440,54 @@ def test_eval_out_of_range_class_exits_4(tmp_path, capsys):
         assert code == EXIT_MALFORMED
         assert f"class {cls}" in capsys.readouterr().err
     assert not (tmp_path / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_eval_nonfinite_score_exits_4_naming_the_line(tmp_path, capsys, score):
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    det_path.write_text(
+        "scene_id,class,x1,y1,x2,y2,score\n"
+        "0,0,0.1,0.1,0.2,0.2,0.9\n"
+        f"0,0,0.1,0.1,0.2,0.2,{score}\n"
+    )
+    code = main([
+        "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_MALFORMED
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("scene", [1, 7, -1])
+def test_eval_detection_in_a_missing_scene_exits_4(tmp_path, capsys, scene):
+    # the fixture's scene file holds scene 0 only
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    box = BBox(0.1, 0.1, 0.35, 0.35)
+    write_detections_csv(
+        det_path, [Detection(0, 0, box, 0.9), Detection(scene, 0, box, 0.5)]
+    )
+    code = main([
+        "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_MALFORMED
+    assert f"scene {scene}" in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
+def test_eval_malformed_cell_row_exits_4(tmp_path, capsys):
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    lines = scenes_path.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("cell "))
+    lines[row] += " 0.0"
+    scenes_path.write_text("".join(ln + "\n" for ln in lines))
+    code = main([
+        "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_MALFORMED
+    assert f"line {row + 1}" in capsys.readouterr().err
 
 
 def test_eval_missing_inputs_exit_3(tmp_path):

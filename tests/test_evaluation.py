@@ -4,14 +4,18 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferdet.evaluation import (
     NO_GT,
     Detection,
+    Detections,
     DetectionsFormatError,
     EvalConfig,
     average_precision,
     evaluate_detections,
+    gt_iou_rows,
     match_detections,
     match_rows,
     mean_ap,
@@ -19,9 +23,9 @@ from transferdet.evaluation import (
     write_detections_csv,
     write_eval_csv,
 )
-from transferdet.geometry import BBox
+from transferdet.geometry import BBox, iou
 
-from reference import random_boxes, ref_ap, ref_iou, ref_match
+from reference import random_boxes, ref_ap, ref_evaluate_flags, ref_iou, ref_match
 
 CFG_11 = EvalConfig()
 CFG_ALL = EvalConfig(ap_method="all_points")
@@ -29,6 +33,14 @@ CFG_ALL = EvalConfig(ap_method="all_points")
 
 def det(scene, cls, box, score):
     return Detection(scene, cls, BBox(*box), score)
+
+
+def assert_same_columns(got, want):
+    """Two Detections hold the same columns, dtypes and bits."""
+    for name in ("scene_ids", "classes", "boxes", "scores"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def strip(x, width):
@@ -57,21 +69,24 @@ def test_eval_config_validation():
 def test_match_single_detection_above_threshold():
     # strips of width 0.4 offset by 0.1 -> IoU 0.3/0.5 = 0.6
     gts = {0: [BBox(*strip(0.0, 0.4))]}
-    flags = match_detections([det(0, 0, strip(0.1, 0.4), 0.9)], gts, CFG_11)
+    dets = Detections.of([det(0, 0, strip(0.1, 0.4), 0.9)])
+    flags = match_detections(dets, gts, CFG_11)
     assert flags == [True]
 
 
 def test_match_below_threshold_is_fp():
     # width 0.35 offset 0.15 -> IoU 0.2/0.5 = 0.4
     gts = {0: [BBox(*strip(0.0, 0.35))]}
-    flags = match_detections([det(0, 0, strip(0.15, 0.35), 0.9)], gts, CFG_11)
+    dets = Detections.of([det(0, 0, strip(0.15, 0.35), 0.9)])
+    flags = match_detections(dets, gts, CFG_11)
     assert flags == [False]
 
 
 def test_match_exactly_at_threshold_is_fp():
     # IoU is exactly 0.5; the rule is strict
     gts = {0: [BBox(0.0, 0.0, 1.0, 1.0)]}
-    flags = match_detections([det(0, 0, (0.0, 0.0, 0.5, 1.0), 0.9)], gts, CFG_11)
+    dets = Detections.of([det(0, 0, (0.0, 0.0, 0.5, 1.0), 0.9)])
+    flags = match_detections(dets, gts, CFG_11)
     assert flags == [False]
 
 
@@ -81,7 +96,7 @@ def test_match_duplicate_detections_tp_then_fp():
         det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.9),
         det(0, 0, (0.21, 0.2, 0.61, 0.6), 0.8),
     ]
-    assert match_detections(dets, gts, CFG_11) == [True, False]
+    assert match_detections(Detections.of(dets), gts, CFG_11) == [True, False]
 
 
 def test_match_prefers_best_overlapping_gt():
@@ -92,12 +107,13 @@ def test_match_prefers_best_overlapping_gt():
         det(0, 0, strip(0.05, 0.4), 0.9),
         det(0, 0, strip(0.15, 0.4), 0.8),
     ]
-    assert match_detections(dets, gts, CFG_11) == [True, True]
+    assert match_detections(Detections.of(dets), gts, CFG_11) == [True, True]
 
 
 def test_match_ignores_other_scenes():
     gts = {0: [BBox(0.2, 0.2, 0.6, 0.6)]}
-    flags = match_detections([det(1, 0, (0.2, 0.2, 0.6, 0.6), 0.9)], gts, CFG_11)
+    dets = Detections.of([det(1, 0, (0.2, 0.2, 0.6, 0.6), 0.9)])
+    flags = match_detections(dets, gts, CFG_11)
     assert flags == [False]
 
 
@@ -108,7 +124,7 @@ def test_match_processes_in_descending_score_order():
         det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.3),
         det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.9),
     ]
-    assert match_detections(dets, gts, CFG_11) == [True, False]
+    assert match_detections(Detections.of(dets), gts, CFG_11) == [True, False]
 
 
 def test_ap_trivial_cases():
@@ -152,7 +168,7 @@ def test_ap_matches_reference_on_random_instances():
                     score = float(rng.random())
                 dets.append(det(scene, 0, b, score))
                 det_flat.append((scene, score, b))
-        flags = match_detections(dets, gts, CFG_11)
+        flags = match_detections(Detections.of(dets), gts, CFG_11)
         assert flags == ref_match(det_flat, gt_flat, 0.5)
         total_gt = len(gt_flat)
         if total_gt == 0:
@@ -219,11 +235,15 @@ def test_matching_invariant_under_monotone_score_transforms():
         gt = {0: [BBox(*b) for b in random_boxes(rng, 3, lo=0.1, hi=0.5)]}
         scores = [float(rng.integers(1, 5)) / 4.0 for _ in boxes]
         base = match_detections(
-            [det(0, 0, b, s) for b, s in zip(boxes, scores)], gt, CFG_11
+            Detections.of([det(0, 0, b, s) for b, s in zip(boxes, scores)]),
+            gt,
+            CFG_11,
         )
         for transform in (lambda s: 0.5 * s + 2.0, lambda s: s**3):
             moved = match_detections(
-                [det(0, 0, b, transform(s)) for b, s in zip(boxes, scores)],
+                Detections.of(
+                    [det(0, 0, b, transform(s)) for b, s in zip(boxes, scores)]
+                ),
                 gt,
                 CFG_11,
             )
@@ -257,7 +277,9 @@ def test_evaluate_detections_excludes_absent_classes():
         det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.9),
         det(0, 1, (0.5, 0.5, 0.9, 0.9), 0.8),  # class 1 has no ground truth
     ]
-    per_class, mean = evaluate_detections(dets, {0: [(0, gt_box)]}, 2)
+    per_class, mean = evaluate_detections(
+        Detections.of(dets), {0: [(0, gt_box)]}, 2
+    )
     assert per_class[0] == pytest.approx(1.0)
     assert per_class[1] is None
     assert mean == pytest.approx(1.0)
@@ -267,13 +289,14 @@ def test_evaluate_detections_rejects_out_of_range_class():
     gt = {0: [(0, BBox(0.2, 0.2, 0.6, 0.6))]}
     for cls in (-1, 2, 9):
         with pytest.raises(ValueError, match=f"class {cls}"):
-            evaluate_detections([det(0, cls, (0.2, 0.2, 0.6, 0.6), 0.9)], gt, 2)
+            dets = Detections.of([det(0, cls, (0.2, 0.2, 0.6, 0.6), 0.9)])
+            evaluate_detections(dets, gt, 2)
 
 
 def test_evaluate_detections_empty_class_gets_zero():
     gt = {0: [(0, BBox(0.2, 0.2, 0.6, 0.6)), (1, BBox(0.2, 0.2, 0.6, 0.6))]}
     per_class, mean = evaluate_detections(
-        [det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.9)], gt, 2
+        Detections.of([det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.9)]), gt, 2
     )
     assert per_class == [pytest.approx(1.0), 0.0]
     assert mean == pytest.approx(0.5)
@@ -287,7 +310,7 @@ def test_detections_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "dets.csv"
     write_detections_csv(path, dets)
-    assert read_detections_csv(path) == dets
+    assert_same_columns(read_detections_csv(path), Detections.of(dets))
 
 
 def test_read_detections_rejects_bad_header(tmp_path):
@@ -333,7 +356,207 @@ def test_read_detections_skips_blank_lines(tmp_path):
     )
     parsed = read_detections_csv(path)
     assert len(parsed) == 2
-    assert parsed[1].scene_id == 1 and parsed[1].class_index == 2
+    assert parsed.scene_ids.tolist() == [0, 1]
+    assert parsed.classes.tolist() == [0, 2]
+    assert parsed.boxes.tolist() == [[0.1, 0.1, 0.4, 0.4], [0.2, 0.2, 0.5, 0.5]]
+    assert parsed.scores.tolist() == [0.9, 0.25]
+
+
+# --- columnar reader and evaluation ------------------------------------------
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def detections(draw, min_size=0):
+    """Valid Detection objects: any int64 ids, boxes anywhere in the unit
+    square (endpoints and -0.0 included), any finite score."""
+    dets = []
+    for _ in range(draw(st.integers(min_size, 6))):
+        corner = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)
+        xs, ys = sorted(draw(corner)), sorted(draw(corner))
+        score = draw(st.floats(allow_nan=False, allow_infinity=False))
+        dets.append(
+            Detection(draw(INT64), draw(INT64), BBox(xs[0], ys[0], xs[1], ys[1]), score)
+        )
+    return dets
+
+
+def detections_lines(tmp_path, dets):
+    path = tmp_path / "dets.csv"
+    write_detections_csv(path, dets)
+    return path, path.read_text().splitlines()
+
+
+@settings(max_examples=80, deadline=None)
+@given(dets=detections(), data=st.data())
+def test_read_detections_round_trip_property(tmp_path_factory, dets, data):
+    # blank lines anywhere after the header are skipped
+    path, lines = detections_lines(tmp_path_factory.mktemp("rt"), dets)
+    blanks = data.draw(st.lists(st.integers(1, len(lines)), max_size=4), label="blanks")
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    path.write_text("".join(ln + "\n" for ln in lines))
+    assert_same_columns(read_detections_csv(path), Detections.of(dets))
+
+
+def replace_field(k, value):
+    return lambda f: f[:k] + [value] + f[k + 1:]
+
+
+# Ways to make one valid row invalid: fields of the row in, fields out.
+CORRUPTIONS = {
+    **{f"non-numeric field {k}": replace_field(k, "x1") for k in range(7)},
+    "empty field": replace_field(3, ""),
+    "float class": replace_field(1, "1.0"),
+    **{f"{v} score": replace_field(6, v) for v in ("nan", "inf", "-inf", "1e400")},
+    **{
+        f"coordinate {k - 2} at {v}": replace_field(k, v)
+        for k in range(2, 6) for v in ("-0.25", "1.5", "nan")
+    },
+    "inverted x": lambda f: f[:2] + [f[4], f[3], f[2]] + f[5:],
+    "inverted y": lambda f: f[:3] + [f[5], f[4], f[3]] + f[6:],
+    "6 fields": lambda f: f[:6],
+    "8 fields": lambda f: f + ["0.5"],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@settings(max_examples=8, deadline=None)
+@given(dets=detections(min_size=1), data=st.data())
+def test_read_detections_names_the_corrupted_line(
+    tmp_path_factory, corruption, dets, data
+):
+    path, lines = detections_lines(tmp_path_factory.mktemp("bad"), dets)
+    if data.draw(st.booleans(), label="blank line after the header"):
+        lines.insert(1, "")
+    rows = [i for i, ln in enumerate(lines) if i and ln]
+    row = data.draw(st.sampled_from(rows), label="row")
+    lines[row] = ",".join(CORRUPTIONS[corruption](lines[row].split(",")))
+    path.write_text("".join(ln + "\n" for ln in lines))
+    with pytest.raises(DetectionsFormatError) as excinfo:
+        read_detections_csv(path)
+    assert excinfo.value.line_number == row + 1
+    assert f"line {row + 1}:" in str(excinfo.value)
+
+
+def test_read_detections_accepts_what_the_csv_module_reads(tmp_path):
+    # quoted fields and CRLF line ends go through the row parser
+    path = tmp_path / "dets.csv"
+    path.write_bytes(
+        b'scene_id,class,x1,y1,x2,y2,score\r\n"3",1,0.1,"0.2",0.3,0.4,0.5\r\n'
+    )
+    want = Detections.of([Detection(3, 1, BBox(0.1, 0.2, 0.3, 0.4), 0.5)])
+    assert_same_columns(read_detections_csv(path), want)
+    path.write_bytes(b"scene_id,class,x1,y1,x2,y2,score\r\n3,1,0.1,0.2,0.3,0.4,0.5\r\n")
+    assert_same_columns(read_detections_csv(path), want)
+
+
+def test_read_detections_rejects_ids_outside_int64(tmp_path):
+    path = tmp_path / "dets.csv"
+    path.write_text(
+        "scene_id,class,x1,y1,x2,y2,score\n"
+        f"{2**63},0,0.1,0.1,0.4,0.4,0.9\n"
+    )
+    with pytest.raises(DetectionsFormatError, match="line 2"):
+        read_detections_csv(path)
+
+
+def test_detections_of_and_take():
+    dets = [det(4, 1, (0.1, 0.2, 0.3, 0.4), 0.5), det(2, 0, (0.5, 0.5, 0.9, 0.8), 0.25)]
+    cols = Detections.of(dets)
+    assert len(cols) == 2
+    assert cols.scene_ids.dtype == cols.classes.dtype == np.int64
+    assert cols.boxes.tolist() == [[0.1, 0.2, 0.3, 0.4], [0.5, 0.5, 0.9, 0.8]]
+    assert_same_columns(cols.take(np.array([False, True])), Detections.of(dets[1:]))
+    empty = Detections.of([])
+    assert len(empty) == 0 and empty.boxes.shape == (0, 4)
+    with pytest.raises(ValueError, match="shapes"):
+        Detections(cols.scene_ids, cols.classes, cols.boxes[:1], cols.scores)
+
+
+def random_evaluation(rng, num_classes):
+    """Detections and ground truth over a few scenes, with score ties,
+    scenes without GT, classes without GT and detections clustered on GT
+    boxes so that several compete for one."""
+    ground_truths = {}
+    dets = []
+    present = [c for c in range(num_classes) if rng.random() < 0.7]
+    for scene in rng.permutation(8)[: int(rng.integers(1, 6))].tolist():
+        ground_truths[scene] = [
+            (int(rng.choice(present)), b)
+            for b in random_boxes(rng, int(rng.integers(0, 4)) if present else 0,
+                                  lo=0.1, hi=0.5)
+        ]
+        for _ in range(int(rng.integers(0, 8))):
+            if ground_truths[scene] and rng.random() < 0.6:
+                cls, (x1, y1, x2, y2) = ground_truths[scene][
+                    int(rng.integers(len(ground_truths[scene])))
+                ]
+                dx, dy = rng.uniform(-0.05, 0.05, size=2)
+                box = (max(x1 + dx, 0.0), max(y1 + dy, 0.0),
+                       min(x2 + dx, 1.0), min(y2 + dy, 1.0))
+            else:
+                cls, box = int(rng.integers(num_classes)), random_boxes(rng, 1)[0]
+            dets.append((scene, cls, float(rng.integers(0, 5)) / 4.0, box))
+    return dets, ground_truths
+
+
+def test_columnar_evaluation_equals_scalar_iou_oracle():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        num_classes = int(rng.integers(1, 4))
+        flat_dets, flat_gts = random_evaluation(rng, num_classes)
+        cols = Detections.of(
+            det(scene, cls, box, score) for scene, cls, score, box in flat_dets
+        )
+        ground_truths = {
+            scene: [(cls, BBox(*b)) for cls, b in entries]
+            for scene, entries in flat_gts.items()
+        }
+        for threshold in (0.1, 0.5, 0.7):
+            expected = ref_evaluate_flags(flat_dets, flat_gts, num_classes, threshold)
+            if all(e is None for e in expected):
+                continue
+            for method in ("voc07_11point", "all_points"):
+                cfg = EvalConfig(iou_threshold=threshold, ap_method=method)
+                aps = [
+                    None if e is None else average_precision(e[0], e[1], cfg)
+                    for e in expected
+                ]
+                got = evaluate_detections(cols, ground_truths, num_classes, cfg)
+                assert got == (aps, mean_ap(aps))
+
+
+def test_gt_iou_rows_are_the_scalar_iou():
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        gts = {
+            scene: [BBox(*b) for b in random_boxes(rng, int(rng.integers(0, 5)))]
+            for scene in range(int(rng.integers(0, 4)))
+        }
+        dets = [
+            det(int(rng.integers(-1, 5)), 0, b, 0.5)
+            for b in random_boxes(rng, int(rng.integers(0, 9)))
+        ]
+        rows = gt_iou_rows(Detections.of(dets), gts)
+        width = max((len(b) for b in gts.values()), default=0)
+        want = np.full((len(dets), width), NO_GT)
+        for i, d in enumerate(dets):
+            for g, gt_box in enumerate(gts.get(d.scene_id, [])):
+                want[i, g] = iou(d.box, gt_box)
+        assert rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+
+
+def test_evaluate_detections_rejects_unknown_scene():
+    gt = {0: [(0, BBox(0.2, 0.2, 0.6, 0.6))], 1: []}
+    for scene in (7, -1):
+        dets = Detections.of([
+            det(1, 0, (0.2, 0.2, 0.6, 0.6), 0.9), det(scene, 0, (0.2, 0.2, 0.6, 0.6), 0.5)
+        ])
+        with pytest.raises(ValueError, match=f"scene {scene}"):
+            evaluate_detections(dets, gt, 1)
 
 
 def test_write_eval_csv_format(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from transferdet import pipeline
-from transferdet.evaluation import evaluate_detections, mean_ap
+from transferdet.evaluation import Detections, evaluate_detections, mean_ap
 from transferdet.geometry import BBox, pairwise_iou
 from transferdet.model import (
     extract_sdk,
@@ -963,7 +963,7 @@ def test_evaluate_model_list_form_equals_reference_oracle(world, warmup, student
             for d in detect(model, scene, i, classifier)
         ]
         assert (per_class, map_value) == evaluate_detections(
-            detections, ground_truths, head.num_rows - 1
+            Detections.of(detections), ground_truths, head.num_rows - 1
         )
     # the same model alone, and the models in another order, agree
     assert evaluate_model([student], scenes, [2]) == [results[2]]

@@ -390,6 +390,7 @@ def test_scenes_round_trip(tmp_path):
     assert len(loaded) == len(scenes)
     for a, b in zip(scenes, loaded):
         assert np.array_equal(a.raw_grid, b.raw_grid)
+        assert a.raw_grid.tobytes() == b.raw_grid.tobytes()
         assert a.gt == b.gt
         assert a.proposals == b.proposals
         assert np.array_equal(a.image_label, b.image_label)
@@ -401,4 +402,57 @@ def test_scenes_file_rejects_bad_magic(tmp_path):
     path = tmp_path / "scenes.txt"
     path.write_text("# transferdet world v1\n")
     with pytest.raises(ValueError, match="not a scene set"):
+        load_scenes(path)
+
+
+CELL_EDITS = {
+    "one value too many": lambda values: values + ["0.5"],
+    "one value too few": lambda values: values[:-1],
+    "a comment mark for a value": lambda values: values[:3] + ["#"] + values[4:],
+    "a comment mark between values": lambda values: values[:3] + ["#"] + values[3:-1],
+    "a trailing comment": lambda values: values + ["#", "note"],
+    "no values": lambda values: [""],
+    "a number with a suffix": lambda values: values[:5] + ["0.1x"] + values[6:],
+    "a word": lambda values: values[:5] + ["one"] + values[6:],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CELL_EDITS))
+@pytest.mark.parametrize("which", [0, 1, -1])
+def test_scenes_file_rejects_malformed_cell_row(tmp_path, edit, which):
+    # the first and second cell rows of scene 0, and the last of scene 1
+    world = make_world(WorldConfig(seed=11))
+    path = tmp_path / "scenes.txt"
+    save_scenes(path, world, sample_scenes(world, "target", "full", substream(11, "c"), 2))
+    lines = path.read_text().splitlines()
+    cells = [i for i, ln in enumerate(lines) if ln.startswith("cell ")]
+    row = cells[which]
+    values = lines[row].split()[1:]
+    lines[row] = " ".join(["cell"] + CELL_EDITS[edit](values))
+    path.write_text("".join(ln + "\n" for ln in lines))
+    with pytest.raises(ValueError, match=f"line {row + 1}: expected 'cell' and"):
+        load_scenes(path)
+
+
+def test_scenes_file_rejects_a_record_line_in_place_of_a_cell_row(tmp_path):
+    world = make_world(WorldConfig(seed=11))
+    path = tmp_path / "scenes.txt"
+    save_scenes(path, world, sample_scenes(world, "target", "full", substream(11, "c"), 1))
+    lines = path.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("cell "))
+    lines[row] = "prop" + lines[row][len("cell"):]
+    path.write_text("".join(ln + "\n" for ln in lines))
+    with pytest.raises(ValueError, match=f"line {row + 1}: expected 'cell'"):
+        load_scenes(path)
+
+
+def test_scenes_file_rejects_cell_rows_of_another_width(tmp_path):
+    # every row parses, but as raw_dim - 1 values
+    world = make_world(WorldConfig(seed=11))
+    path = tmp_path / "scenes.txt"
+    save_scenes(path, world, sample_scenes(world, "target", "full", substream(11, "c"), 2))
+    dim = world.config.raw_dim
+    text = path.read_text().replace(f"config raw_dim {dim}\n", f"config raw_dim {dim + 1}\n")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="expected 'cell' and"):
         load_scenes(path)
