@@ -533,31 +533,36 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
 _CELL = "cell "
 
 
-def _parse_cells(lines: list[str], starts: list[int], rows: int, dim: int) -> np.ndarray:
+def _parse_cells(
+    lines: list[str], starts: list[int], rows: int, dim: int
+) -> np.ndarray:
     """The (len(starts) * rows, dim) values of the ``cell`` lines in the
     blocks of ``rows`` lines from each start, parsed in one call.  A line
     that is not ``cell`` and ``dim`` numbers raises ValueError naming it."""
     block = [ln for start in starts for ln in lines[start:start + rows]]
+    if not block:
+        return np.empty((0, dim))
     try:
-        if not all(ln.startswith(_CELL) for ln in block):
-            raise ValueError("not a cell line")
-        values = np.loadtxt(
-            [ln[len(_CELL):] for ln in block], dtype=float, comments=None, ndmin=2
-        ) if block else np.empty((0, dim))
-        if values.shape != (len(block), dim):
-            raise ValueError(f"cell rows of shape {values.shape}")
-        return values
-    except ValueError as exc:
-        # Name the first bad line; float() takes what np.loadtxt takes.
-        for k, ln in enumerate(block):
-            values = ln[len(_CELL):].split()
-            try:
-                ok = ln.startswith(_CELL) and len([float(v) for v in values]) == dim
-            except ValueError:
-                ok = False
-            if not ok:
-                line_number = starts[k // rows] + k % rows + 1
-                raise ValueError(
-                    f"line {line_number}: expected 'cell' and {dim} numbers, got {ln!r}"
-                ) from None
-        raise ValueError(f"malformed cell rows: {exc}") from None
+        if all(ln.startswith(_CELL) for ln in block):
+            values = np.loadtxt(
+                [ln[len(_CELL):] for ln in block], dtype=float, comments=None, ndmin=2
+            )
+            # loadtxt skips a line of no values and parses rows of another width
+            if values.shape == (len(block), dim):
+                return values
+    except ValueError:
+        pass
+    # Find the first bad line one line at a time.
+    for k, ln in enumerate(block):
+        try:
+            ok = ln.startswith(_CELL) and len(
+                [float(v) for v in ln[len(_CELL):].split()]
+            ) == dim
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"line {starts[k // rows] + k % rows + 1}: "
+                f"expected 'cell' and {dim} numbers, got {ln!r}"
+            )
+    raise ValueError("np.loadtxt refuses a cell row that str.split and float() read")
