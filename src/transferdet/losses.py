@@ -195,14 +195,27 @@ def rol_classifier_loss(
     weight on the mined class.
     """
     student_logits = np.asarray(student_logits, dtype=float)
+    pseudo = check_pseudo(pseudo, student_logits.shape)
+    return _rol_classifier_loss(column_softmax(student_logits), pseudo)
+
+
+def check_pseudo(pseudo: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Validate pseudo labels for logits of ``shape``: a float array of that
+    shape with no negative entry."""
     pseudo = np.asarray(pseudo, dtype=float)
-    if pseudo.shape != student_logits.shape:
-        raise ValueError(
-            f"pseudo label shape {pseudo.shape} != logits shape {student_logits.shape}"
-        )
+    if pseudo.shape != shape:
+        raise ValueError(f"pseudo label shape {pseudo.shape} != logits shape {shape}")
     if (pseudo < 0).any():
         raise ValueError("pseudo labels must be nonnegative")
-    probs = column_softmax(student_logits)
+    return pseudo
+
+
+def _rol_classifier_loss(
+    probs: np.ndarray, pseudo: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """:func:`rol_classifier_loss` on the column softmax of the logits and
+    pseudo labels already checked by :func:`check_pseudo`, so that a step
+    can share one softmax between its labeller and this loss."""
     value = -_per_member(pseudo * np.log(np.maximum(probs, PROB_FLOOR)), (-2, -1))
     col_mass = pseudo.sum(axis=-2, keepdims=True)
     grad = probs * col_mass - pseudo

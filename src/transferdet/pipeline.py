@@ -41,8 +41,9 @@ A weak-stage step is one stacked pass over the recurrent classifier
 stack.  The N classifiers of the M members are one (N, M, C+1, D+1)
 parameter block, ``rol_heads``, laid out in the flat buffer as N
 per-classifier blocks would be.  One head call scores every (classifier,
-member) pair, one softmax and one :func:`~transferdet.labelling.label_rows`
-call mine the pseudo labels of classifiers 2..N, and one head backward
+member) pair, one softmax (which the ROL loss shares) and one
+:func:`~transferdet.labelling.label_rows` call mine the pseudo labels of
+classifiers 2..N, and one head backward
 gives every head's gradient.  The feature gradient adds the distillation
 term, then classifiers 1, 2, ..., N in that order, so it is bit-identical
 to looping over the classifiers.
@@ -86,13 +87,15 @@ from .labelling import (
 from .losses import (
     LossWeights,
     _proposal_cls_loss,
+    _rol_classifier_loss,
     _sdk_loss,
     bd_loss,
     bd_mask,
     check_labels,
+    check_pseudo,
     check_score_matrix,
     image_multilabel_loss,
-    rol_classifier_loss,
+    rol_classifier_loss,  # noqa: F401  (perfbench/tracer.py wraps pipeline.rol_classifier_loss)
     sdk_loss,  # noqa: F401  (perfbench/tracer.py wraps pipeline.sdk_loss)
 )
 from .model import (
@@ -551,17 +554,19 @@ def wstd_scene_loss(
     ``params["rol_heads"]`` holds the N classifiers of the M members as one
     (N, M, C+1, D+1) block, and the whole stack runs as one pass: one
     :func:`head_logits` call gives (N, M, C+1, K) logits, one softmax
-    scores classifiers 1..N-1, and one :func:`label_rows` call mines the
-    pseudo labels of classifiers 2..N from them, every (classifier,
-    member) row with that member's labeller and ROL thresholds.  The
-    labels are constants of the step (no gradient flows through them);
-    passing ``fixed_pseudo``, an (N-1, M, C+1, K) array like the one
-    returned, pins them explicitly, which the detachment tests use.
-    Classifier 1 takes :func:`image_multilabel_loss` and the rest one
-    stacked :func:`rol_classifier_loss`; one :func:`head_backward` gives
-    every head's gradient.  The feature gradient adds the distillation
-    term, then heads 1, 2, ..., N in that order, as a per-classifier loop
-    would, so the backbone gradient is bit-identical to one.
+    scores all N classifiers, and one :func:`label_rows` call mines the
+    pseudo labels of classifiers 2..N from the scores of 1..N-1, every
+    (classifier, member) row with that member's labeller and ROL
+    thresholds.  The labels are constants of the step (no gradient flows
+    through them); passing ``fixed_pseudo``, an (N-1, M, C+1, K) array
+    like the one returned, pins them explicitly, which the detachment
+    tests use.  Classifier 1 takes :func:`image_multilabel_loss` and the
+    rest one stacked :func:`rol_classifier_loss` on the same softmax (it
+    is per column, so each slice equals its own softmax bit for bit); one
+    :func:`head_backward` gives every head's gradient.  The feature
+    gradient adds the distillation term, then heads 1, 2, ..., N in that
+    order, as a per-classifier loop would, so the backbone gradient is
+    bit-identical to one.
     ``frozen_backbone`` stands in, stacked, for a backbone outside
     ``params``.
     """
@@ -579,17 +584,18 @@ def wstd_scene_loss(
 
     heads = params["rol_heads"]
     logits = head_logits(heads, features)
+    probs = column_softmax(logits)
     if fixed_pseudo is None:
         pseudo = label_rows(
-            column_softmax(logits[:-1]), pack.iou, pack.present,
+            probs[:-1], pack.iou, pack.present,
             members.phi_obj, members.phi_bg, members.oicr,
         )
     else:
-        pseudo = fixed_pseudo
+        pseudo = check_pseudo(fixed_pseudo, probs[1:].shape)
     values = np.empty(logits.shape[:2])
     dlogits = np.empty_like(logits)
     values[0], dlogits[0] = image_multilabel_loss(logits[0], pack.y_img)
-    values[1:], dlogits[1:] = rol_classifier_loss(logits[1:], pseudo)
+    values[1:], dlogits[1:] = _rol_classifier_loss(probs[1:], pseudo)
     grads["rol_heads"], dheads = head_backward(
         heads, features, scale["wstd_rol"] * dlogits
     )

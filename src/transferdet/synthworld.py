@@ -21,6 +21,8 @@ the data, stay scalar.
 
 from __future__ import annotations
 
+import itertools
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -329,8 +331,19 @@ def sample_scenes(
 # Line-oriented text records.  Floats are written with repr(), which
 # round-trips float64 exactly, making save/load bit-identical: the loaders
 # parse with float() or, for the bulk of a scene set (its cell rows), with
-# one np.loadtxt call, which rounds correctly too and so gives the same
-# floats.
+# np.loadtxt, which rounds correctly too and so gives the same floats.
+#
+# A scene set file is its header, then one record per scene.  The header is
+# the magic line, then the ``seed``, ``config`` and ``count`` lines, all
+# before the first ``scene`` line.  A record is a ``scene`` line, one
+# ``cell`` row per grid cell, its ``gt`` and ``prop`` lines and a ``label``
+# line.  Blank lines may stand between records; any other line outside a
+# record, a header line after the first record included, is an error.
+# Both ends stream: save_scenes writes each record as it is formatted, and
+# load_scenes reads records one at a time and parses their cell rows in
+# chunks of SCENE_CHUNK_ROWS rows, so neither holds the file's text whole.
+# No allocation is sized from the ``count`` header, which is only compared
+# with the number of records read.
 
 WORLD_MAGIC = "# transferdet world v1"
 SCENES_MAGIC = "# transferdet scene set v1"
@@ -439,107 +452,215 @@ def load_world(path) -> World:
 
 
 def save_scenes(path, world: World, scenes: list[Scene]) -> None:
+    """Write a scene set: the header, then each scene's record as soon as
+    it is formatted, so the file's text is never held whole."""
     cfg = world.config
-    lines = [SCENES_MAGIC, f"seed {cfg.seed}"]
-    lines += _config_lines(cfg)
-    lines.append(f"count {len(scenes)}")
-    for idx, scene in enumerate(scenes):
-        lines.append(
-            f"scene {idx} {scene.annotation_mode} {scene.domain} "
-            f"{len(scene.gt)} {len(scene.proposals)} {scene.image_label.size}"
-        )
-        for cell in scene.raw_grid.reshape(-1, cfg.raw_dim).tolist():
-            lines.append("cell " + " ".join(map(repr, cell)))
-        gt_corners = box_corners([box for _, box in scene.gt]).tolist()
-        for (cls, _), corners in zip(scene.gt, gt_corners):
-            lines.append(f"gt {cls} " + " ".join(map(repr, corners)))
-        for corners in box_corners(scene.proposals).tolist():
-            lines.append("prop " + " ".join(map(repr, corners)))
-        lines.append("label " + " ".join(str(int(v)) for v in scene.image_label))
+    header = [SCENES_MAGIC, f"seed {cfg.seed}", *_config_lines(cfg), f"count {len(scenes)}"]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for idx, scene in enumerate(scenes):
+            fh.write(_scene_record(idx, scene, cfg.raw_dim))
+
+
+def _scene_record(index: int, scene: Scene, dim: int) -> str:
+    """One scene's record, newline-terminated."""
+    lines = [
+        f"scene {index} {scene.annotation_mode} {scene.domain} "
+        f"{len(scene.gt)} {len(scene.proposals)} {scene.image_label.size}"
+    ]
+    for cell in scene.raw_grid.reshape(-1, dim).tolist():
+        lines.append("cell " + " ".join(map(repr, cell)))
+    gt_corners = box_corners([box for _, box in scene.gt]).tolist()
+    for (cls, _), corners in zip(scene.gt, gt_corners):
+        lines.append(f"gt {cls} " + " ".join(map(repr, corners)))
+    for corners in box_corners(scene.proposals).tolist():
+        lines.append("prop " + " ".join(map(repr, corners)))
+    lines.append("label " + " ".join(str(int(v)) for v in scene.image_label))
+    return "\n".join(lines) + "\n"
+
+
+# Cell rows parsed per np.loadtxt call when reading a scene set: 64 scenes
+# of the default 8x8 grid.  A chunk holds whole scenes (one, if a scene has
+# more rows) and its array backs their raw grids.
+SCENE_CHUNK_ROWS = 4096
+
+_HEADER_WORDS = ("seed", "config", "count")
 
 
 def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
-    """Read a scene set; a record cut short, a scene count differing from
-    the ``count`` header, or a cell row that is not ``cell`` and
-    ``raw_dim`` numbers raises ValueError.
+    """Read a scene set written by :func:`save_scenes`.
 
-    A scan over the record lines finds every scene's cell rows, and one
-    ``np.loadtxt`` call parses all of them.
+    The file is read as a stream of lines.  The header ends at the first
+    ``scene`` line, and only it is parsed for the config.  Records are then
+    read one at a time; their cell rows collect in a chunk that one
+    ``np.loadtxt`` call parses once it holds ``SCENE_CHUNK_ROWS`` rows, so
+    memory beyond the returned scenes stays about one chunk whatever the
+    file's size.  Nothing is sized from the ``count`` header.
+
+    Raises ValueError for a file without the magic line, a bad header, a
+    record cut short or a scene count differing from ``count``.  Naming
+    the 1-based line, it also raises for a ``scene``, ``cell``, ``gt``,
+    ``prop`` or ``label`` line of the wrong form, a label of another
+    length than its ``scene`` line says, an unknown mode or domain, a
+    scene without GT, a GT class outside ``[0, classes_in(domain))``, a
+    bad box, and any non-blank line outside a record, a header line after
+    the first record included.
     """
     with open(path) as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != SCENES_MAGIC:
-        raise ValueError(f"{path} is not a scene set file")
-    config = _parse_config(lines)
-    counts = [ln.split() for ln in lines if ln.startswith("count ")]
-    if len(counts) != 1 or len(counts[0]) != 2:
-        raise ValueError("scene set needs exactly one 'count <n>' line")
-    count = int(counts[0][1])
-    height, width, dim = config.grid_height, config.grid_width, config.raw_dim
-    cell_rows = height * width
+        lines = enumerate((ln.rstrip("\n") for ln in fh), start=1)
+        if next(lines, (0, ""))[1] != SCENES_MAGIC:
+            raise ValueError(f"{path} is not a scene set file")
+        header, record = _read_header(lines)
+        config = _parse_config(header)
+        counts = [ln.split() for ln in header if ln.startswith("count ")]
+        if len(counts) != 1 or len(counts[0]) != 2:
+            raise ValueError("scene set needs exactly one 'count <n>' line")
+        count = int(counts[0][1])
+        height, width, dim = config.grid_height, config.grid_width, config.raw_dim
+        cell_rows = height * width
 
-    records = []
-    cell_starts = []
-    i = 0
-    while i < len(lines):
-        if not lines[i].startswith("scene "):
-            i += 1
-            continue
-        _, _, mode, domain, n_gt, n_prop, label_len = lines[i].split()
-        n_gt, n_prop, label_len = int(n_gt), int(n_prop), int(label_len)
-        if i + 1 + cell_rows + n_gt + n_prop + 1 > len(lines):
-            raise ValueError(f"scene record {len(records)} runs past the end of {path}")
-        cell_starts.append(i + 1)
-        i += 1 + cell_rows
-        gt = []
-        for _ in range(n_gt):
-            parts = lines[i].split()
-            gt.append((int(parts[1]), BBox(*(float(v) for v in parts[2:]))))
-            i += 1
-        proposals = []
-        for _ in range(n_prop):
-            parts = lines[i].split()
-            proposals.append(BBox(*(float(v) for v in parts[1:])))
-            i += 1
-        label = np.array([int(v) for v in lines[i].split()[1:]], dtype=int)
-        if label.size != label_len:
-            raise ValueError("label length mismatch in scene record")
-        i += 1
-        records.append((tuple(gt), tuple(proposals), mode, label, domain))
-    if len(records) != count:
-        raise ValueError(f"{path} holds {len(records)} scenes but its header says {count}")
+        scenes: list[Scene] = []
+        chunk: list[str] = []  # the cell rows of the pending records
+        pending = []  # (scene line number, then Scene's fields after raw_grid)
 
-    grids = _parse_cells(lines, cell_starts, cell_rows, dim).reshape(
-        len(records), height, width, dim
-    )
-    scenes = [
-        Scene(
-            raw_grid=grid,
-            gt=gt,
-            proposals=proposals,
-            annotation_mode=mode,
-            image_label=label,
-            domain=domain,
-        )
-        for grid, (gt, proposals, mode, label, domain) in zip(grids, records)
-    ]
+        def flush():
+            starts = [number + 1 for number, *_ in pending]
+            grids = _parse_cells(chunk, starts, cell_rows, dim).reshape(
+                len(pending), height, width, dim
+            )
+            for grid, (number, *fields) in zip(grids, pending):
+                scenes.append(_named(number, Scene, grid, *fields))
+            chunk.clear()
+            pending.clear()
+
+        while record is not None:
+            number, line = record
+            mode, domain, n_gt, n_prop, label_len = _record_header(number, line)
+            classes = _named(number, config.classes_in, domain)
+            size = cell_rows + n_gt + n_prop + 1
+            # no file holds more than sys.maxsize lines, nor can islice count them
+            body = list(itertools.islice(lines, min(size, sys.maxsize)))
+            if len(body) < size:
+                raise ValueError(
+                    f"scene record {len(scenes) + len(pending)} runs past the end of {path}"
+                )
+            chunk.extend(ln for _, ln in body[:cell_rows])
+            gt = tuple(_gt_line(*row, classes) for row in body[cell_rows:cell_rows + n_gt])
+            proposals = tuple(_prop_line(*row) for row in body[cell_rows + n_gt:-1])
+            label = _label_line(*body[-1], label_len)
+            pending.append((number, gt, proposals, mode, label, domain))
+            if len(chunk) >= SCENE_CHUNK_ROWS:
+                flush()
+            record = _next_record(lines)
+    read = len(scenes) + len(pending)
+    if read != count:
+        raise ValueError(f"{path} holds {read} scenes but its header says {count}")
+    flush()
     return config, scenes
+
+
+def _named(number: int, fn, *args):
+    """``fn(*args)``, a ValueError from it naming line ``number``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
+
+
+def _read_header(lines) -> tuple[list[str], tuple[int, str] | None]:
+    """The header lines up to the first ``scene`` line, and that line
+    numbered (None if there is none)."""
+    header = []
+    for number, line in lines:
+        if line.startswith("scene "):
+            return header, (number, line)
+        words = line.split()
+        if words and words[0] not in _HEADER_WORDS:
+            raise ValueError(
+                f"line {number}: expected a 'seed', 'config' or 'count' header "
+                f"line or a scene record, got {line!r}"
+            )
+        header.append(line)
+    return header, None
+
+
+def _next_record(lines) -> tuple[int, str] | None:
+    """The next ``scene`` line, numbered, past blank lines (None at the end
+    of the file)."""
+    for number, line in lines:
+        if line.startswith("scene "):
+            return number, line
+        words = line.split()
+        if words and words[0] in _HEADER_WORDS:
+            raise ValueError(f"line {number}: header line {line!r} after the first scene record")
+        if words:
+            raise ValueError(f"line {number}: {line!r} is outside any scene record")
+    return None
+
+
+def _record_header(number: int, line: str) -> tuple[str, str, int, int, int]:
+    """(mode, domain, GT count, proposal count, label size) of a ``scene``
+    line."""
+    parts = line.split()
+    try:
+        _, _, mode, domain, *sizes = parts
+        n_gt, n_prop, label_len = (int(v) for v in sizes)
+        if min(n_gt, n_prop, label_len) < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"line {number}: expected 'scene <index> <mode> <domain> <GT count> "
+            f"<proposal count> <label size>', got {line!r}"
+        ) from None
+    return mode, domain, n_gt, n_prop, label_len
+
+
+def _gt_line(number: int, line: str, classes: int) -> tuple[int, BBox]:
+    parts = line.split()
+    if len(parts) != 6 or parts[0] != "gt":
+        raise ValueError(f"line {number}: expected 'gt' and a class and 4 corners, got {line!r}")
+    try:
+        cls, box = int(parts[1]), BBox(*map(float, parts[2:]))
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
+    if not 0 <= cls < classes:
+        raise ValueError(f"line {number}: GT class {cls} outside [0, {classes})")
+    return cls, box
+
+
+def _prop_line(number: int, line: str) -> BBox:
+    parts = line.split()
+    if len(parts) != 5 or parts[0] != "prop":
+        raise ValueError(f"line {number}: expected 'prop' and 4 corners, got {line!r}")
+    try:
+        return BBox(*map(float, parts[1:]))
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
+
+
+def _label_line(number: int, line: str, size: int) -> np.ndarray:
+    parts = line.split()
+    if parts[:1] != ["label"]:
+        raise ValueError(f"line {number}: expected 'label' and {size} integers, got {line!r}")
+    try:
+        label = np.array([int(v) for v in parts[1:]], dtype=int)
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
+    if label.size != size:
+        raise ValueError(f"line {number}: label length mismatch in scene record")
+    return label
 
 
 _CELL = "cell "
 
 
 def _parse_cells(
-    lines: list[str], starts: list[int], rows: int, dim: int
+    block: list[str], starts: list[int], rows: int, dim: int
 ) -> np.ndarray:
-    """The (len(starts) * rows, dim) values of the ``cell`` lines in the
-    blocks of ``rows`` lines from each start, parsed in one call.  A line
-    that is not ``cell`` and ``dim`` numbers raises ValueError naming it."""
-    block = [ln for start in starts for ln in lines[start:start + rows]]
+    """The (len(block), dim) values of the ``cell`` lines of ``block``,
+    parsed in one call: ``rows`` lines per scene, the first of scene ``i``
+    being line ``starts[i]`` of the file.  A line that is not ``cell`` and
+    ``dim`` numbers raises ValueError naming it."""
     if not block:
         return np.empty((0, dim))
     try:
@@ -562,7 +683,7 @@ def _parse_cells(
             ok = False
         if not ok:
             raise ValueError(
-                f"line {starts[k // rows] + k % rows + 1}: "
+                f"line {starts[k // rows] + k % rows}: "
                 f"expected 'cell' and {dim} numbers, got {ln!r}"
             )
     raise ValueError("np.loadtxt refuses a cell row that str.split and float() read")

@@ -4,8 +4,9 @@ Everything here is written with plain Python loops straight from the
 definitions: per-box ROI pooling, proposal labelling, greedy NMS,
 threshold-band pseudo-labelling and the shape of its output, the weak-stage
 loss one classifier at a time, per-block Adam, VOC matching (one class, or
-every class of an evaluation from scalar IoUs) and average precision.  Slow
-on purpose; nothing imports the package.
+every class of an evaluation from scalar IoUs), average precision and the
+text of a scene set file built whole.  Slow on purpose; nothing imports the
+package.
 """
 
 import numpy as np
@@ -323,3 +324,47 @@ def ref_evaluate_flags(dets, ground_truths, num_classes, threshold):
         class_dets = [(scene, score, box) for scene, cls, score, box in dets if cls == c]
         out.append((ref_match(class_dets, gts, threshold), len(gts)))
     return out
+
+
+SCENE_CONFIG_FIELDS = (
+    "num_source_classes", "num_target_classes", "raw_dim", "grid_height",
+    "grid_width", "noise_sigma", "clutter_sigma", "jitter",
+    "proposals_per_scene", "objects_per_scene", "seed",
+)
+
+
+def ref_scene_set_text(config, scenes):
+    """The whole text of a scene set file, every line collected before one
+    join: the magic line, ``seed``, one ``config`` line per field (floats by
+    repr), ``count``, then per scene its ``scene`` line, one ``cell`` row
+    per grid cell in row-major order, ``gt`` and ``prop`` lines of corners
+    and the ``label`` line."""
+    lines = ["# transferdet scene set v1", f"seed {config.seed}"]
+    for name in SCENE_CONFIG_FIELDS:
+        value = getattr(config, name)
+        if name == "objects_per_scene":
+            lines.append(f"config {name} {value[0]} {value[1]}")
+        elif isinstance(value, float):
+            lines.append(f"config {name} {value!r}")
+        else:
+            lines.append(f"config {name} {value}")
+    lines.append(f"count {len(scenes)}")
+    for idx, scene in enumerate(scenes):
+        lines.append(
+            f"scene {idx} {scene.annotation_mode} {scene.domain} "
+            f"{len(scene.gt)} {len(scene.proposals)} {len(scene.image_label)}"
+        )
+        height, width, dim = scene.raw_grid.shape
+        for i in range(height):
+            for j in range(width):
+                lines.append(
+                    "cell " + " ".join(repr(float(v)) for v in scene.raw_grid[i, j])
+                )
+        for cls, box in scene.gt:
+            corners = (box.x1, box.y1, box.x2, box.y2)
+            lines.append(f"gt {cls} " + " ".join(repr(float(v)) for v in corners))
+        for box in scene.proposals:
+            corners = (box.x1, box.y1, box.x2, box.y2)
+            lines.append("prop " + " ".join(repr(float(v)) for v in corners))
+        lines.append("label " + " ".join(str(int(v)) for v in scene.image_label))
+    return "\n".join(lines) + "\n"

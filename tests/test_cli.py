@@ -29,7 +29,7 @@ from transferdet.evaluation import Detection, write_detections_csv
 from transferdet.geometry import BBox
 from transferdet.model import load_model
 from transferdet.pipeline import EXPERIMENTS, StageConfig, apply_overrides
-from transferdet.synthworld import Scene, WorldConfig, make_world, save_scenes
+from transferdet.synthworld import Scene, WorldConfig, load_scenes, make_world, save_scenes
 
 # Every stage length is pinned tiny through overrides, so these tests
 # never depend on the production training defaults.
@@ -529,6 +529,99 @@ def test_eval_truncated_scene_file_exits_4(three_scene_lines, data):
             "eval", "--detections", str(detections), "--scenes", str(scenes),
             "--out-dir", tmp,
         ]) == EXIT_MALFORMED
+
+
+def _line_of(lines, word, nth=0):
+    """The index of the ``nth`` line whose first word is ``word``."""
+    return [i for i, ln in enumerate(lines) if ln.split()[:1] == [word]][nth]
+
+
+def _replace_words(lines, word, edit, nth=0):
+    """(lines with the ``nth`` ``word`` line's words edited, its index)."""
+    i = _line_of(lines, word, nth)
+    return lines[:i] + [" ".join(edit(lines[i].split()))] + lines[i + 1:], i
+
+
+def _insert_before_record(lines, line, nth=1):
+    """(lines with ``line`` put just before scene record ``nth``, its index)."""
+    i = _line_of(lines, "scene", nth) if nth is not None else len(lines)
+    return lines[:i] + [line] + lines[i:], i
+
+
+# Each edit of a 3-scene target-domain file (4 classes) gives the edited
+# lines and the index of the line its error must name.
+SCENE_FILE_EDITS = {
+    "gt line with 3 corners": lambda ls: _replace_words(ls, "gt", lambda w: w[:-1]),
+    "gt line with 5 corners": lambda ls: _replace_words(ls, "gt", lambda w: w + ["0.9"], 2),
+    "prop line with 3 corners": lambda ls: _replace_words(ls, "prop", lambda w: w[:-1], 40),
+    "prop line with 5 corners": lambda ls: _replace_words(ls, "prop", lambda w: w + ["0.9"]),
+    "gt class -1": lambda ls: _replace_words(ls, "gt", lambda w: w[:1] + ["-1"] + w[2:]),
+    "gt class equal to the class count": lambda ls: _replace_words(
+        ls, "gt", lambda w: w[:1] + ["4"] + w[2:], 1
+    ),
+    "gt class 9": lambda ls: _replace_words(ls, "gt", lambda w: w[:1] + ["9"] + w[2:], -1),
+    "gt class not an integer": lambda ls: _replace_words(
+        ls, "gt", lambda w: w[:1] + ["0.5"] + w[2:]
+    ),
+    "gt line in place of a prop line": lambda ls: _replace_words(
+        ls, "prop", lambda w: ["gt", "0"] + w[1:]
+    ),
+    "prop word on a gt line": lambda ls: _replace_words(ls, "gt", lambda w: ["prop"] + w[1:]),
+    "inverted proposal box": lambda ls: _replace_words(
+        ls, "prop", lambda w: w[:1] + w[3:5] + w[1:3]
+    ),
+    "scene line short of a field": lambda ls: _replace_words(ls, "scene", lambda w: w[:-1], 1),
+    "scene line with a negative GT count": lambda ls: _replace_words(
+        ls, "scene", lambda w: w[:4] + ["-1"] + w[5:]
+    ),
+    "unknown domain": lambda ls: _replace_words(
+        ls, "scene", lambda w: w[:3] + ["sea"] + w[4:], 2
+    ),
+    "unknown mode": lambda ls: _replace_words(ls, "scene", lambda w: w[:2] + ["half"] + w[3:], 1),
+    "label one value short": lambda ls: _replace_words(ls, "label", lambda w: w[:-1]),
+    "label of a float": lambda ls: _replace_words(ls, "label", lambda w: w[:-1] + ["1.0"], 1),
+    "config line after the first record": lambda ls: _insert_before_record(
+        ls, "config seed 3"
+    ),
+    "count line after the first record": lambda ls: _insert_before_record(ls, "count 3", 2),
+    "seed line after the last record": lambda ls: _insert_before_record(ls, "seed 3", None),
+    "stray line between records": lambda ls: _insert_before_record(ls, "note: 3 scenes"),
+    "stray line after the last record": lambda ls: _insert_before_record(ls, "x", None),
+    "stray line in the header": lambda ls: _insert_before_record(ls, "# more", 0),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SCENE_FILE_EDITS))
+def test_eval_malformed_scene_record_exits_4_naming_the_line(
+    three_scene_lines, tmp_path, capsys, edit
+):
+    lines, bad = SCENE_FILE_EDITS[edit](three_scene_lines)
+    assert lines != three_scene_lines
+    scenes = tmp_path / "scenes.txt"
+    scenes.write_text("".join(ln + "\n" for ln in lines))
+    with pytest.raises(ValueError, match=f"^line {bad + 1}: "):
+        load_scenes(scenes)
+    detections = tmp_path / "detections.csv"
+    detections.write_text("scene_id,class,x1,y1,x2,y2,score\n")
+    assert main([
+        "eval", "--detections", str(detections), "--scenes", str(scenes),
+        "--out-dir", str(tmp_path),
+    ]) == EXIT_MALFORMED
+    assert f"error: line {bad + 1}: " in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
+def test_eval_count_header_beyond_the_records_exits_4(tmp_path, capsys):
+    # nothing is sized from the count header: it is only compared
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    text = scenes_path.read_text()
+    scenes_path.write_text(text.replace("count 1\n", "count 1000000000000\n"))
+    code = main([
+        "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_MALFORMED
+    assert "holds 1 scenes but its header says 1000000000000" in capsys.readouterr().err
 
 
 # --- experiment ----------------------------------------------------------

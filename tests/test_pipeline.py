@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from transferdet import pipeline
+from transferdet import losses, pipeline
 from transferdet.evaluation import Detections, evaluate_detections, mean_ap
 from transferdet.geometry import BBox, pairwise_iou
 from transferdet.model import (
@@ -718,7 +718,7 @@ def test_wstd_step_is_one_call_per_layer_for_the_whole_stack(
     # the loss of and backpropagated by one call each
     names = (
         "head_logits", "head_backward", "label_rows", "image_multilabel_loss",
-        "rol_classifier_loss", "mine_support",
+        "_rol_classifier_loss", "mine_support",
     )
     calls = dict.fromkeys(names, 0)
 
@@ -736,8 +736,51 @@ def test_wstd_step_is_one_call_per_layer_for_the_whole_stack(
     # one head call each for the distillation branch and the ROL stack
     assert calls == {
         "head_logits": 2 * steps, "head_backward": 2 * steps, "label_rows": steps,
-        "image_multilabel_loss": steps, "rol_classifier_loss": steps, "mine_support": 0,
+        "image_multilabel_loss": steps, "_rol_classifier_loss": steps, "mine_support": 0,
     }
+
+
+def _one_member_wstd_params(warmup):
+    return {
+        "backbone": warmup.backbone.map[None].copy(),
+        "sdk_head": warmup.sdk_head.weights[None].copy(),
+        "rol_heads": np.repeat(
+            warmup.main_head.weights[None, None], TINY.rol.num_classifiers, 0
+        ),
+    }
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_wstd_step_softmaxes_the_rol_stack_once(warmup, weak_scene, monkeypatch, pinned):
+    # one softmax for the distillation head and one for the whole ROL stack,
+    # which labelling and the ROL loss share; pinned labels change neither
+    pack = pack_wstd_scene(weak_scene, warmup)
+    params = _one_member_wstd_params(warmup)
+    _, _, pseudo = wstd_scene_loss(params, pack, [TINY])
+    shapes = []
+
+    def counting(logits):
+        shapes.append(np.shape(logits))
+        return column_softmax(logits)
+
+    monkeypatch.setattr(pipeline, "column_softmax", counting)
+    monkeypatch.setattr(losses, "column_softmax", counting)
+    wstd_scene_loss(params, pack, [TINY], fixed_pseudo=pseudo if pinned else None)
+    proposals = len(pack.boxes)
+    assert shapes == [
+        (1, warmup.sdk_head.num_rows, proposals),
+        (TINY.rol.num_classifiers, 1, warmup.main_head.num_rows, proposals),
+    ]
+
+
+def test_wstd_step_checks_pinned_pseudo_labels(warmup, weak_scene):
+    pack = pack_wstd_scene(weak_scene, warmup)
+    params = _one_member_wstd_params(warmup)
+    _, _, pseudo = wstd_scene_loss(params, pack, [TINY])
+    with pytest.raises(ValueError, match="pseudo label shape"):
+        wstd_scene_loss(params, pack, [TINY], fixed_pseudo=pseudo[1:])
+    with pytest.raises(ValueError, match="nonnegative"):
+        wstd_scene_loss(params, pack, [TINY], fixed_pseudo=-pseudo - 1.0)
 
 
 # --- lockstep groups ----------------------------------------------------

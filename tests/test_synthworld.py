@@ -1,14 +1,22 @@
 """World generation tests: prototypes, scene sampling, serialization."""
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferdet.geometry import BBox, coverage_masks, iou
 from transferdet.synthworld import (
     BOX_MAX_SIZE,
     BOX_MIN_SIZE,
     CLASS_REPEAT_AFFINITY,
+    DOMAINS,
     GT_MAX_OVERLAP,
+    MODES,
     PROPOSAL_NMS_THRESHOLD,
     Scene,
     World,
@@ -24,7 +32,7 @@ from transferdet.synthworld import (
 )
 from transferdet import synthworld
 
-from reference import ref_iou
+from reference import ref_iou, ref_scene_set_text
 
 
 def test_substream_is_reproducible_and_tag_sensitive():
@@ -379,14 +387,7 @@ def test_world_file_seed_header_must_match_config(tmp_path, header, message):
         load_world(path)
 
 
-def test_scenes_round_trip(tmp_path):
-    world = make_world(WorldConfig(seed=10))
-    scenes = sample_scenes(world, "target", "weak", substream(10, "rt"), 5)
-    scenes += sample_scenes(world, "source", "full", substream(10, "rt2"), 3)
-    path = tmp_path / "scenes.txt"
-    save_scenes(path, world, scenes)
-    config, loaded = load_scenes(path)
-    assert config == world.config
+def assert_same_scenes(loaded, scenes):
     assert len(loaded) == len(scenes)
     for a, b in zip(scenes, loaded):
         assert np.array_equal(a.raw_grid, b.raw_grid)
@@ -396,6 +397,82 @@ def test_scenes_round_trip(tmp_path):
         assert np.array_equal(a.image_label, b.image_label)
         assert a.annotation_mode == b.annotation_mode
         assert a.domain == b.domain
+
+
+def test_scenes_round_trip(tmp_path):
+    world = make_world(WorldConfig(seed=10))
+    scenes = sample_scenes(world, "target", "weak", substream(10, "rt"), 5)
+    scenes += sample_scenes(world, "source", "full", substream(10, "rt2"), 3)
+    path = tmp_path / "scenes.txt"
+    save_scenes(path, world, scenes)
+    config, loaded = load_scenes(path)
+    assert config == world.config
+    assert_same_scenes(loaded, scenes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.sampled_from([(8, 8), (3, 5), (1, 1)]),
+    kinds=st.lists(st.tuples(st.sampled_from(DOMAINS), st.sampled_from(MODES)), max_size=6),
+    chunk_rows=st.sampled_from([1, 15, 64, 100, synthworld.SCENE_CHUNK_ROWS]),
+)
+def test_scene_set_file_equals_the_whole_file_oracle_and_round_trips(
+    seed, grid, kinds, chunk_rows
+):
+    # 0-6 scenes of any domain and mode, read in chunks of whole scenes
+    # that hold one scene's rows or fewer, some scenes' rows, or all of them
+    world = make_world(WorldConfig(seed=seed, grid_height=grid[0], grid_width=grid[1]))
+    rng = substream(seed, "file")
+    scenes = [sample_scene(world, domain, mode, rng) for domain, mode in kinds]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthworld, "SCENE_CHUNK_ROWS", chunk_rows)
+        path = Path(tmp) / "scenes.txt"
+        save_scenes(path, world, scenes)
+        assert path.read_text() == ref_scene_set_text(world.config, scenes)
+        config, loaded = load_scenes(path)
+    assert config == world.config
+    assert_same_scenes(loaded, scenes)
+
+
+def test_scenes_file_allows_blank_lines_between_records(tmp_path):
+    world = make_world(WorldConfig(seed=10))
+    scenes = sample_scenes(world, "target", "weak", substream(10, "blank"), 3)
+    path = tmp_path / "scenes.txt"
+    save_scenes(path, world, scenes)
+    text = path.read_text().replace("\nscene ", "\n\n  \t\nscene ")
+    path.write_text(text + "\n \n")
+    assert_same_scenes(load_scenes(path)[1], scenes)
+
+
+def _traced(fn):
+    """(fn(), peak bytes above the start, bytes still held at the end)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, held - start
+
+
+def test_scene_set_memory_is_bounded_by_a_chunk(tmp_path):
+    # the writer holds one record at a time, and the reader's memory beyond
+    # the scenes it returns does not grow with the file (whole-file buffers
+    # would make it grow about fourfold from 50 to 200 scenes)
+    world = make_world(WorldConfig(seed=12))
+    scenes = sample_scenes(world, "target", "full", substream(12, "mem"), 200)
+    paths = {n: tmp_path / f"scenes{n}.txt" for n in (50, 200)}
+    _, save_peak, _ = _traced(lambda: save_scenes(paths[200], world, scenes))
+    assert save_peak < 1_000_000
+    save_scenes(paths[50], world, scenes[:50])
+    transient = {}
+    for n, path in paths.items():
+        (_, loaded), peak, held = _traced(lambda: load_scenes(path))
+        assert len(loaded) == n
+        transient[n] = peak - held
+    assert transient[200] <= 1.5 * transient[50]
 
 
 def test_scenes_file_rejects_bad_magic(tmp_path):
@@ -421,6 +498,21 @@ CELL_EDITS = {
 @pytest.mark.parametrize("which", [0, 1, -1])
 def test_scenes_file_rejects_malformed_cell_row(tmp_path, edit, which):
     # the first and second cell rows of scene 0, and the last of scene 1
+    assert_cell_edit_named(tmp_path, edit, which)
+
+
+@pytest.mark.parametrize("edit", sorted(CELL_EDITS))
+@pytest.mark.parametrize("which", [0, 63, 64, 65, -1])
+def test_scenes_file_names_a_malformed_cell_row_in_a_later_chunk(
+    tmp_path, monkeypatch, edit, which
+):
+    # one chunk per scene of the 8x8 grid: rows 64 on are the second chunk's
+    monkeypatch.setattr(synthworld, "SCENE_CHUNK_ROWS", 64)
+    assert_cell_edit_named(tmp_path, edit, which)
+
+
+def assert_cell_edit_named(tmp_path, edit, which):
+    """Cell row ``which`` of a two-scene file, edited, is named by line."""
     world = make_world(WorldConfig(seed=11))
     path = tmp_path / "scenes.txt"
     save_scenes(path, world, sample_scenes(world, "target", "full", substream(11, "c"), 2))
