@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import secrets
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -152,7 +153,7 @@ def _write_manifest(args, out_dir: Path, seeds, outputs, started: float) -> Path
         if not Path(path).exists():
             raise RuntimeError(f"manifest lists missing output {path}")
     payload = {
-        "command": " ".join(sys.argv) if sys.argv else "",
+        "command": args.command,
         "subcommand": args.cmd,
         "config_digest": _config_digest(args),
         "seeds": seeds if isinstance(seeds, list) else [seeds],
@@ -474,7 +475,15 @@ GRADCHECKS = {
 def run_gradcheck_suite(
     names=None, instances: int = 25, tolerance: float = 1e-6, seed: int = 0
 ) -> list[tuple[str, float, bool]]:
-    """Run every named check ``instances`` times; returns per-loss results."""
+    """Run every named check ``instances`` times; returns per-loss results.
+
+    ``instances`` must be at least 1 and ``tolerance`` finite and positive:
+    otherwise no check could fail, and the suite raises ValueError.
+    """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    if not (np.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     names = list(GRADCHECKS) if not names else list(names)
     results = []
     for name in names:
@@ -583,8 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The manifests' record of the command that ran, not the host process's argv.
+    args.command = shlex.join(["transferdet", *argv])
     try:
         return args.func(args)
     except CliError as exc:

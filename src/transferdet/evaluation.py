@@ -7,25 +7,26 @@ ground-truth box; duplicates on an already-matched box count as false
 positives.  AP defaults to the 11-point interpolation; the all-points
 precision-envelope integral is available behind a flag.
 
-Detections are columns from file to AP: :func:`read_detections_csv`
-parses a detections file into one :class:`Detections` (scene ids,
-classes, (n, 4) corner boxes, scores), and :func:`evaluate_detections`
-and :func:`match_detections` take it.  :class:`Detection` is only the
-type that producers build (:func:`transferdet.pipeline.detect`,
-:func:`write_detections_csv`); ``Detections.of`` turns a list of them
-into columns.
+Detections are columns from detector or file to AP: the batched detector
+:func:`transferdet.pipeline.detections` returns one :class:`Detections`
+(scene ids, classes, (n, 4) corner boxes, scores) per model, and
+:func:`read_detections_csv` parses a detections file into one;
+:func:`evaluate_detections` and :func:`match_detections` take it.  Both
+the experiments (:func:`transferdet.pipeline.evaluate_model`) and the
+``eval`` command score detections with :func:`evaluate_detections`.
+:class:`Detection` is the one-detection type that
+:func:`transferdet.pipeline.detect` and :func:`write_detections_csv`
+use; ``Detections.of`` turns a list of them into columns.
 
 One greedy matcher, :func:`match_rows`, works on each detection's row of
 IoUs against its scene's ground-truth boxes of the class.  Its skip rule:
 a detection whose best IoU over all of those boxes is at most the
 threshold is a false positive that changes no matching state, so only the
-detections above it enter the per-box loop.  :func:`match_detections`
-feeds it rows from one elementwise IoU of the detections against a padded
-per-scene ground-truth array (the CLI path); the experiment path gathers
-rows from per-scene proposal-by-GT IoU blocks (see
-:func:`transferdet.pipeline.evaluate_model`).  Both apply the operations
-of the scalar :func:`~transferdet.geometry.iou` in its order, so every
-row entry is the scalar IoU bit for bit.
+detections above it enter the per-box loop.  :func:`gt_iou_rows` gives
+every row from one elementwise IoU of the detections against a padded
+per-scene ground-truth array.  It applies the operations of the scalar
+:func:`~transferdet.geometry.iou` in its order, so every row entry is the
+scalar IoU bit for bit.
 """
 
 from __future__ import annotations

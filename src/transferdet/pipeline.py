@@ -48,13 +48,19 @@ gives every head's gradient.  The feature gradient adds the distillation
 term, then classifiers 1, 2, ..., N in that order, so it is bit-identical
 to looping over the classifiers.
 
-Evaluation runs once per (seed, world, eval count), after all of that
-seed's cells are trained: :func:`evaluate_model` takes every model to be
-scored on those eval scenes, pools and overlaps each scene once for all of
-them, scores each model on all the scenes in one stacked head call and
-suppresses every (model, class, scene) row in one lockstep NMS.  The group's eval time, the
-sampling of its eval scenes included, goes to the ``wall_clock`` of the
-group's first cell, the same rule as for training.
+Inference has one path.  :func:`detections` pools and overlaps each scene
+once for all the models it is given, scores each model on all the scenes
+in one stacked head call, suppresses every (model, class, scene) row in
+one lockstep NMS and returns one columnar
+:class:`~transferdet.evaluation.Detections` per model; :func:`detect` is
+its one-model, one-scene case.  Evaluation runs once per (seed, world,
+eval count), after all of that seed's cells are trained:
+:func:`evaluate_model` takes every model to be scored on those eval
+scenes and scores each one's detections with
+:func:`~transferdet.evaluation.evaluate_detections`, the matcher the
+``eval`` command uses.  The group's eval time, the sampling of its eval
+scenes included, goes to the ``wall_clock`` of the group's first cell,
+the same rule as for training.
 """
 
 from __future__ import annotations
@@ -68,15 +74,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evaluation import (
-    NO_GT,
-    Detection,
-    EvalConfig,
-    average_precision,
-    evaluate_detections,  # noqa: F401  (perfbench/tracer.py wraps it here)
-    match_rows,
-    mean_ap,
-)
+from .evaluation import Detection, Detections, evaluate_detections, mean_ap
 from .geometry import BBox, box_corners, nms, pairwise_iou
 from .labelling import (
     ROLConfig,
@@ -1065,58 +1063,32 @@ def _proposal_probs(
     return probs.transpose(0, 2, 1, 3)
 
 
-def detect(
-    model: DetectorModel,
-    scene: Scene,
-    scene_id: int,
-    classifier: int | None = None,
-    nms_threshold: float = INFERENCE_NMS_THRESHOLD,
-) -> list[Detection]:
-    """Per-class score + greedy suppression over the scene's proposals:
-    the one-model, one-scene case of :func:`evaluate_model`'s scoring and
-    suppression, as :class:`Detection` objects in class order, each
-    class's by descending score."""
-    boxes = list(scene.proposals)
-    raw_means = pool_raw_means(scene.raw_grid, boxes)[None]
-    probs = _proposal_probs([model], [classifier], raw_means)[0, :, 0]
-    kept = nms(probs[:-1], pairwise_iou(boxes), nms_threshold, len(boxes))
-    return [
-        Detection(scene_id, c, boxes[k], float(probs[c, k]))
-        for c, row in enumerate(kept.tolist())
-        for k in row
-        if k >= 0
-    ]
-
-
-def evaluate_model(
+def detections(
     models: Sequence[DetectorModel],
     scenes: Sequence[Scene],
     classifiers: Sequence[int | None],
-    eval_cfg: EvalConfig = EvalConfig(),
-) -> list[tuple[list[float | None], float]]:
-    """Per-class AP and mAP of each model (with its selected classifier,
-    None for the default head) on the scenes against their full
-    annotations: what :func:`detect` on every scene scored by
-    :func:`~transferdet.evaluation.evaluate_detections` gives, bit for bit.
+) -> list[Detections]:
+    """The detections of each model (with its selected classifier, None for
+    the default head) on the scenes: per-class scores over each scene's
+    proposals and greedy suppression at :data:`INFERENCE_NMS_THRESHOLD`.
 
     The model-independent work runs once for all models: the scenes'
     proposals are pooled into one (S, K, D0) block, and their proposal IoU
-    and proposal-by-GT IoU are computed once per scene.  One stacked head
-    call per model scores all the scenes, one lockstep
-    :func:`~transferdet.geometry.nms` suppresses every (model, class, scene)
-    row, and
-    :func:`~transferdet.evaluation.match_rows` matches each class's kept
-    proposals on their rows of the proposal-by-GT IoU, with no
-    :class:`Detection` objects.  The scenes must share one proposal count.
+    is computed once per scene.  One stacked head call per model scores
+    all the scenes, and one lockstep :func:`~transferdet.geometry.nms`
+    suppresses every (model, class, scene) row.  A model's rows run class
+    by class, each class scene by scene and each scene by descending
+    score; a row's scene id is its scene's position in ``scenes``.  The
+    scenes must share one proposal count.
     """
     if len(classifiers) != len(models):
         raise ValueError(
-            f"evaluate_model got {len(classifiers)} classifiers for {len(models)} models"
+            f"detections got {len(classifiers)} classifiers for {len(models)} models"
         )
     if not models:
         return []
     if not scenes:
-        raise ValueError("evaluate_model needs at least one scene")
+        raise ValueError("detections needs at least one scene")
     boxes = [list(scene.proposals) for scene in scenes]
     count = len(boxes[0])
     if any(len(b) != count for b in boxes):
@@ -1126,47 +1098,53 @@ def evaluate_model(
     ))
     if not np.isfinite(probs).all():
         raise ValueError("non-finite detection score")
-    num_classes = probs.shape[1] - 1
     kept = nms(
         probs[:, :-1], np.stack([pairwise_iou(b) for b in boxes]),
         INFERENCE_NMS_THRESHOLD, count,
     )
-
-    # Per class: a (S, K, G) block of each proposal's IoU with the class's
-    # GT boxes of its scene, in GT order, padded with NO_GT, and the GT total.
-    gt_classes = [np.array([cls for cls, _ in scene.gt], dtype=int) for scene in scenes]
-    widths = [
-        max(int((classes == c).sum()) for classes in gt_classes)
-        for c in range(num_classes)
-    ]
-    blocks = [np.full((len(scenes), count, w), NO_GT) for w in widths]
-    totals = [0] * num_classes
-    for s, (scene, classes) in enumerate(zip(scenes, gt_classes)):
-        if not scene.gt:
-            continue
-        overlaps = pairwise_iou(boxes[s], [box for _, box in scene.gt])
-        for c in range(num_classes):
-            columns = np.flatnonzero(classes == c)
-            blocks[c][s, :, : columns.size] = overlaps[:, columns]
-            totals[c] += columns.size
-
+    corners = np.stack([box_corners(b) for b in boxes])
     results = []
     for m in range(len(models)):
-        per_class: list[float | None] = []
-        for c in range(num_classes):
-            if totals[c] == 0:
-                per_class.append(None)
-                continue
-            # Kept proposals in detect's order: scene by scene, each by rank.
-            scene_index, rank = np.nonzero(kept[m, c] >= 0)
-            k = kept[m, c][scene_index, rank]
-            flags = match_rows(
-                probs[m, c, scene_index, k], scene_index, blocks[c][scene_index, k],
-                eval_cfg.iou_threshold,
-            )
-            per_class.append(average_precision(flags, totals[c], eval_cfg))
-        results.append((per_class, mean_ap(per_class)))
+        classes, scene_ids, rank = np.nonzero(kept[m] >= 0)
+        k = kept[m][classes, scene_ids, rank]
+        results.append(Detections(
+            scene_ids, classes, corners[scene_ids, k], probs[m, classes, scene_ids, k]
+        ))
     return results
+
+
+def detect(
+    model: DetectorModel,
+    scene: Scene,
+    scene_id: int,
+    classifier: int | None = None,
+) -> list[Detection]:
+    """:func:`detections` of one model on one scene, as :class:`Detection`
+    objects with ``scene_id``: in class order, each class's by descending
+    score."""
+    (dets,) = detections([model], [scene], [classifier])
+    return [
+        Detection(scene_id, c, BBox(*box), score)
+        for c, box, score in zip(
+            dets.classes.tolist(), dets.boxes.tolist(), dets.scores.tolist()
+        )
+    ]
+
+
+def evaluate_model(
+    models: Sequence[DetectorModel],
+    scenes: Sequence[Scene],
+    classifiers: Sequence[int | None],
+) -> list[tuple[list[float | None], float]]:
+    """Per-class AP and mAP of each model (with its selected classifier,
+    None for the default head) on the scenes against their full
+    annotations: each model's :func:`detections` scored by
+    :func:`~transferdet.evaluation.evaluate_detections`."""
+    ground_truths = {s: list(scene.gt) for s, scene in enumerate(scenes)}
+    return [
+        evaluate_detections(dets, ground_truths, _select_head(m, c).num_rows - 1)
+        for m, c, dets in zip(models, classifiers, detections(models, scenes, classifiers))
+    ]
 
 
 # --- experiment registry ----------------------------------------------------

@@ -2,6 +2,7 @@
 layout, byte determinism, and the documented exit-code partition."""
 
 import json
+import shlex
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -181,6 +182,18 @@ def test_world_outputs_and_determinism(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["world", "--seed", "3", "--count", "2"],
+    ["gradcheck", "--only", "bd", "--instances", "1"],
+])
+def test_manifest_records_the_command_main_ran(tmp_path, argv):
+    # an out dir with a space needs quoting to read back as one argument
+    argv = argv + ["--out-dir", str(tmp_path / "out dir")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out dir" / "manifest.json").read_text())
+    assert shlex.split(manifest["command"]) == ["transferdet"] + argv
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -691,6 +704,28 @@ def test_gradcheck_suite_unit():
     with pytest.raises(ValueError, match="unknown loss"):
         run_gradcheck_suite(["nope"], instances=1)
     assert len(GRADCHECKS) == 9
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"instances": 0}, {"instances": -1},
+    {"tolerance": float("inf")}, {"tolerance": float("nan")},
+    {"tolerance": 0.0}, {"tolerance": -1e-6},
+])
+def test_gradcheck_suite_rejects_settings_that_cannot_fail(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        run_gradcheck_suite(["bd"], **kwargs)
+
+
+@pytest.mark.parametrize("flag", [
+    "--instances=0", "--instances=-1", "--tolerance=inf", "--tolerance=nan",
+    "--tolerance=0", "--tolerance=-1e-6",
+])
+def test_gradcheck_that_cannot_fail_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "g"
+    assert main(["gradcheck", flag, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert flag[2:].split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wstd_gradcheck_probes_the_stacked_rol_heads():

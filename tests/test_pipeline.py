@@ -30,6 +30,7 @@ from transferdet.pipeline import (
     apply_overrides,
     collect_class_scenes,
     detect,
+    detections,
     evaluate_model,
     experiment_output_paths,
     lstd_finetune,
@@ -65,6 +66,7 @@ from reference import (
     ref_nms,
     ref_pool,
     ref_proposal_labels,
+    ref_softmax,
     ref_wstd_loss,
 )
 
@@ -947,6 +949,46 @@ def test_detect_classifier_selection(world, warmup, student):
         detect(student, scene, 0, classifier=last + 1)
     with pytest.raises(ValueError, match="out of range"):
         detect(student, scene, 0, classifier=0)
+
+
+def test_detections_equal_reference_oracle(world, warmup, student):
+    scenes = sample_scenes(world, "target", "full", substream(26, "e"), 8)
+    models = [warmup, student, student, student, student]
+    classifiers = [None, None, 1, 2, 3]
+    heads = [warmup.main_head, student.rol_heads[-1]] + student.rol_heads
+    results = detections(models, scenes, classifiers)
+    assert len(results) == len(models)
+    for model, classifier, head, dets in zip(models, classifiers, heads, results):
+        assert dets.scene_ids.dtype == dets.classes.dtype == np.int64
+        per_scene = []
+        for scene in scenes:
+            boxes = [b.as_tuple() for b in scene.proposals]
+            features = ref_pool(scene.raw_grid, boxes) @ model.backbone.map.T
+            per_scene.append((boxes, ref_softmax(head_logits(head.weights, features))))
+        # Rows class by class, each class scene by scene, each scene by rank.
+        expected = [
+            (c, s, boxes[k], probs[c, k])
+            for c in range(head.num_rows - 1)
+            for s, (boxes, probs) in enumerate(per_scene)
+            for k in ref_nms(boxes, probs[c].tolist(), INFERENCE_NMS_THRESHOLD, len(boxes))
+        ]
+        assert dets.classes.tolist() == [c for c, _, _, _ in expected]
+        assert dets.scene_ids.tolist() == [s for _, s, _, _ in expected]
+        assert [tuple(b) for b in dets.boxes.tolist()] == [b for _, _, b, _ in expected]
+        np.testing.assert_allclose(
+            dets.scores, [score for _, _, _, score in expected], rtol=0, atol=1e-12
+        )
+        # detect on one scene is that scene's rows of the batched call
+        for i, scene in enumerate(scenes):
+            rows = dets.take(dets.scene_ids == i)
+            assert [
+                (d.scene_id, d.class_index, d.box.as_tuple(), d.score)
+                for d in detect(model, scene, i, classifier)
+            ] == list(zip(
+                rows.scene_ids.tolist(), rows.classes.tolist(),
+                map(tuple, rows.boxes.tolist()), rows.scores.tolist(),
+            ))
+    assert detections([], scenes, []) == []
 
 
 def test_evaluate_model_consistency(world, student):
