@@ -4,7 +4,7 @@ synthetic benchmark, with exact gradients and deterministic experiments."""
 __version__ = "0.1.0"
 
 from .geometry import BBox, iou, nms
-from .labelling import ROLConfig, mine_support, oicr_label
+from .labelling import ROLConfig, mine_support
 from .losses import LossWeights
 from .model import DetectorModel, OptimizerConfig, load_model, save_model
 from .pipeline import (
@@ -36,7 +36,6 @@ __all__ = [
     "make_world",
     "mine_support",
     "nms",
-    "oicr_label",
     "run_experiment",
     "sample_scene",
     "save_model",

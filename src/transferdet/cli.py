@@ -210,12 +210,34 @@ def _load_world_arg(args, seed: int):
     return make_world(WorldConfig(seed=seed))
 
 
-def _load_checkpoint(path, what: str):
+def _load_start_model(args, world):
+    """The checkpoint ``train lstd`` or ``train wstd`` starts from, checked
+    before any work: a raw_dim x raw_dim backbone, a main head over the
+    source (lstd) or target (wstd) classes plus background, and for wstd
+    an SDK head.  A malformed or unfitting checkpoint exits 4, naming the
+    checkpoint and the field."""
+    if args.stage == "lstd":
+        path, what, domain = args.source_model, "source checkpoint", "source"
+    else:
+        path, what, domain = args.warmup_model, "warm-up checkpoint", "target"
     p = _require_input(path, what)
     try:
-        return load_model(p)
+        model = load_model(p)
     except ValueError as exc:
         raise CliError(EXIT_MALFORMED, str(exc))
+    dim, rows = world.config.raw_dim, world.config.classes_in(domain) + 1
+    if model.backbone.map.shape != (dim, dim):
+        problem = "backbone is {}x{}, the world needs {d}x{d} (raw_dim)".format(
+            *model.backbone.map.shape, d=dim
+        )
+    elif model.main_head.num_rows != rows:
+        problem = (f"main_head has {model.main_head.num_rows} rows, the world "
+                   f"needs {rows} (num_{domain}_classes + 1)")
+    elif args.stage == "wstd" and model.sdk_head is None:
+        problem = "has no sdk_head; a warm-up from train lstd has one"
+    else:
+        return model
+    raise CliError(EXIT_MALFORMED, f"{what} {p}: {problem}")
 
 
 def cmd_train(args) -> int:
@@ -227,11 +249,9 @@ def cmd_train(args) -> int:
     if args.stage == "source":
         (model,) = train_source([world], [cfg], [report])
     elif args.stage == "lstd":
-        source = _load_checkpoint(args.source_model, "source checkpoint")
-        (model,) = lstd_finetune(source, world, [cfg], [report])
+        (model,) = lstd_finetune(_load_start_model(args, world), world, [cfg], [report])
     else:
-        warmup = _load_checkpoint(args.warmup_model, "warm-up checkpoint")
-        (model,) = wstd_train(warmup, world, [cfg], [report])
+        (model,) = wstd_train(_load_start_model(args, world), world, [cfg], [report])
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

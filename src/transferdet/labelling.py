@@ -12,8 +12,8 @@ own thresholds and labeller kind, and :func:`label_rows` labels any stack
 of rows against one scene's proposal IoU matrix and present classes in one
 vectorised pass; weak training labels every (classifier, member) pair of a
 step that way.  It uses only argmax, max and selection, so each row is
-bit-identical to labelling it alone.  :func:`mine_support` and
-:func:`oicr_label` are its one-row forms.
+bit-identical to labelling it alone.  :func:`mine_support` is its
+one-row selective form.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ def label_rows(
       stays all zero when no band does; under OICR it becomes background
       with the largest s_c of the row instead.
 
-    The inputs are not checked; the one-row forms check theirs.
+    The inputs are not checked; the one-row :func:`mine_support` checks its
+    own.
     """
     obj = scores[..., present, :]
     seeds = obj.argmax(axis=-1)
@@ -107,28 +108,6 @@ def label_rows(
     return pseudo
 
 
-def _one_row(
-    prev_scores: np.ndarray,
-    boxes: Sequence[BBox],
-    y_img: np.ndarray,
-    cfg: ROLConfig,
-    iou_cache: np.ndarray | None,
-    oicr: bool,
-) -> np.ndarray:
-    prev_scores = np.asarray(prev_scores, dtype=float)
-    num_classes = prev_scores.shape[0] - 1
-    k_total = prev_scores.shape[1]
-    if len(boxes) != k_total:
-        raise ValueError(f"{len(boxes)} boxes but {k_total} score columns")
-    if len(np.asarray(y_img)) != num_classes:
-        raise ValueError(
-            f"image label length {len(np.asarray(y_img))} != class count {num_classes}"
-        )
-    present = np.array(present_classes(y_img))
-    iou = pairwise_iou(boxes) if iou_cache is None else iou_cache
-    return label_rows(prev_scores, iou, present, cfg.phi_obj, cfg.phi_bg, oicr)
-
-
 def mine_support(
     prev_scores: np.ndarray,
     boxes: Sequence[BBox],
@@ -148,21 +127,15 @@ def mine_support(
     :func:`label_rows`; ``iou_cache`` may hold the pairwise IoU matrix of
     ``boxes``.
     """
-    return _one_row(prev_scores, boxes, y_img, cfg, iou_cache, oicr=False)
-
-
-def oicr_label(
-    prev_scores: np.ndarray,
-    boxes: Sequence[BBox],
-    y_img: np.ndarray,
-    cfg: ROLConfig,
-    iou_cache: np.ndarray | None = None,
-) -> np.ndarray:
-    """Baseline labeller: background assigned without selection.
-
-    Object labelling is identical to :func:`mine_support`, but every
-    proposal left without an object label becomes background, weighted by
-    the maximum seed score among present classes, so no column stays zero
-    unless that score is 0.0.  The one-row OICR form of :func:`label_rows`.
-    """
-    return _one_row(prev_scores, boxes, y_img, cfg, iou_cache, oicr=True)
+    prev_scores = np.asarray(prev_scores, dtype=float)
+    num_classes = prev_scores.shape[0] - 1
+    k_total = prev_scores.shape[1]
+    if len(boxes) != k_total:
+        raise ValueError(f"{len(boxes)} boxes but {k_total} score columns")
+    if len(np.asarray(y_img)) != num_classes:
+        raise ValueError(
+            f"image label length {len(np.asarray(y_img))} != class count {num_classes}"
+        )
+    present = np.array(present_classes(y_img))
+    iou = pairwise_iou(boxes) if iou_cache is None else iou_cache
+    return label_rows(prev_scores, iou, present, cfg.phi_obj, cfg.phi_bg, False)

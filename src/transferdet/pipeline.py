@@ -17,21 +17,22 @@ only in loss coefficients or labeller settings.  :func:`lstd_finetune` and
 members' parameters along a leading axis and train them with one Adam step
 per scene for the whole group; per-member coefficients scale the stacked
 gradients, and each member's slice is bit-identical to training it alone.
-A single training is a one-member group.  The experiment runner trains
-every uncached sibling cell of a seed in one group, which also builds the
-group's weak pack set once.
+A single training is a one-member group.
 
 Source trainings also run in lockstep across seeds.  Every seed follows
 the same schedule (``source_epochs`` × ``source_scenes`` steps on worlds
 that differ only in their seed), so :func:`train_source` takes one world
 and one config per seed, stacks each member's packs once and gathers every
-member's own scene at each step.  The runner trains, in one call, every
-untrained source of all requested seeds that shares a sibling key; the
-group's time, the other seeds' world builds included, goes to the
-``wall_clock`` of the cell that first needs one of its sources, a cell of
-the first seed.  Every stage's models outlive their seed, so a repeated
-seed trains nothing twice; worlds, eval scenes and packs are dropped
-before the next seed starts.
+member's own scene at each step.
+
+The experiment runner follows the procedure's order.  It plans one record
+per (seed, cell) and builds each distinct world once.  Then it trains
+stage by stage: every source, then every LSTD model, then every WSTD
+model that a record needs.  Within a stage the models are grouped by the
+stage's sibling key, one member per cache key, and each group is one
+lockstep call, starting from the previous stage's model; an LSTD or WSTD
+group stays within one seed and world, so its weak pack set is built
+once.  A repeated seed trains nothing twice.  Evaluation comes last.
 
 Each training keeps its parameters as views into one flat buffer, so one
 Adam step per scene updates every block of every member (see
@@ -53,14 +54,12 @@ once for all the models it is given, scores each model on all the scenes
 in one stacked head call, suppresses every (model, class, scene) row in
 one lockstep NMS and returns one columnar
 :class:`~transferdet.evaluation.Detections` per model; :func:`detect` is
-its one-model, one-scene case.  Evaluation runs once per (seed, world,
-eval count), after all of that seed's cells are trained:
+its one-model, one-scene case.  The runner evaluates once per (world,
+eval count), after every stage is trained; a world config holds its seed.
 :func:`evaluate_model` takes every model to be scored on those eval
 scenes and scores each one's detections with
 :func:`~transferdet.evaluation.evaluate_detections`, the matcher the
-``eval`` command uses.  The group's eval time, the sampling of its eval
-scenes included, goes to the ``wall_clock`` of the group's first cell,
-the same rule as for training.
+``eval`` command uses, one model at a time.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,7 +179,6 @@ class RunReport:
     curves: dict[str, list[float]] = field(default_factory=dict)
     per_class_aps: list = field(default_factory=list)
     mean_ap: float | None = None
-    wall_clock: float = 0.0
 
     def set_result(self, per_class_aps: Sequence[float | None], map_value: float) -> None:
         if not np.isfinite(map_value):
@@ -738,14 +736,17 @@ def _wstd_cache_key(cfg: StageConfig):
     )
 
 
-# The experiment runner's keys per stage, over a cell's world config and
-# stage config: the cache key (with the world config it names a model) and
-# the sibling key of a runner group.  Source groups span seeds; the later
-# stages' sibling keys hold the seed, so their groups stay within one.
+# The experiment runner's stages in training order, each with its keys
+# over a cell's world config and stage config: the cache key (with the
+# world config it names a model), the sibling key of a runner group, and
+# the stage whose model the group starts from.  Source groups span seeds;
+# the later stages' sibling keys hold the seed, the world config and the
+# parent's cache key, so their groups stay within one seed and share one
+# parent model.
 _RUNNER_KEYS = {
-    "source": (_source_cache_key, _source_sibling_key),
-    "lstd": (_lstd_cache_key, lambda world_cfg, cfg: (world_cfg, _lstd_sibling_key(cfg))),
-    "wstd": (_wstd_cache_key, lambda world_cfg, cfg: (world_cfg, _wstd_sibling_key(cfg))),
+    "source": (_source_cache_key, _source_sibling_key, None),
+    "lstd": (_lstd_cache_key, lambda w, c: (w, _lstd_sibling_key(c)), "source"),
+    "wstd": (_wstd_cache_key, lambda w, c: (w, _wstd_sibling_key(c)), "lstd"),
 }
 
 
@@ -768,6 +769,41 @@ def _group(
     if len(reports) != len(cfgs):
         raise ValueError(f"{stage} got {len(reports)} reports for {len(cfgs)} configs")
     return Members.of(cfgs), reports
+
+
+def _assemble(
+    count: int,
+    source_classes: int,
+    params: dict[str, np.ndarray],
+    **shared: np.ndarray,
+) -> list[DetectorModel]:
+    """The ``count`` models of a training, from its stacked ``params``.
+
+    Member m takes slice m of each block in ``params`` (``rol_heads`` is
+    (N, M, C+1, D+1), classifier first), and the blocks in ``shared`` as
+    they are.  Every array is copied, so no model views the training
+    buffer.
+    """
+
+    def block(name: str, m: int) -> np.ndarray | None:
+        if name in params:
+            return params[name][m].copy()
+        return shared[name].copy() if name in shared else None
+
+    models = []
+    for m in range(count):
+        sdk = block("sdk_head", m)
+        models.append(DetectorModel(
+            backbone=Backbone(map=block("backbone", m)),
+            main_head=Head(weights=block("main_head", m), role="main"),
+            sdk_head=None if sdk is None else Head(weights=sdk, role="sdk_branch"),
+            rol_heads=[
+                Head(weights=weights.copy(), role="rol_classifier")
+                for weights in params.get("rol_heads", np.empty((0, count)))[:, m]
+            ],
+            source_classes=source_classes,
+        ))
+    return models
 
 
 def _stacked_source_scenes(
@@ -805,9 +841,8 @@ def train_source(
     time and stacked once, and each step gathers every member's scene with
     one index.  Returns one
     model per member, and member m's loss curves go to ``reports[m]``.
-    :func:`run_experiment` charges the time of the whole group to the
-    ``wall_clock`` of the cell that first needs one of its sources, a cell
-    of the first seed; the other seeds' cells show none of it.
+    :func:`run_experiment` trains the sources of all its seeds that share
+    a sibling key in one call.
     A single World and StageConfig (with a single report or None) train
     one model and return it unwrapped, as
     ``perfbench/workloads.build_fixtures`` calls it; that form goes with
@@ -858,14 +893,7 @@ def train_source(
         loss_fn, np.stack(orders, axis=1), members.cfgs[0].optimizer, reports,
         "source",
     )
-    models = [
-        DetectorModel(
-            backbone=Backbone(map=params["backbone"][m].copy()),
-            main_head=Head(weights=params["main_head"][m].copy(), role="main"),
-            source_classes=num_classes,
-        )
-        for m in rows
-    ]
+    models = _assemble(len(rows), num_classes, params)
     return models[0] if single else models
 
 
@@ -924,15 +952,7 @@ def lstd_finetune(
         params, lambda p, i: lstd_scene_loss(p, packs[i], members), order,
         cfg.optimizer, reports, "lstd",
     )
-    models = [
-        DetectorModel(
-            backbone=Backbone(map=params["backbone"][m].copy()),
-            main_head=Head(weights=params["main_head"][m].copy(), role="main"),
-            sdk_head=Head(weights=params["sdk_head"][m].copy(), role="sdk_branch"),
-            source_classes=num_source,
-        )
-        for m in range(count)
-    ]
+    models = _assemble(count, num_source, params)
     return models[0] if single else models
 
 
@@ -1005,22 +1025,10 @@ def wstd_train(
             substream(cfg.seed, "wstd", "order"), len(packs), cfg.wstd_epochs
         )
         params = _train(params, loss_fn, order, cfg.optimizer, reports, "wstd")
-    return [
-        DetectorModel(
-            backbone=Backbone(
-                map=(params["backbone"][m] if "backbone" in params
-                     else warmup.backbone.map).copy()
-            ),
-            main_head=Head(weights=warmup.main_head.weights.copy(), role="main"),
-            sdk_head=Head(weights=params["sdk_head"][m].copy(), role="sdk_branch"),
-            rol_heads=[
-                Head(weights=params["rol_heads"][i, m].copy(), role="rol_classifier")
-                for i in range(classifiers)
-            ],
-            source_classes=warmup.source_classes,
-        )
-        for m in range(count)
-    ]
+    return _assemble(
+        count, warmup.source_classes, params,
+        backbone=warmup.backbone.map, main_head=warmup.main_head.weights,
+    )
 
 
 # --- inference and evaluation -----------------------------------------------
@@ -1063,6 +1071,47 @@ def _proposal_probs(
     return probs.transpose(0, 2, 1, 3)
 
 
+def _detections_of(
+    models: Sequence[DetectorModel],
+    scenes: Sequence[Scene],
+    classifiers: Sequence[int | None],
+) -> Iterator[Detections]:
+    """:func:`detections` as an iterator.  The inputs are checked, and every
+    model is scored and suppressed, when it is called; a model's rows are
+    built only when the iterator reaches it."""
+    if len(classifiers) != len(models):
+        raise ValueError(
+            f"detections got {len(classifiers)} classifiers for {len(models)} models"
+        )
+    if not models:
+        return iter(())
+    if not scenes:
+        raise ValueError("detections needs at least one scene")
+    boxes = [list(scene.proposals) for scene in scenes]
+    count = len(boxes[0])
+    if any(len(b) != count for b in boxes):
+        raise ValueError("evaluation scenes differ in proposal count")
+    probs = _proposal_probs(models, classifiers, np.stack(
+        [pool_raw_means(scene.raw_grid, b) for scene, b in zip(scenes, boxes)]
+    ))
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite detection score")
+    kept = nms(
+        probs[:, :-1], np.stack([pairwise_iou(b) for b in boxes]),
+        INFERENCE_NMS_THRESHOLD, count,
+    )
+    corners = np.stack([box_corners(b) for b in boxes])
+
+    def rows(m: int) -> Detections:
+        classes, scene_ids, rank = np.nonzero(kept[m] >= 0)
+        k = kept[m][classes, scene_ids, rank]
+        return Detections(
+            scene_ids, classes, corners[scene_ids, k], probs[m, classes, scene_ids, k]
+        )
+
+    return map(rows, range(len(models)))
+
+
 def detections(
     models: Sequence[DetectorModel],
     scenes: Sequence[Scene],
@@ -1081,36 +1130,7 @@ def detections(
     score; a row's scene id is its scene's position in ``scenes``.  The
     scenes must share one proposal count.
     """
-    if len(classifiers) != len(models):
-        raise ValueError(
-            f"detections got {len(classifiers)} classifiers for {len(models)} models"
-        )
-    if not models:
-        return []
-    if not scenes:
-        raise ValueError("detections needs at least one scene")
-    boxes = [list(scene.proposals) for scene in scenes]
-    count = len(boxes[0])
-    if any(len(b) != count for b in boxes):
-        raise ValueError("evaluation scenes differ in proposal count")
-    probs = _proposal_probs(models, classifiers, np.stack(
-        [pool_raw_means(scene.raw_grid, b) for scene, b in zip(scenes, boxes)]
-    ))
-    if not np.isfinite(probs).all():
-        raise ValueError("non-finite detection score")
-    kept = nms(
-        probs[:, :-1], np.stack([pairwise_iou(b) for b in boxes]),
-        INFERENCE_NMS_THRESHOLD, count,
-    )
-    corners = np.stack([box_corners(b) for b in boxes])
-    results = []
-    for m in range(len(models)):
-        classes, scene_ids, rank = np.nonzero(kept[m] >= 0)
-        k = kept[m][classes, scene_ids, rank]
-        results.append(Detections(
-            scene_ids, classes, corners[scene_ids, k], probs[m, classes, scene_ids, k]
-        ))
-    return results
+    return list(_detections_of(models, scenes, classifiers))
 
 
 def detect(
@@ -1139,11 +1159,13 @@ def evaluate_model(
     """Per-class AP and mAP of each model (with its selected classifier,
     None for the default head) on the scenes against their full
     annotations: each model's :func:`detections` scored by
-    :func:`~transferdet.evaluation.evaluate_detections`."""
+    :func:`~transferdet.evaluation.evaluate_detections`.  Each model's
+    rows are scored and dropped before the next model's are built."""
     ground_truths = {s: list(scene.gt) for s, scene in enumerate(scenes)}
+    rows = _detections_of(models, scenes, classifiers)
     return [
-        evaluate_detections(dets, ground_truths, _select_head(m, c).num_rows - 1)
-        for m, c, dets in zip(models, classifiers, detections(models, scenes, classifiers))
+        evaluate_detections(next(rows), ground_truths, _select_head(m, c).num_rows - 1)
+        for m, c in zip(models, classifiers)
     ]
 
 
@@ -1312,94 +1334,79 @@ def apply_overrides(cfg, overrides: dict[str, object]):
     return cfg
 
 
-def _cell_configs(
-    cell: ExperimentCell, seed: int, overrides: dict[str, object]
-) -> tuple[StageConfig, WorldConfig]:
-    cfg = apply_overrides(StageConfig(), overrides)
-    cfg = apply_overrides(cfg, dict(cell.overrides))
-    world_cfg = apply_overrides(WorldConfig(seed=seed), dict(cell.world_overrides))
-    return replace(cfg, seed=seed), world_cfg
-
-
 @dataclass
-class _SeedRun:
-    """The cells of one seed: their stage and world configs and reports."""
+class _Run:
+    """One (seed, cell) of an experiment: its configs and its report."""
 
-    cfgs: tuple[StageConfig, ...]
-    world_cfgs: tuple[WorldConfig, ...]
-    reports: list[RunReport]
+    cell: ExperimentCell
+    cfg: StageConfig
+    world_cfg: WorldConfig
+    report: RunReport
 
-
-def _plan_seed(
-    experiment: Experiment, seed: int, overrides: dict[str, object]
-) -> _SeedRun:
-    cells = experiment.cells
-    cfgs, world_cfgs = zip(*(_cell_configs(c, seed, overrides) for c in cells))
-    reports = [
-        RunReport(
-            seed=seed,
-            stage=cell.stage,
-            cell_id=cell.cell_id,
-            shots=cfg.shots_per_class,
-            weak_scenes=cfg.weak_scenes_per_class if cell.stage == "wstd" else 0,
-            labeller=cfg.labeller,
-            classifier=cell.classifier,
-            config_echo=dataclasses.asdict(cfg),
-        )
-        for cell, cfg in zip(cells, cfgs)
-    ]
-    return _SeedRun(cfgs, world_cfgs, reports)
+    def key(self, stage: str) -> tuple:
+        """The key of this run's model of ``stage``."""
+        return (stage, self.world_cfg, _RUNNER_KEYS[stage][0](self.cfg))
 
 
-def _run_cells_for_seed(
-    experiment: Experiment,
-    run: _SeedRun,
-    trained: Callable[..., DetectorModel],
-) -> list[RunReport]:
-    cells, cfgs, world_cfgs, reports = (
-        experiment.cells, run.cfgs, run.world_cfgs, run.reports
-    )
-    worlds: dict[WorldConfig, World] = {}  # this seed's worlds
-    models: list[DetectorModel] = []
-    for i, cell in enumerate(cells):
-        started = time.perf_counter()
-        cfg, world_cfg = cfgs[i], world_cfgs[i]
-        if world_cfg not in worlds:
-            worlds[world_cfg] = make_world(world_cfg)
-        world = worlds[world_cfg]
-        # Other seeds' worlds are built for a source group and dropped after.
-        source = trained("source", run, i, lambda member_worlds, cs, rs: train_source(
-            [world if w == world_cfg else make_world(w) for w in member_worlds], cs, rs
-        ))
-        model = trained(
-            "lstd", run, i, lambda _, cs, rs: lstd_finetune(source, world, cs, rs)
-        )
-        if cell.stage == "wstd":
-            warmup = model
-            model = trained(
-                "wstd", run, i, lambda _, cs, rs: wstd_train(warmup, world, cs, rs)
+def _plan(
+    experiment: Experiment, seeds: Sequence[int], overrides: dict[str, object]
+) -> list[_Run]:
+    """One run per (seed, cell), seed by seed."""
+    runs = []
+    for seed in seeds:
+        for cell in experiment.cells:
+            cfg = apply_overrides(StageConfig(), overrides)
+            cfg = replace(apply_overrides(cfg, dict(cell.overrides)), seed=seed)
+            report = RunReport(
+                seed=seed,
+                stage=cell.stage,
+                cell_id=cell.cell_id,
+                shots=cfg.shots_per_class,
+                weak_scenes=cfg.weak_scenes_per_class if cell.stage == "wstd" else 0,
+                labeller=cfg.labeller,
+                classifier=cell.classifier,
+                config_echo=dataclasses.asdict(cfg),
             )
-        models.append(model)
-        reports[i].wall_clock = time.perf_counter() - started
+            world_cfg = apply_overrides(WorldConfig(seed=seed), dict(cell.world_overrides))
+            runs.append(_Run(cell, cfg, world_cfg, report))
+    return runs
 
-    # One evaluation per (world, eval count), over every model evaluated on
-    # those scenes; its time goes to the group's first cell.
-    groups: dict[tuple, list[int]] = {}
-    for i in range(len(cells)):
-        groups.setdefault((world_cfgs[i], cfgs[i].eval_scenes), []).append(i)
-    for (world_cfg, eval_count), members in groups.items():
-        started = time.perf_counter()
-        scenes = sample_scenes(
-            worlds[world_cfg], "target", "full",
-            substream(cfgs[members[0]].seed, "eval"), eval_count,
-        )
-        results = evaluate_model(
-            [models[i] for i in members], scenes, [cells[i].classifier for i in members]
-        )
-        for i, (per_class, map_value) in zip(members, results):
-            reports[i].set_result(per_class, map_value)
-        reports[members[0]].wall_clock += time.perf_counter() - started
-    return reports
+
+def _train_stage(
+    stage: str,
+    runs: Sequence[_Run],
+    worlds: dict[WorldConfig, World],
+    models: dict[tuple, DetectorModel],
+) -> None:
+    """Train every model of ``stage`` that ``runs`` need into ``models``.
+
+    Every run needs a source and an LSTD model, and a ``wstd`` cell's run
+    a WSTD model.  The models are grouped by the stage's sibling key, one
+    member per cache key, whose curves go to the report of the first run
+    that needs it; each group is one lockstep call, from its parent model.
+    """
+    _, sibling_key, parent = _RUNNER_KEYS[stage]
+    groups: dict[tuple, dict[tuple, _Run]] = {}
+    for run in runs:
+        if stage != "wstd" or run.cell.stage == "wstd":
+            group = groups.setdefault(sibling_key(run.world_cfg, run.cfg), {})
+            group.setdefault(run.key(stage), run)
+    for group in groups.values():
+        members = list(group.values())
+        cfgs = [run.cfg for run in members]
+        reports = [run.report for run in members]
+        if stage == "source":
+            trained = train_source(
+                [worlds[run.world_cfg] for run in members], cfgs, reports
+            )
+        else:
+            # looked up at call time: the benchmark tracer and tests wrap them
+            train = lstd_finetune if stage == "lstd" else wstd_train
+            first = members[0]
+            trained = train(
+                models[first.key(parent)], worlds[first.world_cfg], cfgs, reports
+            )
+        models.update(zip(group, trained))
 
 
 def experiment_output_paths(name: str, out_dir) -> dict[str, Path]:
@@ -1471,44 +1478,33 @@ def run_experiment(
         raise ValueError("run_experiment needs at least one seed")
     overrides = overrides or {}
     started = time.perf_counter()
-    runs = [_plan_seed(experiment, s, overrides) for s in seeds]
-    models: dict = {}
+    runs = _plan(experiment, seeds, overrides)
+    worlds = {w: make_world(w) for w in dict.fromkeys(run.world_cfg for run in runs)}
+    models: dict[tuple, DetectorModel] = {}
+    for stage in _RUNNER_KEYS:
+        _train_stage(stage, runs, worlds, models)
 
-    def trained(stage: str, run: _SeedRun, i: int, train) -> DetectorModel:
-        """Cell i of ``run``'s model of ``stage``.  When it is not trained
-        yet, it is trained in one lockstep group with every untrained model
-        of ``stage`` that a cell of any seed needs and that shares its
-        runner sibling key: one member per distinct cache key, whose curves
-        go to the report of the first cell of the first seed that uses it.
-        ``train(world_cfgs, cfgs, reports)`` trains the members."""
-        cache_key, sibling_key = _RUNNER_KEYS[stage]
-        key = (stage, run.world_cfgs[i], cache_key(run.cfgs[i]))
-        if key not in models:
-            sibling = sibling_key(run.world_cfgs[i], run.cfgs[i])
-            group: dict = {}
-            for other in runs:
-                for j, cell in enumerate(experiment.cells):
-                    world_cfg, cfg = other.world_cfgs[j], other.cfgs[j]
-                    member_key = (stage, world_cfg, cache_key(cfg))
-                    if (
-                        (stage != "wstd" or cell.stage == "wstd")
-                        and member_key not in models
-                        and sibling_key(world_cfg, cfg) == sibling
-                    ):
-                        group.setdefault(member_key, (other, j))
-            members = list(group.values())
-            models.update(zip(group, train(
-                [other.world_cfgs[j] for other, j in members],
-                [other.cfgs[j] for other, j in members],
-                [other.reports[j] for other, j in members],
-            )))
-        return models[key]
+    # One evaluation per (world, eval count), over every model evaluated
+    # on those scenes.
+    evaluations: dict[tuple, list[_Run]] = {}
+    for run in runs:
+        evaluations.setdefault((run.world_cfg, run.cfg.eval_scenes), []).append(run)
+    for (world_cfg, eval_count), members in evaluations.items():
+        scenes = sample_scenes(
+            worlds[world_cfg], "target", "full",
+            substream(world_cfg.seed, "eval"), eval_count,
+        )
+        results = evaluate_model(
+            [models[run.key(run.cell.stage)] for run in members], scenes,
+            [run.cell.classifier for run in members],
+        )
+        for run, (per_class, map_value) in zip(members, results):
+            run.report.set_result(per_class, map_value)
 
-    per_seed = [_run_cells_for_seed(experiment, run, trained) for run in runs]
-
+    cells = len(experiment.cells)
     reports = [
-        per_seed[seed_index][cell_index]
-        for cell_index in range(len(experiment.cells))
+        runs[seed_index * cells + cell_index].report
+        for cell_index in range(cells)
         for seed_index in range(len(seeds))
     ]
 

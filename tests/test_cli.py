@@ -291,6 +291,40 @@ def test_train_truncated_source_checkpoint_exits_4(tmp_path, train_root, capsys)
     assert "main_head" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stage, checkpoint, world_set, field",
+    [
+        # a source checkpoint from a world with another raw_dim
+        ("lstd", "source", "raw_dim=40", "backbone is 16x16, the world needs 40x40"),
+        # ... with another source class count
+        ("lstd", "source", "num_source_classes=5", "main_head has 7 rows"),
+        # a source checkpoint given as the warm-up: six source classes
+        # against four target classes
+        ("wstd", "source", None, "main_head has 7 rows"),
+        # ... on a world whose target classes it happens to match
+        ("wstd", "source", "num_target_classes=6", "no sdk_head"),
+    ],
+)
+def test_train_checkpoint_that_does_not_fit_the_world_exits_4(
+    tmp_path, train_root, capsys, stage, checkpoint, world_set, field
+):
+    # checked when the checkpoint is loaded, before any training work
+    path = str(train_root / checkpoint / f"{checkpoint}_model.txt")
+    argv = ["train", stage, "--seed", "7", "--out-dir", str(tmp_path / "out")]
+    argv += ["--source-model" if stage == "lstd" else "--warmup-model", path]
+    if world_set is not None:
+        assert main([
+            "world", "--seed", "7", "--count", "1", "--set", world_set,
+            "--out-dir", str(tmp_path / "world"),
+        ]) == 0
+        argv += ["--world", str(tmp_path / "world" / "world.txt")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert path in err and field in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_wstd_zero_epochs_keeps_input_params(tmp_path, train_root):
     assert main([
         "train", "wstd", "--seed", "7", "--set", "wstd_epochs=0",

@@ -8,7 +8,6 @@ from transferdet.labelling import (
     ROLConfig,
     label_rows,
     mine_support,
-    oicr_label,
     present_classes,
 )
 
@@ -20,6 +19,15 @@ CFG = ROLConfig()
 def strip(x, width):
     # unit-height strips make IoU easy to place: iou = (w - x) / (w + x)
     return BBox(x, 0.0, x + width, 1.0)
+
+
+def oicr_rows(scores, boxes, y, cfg, iou_cache=None):
+    """The OICR labels of one score row through :func:`label_rows`."""
+    iou_matrix = pairwise_iou(boxes) if iou_cache is None else iou_cache
+    return label_rows(
+        np.asarray(scores, dtype=float), iou_matrix, np.flatnonzero(y),
+        cfg.phi_obj, cfg.phi_bg, oicr=True,
+    )
 
 
 def random_instance(rng, num_classes=None, count=None):
@@ -80,7 +88,7 @@ def test_zero_score_seed_leaves_its_column_unlabelled():
     y = np.array([1.0, 1.0])
     expected = [[0.0, 0.7], [0.0, 0.0], [0.7, 0.0]]
     np.testing.assert_array_equal(mine_support(scores, boxes, y, CFG), expected)
-    np.testing.assert_array_equal(oicr_label(scores, boxes, y, CFG), expected)
+    np.testing.assert_array_equal(oicr_rows(scores, boxes, y, CFG), expected)
 
 
 def test_worked_band_example():
@@ -97,7 +105,7 @@ def test_worked_band_example():
     expected = np.array([[0.8, 0.8, 0.0, 0.0], [0.0, 0.0, 0.8, 0.0]])
     np.testing.assert_array_equal(mined, expected)
 
-    baseline = oicr_label(scores, boxes, y, CFG)
+    baseline = oicr_rows(scores, boxes, y, CFG)
     expected[1, 3] = 0.8
     np.testing.assert_array_equal(baseline, expected)
 
@@ -108,7 +116,7 @@ def test_single_proposal_single_class():
     y = np.array([1.0])
     expected = np.array([[0.7], [0.0]])
     np.testing.assert_array_equal(mine_support(scores, boxes, y, CFG), expected)
-    np.testing.assert_array_equal(oicr_label(scores, boxes, y, CFG), expected)
+    np.testing.assert_array_equal(oicr_rows(scores, boxes, y, CFG), expected)
 
 
 def test_conflicting_classes_keep_larger_weight():
@@ -160,7 +168,7 @@ def test_matches_reference_oracle():
             ref_label(scores, tuples, y, CFG.phi_obj, CFG.phi_bg, "support"),
         )
         np.testing.assert_array_equal(
-            oicr_label(scores, boxes, y, CFG),
+            oicr_rows(scores, boxes, y, CFG),
             ref_label(scores, tuples, y, CFG.phi_obj, CFG.phi_bg, "oicr"),
         )
 
@@ -170,7 +178,7 @@ def test_invariants_by_recomputation():
     for _ in range(200):
         scores, boxes, y = random_instance(rng)
         mined = check_pseudo_matrix(mine_support(scores, boxes, y, CFG))
-        baseline = check_pseudo_matrix(oicr_label(scores, boxes, y, CFG))
+        baseline = check_pseudo_matrix(oicr_rows(scores, boxes, y, CFG))
         bg = scores.shape[0] - 1
         present = [c for c in range(bg) if y[c]]
         seeds = {c: int(np.argmax(scores[c])) for c in present}
@@ -209,7 +217,7 @@ def test_joint_permutation_invariance():
     rng = np.random.default_rng(2)
     for _ in range(50):
         scores, boxes, y = random_instance(rng)
-        for labeller in (mine_support, oicr_label):
+        for labeller in (mine_support, oicr_rows):
             base = labeller(scores, boxes, y, CFG)
             perm = rng.permutation(len(boxes))
             permuted = labeller(
@@ -223,7 +231,7 @@ def test_iou_cache_is_equivalent():
     for _ in range(50):
         scores, boxes, y = random_instance(rng)
         cache = pairwise_iou(boxes)
-        for labeller in (mine_support, oicr_label):
+        for labeller in (mine_support, oicr_rows):
             np.testing.assert_array_equal(
                 labeller(scores, boxes, y, CFG, iou_cache=cache),
                 labeller(scores, boxes, y, CFG),
@@ -279,7 +287,7 @@ def test_stacked_labeller_rows_equal_one_row_forms_and_oracle(
     for d in range(depth):
         for m, cfg in enumerate(cfgs):
             row = scores[d, m]
-            labeller = oicr_label if oicr[m] else mine_support
+            labeller = oicr_rows if oicr[m] else mine_support
             mode = "oicr" if oicr[m] else "support"
             got = stacked[d, m]
             assert np.array_equal(got, labeller(row, boxes, y, cfg, iou_cache=cache))
