@@ -47,7 +47,7 @@ from .losses import (
     rol_classifier_loss,
     sdk_loss,
 )
-from .model import load_model, save_model
+from .model import ParamLayout, load_model, save_model
 from .numerics import grad_check
 from .pipeline import (
     EXPERIMENTS,
@@ -56,6 +56,7 @@ from .pipeline import (
     ScenePack,
     UnknownExperimentError,
     apply_overrides,
+    cell_maps,
     experiment_output_paths,
     lstd_finetune,
     lstd_scene_loss,
@@ -148,7 +149,10 @@ def _config_digest(args) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _write_manifest(args, out_dir: Path, seeds, outputs, started: float) -> Path:
+def _write_manifest(args, out_dir: Path, seeds, outputs, started: float,
+                    **fields) -> Path:
+    """Write ``manifest.json``: the command, its config digest, seeds,
+    outputs and wall clock, plus a command's own ``fields``."""
     for path in outputs:
         if not Path(path).exists():
             raise RuntimeError(f"manifest lists missing output {path}")
@@ -160,6 +164,7 @@ def _write_manifest(args, out_dir: Path, seeds, outputs, started: float) -> Path
         "artifact_version": __version__,
         "outputs": [Path(p).name for p in outputs],
         "wall_clock_seconds": time.perf_counter() - started,
+        **fields,
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -305,6 +310,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    """Run a registered experiment into ``--out-dir``: its two CSVs and a
+    ``manifest.json`` that also records the experiment, its description,
+    the overrides and every cell.  Prints each cell's mAP mean and std."""
     started = time.perf_counter()
     overrides = _gather_overrides(args)
     apply_overrides(StageConfig(), overrides)  # a bad override fails before any work
@@ -316,17 +324,23 @@ def cmd_experiment(args) -> int:
         )
     except UnknownExperimentError as exc:
         raise CliError(EXIT_UNKNOWN_EXPERIMENT, str(exc))
-    paths = experiment_output_paths(args.name, out)
-    if seeds is None:
-        seeds = list(EXPERIMENTS[args.name].default_seeds)
-    _write_manifest(args, out, seeds, list(paths.values()), started)
-    by_cell: dict[str, list[float]] = {}
-    for r in reports:
-        by_cell.setdefault(r.cell_id, []).append(r.mean_ap)
-    for cell_id, values in by_cell.items():
-        arr = np.array(values)
-        print(f"{args.name}/{cell_id}: mAP {arr.mean():.4f} +- {arr.std():.4f} "
-              f"({arr.size} seeds)")
+    experiment = EXPERIMENTS[args.name]
+    _write_manifest(
+        args, out, list(experiment.default_seeds) if seeds is None else seeds,
+        list(experiment_output_paths(args.name, out).values()), started,
+        experiment=args.name,
+        description=experiment.description,
+        overrides=overrides,
+        cells=[
+            {"cell": c.cell_id, "stage": c.stage, "classifier": c.classifier,
+             "overrides": {k: str(v) for k, v in c.overrides},
+             "world_overrides": {k: str(v) for k, v in c.world_overrides}}
+            for c in experiment.cells
+        ],
+    )
+    for cell_id, maps in cell_maps(reports).items():
+        print(f"{args.name}/{cell_id}: mAP {maps.mean():.4f} +- {maps.std():.4f} "
+              f"({maps.size} seeds)")
     return 0
 
 
@@ -354,22 +368,13 @@ def _end_to_end(loss, params: dict[str, np.ndarray]):
     blocks, flattened in sorted order.  The blocks carry a member axis of
     one, as ``loss(params)`` takes them, and it returns the loss components
     and the gradient of every block, stacked alike."""
-    keys = sorted(params)
-    shapes = {k: params[k].shape for k in keys}
-
-    def unflatten(vec: np.ndarray) -> dict[str, np.ndarray]:
-        out = {}
-        offset = 0
-        for k in keys:
-            size = int(np.prod(shapes[k]))
-            out[k] = vec[offset:offset + size].reshape(shapes[k])
-            offset += size
-        return out
-
+    layout = ParamLayout.of({k: params[k] for k in sorted(params)})
     _, grads = loss(params)
-    analytic = np.concatenate([grads[k].ravel() for k in keys])
-    vector = np.concatenate([params[k].ravel() for k in keys])
-    return (lambda vec: float(loss(unflatten(vec))[0]["total"][0])), analytic, vector
+    return (
+        lambda vec: float(loss(layout.views(vec))[0]["total"][0]),
+        layout.flatten(grads),
+        layout.flatten(params),
+    )
 
 
 def _gc_bd(rng):

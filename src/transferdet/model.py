@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -394,62 +395,82 @@ def save_model(path, model: DetectorModel, seed: int | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# Block names a checkpoint may hold; ROL heads are numbered from 0 up.
+_BLOCK_NAME = re.compile(r"backbone|main_head|sdk_head|rol_head_(0|[1-9][0-9]*)")
+
+
 def load_model(path) -> DetectorModel:
+    """The model :func:`save_model` wrote to ``path``.
+
+    Raises ValueError for a file without the magic line, and, naming the
+    1-based line, for a line of unknown kind, a repeated ``seed`` or
+    ``source_classes`` line, a malformed value or block header, an
+    unknown or repeated block name, a ``row`` before the first block, a
+    block whose rows do not match its shape, and ROL heads that are not
+    numbered contiguously from 0.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file")
-    source_classes = 0
-    blocks: dict[str, tuple[np.ndarray, str | None]] = {}
-    current: list[list[float]] = []
-    name = None
-    rows = cols = 0
-    role: str | None = None
-
-    def close():
-        if name is None:
-            return
-        if len(current) != rows or any(len(row) != cols for row in current):
-            raise ValueError(f"block {name} does not match its shape {rows} {cols}")
-        blocks[name] = (np.array(current), role)
-
-    for ln in lines[1:]:
-        if ln.startswith("source_classes "):
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed line {ln!r}")
-            source_classes = int(parts[1])
-        elif ln.startswith("block "):
-            close()
-            # block <name> shape <rows> <cols> [role <role>]
-            parts = ln.split()
-            if len(parts) not in (5, 7) or parts[2] != "shape":
-                raise ValueError(f"malformed block header {ln!r}")
-            name, rows, cols = parts[1], int(parts[3]), int(parts[4])
-            role = parts[6] if len(parts) == 7 else None
-            current = []
-        elif ln.startswith("row "):
-            current.append([float(v) for v in ln.split()[1:]])
-    close()
-
-    if "backbone" not in blocks or "main_head" not in blocks:
+    header: dict[str, int] = {}  # the seed and source_classes lines
+    shapes: dict[str, tuple] = {}  # name: (header line, rows, cols, role)
+    values: dict[str, list[list[float]]] = {}  # name: its rows
+    for number, ln in enumerate(lines[1:], start=2):
+        kind, *words = ln.split() or [None]
+        try:
+            if kind in ("seed", "source_classes"):
+                if kind in header:
+                    raise ValueError(f"repeated {kind!r} line")
+                if len(words) != 1:
+                    raise ValueError(f"malformed line {ln!r}")
+                header[kind] = int(words[0])
+            elif kind == "block":
+                # block <name> shape <rows> <cols> [role <role>]
+                if len(words) not in (4, 6) or words[1] != "shape" or (
+                    words[4:5] not in ([], ["role"])
+                ):
+                    raise ValueError(f"malformed block header {ln!r}")
+                name = words[0]
+                if not _BLOCK_NAME.fullmatch(name):
+                    raise ValueError(f"unknown block {name!r}")
+                if name in shapes:
+                    raise ValueError(f"repeated block {name!r}")
+                role = words[5] if len(words) == 6 else None
+                shapes[name] = (number, int(words[2]), int(words[3]), role)
+                values[name] = []
+            elif kind == "row":
+                if not values:
+                    raise ValueError("row before the first block")
+                values[name].append([float(v) for v in words])
+            elif kind is not None:
+                raise ValueError(f"unknown line kind {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    for name, (number, rows, cols, _) in shapes.items():
+        if len(values[name]) != rows or any(len(row) != cols for row in values[name]):
+            raise ValueError(
+                f"line {number}: block {name} does not match its shape {rows} {cols}"
+            )
+    rol = sorted(
+        int(name.removeprefix("rol_head_")) for name in shapes if name.startswith("rol_")
+    )
+    for expected, index in enumerate(rol):
+        if index != expected:
+            raise ValueError(
+                f"line {shapes[f'rol_head_{index}'][0]}: rol_head_{index} "
+                f"without rol_head_{expected}"
+            )
+    if "backbone" not in shapes or "main_head" not in shapes:
         raise ValueError("checkpoint missing backbone or main head")
-    main_w, main_role = blocks["main_head"]
-    sdk = None
-    if "sdk_head" in blocks:
-        sdk_w, sdk_role = blocks["sdk_head"]
-        sdk = Head(weights=sdk_w, role=sdk_role or "sdk_branch")
-    rol = []
-    for i in range(len(blocks)):
-        key = f"rol_head_{i}"
-        if key not in blocks:
-            break
-        w, r = blocks[key]
-        rol.append(Head(weights=w, role=r or "rol_classifier"))
+
+    def head(name: str, role: str) -> Head:
+        return Head(weights=np.array(values[name]), role=shapes[name][3] or role)
+
     return DetectorModel(
-        backbone=Backbone(map=blocks["backbone"][0]),
-        main_head=Head(weights=main_w, role=main_role or "main"),
-        sdk_head=sdk,
-        rol_heads=rol,
-        source_classes=source_classes,
+        backbone=Backbone(map=np.array(values["backbone"])),
+        main_head=head("main_head", "main"),
+        sdk_head=head("sdk_head", "sdk_branch") if "sdk_head" in shapes else None,
+        rol_heads=[head(f"rol_head_{i}", "rol_classifier") for i in rol],
+        source_classes=header.get("source_classes", 0),
     )

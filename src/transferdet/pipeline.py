@@ -56,8 +56,8 @@ one lockstep NMS and returns one columnar
 :class:`~transferdet.evaluation.Detections` per model; :func:`detect` is
 its one-model, one-scene case.  The runner evaluates once per (world,
 eval count), after every stage is trained; a world config holds its seed.
-:func:`evaluate_model` takes every model to be scored on those eval
-scenes and scores each one's detections with
+:func:`evaluate_model` takes each distinct (model, classifier) to be
+scored on those eval scenes once, and scores each one's detections with
 :func:`~transferdet.evaluation.evaluate_detections`, the matcher the
 ``eval`` command uses, one model at a time.
 """
@@ -65,8 +65,6 @@ scenes and scores each one's detections with
 from __future__ import annotations
 
 import dataclasses
-import json
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -143,8 +141,6 @@ class StageConfig:
     weights: LossWeights = LossWeights()
     rol: ROLConfig = ROLConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
-    enable_bd: bool = True
-    enable_sdk: bool = True
     sdk_weighted: bool = False
     labeller: str = "rol"
     freeze_backbone: bool = False
@@ -421,9 +417,10 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
 class Members:
     """The configs of a lockstep group, with their loss coefficients gathered.
 
-    ``weight[term]`` holds one coefficient per member as an (M,) array, which
-    scales the members' loss values, and ``scale[term]`` the same values
-    shaped (M, 1, 1), which scales stacked (M, rows, K) gradients.  The
+    ``weight[term]`` holds each member's ``weights.lambda_<term>`` as an
+    (M,) array, which scales the members' loss values (a term of weight 0
+    is off), and ``scale[term]`` the same values shaped (M, 1, 1), which
+    scales stacked (M, rows, K) gradients.  The
     labeller settings are gathered the same way, one (M,) entry per
     member.  A stage builds them once per training, so its steps do not
     rebuild them.
@@ -443,16 +440,9 @@ class Members:
         if isinstance(cfgs, cls):
             return cfgs
         cfgs = tuple(cfgs)
-        terms = {
-            "main": lambda c: c.weights.lambda_main,
-            "bd": lambda c: c.weights.lambda_bd if c.enable_bd else 0.0,
-            "sdk": lambda c: c.weights.lambda_sdk if c.enable_sdk else 0.0,
-            "wstd_sdk": lambda c: c.weights.lambda_wstd_sdk if c.enable_sdk else 0.0,
-            "wstd_rol": lambda c: c.weights.lambda_wstd_rol,
-        }
         weight = {
-            term: np.array([float(value(c)) for c in cfgs])
-            for term, value in terms.items()
+            term: np.array([getattr(c.weights, f"lambda_{term}") for c in cfgs], float)
+            for term in ("main", "bd", "sdk", "wstd_sdk", "wstd_rol")
         }
         return cls(
             cfgs=cfgs,
@@ -717,9 +707,7 @@ def _lstd_sibling_key(cfg: StageConfig):
 
 def _lstd_cache_key(cfg: StageConfig):
     # The weak-stage coefficients are left out: fine-tuning never reads them.
-    return _lstd_sibling_key(cfg) + (
-        cfg.enable_bd, cfg.enable_sdk, cfg.weights.lambda_bd, cfg.weights.lambda_sdk,
-    )
+    return _lstd_sibling_key(cfg) + (cfg.weights.lambda_bd, cfg.weights.lambda_sdk)
 
 
 def _wstd_sibling_key(cfg: StageConfig):
@@ -1200,10 +1188,10 @@ def _build_registry() -> dict[str, Experiment]:
         table3 += [
             ExperimentCell(
                 f"ft_{shots}shot", "lstd",
-                base + (("enable_sdk", False), ("enable_bd", False)),
+                base + (("weights.lambda_sdk", 0.0), ("weights.lambda_bd", 0.0)),
             ),
             ExperimentCell(
-                f"ft_sdk_{shots}shot", "lstd", base + (("enable_bd", False),)
+                f"ft_sdk_{shots}shot", "lstd", base + (("weights.lambda_bd", 0.0),)
             ),
             ExperimentCell(f"ft_sdk_bd_{shots}shot", "lstd", base),
         ]
@@ -1347,6 +1335,10 @@ class _Run:
         """The key of this run's model of ``stage``."""
         return (stage, self.world_cfg, _RUNNER_KEYS[stage][0](self.cfg))
 
+    def evaluated(self) -> tuple:
+        """The key of the model this run evaluates, and its classifier."""
+        return self.key(self.cell.stage), self.cell.classifier
+
 
 def _plan(
     experiment: Experiment, seeds: Sequence[int], overrides: dict[str, object]
@@ -1414,7 +1406,6 @@ def experiment_output_paths(name: str, out_dir) -> dict[str, Path]:
     return {
         "runs": out / f"{name}.csv",
         "summary": out / f"{name}_summary.csv",
-        "manifest": out / f"{name}_manifest.json",
     }
 
 
@@ -1439,17 +1430,17 @@ def write_experiment_csv(path, name: str, reports: Sequence[RunReport]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_summary_csv(path, name: str, reports: Sequence[RunReport]) -> None:
+def cell_maps(reports: Sequence[RunReport]) -> dict[str, np.ndarray]:
+    """Each cell's mAPs, in report order, keyed by cell in first-seen order."""
     by_cell: dict[str, list[float]] = {}
-    order: list[str] = []
     for r in reports:
-        if r.cell_id not in by_cell:
-            by_cell[r.cell_id] = []
-            order.append(r.cell_id)
-        by_cell[r.cell_id].append(r.mean_ap)
+        by_cell.setdefault(r.cell_id, []).append(r.mean_ap)
+    return {cell_id: np.array(values) for cell_id, values in by_cell.items()}
+
+
+def write_summary_csv(path, name: str, reports: Sequence[RunReport]) -> None:
     lines = ["experiment,cell,seeds,map_mean,map_std"]
-    for cell_id in order:
-        values = np.array(by_cell[cell_id])
+    for cell_id, values in cell_maps(reports).items():
         lines.append(
             ",".join([
                 name, cell_id, str(values.size),
@@ -1466,7 +1457,9 @@ def run_experiment(
     overrides: dict[str, object] | None = None,
 ) -> list[RunReport]:
     """Execute every (cell, seed) of a registered experiment and write the
-    per-run CSV, the per-cell summary CSV, and a JSON manifest."""
+    per-run CSV and the per-cell summary CSV (:func:`experiment_output_paths`).
+    Returns the reports cell by cell, each cell's seed by seed.  The
+    ``experiment`` command records the run in its ``manifest.json``."""
     if name not in EXPERIMENTS:
         raise UnknownExperimentError(
             f"unknown experiment {name!r}; registered: "
@@ -1476,16 +1469,15 @@ def run_experiment(
     seeds = tuple(experiment.default_seeds if seeds is None else seeds)
     if not seeds:
         raise ValueError("run_experiment needs at least one seed")
-    overrides = overrides or {}
-    started = time.perf_counter()
-    runs = _plan(experiment, seeds, overrides)
+    runs = _plan(experiment, seeds, overrides or {})
     worlds = {w: make_world(w) for w in dict.fromkeys(run.world_cfg for run in runs)}
     models: dict[tuple, DetectorModel] = {}
     for stage in _RUNNER_KEYS:
         _train_stage(stage, runs, worlds, models)
 
-    # One evaluation per (world, eval count), over every model evaluated
-    # on those scenes.
+    # One evaluation per (world, eval count), over every distinct (model,
+    # classifier) evaluated on those scenes; runs that share one share its
+    # result.
     evaluations: dict[tuple, list[_Run]] = {}
     for run in runs:
         evaluations.setdefault((run.world_cfg, run.cfg.eval_scenes), []).append(run)
@@ -1494,46 +1486,20 @@ def run_experiment(
             worlds[world_cfg], "target", "full",
             substream(world_cfg.seed, "eval"), eval_count,
         )
+        targets = list(dict.fromkeys(run.evaluated() for run in members))
         results = evaluate_model(
-            [models[run.key(run.cell.stage)] for run in members], scenes,
-            [run.cell.classifier for run in members],
+            [models[key] for key, _ in targets], scenes, [c for _, c in targets]
         )
-        for run, (per_class, map_value) in zip(members, results):
-            run.report.set_result(per_class, map_value)
+        results = dict(zip(targets, results))
+        for run in members:
+            run.report.set_result(*results[run.evaluated()])
 
+    # runs are seed by seed, the reports cell by cell
     cells = len(experiment.cells)
-    reports = [
-        runs[seed_index * cells + cell_index].report
-        for cell_index in range(cells)
-        for seed_index in range(len(seeds))
-    ]
+    reports = [run.report for i in range(cells) for run in runs[i::cells]]
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     paths = experiment_output_paths(name, out_dir)
     write_experiment_csv(paths["runs"], name, reports)
     write_summary_csv(paths["summary"], name, reports)
-
-    from . import __version__
-
-    manifest = {
-        "experiment": name,
-        "description": experiment.description,
-        "artifact_version": __version__,
-        "seeds": list(seeds),
-        "overrides": {k: str(v) for k, v in overrides.items()},
-        "cells": [
-            {
-                "cell": c.cell_id,
-                "stage": c.stage,
-                "overrides": {k: str(v) for k, v in c.overrides},
-                "world_overrides": {k: str(v) for k, v in c.world_overrides},
-                "classifier": c.classifier,
-            }
-            for c in experiment.cells
-        ],
-        "outputs": [paths["runs"].name, paths["summary"].name],
-        "wall_clock_seconds": time.perf_counter() - started,
-    }
-    paths["manifest"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return reports

@@ -73,16 +73,16 @@ def test_parse_overrides_types(tmp_path):
     args = build_parser().parse_args([
         "train", "source", "--config", str(cfg_file),
         "--set", "shots_per_class=4", "--set", "rol.phi_obj=0.45",
-        "--set", "enable_bd=false",
+        "--set", "sdk_weighted=true",
     ])
     raw = _gather_overrides(args)
     assert raw == {
         "shots_per_class": "4", "labeller": "oicr", "rol.phi_obj": "0.45",
-        "enable_bd": "false",
+        "sdk_weighted": "true",
     }
     cfg = apply_overrides(StageConfig(), raw)
-    assert (cfg.shots_per_class, cfg.labeller, cfg.rol.phi_obj, cfg.enable_bd) == (
-        4, "oicr", 0.45, False
+    assert (cfg.shots_per_class, cfg.labeller, cfg.rol.phi_obj, cfg.sdk_weighted) == (
+        4, "oicr", 0.45, True
     )
     args = build_parser().parse_args(["world", "--set", "shots_per_class"])
     with pytest.raises(ValueError, match="expected key=value"):
@@ -97,7 +97,7 @@ BAD_OVERRIDES = [
     ("rol.bogus=1", "rol.bogus"),
     ("seed=5", "seed"),
     ("objects_per_scene=a", "objects_per_scene"),
-    ("enable_bd=maybe", "enable_bd"),
+    ("sdk_weighted=maybe", "sdk_weighted"),
     ("shots_per_class", "shots_per_class"),
     ("optimizer.learning_rate=nan", "optimizer.learning_rate"),
     ("optimizer.learning_rate=inf", "optimizer.learning_rate"),
@@ -289,6 +289,22 @@ def test_train_truncated_source_checkpoint_exits_4(tmp_path, train_root, capsys)
     ])
     assert code == EXIT_MALFORMED
     assert "main_head" in capsys.readouterr().err
+
+
+def test_train_checkpoint_with_a_repeated_block_exits_4(tmp_path, train_root, capsys):
+    lines = (train_root / "source" / "source_model.txt").read_text().splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("block backbone "))
+    stop = next(i for i, ln in enumerate(lines) if ln.startswith("block main_head "))
+    repeated = tmp_path / "source_model.txt"
+    repeated.write_text("\n".join(lines + lines[start:stop]) + "\n")
+    code = main([
+        "train", "lstd", "--seed", "7",
+        "--set", "shots_per_class=1", "--set", "lstd_epochs=1",
+        "--source-model", str(repeated), "--out-dir", str(tmp_path / "lstd"),
+    ])
+    assert code == EXIT_MALFORMED
+    assert f"line {len(lines) + 1}: repeated block 'backbone'" in capsys.readouterr().err
+    assert not (tmp_path / "lstd").exists()
 
 
 @pytest.mark.parametrize(
@@ -701,31 +717,58 @@ def test_experiment_runs_and_reproduces(tmp_path, capsys):
     out = capsys.readouterr().out
     for cell in ("sdk_without", "sdk_unweighted", "sdk_weighted"):
         assert f"fig7/{cell}: mAP" in out
-    for name in (
-        "fig7.csv", "fig7_summary.csv", "fig7_manifest.json", "manifest.json"
-    ):
-        assert (tmp_path / "a" / name).exists()
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+        "fig7.csv", "fig7_summary.csv", "manifest.json"
+    ]
     assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
     for name in ("fig7.csv", "fig7_summary.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+def test_experiment_manifest_records_the_experiment(tmp_path):
+    argv = ["experiment", "fig7", "--seeds", "0,1"] + EXPERIMENT_ARGS
+    assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    assert manifest["seeds"] == [0]
-    fig7 = json.loads((tmp_path / "a" / "fig7_manifest.json").read_text())
-    assert fig7["seeds"] == manifest["seeds"]
+    experiment = EXPERIMENTS["fig7"]
+    assert manifest["subcommand"] == "experiment"
+    assert manifest["experiment"] == "fig7"
+    assert manifest["description"] == experiment.description
+    assert manifest["seeds"] == [0, 1]
+    assert manifest["outputs"] == ["fig7.csv", "fig7_summary.csv"]
+    assert manifest["overrides"]["source_scenes"] == "20"
+    assert len(manifest["overrides"]) == len(EXPERIMENT_ARGS) // 2
+    assert [c["cell"] for c in manifest["cells"]] == [
+        c.cell_id for c in experiment.cells
+    ]
+    assert manifest["cells"][0] == {
+        "cell": "sdk_without", "stage": "wstd", "classifier": None,
+        "overrides": {"weights.lambda_wstd_sdk": "0.0"}, "world_overrides": {},
+    }
+    # the same overrides from a config file record the same experiment
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text("\n".join(EXPERIMENT_ARGS[1::2]) + "\n")
+    assert main([
+        "experiment", "fig7", "--seeds", "0,1", "--config", str(cfg),
+        "--out-dir", str(tmp_path / "b"),
+    ]) == 0
+    rerun = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    for key in ("experiment", "description", "seeds", "outputs", "overrides", "cells"):
+        assert rerun[key] == manifest[key], key
 
 
 @pytest.mark.parametrize("seeds, expected", [("0,0", [0, 0]), (None, [1, 0])])
-def test_experiment_manifests_agree_on_seeds(tmp_path, monkeypatch, seeds, expected):
-    # Both manifests list the seeds as run, the defaults when none are given.
+def test_experiment_manifest_lists_the_seeds_run(tmp_path, monkeypatch, seeds, expected):
+    # the seeds as run, the defaults when none are given
     monkeypatch.setitem(
         EXPERIMENTS, "table3", replace(EXPERIMENTS["table3"], default_seeds=(1, 0))
     )
     argv = ["experiment", "table3", "--out-dir", str(tmp_path)] + EXPERIMENT_ARGS
     assert main(argv + (["--seeds", seeds] if seeds else [])) == 0
-    for name in ("manifest.json", "table3_manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["seeds"] == expected
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["seeds"] == expected
+    assert not list(tmp_path.glob("table3_manifest*"))
 
 
 # --- gradcheck -----------------------------------------------------------

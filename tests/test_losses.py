@@ -363,26 +363,24 @@ def test_rol_total():
 def test_lstd_total_cases():
     pack, params = lstd_instance(np.random.default_rng(8))
     cfgs = [
-        StageConfig(weights=w, **flags)
-        for w, flags in (
-            (LossWeights(), {}),
-            (LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), {}),
-            (LossWeights(lambda_bd=0.0, lambda_sdk=0.0), {}),
-            (LossWeights(), {"enable_bd": False}),
-            (LossWeights(), {"enable_sdk": False}),
+        StageConfig(weights=w)
+        for w in (
+            LossWeights(),
+            LossWeights(0.0, 0.0, 0.0, 0.0, 0.0),
+            LossWeights(lambda_bd=0.0, lambda_sdk=0.0),
+            LossWeights(lambda_bd=0.0),
+            LossWeights(lambda_sdk=0.0),
         )
     ]
     # all cases as the members of one call
     comps, _ = lstd_scene_loss(stacked(params, len(cfgs)), pack, cfgs)
     for m, cfg in enumerate(cfgs):
         w = cfg.weights
-        lam_bd = w.lambda_bd if cfg.enable_bd else 0.0
-        lam_sdk = w.lambda_sdk if cfg.enable_sdk else 0.0
         assert comps["total"][m] == (
-            w.lambda_main * comps["main"][m] + lam_bd * comps["bd"][m]
-            + lam_sdk * comps["sdk"][m]
+            w.lambda_main * comps["main"][m] + w.lambda_bd * comps["bd"][m]
+            + w.lambda_sdk * comps["sdk"][m]
         )
-        if lam_bd == 0.0:
+        if w.lambda_bd == 0.0:
             assert comps["bd"][m] == 0.0
     zero, _ = lstd_scene_loss(
         stacked(params), pack, [StageConfig(weights=LossWeights(0.0, 0.0, 0.0, 0.0, 0.0))]
@@ -398,20 +396,20 @@ def test_lstd_total_cases():
 def test_wstd_total_cases():
     pack, params = wstd_instance(np.random.default_rng(9))
     cfgs = [
-        StageConfig(weights=w, **flags)
-        for w, flags in (
-            (LossWeights(), {}),
-            (LossWeights(lambda_wstd_sdk=0.0), {}),
-            (LossWeights(), {"enable_sdk": False}),
-            (LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), {}),
+        StageConfig(weights=w)
+        for w in (
+            LossWeights(),
+            LossWeights(lambda_wstd_sdk=0.0),
+            LossWeights(lambda_sdk=0.0, lambda_wstd_sdk=0.0),
+            LossWeights(lambda_wstd_rol=0.0),
+            LossWeights(0.0, 0.0, 0.0, 0.0, 0.0),
         )
     ]
     comps, _, _ = wstd_scene_loss(stacked(params, len(cfgs)), pack, cfgs)
     for m, cfg in enumerate(cfgs):
         w = cfg.weights
-        lam_sdk = w.lambda_wstd_sdk if cfg.enable_sdk else 0.0
         assert comps["total"][m] == (
-            lam_sdk * comps["sdk"][m] + w.lambda_wstd_rol * comps["rol"][m]
+            w.lambda_wstd_sdk * comps["sdk"][m] + w.lambda_wstd_rol * comps["rol"][m]
         )
     no_sdk, _, _ = wstd_scene_loss(
         stacked(params), pack, [StageConfig(weights=LossWeights(lambda_wstd_sdk=0.0))]

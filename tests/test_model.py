@@ -406,6 +406,82 @@ def test_checkpoint_rejects_bad_files(tmp_path):
         load_model(path)
 
 
+def _header(lines, name):
+    return next(i for i, ln in enumerate(lines) if ln.startswith(f"block {name} "))
+
+
+def _rename_rol_heads(lines):
+    # rol_head_0 and rol_head_1 saved as rol_head_1 and rol_head_2
+    first = _header(lines, "rol_head_0")
+    lines = [ln.replace("rol_head_1 ", "rol_head_2 ") for ln in lines]
+    lines[first] = lines[first].replace("rol_head_0 ", "rol_head_1 ")
+    return lines, first
+
+
+def _insert(index, line):
+    return lambda lines: (lines[:index] + [line] + lines[index:], index)
+
+
+def _replace_header(name, line):
+    def edit(lines):
+        i = _header(lines, name)
+        return lines[:i] + [line] + lines[i + 1:], i
+    return edit
+
+
+def _repeat_backbone(lines):
+    start, stop = _header(lines, "backbone"), _header(lines, "main_head")
+    return lines + lines[start:stop], len(lines)
+
+
+def _bad_row(lines):
+    i = _header(lines, "backbone") + 1
+    return lines[:i] + ["row 1.0 x"] + lines[i + 1:], i
+
+
+def _short_main_head(lines):
+    end = _header(lines, "sdk_head")
+    return lines[:end - 1] + lines[end:], _header(lines, "main_head")
+
+
+# Each malformed checkpoint: an edit of a saved one's lines that returns
+# the new lines and the 0-based index of the line the error must name.
+MALFORMED_CHECKPOINTS = {
+    "rol_heads_not_from_0": (_rename_rol_heads, "rol_head_1 without rol_head_0"),
+    "row_before_first_block": (_insert(1, "row 1.0"), "row before the first block"),
+    "unknown_line_kind": (_insert(3, "bias 1.0"), "unknown line kind 'bias'"),
+    "repeated_block": (_repeat_backbone, "repeated block 'backbone'"),
+    "shape_not_an_int": (
+        _replace_header("backbone", "block backbone shape four 16"), "invalid literal"
+    ),
+    "repeated_seed": (_insert(3, "seed 3"), "repeated 'seed' line"),
+    "repeated_source_classes": (
+        _insert(3, "source_classes 6"), "repeated 'source_classes' line"
+    ),
+    "unknown_block": (
+        _replace_header("sdk_head", "block teacher shape 7 17"), "unknown block 'teacher'"
+    ),
+    "rol_head_with_leading_zero": (
+        _replace_header("rol_head_0", "block rol_head_00 shape 5 17"),
+        "unknown block 'rol_head_00'",
+    ),
+    "row_value_not_a_float": (_bad_row, "could not convert"),
+    "rows_short_of_shape": (_short_main_head, "block main_head does not match its shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_checkpoint_rejects_malformed_lines_naming_the_line(tmp_path, case):
+    path = tmp_path / "model.txt"
+    save_model(path, small_model(np.random.default_rng(18), rol=2), seed=5)
+    assert load_model(path).rol_heads
+    edit, message = MALFORMED_CHECKPOINTS[case]
+    lines, bad = edit(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line {bad + 1}: .*{message}"):
+        load_model(path)
+
+
 def test_checkpoint_rows_must_match_shape_header(tmp_path):
     rng = np.random.default_rng(17)
     path = tmp_path / "model.txt"

@@ -1,7 +1,7 @@
 """Stage orchestration tests: scene packing, training determinism, the
 frozen-teacher contracts, and the experiment runner's artifacts."""
 
-import json
+import dataclasses
 import weakref
 from dataclasses import replace
 
@@ -179,16 +179,16 @@ def test_apply_overrides():
 def test_apply_overrides_coerces_strings():
     cfg = apply_overrides(TINY, {
         "shots_per_class": "4", "rol.phi_obj": "0.45", "labeller": "oicr",
-        "enable_bd": "off", "freeze_backbone": "Yes", "optimizer.beta1": "0.5",
+        "sdk_weighted": "on", "freeze_backbone": "Yes", "optimizer.beta1": "0.5",
     })
     assert (cfg.shots_per_class, cfg.rol.phi_obj, cfg.labeller) == (4, 0.45, "oicr")
-    assert (cfg.enable_bd, cfg.freeze_backbone, cfg.optimizer.beta1) == (False, True, 0.5)
+    assert (cfg.sdk_weighted, cfg.freeze_backbone, cfg.optimizer.beta1) == (True, True, 0.5)
     assert type(cfg.shots_per_class) is int and type(cfg.rol.phi_obj) is float
     for raw, expected in (("2,4", (2, 4)), ("2:4", (2, 4)), (" 3 , 3 ", (3, 3))):
         world_cfg = apply_overrides(WorldConfig(), {"objects_per_scene": raw})
         assert world_cfg.objects_per_scene == expected
     for key, raw in (
-        ("enable_bd", "maybe"), ("shots_per_class", "1.5"),
+        ("sdk_weighted", "maybe"), ("shots_per_class", "1.5"),
         ("rol.phi_obj", "high"), ("labeller", "greedy"),
     ):
         with pytest.raises(ValueError, match=f"config field '{key}'"):
@@ -428,7 +428,7 @@ def test_source_scenes_drawn_one_at_a_time_match_one_draw(world):
 def test_flat_adam_training_matches_per_block_adam(world, source_model):
     # three parameter blocks of a two-member group, trained through one
     # flat buffer, equal Adam run block by block, in every step's loss
-    cfgs = [TINY, replace(TINY, enable_bd=False, weights=LossWeights(lambda_sdk=2.0))]
+    cfgs = [TINY, replace(TINY, weights=LossWeights(lambda_bd=0.0, lambda_sdk=2.0))]
     members = Members.of(cfgs)
     support = collect_class_scenes(
         world, "target", "full", substream(TINY.seed, "lstd", "support"), 2
@@ -535,16 +535,6 @@ def test_lstd_structure_and_determinism(world, source_model, warmup):
     assert_same_params(
         model_params(warmup), model_params(lstd_finetune(source_model, world, TINY))
     )
-
-
-def test_zero_lambda_matches_disabled_flags(world, source_model):
-    flags_off = replace(TINY, enable_bd=False, enable_sdk=False)
-    zeroed = replace(
-        TINY, weights=replace(LossWeights(), lambda_bd=0.0, lambda_sdk=0.0)
-    )
-    (a,) = lstd_finetune(source_model, world, [flags_off])
-    (b,) = lstd_finetune(source_model, world, [zeroed])
-    assert_same_params(model_params(a), model_params(b))
 
 
 def test_sdk_loss_decreases_over_first_epoch(world, source_model):
@@ -805,13 +795,13 @@ def assert_lockstep_matches_singles(train, cfgs):
 
 
 def test_lstd_lockstep_matches_single_trainings(world, source_model):
-    # the table3 cells plus zeroed and uneven regularizer weights
+    # the table3 cells plus uneven regularizer weights
     cfgs = [
-        replace(TINY, enable_sdk=False, enable_bd=False),
-        replace(TINY, enable_bd=False),
-        TINY,
         replace(TINY, weights=LossWeights(lambda_bd=0.0, lambda_sdk=0.0)),
+        replace(TINY, weights=LossWeights(lambda_bd=0.0)),
+        TINY,
         replace(TINY, weights=LossWeights(lambda_bd=2.0, lambda_sdk=0.0)),
+        replace(TINY, weights=LossWeights(lambda_bd=0.5, lambda_sdk=3.0)),
     ]
     assert_lockstep_matches_singles(
         lambda group, reports: lstd_finetune(source_model, world, group, reports), cfgs
@@ -863,7 +853,7 @@ def test_lstd_rejects_non_siblings(world, source_model, field, value):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("enable_bd", False),  # another warm-up
+        ("weights.lambda_bd", 0.0),  # another warm-up
         ("weak_scenes_per_class", 2),
         ("wstd_epochs", 3),
         ("optimizer", OptimizerConfig(learning_rate=1e-3)),
@@ -877,6 +867,75 @@ def test_wstd_rejects_non_siblings(world, warmup, field, value):
         wstd_train(warmup, world, [TINY, other])
 
 
+# The first training stage that reads each leaf field of StageConfig; None
+# for a field no stage reads.
+FIRST_READER = {
+    "seed": "source",
+    "source_scenes": "source",
+    "source_epochs": "source",
+    "weights.lambda_main": "source",
+    **{f"optimizer.{name}": "source" for name in (
+        "learning_rate", "beta1", "beta2", "weight_decay", "lr_decay_factor",
+        "epsilon",
+    )},
+    "shots_per_class": "lstd",
+    "lstd_epochs": "lstd",
+    "weights.lambda_bd": "lstd",
+    "weights.lambda_sdk": "lstd",
+    "weak_scenes_per_class": "wstd",
+    "wstd_epochs": "wstd",
+    "weights.lambda_wstd_sdk": "wstd",
+    "weights.lambda_wstd_rol": "wstd",
+    "rol.phi_obj": "wstd",
+    "rol.phi_bg": "wstd",
+    "rol.num_classifiers": "wstd",
+    "sdk_weighted": "wstd",
+    "labeller": "wstd",
+    "freeze_backbone": "wstd",
+    "eval_scenes": None,
+}
+
+
+def leaf_fields(cfg, prefix=""):
+    """The dotted name and value of every non-group field of ``cfg``."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value
+
+
+def test_every_config_field_reaches_a_cache_key():
+    # A field a stage reads but its cache key misses would let the runner
+    # merge two different cells into one model.
+    stages = list(pipeline._RUNNER_KEYS)
+
+    def keys(cfg):
+        run = pipeline._Run(
+            pipeline.ExperimentCell("cell", "wstd"), cfg,
+            WorldConfig(seed=cfg.seed), RunReport(seed=cfg.seed),
+        )
+        return [run.key(stage) for stage in stages]
+
+    leaves = dict(leaf_fields(TINY))
+    assert sorted(leaves) == sorted(FIRST_READER)
+    for name, value in leaves.items():
+        if isinstance(value, bool):
+            changed = not value
+        elif isinstance(value, str):
+            changed = next(v for v in pipeline.LABELLERS if v != value)
+        elif isinstance(value, int):
+            changed = value + 1
+        else:
+            changed = 0.9 * value
+        cfg = _changed(TINY, name, changed)
+        first = FIRST_READER[name]
+        start = len(stages) if first is None else stages.index(first)
+        expected = [i >= start for i in range(len(stages))]
+        assert [a != b for a, b in zip(keys(TINY), keys(cfg))] == expected, name
+
+
 def test_lockstep_group_needs_configs_and_one_report_each(world, source_model, warmup):
     with pytest.raises(ValueError, match="at least one config"):
         lstd_finetune(source_model, world, [])
@@ -888,8 +947,11 @@ def test_lockstep_group_needs_configs_and_one_report_each(world, source_model, w
 
 def test_members_gather_the_coefficients_of_each_config():
     cfgs = [
-        replace(TINY, enable_bd=False),
-        replace(TINY, enable_sdk=False, sdk_weighted=True),
+        apply_overrides(TINY, {"weights.lambda_bd": 0.0}),
+        apply_overrides(TINY, {
+            "weights.lambda_sdk": 0.0, "weights.lambda_wstd_sdk": 0.0,
+            "sdk_weighted": True,
+        }),
         apply_overrides(TINY, {"weights.lambda_main": 0.5, "weights.lambda_wstd_rol": 7.0}),
     ]
     members = Members.of(cfgs)
@@ -1212,12 +1274,11 @@ def test_run_experiment_artifacts(tmp_path):
     )
     assert len(runs_text.strip().split("\n")) == 1 + len(reports)
 
-    manifest = json.loads(paths["manifest"].read_text())
-    assert manifest["experiment"] == "table6"
-    assert manifest["seeds"] == seeds
-    assert len(manifest["cells"]) == len(cells)
-    assert manifest["outputs"] == ["table6.csv", "table6_summary.csv"]
-    assert manifest["overrides"]["source_scenes"] == "30"
+    # the two CSVs are all it writes; the CLI writes the manifest
+    assert sorted(paths) == ["runs", "summary"]
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+        "table6.csv", "table6_summary.csv"
+    ]
 
     # identical bytes on a rerun with the overrides as strings
     raw = {key: str(value) for key, value in SMOKE_OVERRIDES.items()}
@@ -1227,8 +1288,6 @@ def test_run_experiment_artifacts(tmp_path):
         assert experiment_output_paths(
             "table6", tmp_path / "b"
         )[key].read_text() == text
-    rerun = experiment_output_paths("table6", tmp_path / "b")["manifest"]
-    assert json.loads(rerun.read_text())["overrides"] == manifest["overrides"]
 
 
 def test_fig9_packs_weak_scenes_once_per_world_and_warmup(tmp_path, monkeypatch):
@@ -1436,6 +1495,21 @@ def test_repeated_seed_trains_nothing_twice(tmp_path, monkeypatch, seeds):
         ]
         # the curves go to the first seed-0 cell that trained each model
         assert not any(r.curves for r in again)
+
+
+def test_repeated_seed_scores_each_model_once(tmp_path, monkeypatch):
+    # seed 0 twice: the six table3 models are scored once for both runs
+    calls = []
+    original = pipeline.evaluate_model
+
+    def counting(models, scenes, classifiers):
+        calls.append(len(models))
+        return original(models, scenes, classifiers)
+
+    monkeypatch.setattr(pipeline, "evaluate_model", counting)
+    run_experiment("table3", seeds=[0, 0], out_dir=tmp_path, overrides=SMOKE_OVERRIDES)
+    monkeypatch.undo()
+    assert calls == [6]
 
 
 def test_repeated_seed_gives_identical_rows(tmp_path):
