@@ -3,8 +3,10 @@
 Subcommands: ``world`` (generate a benchmark), ``train`` (one stage),
 ``eval`` (score a detections file), ``experiment`` (registered suites),
 ``gradcheck`` (finite-difference audit of every loss and of each stage's
-scene loss end to end).  Exit codes: 2 bad configuration, 3 missing
-input, 4 malformed data, 5 unknown experiment, 6 gradient-check failure.
+scene loss end to end).  Exit codes: 2 bad configuration (an
+``--out-dir`` that is not a directory too), 3 missing input (or an input
+path that is not a file), 4 malformed data, 5 unknown experiment, 6
+gradient-check failure.
 
 ``world``, ``train`` and ``experiment`` take config overrides as
 ``key=value`` lines of a ``--config`` file, then repeatable ``--set``
@@ -109,9 +111,7 @@ def _gather_overrides(args) -> dict[str, str]:
     ``{key: raw value}``; :func:`apply_overrides` types and checks them."""
     pairs: list[str] = []
     if args.config:
-        if not Path(args.config).exists():
-            raise CliError(EXIT_MISSING_INPUT, f"config file not found: {args.config}")
-        pairs.extend(_read_config_file(args.config))
+        pairs.extend(_read_config_file(_require_input(args.config, "config file")))
     pairs.extend(args.set or [])
     overrides: dict[str, str] = {}
     for pair in pairs:
@@ -177,7 +177,18 @@ def _require_input(path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise CliError(EXIT_MISSING_INPUT, f"{what} not found: {p}")
+    if not p.is_file():
+        raise CliError(EXIT_MISSING_INPUT, f"{what} is not a file: {p}")
     return p
+
+
+def _check_out_dir(path) -> None:
+    """Refuse, before any work, an ``--out-dir`` that no directory can be
+    made at: its nearest existing path is not a directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise CliError(EXIT_CONFIG, f"--out-dir {out}: {existing} is not a directory")
 
 
 # --- subcommands --------------------------------------------------------------
@@ -384,18 +395,11 @@ def _gc_bd(rng):
     return (lambda g: bd_loss(g, mask)[0]), grad, grid
 
 
-def _gc_sdk(rng):
+def _gc_sdk(rng, weighted=False):
     teacher = _random_score_matrix(rng, 5, 7)
     logits = rng.standard_normal((5, 7))
-    _, grad = sdk_loss(teacher, logits)
-    return (lambda z: sdk_loss(teacher, z)[0]), grad, logits
-
-
-def _gc_sdk_weighted(rng):
-    teacher = _random_score_matrix(rng, 5, 7)
-    logits = rng.standard_normal((5, 7))
-    _, grad = sdk_loss(teacher, logits, weighted=True)
-    return (lambda z: sdk_loss(teacher, z, weighted=True)[0]), grad, logits
+    _, grad = sdk_loss(teacher, logits, weighted)
+    return (lambda z: sdk_loss(teacher, z, weighted)[0]), grad, logits
 
 
 def _gc_image_multilabel(rng):
@@ -425,7 +429,6 @@ def _gc_proposal_cls(rng):
 def _lstd_instance(rng):
     num_target, num_source, dim, k = 3, 4, 4, 5
     pack = ScenePack(
-        boxes=_random_boxes(rng, k),
         raw_means=rng.standard_normal((k, dim)),
         raw_grid=rng.standard_normal((3, 3, dim)),
         labels=rng.integers(0, num_target + 1, size=k),
@@ -443,7 +446,7 @@ def _lstd_instance(rng):
 def _gc_source_end_to_end(rng):
     pack, params = _lstd_instance(rng)
     del params["sdk_head"]
-    return _end_to_end(lambda p: source_scene_loss(p, pack, [StageConfig()]), params)
+    return _end_to_end(lambda p: source_scene_loss(p, pack), params)
 
 
 def _gc_lstd_end_to_end(rng):
@@ -459,7 +462,6 @@ def _wstd_instance(rng):
         y[rng.integers(0, num_target)] = 1.0
     boxes = _random_boxes(rng, k)
     pack = ScenePack(
-        boxes=boxes,
         raw_means=rng.standard_normal((k, dim)),
         teacher=_random_score_matrix(rng, num_source + 1, k),
         y_img=y,
@@ -487,7 +489,7 @@ def _gc_wstd_end_to_end(rng):
 GRADCHECKS = {
     "bd": _gc_bd,
     "sdk": _gc_sdk,
-    "sdk_weighted": _gc_sdk_weighted,
+    "sdk_weighted": lambda rng: _gc_sdk(rng, weighted=True),
     "image_multilabel": _gc_image_multilabel,
     "rol": _gc_rol,
     "proposal_cls": _gc_proposal_cls,
@@ -623,6 +625,7 @@ def main(argv=None) -> int:
     # The manifests' record of the command that ran, not the host process's argv.
     args.command = shlex.join(["transferdet", *argv])
     try:
+        _check_out_dir(args.out_dir)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,12 +38,11 @@ from .numerics import PROB_FLOOR, column_softmax, sigmoid
 class LossWeights:
     """Coefficients of the per-stage weighted loss totals.
 
-    Defaults: the fine-tuning stage weighs both regularizers at 0.5 with a
-    unit main loss; the weakly-supervised stage scales distillation by 150
-    and the labelling loss by 50.
+    The main proposal loss has unit weight.  Defaults: the fine-tuning
+    stage weighs both regularizers at 0.5; the weakly-supervised stage
+    scales distillation by 150 and the labelling loss by 50.
     """
 
-    lambda_main: float = 1.0
     lambda_bd: float = 0.5
     lambda_sdk: float = 0.5
     lambda_wstd_sdk: float = 150.0
@@ -51,7 +50,6 @@ class LossWeights:
 
     def __post_init__(self):
         for name in (
-            "lambda_main",
             "lambda_bd",
             "lambda_sdk",
             "lambda_wstd_sdk",

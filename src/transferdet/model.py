@@ -407,7 +407,8 @@ def load_model(path) -> DetectorModel:
     ``source_classes`` line, a malformed value or block header, an
     unknown or repeated block name, a ``row`` before the first block, a
     block whose rows do not match its shape, and ROL heads that are not
-    numbered contiguously from 0.
+    numbered contiguously from 0; and, naming its header line, for a
+    block with a non-finite value or an unknown head role.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -464,11 +465,17 @@ def load_model(path) -> DetectorModel:
     if "backbone" not in shapes or "main_head" not in shapes:
         raise ValueError("checkpoint missing backbone or main head")
 
+    def block(name: str, build):
+        try:
+            return build(np.array(values[name]))
+        except ValueError as exc:
+            raise ValueError(f"line {shapes[name][0]}: block {name}: {exc}") from None
+
     def head(name: str, role: str) -> Head:
-        return Head(weights=np.array(values[name]), role=shapes[name][3] or role)
+        return block(name, lambda w: Head(weights=w, role=shapes[name][3] or role))
 
     return DetectorModel(
-        backbone=Backbone(map=np.array(values["backbone"])),
+        backbone=block("backbone", lambda m: Backbone(map=m)),
         main_head=head("main_head", "main"),
         sdk_head=head("sdk_head", "sdk_branch") if "sdk_head" in shapes else None,
         rol_heads=[head(f"rol_head_{i}", "rol_classifier") for i in rol],

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -143,7 +144,6 @@ class StageConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
     sdk_weighted: bool = False
     labeller: str = "rol"
-    freeze_backbone: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -171,7 +171,6 @@ class RunReport:
     weak_scenes: int = 0
     labeller: str = "rol"
     classifier: int | None = None
-    config_echo: dict = field(default_factory=dict)
     curves: dict[str, list[float]] = field(default_factory=dict)
     per_class_aps: list = field(default_factory=list)
     mean_ap: float | None = None
@@ -197,7 +196,6 @@ class ScenePack:
     and the scene losses take them as they are.
     """
 
-    boxes: list[BBox]
     raw_means: np.ndarray  # (K, D0) mean raw vector per proposal box
     raw_grid: np.ndarray | None = None
     labels: np.ndarray | None = None  # full supervision per proposal
@@ -227,7 +225,6 @@ def pack_source_scene(scene: Scene, world: World) -> ScenePack:
     boxes = list(scene.proposals)
     num_classes = world.config.classes_in("source")
     return ScenePack(
-        boxes=boxes,
         raw_means=pool_raw_means(scene.raw_grid, boxes),
         labels=check_labels(proposal_labels(scene, num_classes), num_classes + 1),
     )
@@ -238,7 +235,6 @@ def pack_lstd_scene(scene: Scene, world: World, source: DetectorModel) -> SceneP
     cfg = world.config
     num_classes = cfg.classes_in("target")
     return ScenePack(
-        boxes=boxes,
         raw_means=pool_raw_means(scene.raw_grid, boxes),
         raw_grid=scene.raw_grid,
         labels=check_labels(proposal_labels(scene, num_classes), num_classes + 1),
@@ -388,7 +384,6 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
     keep = selection.keep
     raw_means = selection.raw_means[keep]
     pack = ScenePack(
-        boxes=selection.boxes,
         raw_means=raw_means,
         teacher=check_score_matrix(
             pooled_probs(warmup.backbone, warmup.source_knowledge_head(), raw_means)
@@ -405,8 +400,9 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
 # --- per-scene losses (value + closed-form gradients) ------------------------
 #
 # Parameters carry a leading member axis: one slice per training of a
-# lockstep group, ``cfgs`` one StageConfig per slice (a plain sequence, or
-# the group's :class:`Members` with its coefficients already gathered).
+# lockstep group.  A loss with coefficients takes ``cfgs``, one StageConfig
+# per slice (a plain sequence, or the group's :class:`Members` with its
+# coefficients already gathered).
 # Components come back as one value per member, gradients stacked like the
 # parameters.  A pack's labels and teacher were checked when it was built,
 # so the losses here run the unchecked cores of proposal_cls_loss and
@@ -419,8 +415,9 @@ class Members:
 
     ``weight[term]`` holds each member's ``weights.lambda_<term>`` as an
     (M,) array, which scales the members' loss values (a term of weight 0
-    is off), and ``scale[term]`` the same values shaped (M, 1, 1), which
-    scales stacked (M, rows, K) gradients.  The
+    is off; the main proposal loss has unit weight), and ``scale[term]``
+    the same values shaped (M, 1, 1), which scales stacked (M, rows, K)
+    gradients.  The
     labeller settings are gathered the same way, one (M,) entry per
     member.  A stage builds them once per training, so its steps do not
     rebuild them.
@@ -442,7 +439,7 @@ class Members:
         cfgs = tuple(cfgs)
         weight = {
             term: np.array([getattr(c.weights, f"lambda_{term}") for c in cfgs], float)
-            for term in ("main", "bd", "sdk", "wstd_sdk", "wstd_rol")
+            for term in ("bd", "sdk", "wstd_sdk", "wstd_rol")
         }
         return cls(
             cfgs=cfgs,
@@ -456,24 +453,17 @@ class Members:
 
 
 def source_scene_loss(
-    params: dict[str, np.ndarray],
-    pack: ScenePack,
-    cfgs: Members | Sequence[StageConfig],
+    params: dict[str, np.ndarray], pack: ScenePack
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Fully supervised proposal loss.  The pack's raw means and labels are
-    shared by every member, or hold one scene per member, stacked as
-    (M, K, D0) and (M, K)."""
-    members = Members.of(cfgs)
-    backbone = params["backbone"]
-    features = pack.raw_means @ backbone.transpose(0, 2, 1)
+    """Fully supervised proposal loss, which takes no coefficient.  The
+    pack's raw means and labels are shared by every member, or hold one
+    scene per member, stacked as (M, K, D0) and (M, K)."""
+    features = pack.raw_means @ params["backbone"].transpose(0, 2, 1)
     logits = head_logits(params["main_head"], features)
     value, dlogits = _proposal_cls_loss(logits, pack.labels)
-    dhead, dfeatures = head_backward(
-        params["main_head"], features, members.scale["main"] * dlogits
-    )
-    total = members.weight["main"] * value
+    dhead, dfeatures = head_backward(params["main_head"], features, dlogits)
     return (
-        {"total": total, "main": value},
+        {"total": value, "main": value},
         {
             "backbone": dfeatures.transpose(0, 2, 1) @ pack.raw_means,
             "main_head": dhead,
@@ -498,9 +488,7 @@ def lstd_scene_loss(
 
     main_logits = head_logits(params["main_head"], features)
     main_val, dmain = _proposal_cls_loss(main_logits, pack.labels)
-    dmain_head, dfeatures = head_backward(
-        params["main_head"], features, scale["main"] * dmain
-    )
+    dmain_head, dfeatures = head_backward(params["main_head"], features, dmain)
 
     sdk_logits = head_logits(params["sdk_head"], features)
     sdk_val, dsdk = _sdk_loss(pack.teacher, sdk_logits, False)
@@ -519,9 +507,7 @@ def lstd_scene_loss(
             "bhwd,hwo->bdo", dgrid, pack.raw_grid
         )
 
-    total = (
-        weight["main"] * main_val + weight["bd"] * bd_val + weight["sdk"] * sdk_val
-    )
+    total = main_val + weight["bd"] * bd_val + weight["sdk"] * sdk_val
     return (
         {"total": total, "main": main_val, "bd": bd_val, "sdk": sdk_val},
         {"backbone": dbackbone, "main_head": dmain_head, "sdk_head": dsdk_head},
@@ -533,7 +519,6 @@ def wstd_scene_loss(
     pack: ScenePack,
     cfgs: Members | Sequence[StageConfig],
     fixed_pseudo: np.ndarray | None = None,
-    frozen_backbone: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
     """Weak-stage loss over all recurrent classifiers plus distillation.
 
@@ -553,13 +538,10 @@ def wstd_scene_loss(
     gradient adds the distillation term, then heads 1, 2, ..., N in that
     order, as a per-classifier loop would, so the backbone gradient is
     bit-identical to one.
-    ``frozen_backbone`` stands in, stacked, for a backbone outside
-    ``params``.
     """
     members = Members.of(cfgs)
     weight, scale = members.weight, members.scale
-    backbone = params["backbone"] if "backbone" in params else frozen_backbone
-    features = pack.raw_means @ backbone.transpose(0, 2, 1)
+    features = pack.raw_means @ params["backbone"].transpose(0, 2, 1)
 
     grads: dict[str, np.ndarray] = {}
     sdk_logits = head_logits(params["sdk_head"], features)
@@ -594,8 +576,7 @@ def wstd_scene_loss(
     rol_sum = sum(values)
     comps["rol"] = rol_sum
     comps["total"] = weight["wstd_sdk"] * sdk_val + weight["wstd_rol"] * rol_sum
-    if "backbone" in params:
-        grads["backbone"] = dfeatures.transpose(0, 2, 1) @ pack.raw_means
+    grads["backbone"] = dfeatures.transpose(0, 2, 1) @ pack.raw_means
     return comps, grads, pseudo
 
 
@@ -680,82 +661,69 @@ def collect_class_scenes(
 # --- stages -----------------------------------------------------------------
 #
 # A training stage takes one StageConfig per member of a lockstep group.
-# Members must agree on every field that decides the step sequence (the
-# stage's sibling key: seed, scenes, initialization, epochs, optimizer);
-# they may differ in the rest (the member fields: loss coefficients,
-# switches, labeller settings).  A stage's cache key is its sibling key
-# plus its member fields, so two configs with equal cache keys train
-# identical models.
-
-
-def _source_cache_key(cfg: StageConfig):
-    return (cfg.source_scenes, cfg.source_epochs, cfg.optimizer,
-            cfg.weights.lambda_main)
-
-
-def _source_sibling_key(world_cfg: WorldConfig, cfg: StageConfig):
-    # Source trainings of different seeds step alike: the seed picks only
-    # the world, the initialization, the scenes and their order.
-    return (replace(world_cfg, seed=0),) + _source_cache_key(cfg)
-
-
-def _lstd_sibling_key(cfg: StageConfig):
-    return (cfg.seed,) + _source_cache_key(cfg) + (
-        cfg.shots_per_class, cfg.lstd_epochs,
-    )
-
-
-def _lstd_cache_key(cfg: StageConfig):
-    # The weak-stage coefficients are left out: fine-tuning never reads them.
-    return _lstd_sibling_key(cfg) + (cfg.weights.lambda_bd, cfg.weights.lambda_sdk)
-
-
-def _wstd_sibling_key(cfg: StageConfig):
-    return _lstd_cache_key(cfg) + (
-        cfg.weak_scenes_per_class, cfg.wstd_epochs, cfg.rol.num_classifiers,
-        cfg.freeze_backbone,
-    )
-
-
-def _wstd_cache_key(cfg: StageConfig):
-    return _wstd_sibling_key(cfg) + (
-        cfg.labeller, cfg.sdk_weighted, cfg.rol, cfg.weights.lambda_wstd_sdk,
-        cfg.weights.lambda_wstd_rol,
-    )
-
-
-# The experiment runner's stages in training order, each with its keys
-# over a cell's world config and stage config: the cache key (with the
-# world config it names a model), the sibling key of a runner group, and
-# the stage whose model the group starts from.  Source groups span seeds;
-# the later stages' sibling keys hold the seed, the world config and the
-# parent's cache key, so their groups stay within one seed and share one
-# parent model.
-_RUNNER_KEYS = {
-    "source": (_source_cache_key, _source_sibling_key, None),
-    "lstd": (_lstd_cache_key, lambda w, c: (w, _lstd_sibling_key(c)), "source"),
-    "wstd": (_wstd_cache_key, lambda w, c: (w, _wstd_sibling_key(c)), "lstd"),
+# _STAGES is the one place that says which stage reads which field.  For
+# each stage, in training order, it names the stage whose model it starts
+# from, the fields its members must share (they decide the step sequence:
+# seed, scenes, initialization, epochs) and the fields they may differ in
+# (loss coefficients and labeller settings).  A stage reads its parent's
+# fields too, and the source stage reads the seed only through its world.
+# A config's sibling key for a stage is the parent's cache key plus the
+# shared fields; its cache key adds the member fields, so two configs
+# with equal cache keys train identical models on one world.
+_STAGES = {
+    "source": (None, ("source_scenes", "source_epochs", "optimizer"), ()),
+    "lstd": (
+        "source",
+        ("seed", "shots_per_class", "lstd_epochs"),
+        ("weights.lambda_bd", "weights.lambda_sdk"),
+    ),
+    "wstd": (
+        "lstd",
+        ("weak_scenes_per_class", "wstd_epochs", "rol.num_classifiers"),
+        ("labeller", "sdk_weighted", "rol.phi_obj", "rol.phi_bg",
+         "weights.lambda_wstd_sdk", "weights.lambda_wstd_rol"),
+    ),
 }
+
+
+def _stage_key(stage: str, cfg: StageConfig, members: bool = True) -> tuple:
+    """``cfg``'s cache key for ``stage``, or its sibling key when
+    ``members`` is false."""
+    parent, shared, member = _STAGES[stage]
+    key = () if parent is None else _stage_key(parent, cfg)
+    names = shared + member if members else shared
+    return key + tuple(attrgetter(name)(cfg) for name in names)
+
+
+def _group_key(stage: str, world_cfg: WorldConfig, cfg: StageConfig) -> tuple:
+    """The key of the lockstep group a (world, config) member joins: the
+    world but its seed, and the config's sibling key.  Source groups span
+    seeds; from ``lstd`` on, the sibling key holds the config's seed,
+    which the runner's worlds share."""
+    return replace(world_cfg, seed=0), _stage_key(stage, cfg, members=False)
 
 
 def _group(
     stage: str,
     cfgs: Sequence[StageConfig],
     reports: Sequence[RunReport | None] | None,
-    sibling_key: Callable[[StageConfig], tuple],
 ) -> tuple[Members, list[RunReport | None]]:
-    """Validated members of a lockstep group and one report slot each."""
+    """Validated members of a lockstep group of ``stage`` and one report
+    slot each."""
     cfgs = list(cfgs)
     if not cfgs:
-        raise ValueError(f"{stage} needs at least one config")
-    if any(sibling_key(cfg) != sibling_key(cfgs[0]) for cfg in cfgs[1:]):
+        raise ValueError(f"{stage} training needs at least one config")
+    key = _stage_key(stage, cfgs[0], members=False)
+    if any(_stage_key(stage, cfg, members=False) != key for cfg in cfgs[1:]):
         raise ValueError(
             f"{stage} configs are not siblings: they differ in a field that "
             "decides the step sequence"
         )
     reports = [None] * len(cfgs) if reports is None else list(reports)
     if len(reports) != len(cfgs):
-        raise ValueError(f"{stage} got {len(reports)} reports for {len(cfgs)} configs")
+        raise ValueError(
+            f"{stage} training got {len(reports)} reports for {len(cfgs)} configs"
+        )
     return Members.of(cfgs), reports
 
 
@@ -821,14 +789,13 @@ def train_source(
 
     Every (world, config) pair is one member of a lockstep group, usually
     one per seed.  Each member draws its own initialization, scenes and
-    step order from its config's seed, on its own world; the members must
-    agree on the source training (``source_scenes``, ``source_epochs``,
-    ``optimizer``, ``weights.lambda_main``) and their worlds on every field
-    but the seed, so that every member's scenes have the same proposal
-    count (else ``ValueError``).  Each member's scenes are packed one at a
-    time and stacked once, and each step gathers every member's scene with
-    one index.  Returns one
-    model per member, and member m's loss curves go to ``reports[m]``.
+    step order from its config's seed, on its own world; the configs must
+    share the ``source`` sibling key (:data:`_STAGES`) and the worlds every
+    field but the seed, so that every member's scenes have the same
+    proposal count (else ``ValueError``).  Each member's scenes are packed
+    one at a time and stacked once, and each step gathers every member's
+    scene with one index.  Returns one model per member, and member m's
+    loss curves go to ``reports[m]``.
     :func:`run_experiment` trains the sources of all its seeds that share
     a sibling key in one call.
     A single World and StageConfig (with a single report or None) train
@@ -839,13 +806,13 @@ def train_source(
     single = isinstance(cfgs, StageConfig)
     if single:
         worlds, cfgs, reports = [worlds], [cfgs], [reports]
-    members, reports = _group("train_source", cfgs, reports, _source_cache_key)
+    members, reports = _group("source", cfgs, reports)
     worlds = list(worlds)
     if len(worlds) != len(members.cfgs):
         raise ValueError(
             f"train_source got {len(worlds)} worlds for {len(members.cfgs)} configs"
         )
-    keys = {_source_sibling_key(w.config, c) for w, c in zip(worlds, members.cfgs)}
+    keys = {_group_key("source", w.config, c) for w, c in zip(worlds, members.cfgs)}
     if len(keys) > 1:
         raise ValueError(
             "train_source worlds are not siblings: they differ in a field "
@@ -871,10 +838,8 @@ def train_source(
     rows = np.arange(len(members.cfgs))
 
     def loss_fn(p, scene):
-        pack = ScenePack(
-            boxes=[], raw_means=raw_means[rows, scene], labels=labels[rows, scene]
-        )
-        return source_scene_loss(p, pack, members)
+        pack = ScenePack(raw_means=raw_means[rows, scene], labels=labels[rows, scene])
+        return source_scene_loss(p, pack)
 
     params = _train(
         {"backbone": np.stack(backbones), "main_head": np.stack(heads)},
@@ -899,9 +864,9 @@ def lstd_finetune(
 
     Every config in ``cfgs`` is one member of a lockstep group; they share
     the support scenes, the initial heads and the step order, so they must
-    agree on the seed, the source training, ``shots_per_class``,
-    ``lstd_epochs`` and ``optimizer`` (else ``ValueError``).  Returns one
-    model per config, and member m's loss curves go to ``reports[m]``.
+    share the ``lstd`` sibling key (:data:`_STAGES`; else ``ValueError``).
+    Returns one model per config, and member m's loss curves go to
+    ``reports[m]``.
     A single StageConfig (with a single report or None) trains one model
     and returns it unwrapped, as ``perfbench/workloads.build_fixtures``
     calls it; that form goes when the benchmark moves to the list form
@@ -910,7 +875,7 @@ def lstd_finetune(
     single = isinstance(cfgs, StageConfig)
     if single:
         cfgs, reports = [cfgs], [reports]
-    members, reports = _group("lstd_finetune", cfgs, reports, _lstd_sibling_key)
+    members, reports = _group("lstd", cfgs, reports)
     cfg = members.cfgs[0]
     if source is None:
         raise ValueError("lstd_finetune requires a trained source model")
@@ -965,57 +930,47 @@ def wstd_train(
     world: World,
     cfgs: Sequence[StageConfig],
     reports: Sequence[RunReport | None] | None = None,
-    packs: Sequence[ScenePack] | None = None,
 ) -> list[DetectorModel]:
     """Weakly supervised training guided by the frozen warm-up model.
 
     The warm-up supplies proposals and distillation targets; the student's
     recurrent classifiers start as copies of the warm-up head, the first
-    trained from image labels, the rest from mined pseudo labels.
+    trained from image labels, the rest from mined pseudo labels.  The
+    backbone trains from the warm-up's, and the main head is the warm-up's.
 
-    Every config in ``cfgs`` is one member of a lockstep group on the same
-    weak packs; they must agree on the warm-up (its cache key),
-    ``weak_scenes_per_class``, ``wstd_epochs``, ``optimizer``,
-    ``rol.num_classifiers`` and ``freeze_backbone`` (else ``ValueError``),
-    and may differ in the weak-stage coefficients, the labeller, its ROL
-    thresholds and ``sdk_weighted``.  The members' N recurrent classifiers
+    Every config in ``cfgs`` is one member of a lockstep group on the weak
+    packs of ``pack_weak_scenes(warmup, world, cfgs[0])``; they must share
+    the ``wstd`` sibling key (:data:`_STAGES`: the warm-up's cache key and
+    the fields that decide the step sequence; else ``ValueError``), and may
+    differ in its member fields.  The members' N recurrent classifiers
     train as one (N, M, C+1, D+1) parameter block, ``rol_heads``, after
     ``sdk_head`` and ``backbone`` in the flat buffer: classifier 1 of every
     member, then classifier 2, and so on.  Returns one student per config;
-    member m's loss curves go to ``reports[m]``.  ``packs`` is
-    ``pack_weak_scenes(warmup, world, cfgs[0])`` when given, and is built
-    here otherwise.
+    member m's loss curves go to ``reports[m]``.
     """
-    members, reports = _group("wstd_train", cfgs, reports, _wstd_sibling_key)
+    members, reports = _group("wstd", cfgs, reports)
     cfg = members.cfgs[0]
     if warmup.sdk_head is None:
         raise ValueError("wstd_train requires a warm-up model with an SDK branch")
     count = len(members.cfgs)
-    classifiers = cfg.rol.num_classifiers
-    params = {"sdk_head": _stacked(warmup.sdk_head.weights, count)}
-    if not cfg.freeze_backbone:
-        params["backbone"] = _stacked(warmup.backbone.map, count)
-    params["rol_heads"] = _stacked(
-        _stacked(warmup.main_head.weights, count), classifiers
-    )
+    params = {
+        "sdk_head": _stacked(warmup.sdk_head.weights, count),
+        "backbone": _stacked(warmup.backbone.map, count),
+        "rol_heads": _stacked(
+            _stacked(warmup.main_head.weights, count), cfg.rol.num_classifiers
+        ),
+    }
     if cfg.weak_scenes_per_class > 0:
-        if packs is None:
-            packs = pack_weak_scenes(warmup, world, cfg)
-        frozen = _stacked(warmup.backbone.map, count) if cfg.freeze_backbone else None
-
-        def loss_fn(p, i):
-            comps, grads, _ = wstd_scene_loss(
-                p, packs[i], members, frozen_backbone=frozen
-            )
-            return comps, grads
-
+        packs = pack_weak_scenes(warmup, world, cfg)
         order = _step_order(
             substream(cfg.seed, "wstd", "order"), len(packs), cfg.wstd_epochs
         )
-        params = _train(params, loss_fn, order, cfg.optimizer, reports, "wstd")
+        params = _train(
+            params, lambda p, i: wstd_scene_loss(p, packs[i], members)[:2], order,
+            cfg.optimizer, reports, "wstd",
+        )
     return _assemble(
-        count, warmup.source_classes, params,
-        backbone=warmup.backbone.map, main_head=warmup.main_head.weights,
+        count, warmup.source_classes, params, main_head=warmup.main_head.weights
     )
 
 
@@ -1040,9 +995,9 @@ def _proposal_probs(
     """(M, C+1, S, K) class probabilities of each model's selected head
     over the proposals of S scenes, from their (S, K, D0) pooled raw means.
 
-    Each model's head scores all S scenes in one stacked call; each
-    (model, scene) slice is bit-identical to
-    :func:`~transferdet.model.pooled_probs` of that model on that scene.
+    Each model's head scores all S scenes in one stacked
+    :func:`~transferdet.model.pooled_probs` call; each (model, scene) slice
+    is bit-identical to that call on that scene alone.
     Only one model's features, logits and softmax temporaries exist at a
     time, so the evaluation's peak memory stays near one model's share.
     Every matrix product stays one scene high: a product over all S*K
@@ -1050,9 +1005,7 @@ def _proposal_probs(
     cores, which costs milliseconds per call on a busy machine.
     """
     probs = np.stack([
-        column_softmax(
-            head_logits(_select_head(m, c).weights, raw_means @ m.backbone.map.T)
-        )
+        pooled_probs(m.backbone, _select_head(m, c), raw_means)
         for m, c in zip(models, classifiers)
     ])
     # (M, S, C+1, K), returned as an (M, C+1, S, K) view
@@ -1333,7 +1286,7 @@ class _Run:
 
     def key(self, stage: str) -> tuple:
         """The key of this run's model of ``stage``."""
-        return (stage, self.world_cfg, _RUNNER_KEYS[stage][0](self.cfg))
+        return (stage, self.world_cfg, _stage_key(stage, self.cfg))
 
     def evaluated(self) -> tuple:
         """The key of the model this run evaluates, and its classifier."""
@@ -1357,7 +1310,6 @@ def _plan(
                 weak_scenes=cfg.weak_scenes_per_class if cell.stage == "wstd" else 0,
                 labeller=cfg.labeller,
                 classifier=cell.classifier,
-                config_echo=dataclasses.asdict(cfg),
             )
             world_cfg = apply_overrides(WorldConfig(seed=seed), dict(cell.world_overrides))
             runs.append(_Run(cell, cfg, world_cfg, report))
@@ -1373,15 +1325,15 @@ def _train_stage(
     """Train every model of ``stage`` that ``runs`` need into ``models``.
 
     Every run needs a source and an LSTD model, and a ``wstd`` cell's run
-    a WSTD model.  The models are grouped by the stage's sibling key, one
+    a WSTD model.  The models are grouped by :func:`_group_key`, one
     member per cache key, whose curves go to the report of the first run
     that needs it; each group is one lockstep call, from its parent model.
     """
-    _, sibling_key, parent = _RUNNER_KEYS[stage]
+    parent = _STAGES[stage][0]
     groups: dict[tuple, dict[tuple, _Run]] = {}
     for run in runs:
         if stage != "wstd" or run.cell.stage == "wstd":
-            group = groups.setdefault(sibling_key(run.world_cfg, run.cfg), {})
+            group = groups.setdefault(_group_key(stage, run.world_cfg, run.cfg), {})
             group.setdefault(run.key(stage), run)
     for group in groups.values():
         members = list(group.values())
@@ -1472,7 +1424,7 @@ def run_experiment(
     runs = _plan(experiment, seeds, overrides or {})
     worlds = {w: make_world(w) for w in dict.fromkeys(run.world_cfg for run in runs)}
     models: dict[tuple, DetectorModel] = {}
-    for stage in _RUNNER_KEYS:
+    for stage in _STAGES:
         _train_stage(stage, runs, worlds, models)
 
     # One evaluation per (world, eval count), over every distinct (model,

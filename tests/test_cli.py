@@ -105,6 +105,8 @@ BAD_OVERRIDES = [
     ("optimizer.lr_decay_factor=inf", "optimizer.lr_decay_factor"),
     ("optimizer.epsilon=-inf", "optimizer.epsilon"),
     ("rol.phi_obj=1", "rol.phi_obj"),
+    ("freeze_backbone=1", "freeze_backbone"),
+    ("weights.lambda_main=2", "weights.lambda_main"),
 ]
 
 OVERRIDE_COMMANDS = {
@@ -562,6 +564,52 @@ def test_eval_missing_inputs_exit_3(tmp_path):
     assert main([
         "eval", "--detections", str(det_path), "--out-dir", str(tmp_path),
     ]) == EXIT_MISSING_INPUT
+
+
+# Each path argument given a path of the wrong kind, ``{dir}`` an existing
+# directory and ``{file}`` an existing file: the argv, what stderr must
+# say, and the exit code.  Every case fails before any work.
+WRONG_KIND_PATHS = {
+    "config_dir": (["world", "--config", "{dir}"], "not a file", EXIT_MISSING_INPUT),
+    "world_dir": (["train", "source", "--world", "{dir}"], "not a file", EXIT_MISSING_INPUT),
+    "source_model_dir": (
+        ["train", "lstd", "--source-model", "{dir}"], "not a file", EXIT_MISSING_INPUT
+    ),
+    "warmup_model_dir": (
+        ["train", "wstd", "--warmup-model", "{dir}"], "not a file", EXIT_MISSING_INPUT
+    ),
+    "detections_dir": (
+        ["eval", "--detections", "{dir}", "--scenes", "{file}"], "not a file",
+        EXIT_MISSING_INPUT,
+    ),
+    "scenes_dir": (
+        ["eval", "--detections", "{file}", "--scenes", "{dir}"], "not a file",
+        EXIT_MISSING_INPUT,
+    ),
+    "out_dir_a_file": (
+        ["world", "--out-dir", "{file}"], "not a directory", EXIT_CONFIG
+    ),
+    "out_dir_under_a_file": (
+        ["gradcheck", "--out-dir", "{file}/out"], "not a directory", EXIT_CONFIG
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND_PATHS))
+def test_path_of_the_wrong_kind_exits_without_a_traceback(tmp_path, capsys, case):
+    argv, message, code = WRONG_KIND_PATHS[case]
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("x\n")
+    argv = [
+        arg.format(dir=tmp_path / "dir", file=tmp_path / "file") for arg in argv
+    ]
+    out = tmp_path / "out"
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(out)]
+    assert main(argv + ["--seed", "1"]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

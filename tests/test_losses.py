@@ -34,7 +34,7 @@ def random_score_matrix(rng, rows, cols):
 
 def test_default_weights():
     w = LossWeights()
-    assert (w.lambda_main, w.lambda_bd, w.lambda_sdk) == (1.0, 0.5, 0.5)
+    assert (w.lambda_bd, w.lambda_sdk) == (0.5, 0.5)
     assert (w.lambda_wstd_sdk, w.lambda_wstd_rol) == (150.0, 50.0)
 
 
@@ -309,7 +309,6 @@ def stacked(params, members=1):
 
 def lstd_instance(rng, num_target=3, num_source=4, dim=4, k=5):
     pack = ScenePack(
-        boxes=[],
         raw_means=rng.standard_normal((k, dim)),
         raw_grid=rng.standard_normal((3, 3, dim)),
         labels=rng.integers(0, num_target + 1, size=k),
@@ -332,7 +331,6 @@ def wstd_instance(rng, classifiers=3, num_target=3, num_source=4, dim=4, k=6):
     y_img = np.zeros(num_target)
     y_img[rng.integers(0, num_target)] = 1.0
     pack = ScenePack(
-        boxes=boxes,
         raw_means=rng.standard_normal((k, dim)),
         teacher=random_score_matrix(rng, num_source + 1, k),
         y_img=y_img,
@@ -366,7 +364,7 @@ def test_lstd_total_cases():
         StageConfig(weights=w)
         for w in (
             LossWeights(),
-            LossWeights(0.0, 0.0, 0.0, 0.0, 0.0),
+            LossWeights(0.0, 0.0, 0.0, 0.0),
             LossWeights(lambda_bd=0.0, lambda_sdk=0.0),
             LossWeights(lambda_bd=0.0),
             LossWeights(lambda_sdk=0.0),
@@ -377,15 +375,12 @@ def test_lstd_total_cases():
     for m, cfg in enumerate(cfgs):
         w = cfg.weights
         assert comps["total"][m] == (
-            w.lambda_main * comps["main"][m] + w.lambda_bd * comps["bd"][m]
+            comps["main"][m] + w.lambda_bd * comps["bd"][m]
             + w.lambda_sdk * comps["sdk"][m]
         )
         if w.lambda_bd == 0.0:
             assert comps["bd"][m] == 0.0
-    zero, _ = lstd_scene_loss(
-        stacked(params), pack, [StageConfig(weights=LossWeights(0.0, 0.0, 0.0, 0.0, 0.0))]
-    )
-    assert zero["total"][0] == 0.0
+    # the main loss has unit weight: with both regularizers off it is the total
     main_only, _ = lstd_scene_loss(
         stacked(params), pack,
         [StageConfig(weights=LossWeights(lambda_bd=0.0, lambda_sdk=0.0))],
@@ -402,7 +397,7 @@ def test_wstd_total_cases():
             LossWeights(lambda_wstd_sdk=0.0),
             LossWeights(lambda_sdk=0.0, lambda_wstd_sdk=0.0),
             LossWeights(lambda_wstd_rol=0.0),
-            LossWeights(0.0, 0.0, 0.0, 0.0, 0.0),
+            LossWeights(0.0, 0.0, 0.0, 0.0),
         )
     ]
     comps, _, _ = wstd_scene_loss(stacked(params, len(cfgs)), pack, cfgs)
@@ -418,7 +413,8 @@ def test_wstd_total_cases():
 
 
 def test_totals_are_linear():
-    # Components do not depend on the weights, so each total is linear in them.
+    # Components do not depend on the weights, so each total is linear in
+    # them, past the unit-weight main loss of fine-tuning.
     rng = np.random.default_rng(5)
     lstd_pack, lstd_params = lstd_instance(rng)
     wstd_pack, wstd_params = wstd_instance(rng)
@@ -427,11 +423,11 @@ def test_totals_are_linear():
         cfgs = [StageConfig(weights=LossWeights(*weights))]
         lstd, _ = lstd_scene_loss(stacked(lstd_params), lstd_pack, cfgs)
         wstd, _, _ = wstd_scene_loss(stacked(wstd_params), wstd_pack, cfgs)
-        return np.array([lstd["total"][0], wstd["total"][0]])
+        return np.array([lstd["total"][0] - lstd["main"][0], wstd["total"][0]])
 
     for _ in range(10):
-        a = rng.uniform(0.1, 3.0, size=5)
-        b = rng.uniform(0.1, 3.0, size=5)
+        a = rng.uniform(0.1, 3.0, size=4)
+        b = rng.uniform(0.1, 3.0, size=4)
         t = rng.uniform(0.1, 4.0)
         np.testing.assert_allclose(totals(t * a), t * totals(a), rtol=1e-12)
         np.testing.assert_allclose(totals(a + b), totals(a) + totals(b), rtol=1e-12)

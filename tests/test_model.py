@@ -439,6 +439,15 @@ def _bad_row(lines):
     return lines[:i] + ["row 1.0 x"] + lines[i + 1:], i
 
 
+def _non_finite_in(name, value):
+    # the last value of the block's first row; the block's header is named
+    def edit(lines):
+        i = _header(lines, name)
+        row = lines[i + 1].split()[:-1] + [value]
+        return lines[:i + 1] + [" ".join(row)] + lines[i + 2:], i
+    return edit
+
+
 def _short_main_head(lines):
     end = _header(lines, "sdk_head")
     return lines[:end - 1] + lines[end:], _header(lines, "main_head")
@@ -467,6 +476,18 @@ MALFORMED_CHECKPOINTS = {
     ),
     "row_value_not_a_float": (_bad_row, "could not convert"),
     "rows_short_of_shape": (_short_main_head, "block main_head does not match its shape"),
+    "nan_in_backbone": (
+        _non_finite_in("backbone", "nan"),
+        "block backbone: backbone map must be a finite 2-D matrix",
+    ),
+    "nan_in_main_head": (
+        _non_finite_in("main_head", "nan"),
+        "block main_head: head weights must be a finite 2-D matrix",
+    ),
+    "inf_in_rol_head": (
+        _non_finite_in("rol_head_1", "-inf"),
+        "block rol_head_1: head weights must be a finite 2-D matrix",
+    ),
 }
 
 

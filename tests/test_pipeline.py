@@ -179,10 +179,10 @@ def test_apply_overrides():
 def test_apply_overrides_coerces_strings():
     cfg = apply_overrides(TINY, {
         "shots_per_class": "4", "rol.phi_obj": "0.45", "labeller": "oicr",
-        "sdk_weighted": "on", "freeze_backbone": "Yes", "optimizer.beta1": "0.5",
+        "sdk_weighted": "Yes", "optimizer.beta1": "0.5",
     })
     assert (cfg.shots_per_class, cfg.rol.phi_obj, cfg.labeller) == (4, 0.45, "oicr")
-    assert (cfg.sdk_weighted, cfg.freeze_backbone, cfg.optimizer.beta1) == (True, True, 0.5)
+    assert (cfg.sdk_weighted, cfg.optimizer.beta1) == (True, 0.5)
     assert type(cfg.shots_per_class) is int and type(cfg.rol.phi_obj) is float
     for raw, expected in (("2,4", (2, 4)), ("2:4", (2, 4)), (" 3 , 3 ", (3, 3))):
         world_cfg = apply_overrides(WorldConfig(), {"objects_per_scene": raw})
@@ -268,7 +268,6 @@ def test_pack_lstd_scene_shapes(world, source_model):
     scene = sample_scenes(world, "target", "full", substream(3, "s"), 1)[0]
     pack = pack_lstd_scene(scene, world, source_model)
     k = len(scene.proposals)
-    assert len(pack.boxes) == k
     assert pack.raw_means.shape == (k, world.config.raw_dim)
     assert pack.labels.shape == (k,)
     assert pack.background_mask.shape == (
@@ -320,11 +319,11 @@ def test_warmup_proposals_match_full_matrix_oracle(warmup, world):
 
 def test_pack_wstd_scene(warmup, weak_scene):
     pack = pack_wstd_scene(weak_scene, warmup)
-    expect = warmup_proposals(warmup, weak_scene, len(weak_scene.proposals)).boxes
-    assert [b.as_tuple() for b in pack.boxes] == [b.as_tuple() for b in expect]
-    assert pack.teacher.shape == (warmup.source_classes + 1, len(pack.boxes))
+    boxes = warmup_proposals(warmup, weak_scene, len(weak_scene.proposals)).boxes
+    assert np.array_equal(pack.raw_means, pool_raw_means(weak_scene.raw_grid, boxes))
+    assert pack.teacher.shape == (warmup.source_classes + 1, len(boxes))
     assert np.array_equal(pack.y_img, weak_scene.image_label.astype(float))
-    assert np.array_equal(pack.iou, pairwise_iou(pack.boxes))
+    assert np.array_equal(pack.iou, pairwise_iou(boxes))
     assert pack.present.tolist() == np.flatnonzero(weak_scene.image_label).tolist()
     assert pack.labels is None
 
@@ -348,9 +347,10 @@ def test_pack_wstd_scene_reuses_warmup_rows_bit_exactly(warmup, k):
     world = make_world(WorldConfig(seed=5, proposals_per_scene=k))
     for scene in sample_scenes(world, "target", "weak", substream(k, "reuse"), 6):
         pack = pack_wstd_scene(scene, warmup)
-        assert np.array_equal(pack.raw_means, pool_raw_means(scene.raw_grid, pack.boxes))
-        assert np.array_equal(pack.iou, pairwise_iou(pack.boxes))
-        assert np.array_equal(pack.teacher, extract_sdk(warmup, scene.raw_grid, pack.boxes))
+        boxes = warmup_proposals(warmup, scene, len(scene.proposals)).boxes
+        assert np.array_equal(pack.raw_means, pool_raw_means(scene.raw_grid, boxes))
+        assert np.array_equal(pack.iou, pairwise_iou(boxes))
+        assert np.array_equal(pack.teacher, extract_sdk(warmup, scene.raw_grid, boxes))
 
 
 def test_pack_wstd_scene_arrays_reject_writes(warmup, weak_scene):
@@ -486,7 +486,6 @@ def test_train_source_lockstep_matches_single_trainings(k):
         ("source_epochs", 5),
         ("source_scenes", 41),
         ("optimizer", OptimizerConfig(learning_rate=1e-3)),
-        ("weights.lambda_main", 2.0),
     ],
 )
 def test_train_source_rejects_non_siblings(world, field, value):
@@ -591,13 +590,6 @@ def test_wstd_student_structure(world, warmup, student):
     assert_same_params(model_params(student), model_params(again))
 
 
-def test_wstd_freeze_backbone(world, warmup):
-    (student,) = wstd_train(warmup, world, [replace(TINY, freeze_backbone=True)])
-    assert np.array_equal(student.backbone.map, warmup.backbone.map)
-    for head in student.rol_heads:
-        assert not np.array_equal(head.weights, warmup.main_head.weights)
-
-
 def test_pseudo_labels_are_detached(warmup, weak_scene):
     pack = pack_wstd_scene(weak_scene, warmup)
     classifiers = TINY.rol.num_classifiers
@@ -608,7 +600,7 @@ def test_pseudo_labels_are_detached(warmup, weak_scene):
     }
     comps, grads, pseudo = wstd_scene_loss(params, pack, [TINY])
     assert pseudo.shape == (classifiers - 1, 1) + (
-        warmup.main_head.num_rows, len(pack.boxes)
+        warmup.main_head.num_rows, len(pack.raw_means)
     )
 
     # pinning the recomputed labels is a no-op at the same parameters
@@ -648,11 +640,12 @@ WSTD_GROUP = [
 ]
 
 
-@pytest.mark.parametrize("freeze", [False, True])
-def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, freeze):
+@pytest.mark.parametrize("pinned", [False, True])
+def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, pinned):
     # one stacked pass over every (classifier, member) equals, bit for bit,
-    # each member's loss computed one classifier at a time
-    cfgs = [replace(cfg, freeze_backbone=freeze) for cfg in WSTD_GROUP]
+    # each member's loss computed one classifier at a time, with the labels
+    # it mines or with the oracle's labels pinned
+    cfgs = WSTD_GROUP
     count, classifiers = len(cfgs), TINY.rol.num_classifiers
     rng = np.random.default_rng(21)
     def perturbed(array, scale, *lead):
@@ -661,35 +654,41 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, freeze):
     backbone = perturbed(warmup.backbone.map, 0.1, count)
     sdk_head = perturbed(warmup.sdk_head.weights, 0.1, count)
     heads = perturbed(warmup.main_head.weights, 0.5, classifiers, count)
-    params = {"sdk_head": sdk_head, "rol_heads": heads}
-    if not freeze:
-        params["backbone"] = backbone
-    frozen = backbone if freeze else None
+    params = {"backbone": backbone, "sdk_head": sdk_head, "rol_heads": heads}
     labelled = {"object": 0, "background": 0}
-    for pack in pack_weak_scenes(warmup, world, TINY):
-        comps, grads, pseudo = wstd_scene_loss(
-            params, pack, cfgs, frozen_backbone=frozen
-        )
-        k = len(pack.boxes)
-        assert pseudo.shape == (classifiers - 1,) + heads.shape[1:3] + (k,)
-        assert ("backbone" in grads) == (not freeze)
-        boxes = [b.as_tuple() for b in pack.boxes]
-        for m, cfg in enumerate(cfgs):
-            member = {
-                "lam_sdk": cfg.weights.lambda_wstd_sdk,
-                "lam_rol": cfg.weights.lambda_wstd_rol,
-                "weighted": cfg.sdk_weighted,
-                "phi_obj": cfg.rol.phi_obj,
-                "phi_bg": cfg.rol.phi_bg,
-                "mode": "oicr" if cfg.labeller == "oicr" else "support",
-            }
-            ref_comps, ref_grads, ref_pseudo = ref_wstd_loss(
+    weak = collect_class_scenes(
+        world, "target", "weak", substream(TINY.seed, "wstd", "weak"),
+        TINY.weak_scenes_per_class,
+    )
+    for scene in weak:
+        pack = pack_wstd_scene(scene, warmup)
+        kept = warmup_proposals(warmup, scene, len(scene.proposals)).boxes
+        boxes = [b.as_tuple() for b in kept]
+        refs = [
+            ref_wstd_loss(
                 backbone[m], sdk_head[m], heads[:, m], pack.raw_means, pack.teacher,
-                boxes, pack.y_img, member,
+                boxes, pack.y_img,
+                {
+                    "lam_sdk": cfg.weights.lambda_wstd_sdk,
+                    "lam_rol": cfg.weights.lambda_wstd_rol,
+                    "weighted": cfg.sdk_weighted,
+                    "phi_obj": cfg.rol.phi_obj,
+                    "phi_bg": cfg.rol.phi_bg,
+                    "mode": "oicr" if cfg.labeller == "oicr" else "support",
+                },
             )
+            for m, cfg in enumerate(cfgs)
+        ]
+        fixed = np.stack([ref_pseudo for _, _, ref_pseudo in refs], axis=1)
+        comps, grads, pseudo = wstd_scene_loss(
+            params, pack, cfgs, fixed_pseudo=fixed if pinned else None
+        )
+        assert pseudo.shape == (classifiers - 1,) + heads.shape[1:3] + (len(boxes),)
+        for m, (ref_comps, ref_grads, ref_pseudo) in enumerate(refs):
             assert comps.keys() == ref_comps.keys()
             for key, value in ref_comps.items():
                 assert comps[key][m] == value, key
+            assert np.array_equal(grads["backbone"][m], ref_grads["backbone"])
             assert np.array_equal(grads["sdk_head"][m], ref_grads["sdk_head"])
             for i in range(classifiers):
                 assert np.array_equal(
@@ -699,8 +698,6 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, freeze):
                 assert np.array_equal(pseudo[i, m], ref_pseudo[i])
                 labelled["object"] += int((pseudo[i, m, :-1] > 0).sum())
                 labelled["background"] += int((pseudo[i, m, -1] > 0).sum())
-            if not freeze:
-                assert np.array_equal(grads["backbone"][m], ref_grads["backbone"])
     assert labelled["object"] > 0 and labelled["background"] > 0
 
 
@@ -723,9 +720,8 @@ def test_wstd_step_is_one_call_per_layer_for_the_whole_stack(
 
     for name in names:
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
-    packs = pack_weak_scenes(warmup, world, TINY)
-    wstd_train(warmup, world, WSTD_GROUP, packs=packs)
-    steps = len(packs) * TINY.wstd_epochs
+    wstd_train(warmup, world, WSTD_GROUP)
+    steps = len(pack_weak_scenes(warmup, world, TINY)) * TINY.wstd_epochs
     # one head call each for the distillation branch and the ROL stack
     assert calls == {
         "head_logits": 2 * steps, "head_backward": 2 * steps, "label_rows": steps,
@@ -759,7 +755,7 @@ def test_wstd_step_softmaxes_the_rol_stack_once(warmup, weak_scene, monkeypatch,
     monkeypatch.setattr(pipeline, "column_softmax", counting)
     monkeypatch.setattr(losses, "column_softmax", counting)
     wstd_scene_loss(params, pack, [TINY], fixed_pseudo=pseudo if pinned else None)
-    proposals = len(pack.boxes)
+    proposals = len(pack.raw_means)
     assert shapes == [
         (1, warmup.sdk_head.num_rows, proposals),
         (TINY.rol.num_classifiers, 1, warmup.main_head.num_rows, proposals),
@@ -817,19 +813,14 @@ WSTD_SIBLINGS = {
     "fig7_sdk_modes": [
         {"weights.lambda_wstd_sdk": 0.0}, {}, {"sdk_weighted": True},
     ],
-    "frozen_backbone": [
-        {"freeze_backbone": True},
-        {"freeze_backbone": True, "labeller": "oicr", "weights.lambda_wstd_rol": 5.0},
-    ],
 }
 
 
 @pytest.mark.parametrize("case", sorted(WSTD_SIBLINGS))
 def test_wstd_lockstep_matches_single_trainings(world, warmup, case):
     cfgs = [apply_overrides(TINY, o) for o in WSTD_SIBLINGS[case]]
-    packs = pack_weak_scenes(warmup, world, TINY)
     assert_lockstep_matches_singles(
-        lambda group, reports: wstd_train(warmup, world, group, reports, packs), cfgs
+        lambda group, reports: wstd_train(warmup, world, group, reports), cfgs
     )
 
 
@@ -838,7 +829,6 @@ def test_wstd_lockstep_matches_single_trainings(world, warmup, case):
     [
         ("seed", 12),
         ("source_scenes", 41),
-        ("weights.lambda_main", 2.0),
         ("shots_per_class", 2),
         ("lstd_epochs", 29),
         ("optimizer", OptimizerConfig(learning_rate=1e-3)),
@@ -858,7 +848,6 @@ def test_lstd_rejects_non_siblings(world, source_model, field, value):
         ("wstd_epochs", 3),
         ("optimizer", OptimizerConfig(learning_rate=1e-3)),
         ("rol.num_classifiers", 2),
-        ("freeze_backbone", True),
     ],
 )
 def test_wstd_rejects_non_siblings(world, warmup, field, value):
@@ -873,7 +862,6 @@ FIRST_READER = {
     "seed": "source",
     "source_scenes": "source",
     "source_epochs": "source",
-    "weights.lambda_main": "source",
     **{f"optimizer.{name}": "source" for name in (
         "learning_rate", "beta1", "beta2", "weight_decay", "lr_decay_factor",
         "epsilon",
@@ -891,7 +879,6 @@ FIRST_READER = {
     "rol.num_classifiers": "wstd",
     "sdk_weighted": "wstd",
     "labeller": "wstd",
-    "freeze_backbone": "wstd",
     "eval_scenes": None,
 }
 
@@ -909,7 +896,7 @@ def leaf_fields(cfg, prefix=""):
 def test_every_config_field_reaches_a_cache_key():
     # A field a stage reads but its cache key misses would let the runner
     # merge two different cells into one model.
-    stages = list(pipeline._RUNNER_KEYS)
+    stages = list(pipeline._STAGES)
 
     def keys(cfg):
         run = pipeline._Run(
@@ -952,13 +939,12 @@ def test_members_gather_the_coefficients_of_each_config():
             "weights.lambda_sdk": 0.0, "weights.lambda_wstd_sdk": 0.0,
             "sdk_weighted": True,
         }),
-        apply_overrides(TINY, {"weights.lambda_main": 0.5, "weights.lambda_wstd_rol": 7.0}),
+        apply_overrides(TINY, {"weights.lambda_wstd_rol": 7.0}),
     ]
     members = Members.of(cfgs)
     assert Members.of(members) is members
     assert members.cfgs == tuple(cfgs)
     expected = {
-        "main": [c.weights.lambda_main for c in cfgs],
         "bd": [0.0, TINY.weights.lambda_bd, TINY.weights.lambda_bd],
         "sdk": [TINY.weights.lambda_sdk, 0.0, TINY.weights.lambda_sdk],
         "wstd_sdk": [TINY.weights.lambda_wstd_sdk, 0.0, TINY.weights.lambda_wstd_sdk],
@@ -1264,7 +1250,6 @@ def test_run_experiment_artifacts(tmp_path):
     for report in reports:
         assert report.mean_ap is not None and np.isfinite(report.mean_ap)
         assert report.stage == "wstd"
-        assert report.config_echo["labeller"] == report.labeller
 
     paths = experiment_output_paths("table6", tmp_path / "a")
     assert paths["runs"].name == "table6.csv"
@@ -1374,10 +1359,10 @@ def test_runner_trains_sibling_cells_in_one_call(tmp_path, monkeypatch, name, ex
         cfg = apply_overrides(base, dict(cell.overrides))
         alone = RunReport(seed=seed)
         (model,) = lstd_finetune(train_source(world, cfg), world, [cfg], [alone])
-        stages = [("lstd", pipeline._lstd_cache_key(cfg))]
+        stages = [("lstd", pipeline._stage_key("lstd", cfg))]
         if cell.stage == "wstd":
             (model,) = wstd_train(model, world, [cfg], [alone])
-            stages.append(("wstd", pipeline._wstd_cache_key(cfg)))
+            stages.append(("wstd", pipeline._stage_key("wstd", cfg)))
         for stage, key in stages:
             # the first cell on a model gets its curves
             if (world_cfg, key) not in trained_keys:
