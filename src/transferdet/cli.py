@@ -50,7 +50,7 @@ from .losses import (
     sdk_loss,
 )
 from .model import ParamLayout, load_model, save_model
-from .numerics import grad_check
+from .numerics import column_softmax, grad_check
 from .pipeline import (
     EXPERIMENTS,
     RunReport,
@@ -415,8 +415,8 @@ def _gc_rol(rng):
     for k in range(7):
         if rng.uniform() < 0.7:
             pseudo[rng.integers(0, 5), k] = rng.uniform(0.1, 1.0)
-    _, grad = rol_classifier_loss(logits, pseudo)
-    return (lambda z: rol_classifier_loss(z, pseudo)[0]), grad, logits
+    _, grad = rol_classifier_loss(column_softmax(logits), pseudo)
+    return (lambda z: rol_classifier_loss(column_softmax(z), pseudo)[0]), grad, logits
 
 
 def _gc_proposal_cls(rng):

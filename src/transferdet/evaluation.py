@@ -325,10 +325,23 @@ def read_detections_csv(path) -> Detections:
     fails, or the file holds what only the csv module reads (quoted fields,
     say), the row parser reads the file again: it raises
     :class:`DetectionsFormatError` naming the first bad line, or returns
-    the same columns.  Blank lines are skipped.
+    the same columns.  Blank lines are skipped.  A file that is not text
+    in the reading encoding raises :class:`DetectionsFormatError` naming
+    the file and its first undecodable line.
     """
-    detections = _read_detections_bulk(path)
-    return detections if detections is not None else _read_detections_rows(path)
+    try:
+        detections = _read_detections_bulk(path)
+        return detections if detections is not None else _read_detections_rows(path)
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for line_number, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode(exc.encoding)
+                except UnicodeDecodeError:
+                    break
+        raise DetectionsFormatError(
+            line_number, f"{path} is not {exc.encoding} text"
+        ) from exc
 
 
 def _read_detections_bulk(path) -> Detections | None:

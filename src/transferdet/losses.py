@@ -14,6 +14,10 @@ Conventions shared across the package:
   member's slice is bit-identical to the unstacked call, which still
   returns a float.  Teachers, labels and masks are shared by all members
   unless given stacked too.
+* Inputs are checked where they enter, once: teachers with
+  :func:`check_score_matrix`, proposal labels with :func:`check_labels`
+  and pseudo labels from outside the labeller with :func:`check_pseudo`.
+  The losses take them as checked and test only that shapes agree.
 
 The losses here are the background-activation penalty (``bd_loss``), the
 teacher-student distillation loss (``sdk_loss``), the image-level
@@ -117,7 +121,7 @@ def bd_loss(grid: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
 def sdk_loss(
     teacher: np.ndarray,
     student_logits: np.ndarray,
-    weighted: bool | Sequence[bool] = False,
+    weighted: bool | Sequence[bool] | np.ndarray = False,
 ) -> tuple[float, np.ndarray]:
     """Cross entropy from a frozen teacher distribution to student logits.
 
@@ -126,19 +130,10 @@ def sdk_loss(
     probability itself, emphasizing the classes the teacher is confident
     about.  The gradient is closed form through the softmax.  The 2-D
     ``teacher`` is shared by every member of stacked logits, and
-    ``weighted`` may be one flag per member.  The teacher is checked with
-    :func:`check_score_matrix`.
+    ``weighted`` may be one flag per member.  The teacher is a float
+    matrix that has passed :func:`check_score_matrix`; only its shape is
+    checked here.
     """
-    return _sdk_loss(check_score_matrix(teacher), student_logits, weighted)
-
-
-def _sdk_loss(
-    teacher: np.ndarray,
-    student_logits: np.ndarray,
-    weighted: bool | Sequence[bool] | np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """:func:`sdk_loss` on a float teacher already checked by
-    :func:`check_score_matrix`, such as a scene pack's."""
     student_logits = np.asarray(student_logits, dtype=float)
     if teacher.shape != student_logits.shape[-2:]:
         raise ValueError(
@@ -183,20 +178,6 @@ def image_multilabel_loss(
     return value, grad
 
 
-def rol_classifier_loss(
-    student_logits: np.ndarray, pseudo: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Cross entropy between softmaxed classifier logits and pseudo labels.
-
-    Pseudo-label columns are either all-zero (unlabelled proposal,
-    contributing exactly zero loss and gradient) or carry a single soft
-    weight on the mined class.
-    """
-    student_logits = np.asarray(student_logits, dtype=float)
-    pseudo = check_pseudo(pseudo, student_logits.shape)
-    return _rol_classifier_loss(column_softmax(student_logits), pseudo)
-
-
 def check_pseudo(pseudo: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Validate pseudo labels for logits of ``shape``: a float array of that
     shape with no negative entry."""
@@ -208,12 +189,18 @@ def check_pseudo(pseudo: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return pseudo
 
 
-def _rol_classifier_loss(
+def rol_classifier_loss(
     probs: np.ndarray, pseudo: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """:func:`rol_classifier_loss` on the column softmax of the logits and
-    pseudo labels already checked by :func:`check_pseudo`, so that a step
-    can share one softmax between its labeller and this loss."""
+    """Cross entropy between classifier probabilities and pseudo labels,
+    differentiated to the classifier logits.
+
+    ``probs`` is the column softmax of the logits, so that a step can share
+    one softmax between its labeller and this loss.  Pseudo-label columns
+    are either all-zero (unlabelled proposal, contributing exactly zero
+    loss and gradient) or carry a single soft weight on the mined class;
+    labels from outside the labeller have passed :func:`check_pseudo`.
+    """
     value = -_per_member(pseudo * np.log(np.maximum(probs, PROB_FLOOR)), (-2, -1))
     col_mass = pseudo.sum(axis=-2, keepdims=True)
     grad = probs * col_mass - pseudo
@@ -235,22 +222,10 @@ def proposal_cls_loss(
     """Fully supervised per-proposal cross entropy (the main detection loss).
 
     ``labels`` holds one integer class per proposal, the background class
-    being the last row index; they are checked with :func:`check_labels`.
+    being the last row index, and has passed :func:`check_labels`.
     Stacked (M, C+1, K) logits share (K,) labels or take one label row per
     member, as (M, K).
     """
-    logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if logits.ndim >= 2:
-        check_labels(labels, logits.shape[-2])
-    return _proposal_cls_loss(logits, labels)
-
-
-def _proposal_cls_loss(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """:func:`proposal_cls_loss` on integer labels already checked by
-    :func:`check_labels`, such as a scene pack's."""
     stacked = logits.ndim == 3 and labels.shape == (logits.shape[0], logits.shape[-1])
     if logits.ndim < 2 or not (stacked or labels.shape == (logits.shape[-1],)):
         raise ValueError(

@@ -82,17 +82,15 @@ from .labelling import (
 )
 from .losses import (
     LossWeights,
-    _proposal_cls_loss,
-    _rol_classifier_loss,
-    _sdk_loss,
     bd_loss,
     bd_mask,
     check_labels,
     check_pseudo,
     check_score_matrix,
     image_multilabel_loss,
-    rol_classifier_loss,  # noqa: F401  (perfbench/tracer.py wraps pipeline.rol_classifier_loss)
-    sdk_loss,  # noqa: F401  (perfbench/tracer.py wraps pipeline.sdk_loss)
+    proposal_cls_loss,
+    rol_classifier_loss,
+    sdk_loss,
 )
 from .model import (
     AdamState,
@@ -279,14 +277,13 @@ def anchor_boxes(grid_height: int, grid_width: int) -> list[BBox]:
 
 @dataclass(frozen=True)
 class _Lattice:
-    boxes: list[BBox]
-    corners: np.ndarray  # box_corners of the boxes
+    corners: np.ndarray  # box_corners of the anchor boxes
     index: np.ndarray  # pooling_index of the boxes
     counts: np.ndarray
     iou: np.ndarray  # pairwise IoU of the boxes
 
 
-# Lattice geometry is scene independent, so the boxes, their corners, the
+# Lattice geometry is scene independent, so the corners of its boxes, the
 # cells each box pools over and their pairwise IoU are computed once per
 # grid shape.
 _LATTICE_CACHE: dict[tuple[int, int], _Lattice] = {}
@@ -297,7 +294,6 @@ def _anchor_lattice(height: int, width: int) -> _Lattice:
     if key not in _LATTICE_CACHE:
         boxes = anchor_boxes(height, width)
         _LATTICE_CACHE[key] = _Lattice(
-            boxes,
             box_corners(boxes),
             *pooling_index(height, width, boxes),
             pairwise_iou(boxes),
@@ -307,19 +303,15 @@ def _anchor_lattice(height: int, width: int) -> _Lattice:
 
 @dataclass(frozen=True)
 class WarmupProposals:
-    """The boxes :func:`warmup_proposals` keeps, with what it computed on
-    the way: every candidate's pooled raw means and the full candidate IoU
-    matrix, so a caller can take the kept rows instead of pooling again.
-    Its length is the number of kept boxes."""
+    """The candidates :func:`warmup_proposals` keeps, with what it computed
+    on the way: every candidate's pooled raw means and the full candidate
+    IoU matrix, so a caller can take the kept rows instead of pooling
+    again.  The candidates are the scene's proposals, then the anchor
+    lattice of its grid.  Its length is the number of kept boxes."""
 
-    candidates: list[BBox]
     raw_means: np.ndarray  # (C, D0) pooled raw mean per candidate
     iou: np.ndarray  # (C, C) pairwise IoU of the candidates
     keep: list[int]  # kept candidate indices, by descending objectness
-
-    @property
-    def boxes(self) -> list[BBox]:
-        return [self.candidates[i] for i in self.keep]
 
     def __len__(self) -> int:
         return len(self.keep)
@@ -340,7 +332,6 @@ def warmup_proposals(
     height, width, _ = scene.raw_grid.shape
     lattice = _anchor_lattice(height, width)
     proposals = list(scene.proposals)
-    candidates = proposals + lattice.boxes
     means = np.concatenate(
         [
             pool_raw_means(scene.raw_grid, proposals),
@@ -354,12 +345,12 @@ def warmup_proposals(
     p = len(proposals)
     corners = np.concatenate([box_corners(proposals), lattice.corners])
     fresh = pairwise_iou(corners, corners[:p])
-    iou_matrix = np.empty((len(candidates), len(candidates)))
+    iou_matrix = np.empty((len(corners), len(corners)))
     iou_matrix[:, :p] = fresh
     iou_matrix[:p, p:] = fresh[p:].T
     iou_matrix[p:, p:] = lattice.iou
     keep = nms(objectness, iou_matrix, PROPOSAL_NMS_THRESHOLD, max_keep)
-    return WarmupProposals(candidates, means, iou_matrix, keep)
+    return WarmupProposals(means, iou_matrix, keep)
 
 
 def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
@@ -405,8 +396,8 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
 # coefficients already gathered).
 # Components come back as one value per member, gradients stacked like the
 # parameters.  A pack's labels and teacher were checked when it was built,
-# so the losses here run the unchecked cores of proposal_cls_loss and
-# sdk_loss.
+# and pinned pseudo labels are checked on entry, so the losses from
+# :mod:`transferdet.losses` take them as they are.
 
 
 @dataclass(frozen=True)
@@ -414,18 +405,16 @@ class Members:
     """The configs of a lockstep group, with their loss coefficients gathered.
 
     ``weight[term]`` holds each member's ``weights.lambda_<term>`` as an
-    (M,) array, which scales the members' loss values (a term of weight 0
-    is off; the main proposal loss has unit weight), and ``scale[term]``
-    the same values shaped (M, 1, 1), which scales stacked (M, rows, K)
-    gradients.  The
-    labeller settings are gathered the same way, one (M,) entry per
+    (M,) array, which scales the members' loss values and, as
+    ``weight[term][:, None, None]``, their stacked (M, rows, K) gradients
+    (a term of weight 0 is off; the main proposal loss has unit weight).
+    The labeller settings are gathered the same way, one (M,) entry per
     member.  A stage builds them once per training, so its steps do not
     rebuild them.
     """
 
     cfgs: tuple[StageConfig, ...]
     weight: dict[str, np.ndarray]
-    scale: dict[str, np.ndarray]
     sdk_weighted: np.ndarray
     phi_obj: np.ndarray
     phi_bg: np.ndarray
@@ -444,7 +433,6 @@ class Members:
         return cls(
             cfgs=cfgs,
             weight=weight,
-            scale={term: w[:, None, None] for term, w in weight.items()},
             sdk_weighted=np.array([c.sdk_weighted for c in cfgs], dtype=bool),
             phi_obj=np.array([c.rol.phi_obj for c in cfgs]),
             phi_bg=np.array([c.rol.phi_bg for c in cfgs]),
@@ -460,7 +448,7 @@ def source_scene_loss(
     scene per member, stacked as (M, K, D0) and (M, K)."""
     features = pack.raw_means @ params["backbone"].transpose(0, 2, 1)
     logits = head_logits(params["main_head"], features)
-    value, dlogits = _proposal_cls_loss(logits, pack.labels)
+    value, dlogits = proposal_cls_loss(logits, pack.labels)
     dhead, dfeatures = head_backward(params["main_head"], features, dlogits)
     return (
         {"total": value, "main": value},
@@ -482,18 +470,18 @@ def lstd_scene_loss(
     is positive; the others report exactly 0.0 for it.
     """
     members = Members.of(cfgs)
-    weight, scale = members.weight, members.scale
+    weight = members.weight
     backbone = params["backbone"]
     features = pack.raw_means @ backbone.transpose(0, 2, 1)
 
     main_logits = head_logits(params["main_head"], features)
-    main_val, dmain = _proposal_cls_loss(main_logits, pack.labels)
+    main_val, dmain = proposal_cls_loss(main_logits, pack.labels)
     dmain_head, dfeatures = head_backward(params["main_head"], features, dmain)
 
     sdk_logits = head_logits(params["sdk_head"], features)
-    sdk_val, dsdk = _sdk_loss(pack.teacher, sdk_logits, False)
+    sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits)
     dsdk_head, df_sdk = head_backward(
-        params["sdk_head"], features, scale["sdk"] * dsdk
+        params["sdk_head"], features, weight["sdk"][:, None, None] * dsdk
     )
     dfeatures = dfeatures + df_sdk
 
@@ -503,7 +491,7 @@ def lstd_scene_loss(
     if active.size:
         feature_grid = np.einsum("bdo,hwo->bhwd", backbone[active], pack.raw_grid)
         bd_val[active], dgrid = bd_loss(feature_grid, pack.background_mask)
-        dbackbone[active] += scale["bd"][active] * np.einsum(
+        dbackbone[active] += weight["bd"][active, None, None] * np.einsum(
             "bhwd,hwo->bdo", dgrid, pack.raw_grid
         )
 
@@ -540,14 +528,14 @@ def wstd_scene_loss(
     bit-identical to one.
     """
     members = Members.of(cfgs)
-    weight, scale = members.weight, members.scale
+    weight = members.weight
     features = pack.raw_means @ params["backbone"].transpose(0, 2, 1)
 
     grads: dict[str, np.ndarray] = {}
     sdk_logits = head_logits(params["sdk_head"], features)
-    sdk_val, dsdk = _sdk_loss(pack.teacher, sdk_logits, members.sdk_weighted)
+    sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits, members.sdk_weighted)
     grads["sdk_head"], dfeatures = head_backward(
-        params["sdk_head"], features, scale["wstd_sdk"] * dsdk
+        params["sdk_head"], features, weight["wstd_sdk"][:, None, None] * dsdk
     )
 
     heads = params["rol_heads"]
@@ -563,9 +551,9 @@ def wstd_scene_loss(
     values = np.empty(logits.shape[:2])
     dlogits = np.empty_like(logits)
     values[0], dlogits[0] = image_multilabel_loss(logits[0], pack.y_img)
-    values[1:], dlogits[1:] = _rol_classifier_loss(probs[1:], pseudo)
+    values[1:], dlogits[1:] = rol_classifier_loss(probs[1:], pseudo)
     grads["rol_heads"], dheads = head_backward(
-        heads, features, scale["wstd_rol"] * dlogits
+        heads, features, weight["wstd_rol"][:, None, None] * dlogits
     )
     for dfeat in dheads:
         dfeatures = dfeatures + dfeat
@@ -615,7 +603,10 @@ def _train(
     state = AdamState.zeros(buffer.size)
     decay_at = (2 * len(order)) // 3
     for step, scene in enumerate(order):
-        comps, grads = loss_fn(params, scene)
+        try:
+            comps, grads = loss_fn(params, scene)
+        except ValueError as exc:
+            raise ValueError(f"{prefix} training step {step}: {exc}") from exc
         lr = opt.learning_rate
         if step >= decay_at:
             lr *= opt.lr_decay_factor

@@ -144,6 +144,19 @@ def test_train_wstd_refuses_phi_obj_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_diverging_training_names_its_stage_and_step(tmp_path, capsys):
+    argv = [
+        "train", "source", "--seed", "1", "--set", "source_epochs=1",
+        "--set", "source_scenes=2", "--set", "optimizer.learning_rate=1e300",
+        "--out-dir", str(tmp_path),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "source training step" in err and "finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("via", ["set", "config"])
 @pytest.mark.parametrize("command", ["eval", "gradcheck"])
 def test_commands_without_overrides_reject_them(tmp_path, capsys, command, via):
@@ -445,6 +458,21 @@ def test_eval_malformed_row_exits_4(tmp_path, capsys):
     ])
     assert code == EXIT_MALFORMED
     assert "line 3" in capsys.readouterr().err
+
+
+def test_eval_undecodable_detections_exits_4(tmp_path, capsys):
+    # 0xff starts no UTF-8 sequence, on the first line or after good rows
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    rows = det_path.read_bytes()
+    for text, line in ((b"\xff\xfe", 1), (rows + b"0,\xff\n", rows.count(b"\n") + 1)):
+        det_path.write_bytes(text)
+        code = main([
+            "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert f"line {line}: {det_path}" in err and "Traceback" not in err
 
 
 def test_eval_corrupt_config_line_exits_4(tmp_path, capsys):

@@ -10,6 +10,8 @@ from transferdet.losses import (
     LossWeights,
     bd_loss,
     bd_mask,
+    check_labels,
+    check_pseudo,
     check_score_matrix,
     image_multilabel_loss,
     proposal_cls_loss,
@@ -50,6 +52,8 @@ def test_check_score_matrix():
         check_score_matrix(np.array([[0.3, 0.8], [0.7, 0.0]]))
     with pytest.raises(ValueError):
         check_score_matrix(np.array([[-0.1, 1.0], [1.1, 0.0]]))
+    with pytest.raises(ValueError, match="column 0"):
+        check_score_matrix(np.array([[0.6], [0.6]]))
 
 
 # --- background depression ----------------------------------------------------
@@ -125,11 +129,6 @@ def test_sdk_loss_uniform_pair():
     assert value == pytest.approx(LN2, abs=1e-12)
     weighted, _ = sdk_loss(teacher, logits, weighted=True)
     assert weighted == pytest.approx(0.5 * LN2, abs=1e-12)
-
-
-def test_sdk_loss_rejects_invalid_teacher():
-    with pytest.raises(ValueError):
-        sdk_loss(np.array([[0.6], [0.6]]), np.zeros((2, 1)))
 
 
 def test_sdk_loss_minimum_at_teacher():
@@ -230,7 +229,8 @@ def test_image_multilabel_background_row_gradient_zero():
 
 
 def test_rol_loss_zero_pseudo():
-    value, grad = rol_classifier_loss(np.ones((3, 4)), np.zeros((3, 4)))
+    probs = column_softmax(np.ones((3, 4)))
+    value, grad = rol_classifier_loss(probs, np.zeros((3, 4)))
     assert value == 0.0
     assert not grad.any()
 
@@ -238,19 +238,24 @@ def test_rol_loss_zero_pseudo():
 def test_rol_loss_soft_weight():
     logits = np.zeros((2, 1))
     pseudo = np.array([[0.8], [0.0]])
-    value, _ = rol_classifier_loss(logits, pseudo)
+    value, _ = rol_classifier_loss(column_softmax(logits), pseudo)
     assert value == pytest.approx(0.8 * LN2, abs=1e-12)
 
 
 def test_rol_loss_matched_one_hot():
     pseudo = np.array([[1.0], [0.0]])
-    value, _ = rol_classifier_loss(np.array([[40.0], [0.0]]), pseudo)
+    value, _ = rol_classifier_loss(column_softmax(np.array([[40.0], [0.0]])), pseudo)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rol_loss_rejects_negative_pseudo():
-    with pytest.raises(ValueError):
-        rol_classifier_loss(np.zeros((2, 1)), np.array([[-0.1], [0.0]]))
+    # pseudo labels from outside the labeller are checked on entry
+    pseudo = check_pseudo([[0.5], [0.0]], (2, 1))
+    assert pseudo.dtype == float
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_pseudo(np.array([[-0.1], [0.0]]), (2, 1))
+    with pytest.raises(ValueError, match="shape"):
+        check_pseudo(np.zeros((2, 1)), (2, 2))
 
 
 def test_rol_loss_permutation_invariant():
@@ -260,10 +265,12 @@ def test_rol_loss_permutation_invariant():
     for k in range(7):
         if k % 3 != 0:
             pseudo[rng.integers(0, 4), k] = rng.uniform(0.1, 1.0)
-    base, base_grad = rol_classifier_loss(logits, pseudo)
+    base, base_grad = rol_classifier_loss(column_softmax(logits), pseudo)
     for _ in range(10):
         perm = rng.permutation(7)
-        value, grad = rol_classifier_loss(logits[:, perm], pseudo[:, perm])
+        value, grad = rol_classifier_loss(
+            column_softmax(logits[:, perm]), pseudo[:, perm]
+        )
         assert value == pytest.approx(base, rel=1e-12)
         np.testing.assert_allclose(grad, base_grad[:, perm], atol=1e-12)
 
@@ -272,8 +279,6 @@ def test_proposal_cls_loss_and_labels():
     logits = np.zeros((3, 2))
     value, grad = proposal_cls_loss(logits, np.array([0, 2]))
     assert value == pytest.approx(2 * math.log(3.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        proposal_cls_loss(logits, np.array([0, 3]))
     # one label row per member of a stack, and no other 2-D label shape
     stacked = np.zeros((2, 3, 2))
     values, _ = proposal_cls_loss(stacked, np.array([[0, 2], [1, 1]]))
@@ -285,8 +290,11 @@ def test_proposal_cls_loss_and_labels():
     ):
         with pytest.raises(ValueError, match="does not match"):
             proposal_cls_loss(logits_, labels)
-    with pytest.raises(ValueError, match="outside class range"):
-        proposal_cls_loss(stacked, np.array([[0, 2], [1, 3]]))
+    # labels are checked where they enter, against the logits' rows
+    assert check_labels([[0, 2], [1, 1]], 3).dtype == int
+    for labels in ([0, 3], [[0, 2], [1, 3]], [-1, 0]):
+        with pytest.raises(ValueError, match="outside class range"):
+            check_labels(np.array(labels), 3)
 
 
 # --- stage totals ----------------------------------------------------------------
@@ -446,7 +454,7 @@ def test_losses_nonnegative_random():
         assert sdk_loss(teacher, logits, weighted=True)[0] >= 0.0
         pseudo = np.zeros((rows, cols))
         pseudo[rng.integers(0, rows), 0] = rng.uniform(0.0, 1.0)
-        assert rol_classifier_loss(logits, pseudo)[0] >= 0.0
+        assert rol_classifier_loss(column_softmax(logits), pseudo)[0] >= 0.0
         grid = rng.standard_normal((3, 3, 2))
         mask = rng.uniform(size=(3, 3)) < 0.5
         assert bd_loss(grid, mask)[0] >= 0.0
@@ -472,8 +480,10 @@ def test_gradients_pass_finite_differences():
         for k in range(cols):
             if rng.uniform() < 0.7:
                 pseudo[rng.integers(0, rows), k] = rng.uniform(0.1, 1.0)
-        _, grad = rol_classifier_loss(logits, pseudo)
-        report = grad_check(lambda z: rol_classifier_loss(z, pseudo)[0], grad, logits)
+        _, grad = rol_classifier_loss(column_softmax(logits), pseudo)
+        report = grad_check(
+            lambda z: rol_classifier_loss(column_softmax(z), pseudo)[0], grad, logits
+        )
         assert report.passed, report
 
         labels = rng.integers(0, rows, size=cols)
@@ -532,7 +542,7 @@ def test_member_slices_equal_unstacked_calls(members, rows, cols, dim, seed):
         "proposal": proposal_cls_loss(logits, labels),
         "proposal_rows": proposal_cls_loss(logits, label_rows),
         "image": image_multilabel_loss(logits, y),
-        "rol": rol_classifier_loss(logits, pseudo),
+        "rol": rol_classifier_loss(column_softmax(logits), pseudo),
         "bd": bd_loss(grid, mask),
     }
     for m in range(members):
@@ -545,7 +555,7 @@ def test_member_slices_equal_unstacked_calls(members, rows, cols, dim, seed):
             "proposal": proposal_cls_loss(logits[m], labels),
             "proposal_rows": proposal_cls_loss(logits[m], label_rows[m]),
             "image": image_multilabel_loss(logits[m], y),
-            "rol": rol_classifier_loss(logits[m], pseudo[m]),
+            "rol": rol_classifier_loss(column_softmax(logits[m]), pseudo[m]),
             "bd": bd_loss(grid[m], mask),
         }
         for name, outputs in single.items():

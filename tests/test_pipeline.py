@@ -127,6 +127,14 @@ def assert_same_params(a, b):
         assert np.array_equal(a[key], b[key]), key
 
 
+def kept_boxes(scene, selection):
+    """The boxes a warmup_proposals selection keeps: its candidates are the
+    scene's proposals, then the anchor lattice of the scene's grid."""
+    height, width, _ = scene.raw_grid.shape
+    candidates = list(scene.proposals) + anchor_boxes(height, width)
+    return [candidates[i] for i in selection.keep]
+
+
 # --- configuration ------------------------------------------------------
 
 
@@ -289,17 +297,17 @@ def test_anchor_boxes_layout():
 
 def test_warmup_proposals_properties(warmup, weak_scene):
     selection = warmup_proposals(warmup, weak_scene, 20)
-    kept = selection.boxes
+    kept = kept_boxes(weak_scene, selection)
     assert 0 < len(kept) == len(selection) <= 20
-    candidates = {
-        b.as_tuple() for b in weak_scene.proposals
-    } | {b.as_tuple() for b in anchor_boxes(8, 8)}
-    assert all(b.as_tuple() in candidates for b in kept)
+    candidates = len(weak_scene.proposals) + len(anchor_boxes(8, 8))
+    assert selection.iou.shape == (candidates, candidates)
+    assert selection.raw_means.shape[0] == candidates
+    assert len(set(selection.keep)) == len(kept)
     overlaps = pairwise_iou(kept)
     off_diag = overlaps[~np.eye(len(kept), dtype=bool)]
     assert np.all(off_diag <= 0.75 + 1e-12)
-    again = warmup_proposals(warmup, weak_scene, 20).boxes
-    assert [b.as_tuple() for b in again] == [b.as_tuple() for b in kept]
+    again = warmup_proposals(warmup, weak_scene, 20).keep
+    assert again == selection.keep
 
 
 def test_warmup_proposals_match_full_matrix_oracle(warmup, world):
@@ -313,13 +321,15 @@ def test_warmup_proposals_match_full_matrix_oracle(warmup, world):
         objectness = list(1.0 - probs[-1, :])
         for max_keep in (8, 32, 64):
             keep = ref_nms(candidates, objectness, PROPOSAL_NMS_THRESHOLD, max_keep)
-            got = warmup_proposals(warmup, scene, max_keep).boxes
+            got = kept_boxes(scene, warmup_proposals(warmup, scene, max_keep))
             assert [b.as_tuple() for b in got] == [candidates[i] for i in keep]
 
 
 def test_pack_wstd_scene(warmup, weak_scene):
     pack = pack_wstd_scene(weak_scene, warmup)
-    boxes = warmup_proposals(warmup, weak_scene, len(weak_scene.proposals)).boxes
+    boxes = kept_boxes(
+        weak_scene, warmup_proposals(warmup, weak_scene, len(weak_scene.proposals))
+    )
     assert np.array_equal(pack.raw_means, pool_raw_means(weak_scene.raw_grid, boxes))
     assert pack.teacher.shape == (warmup.source_classes + 1, len(boxes))
     assert np.array_equal(pack.y_img, weak_scene.image_label.astype(float))
@@ -347,7 +357,7 @@ def test_pack_wstd_scene_reuses_warmup_rows_bit_exactly(warmup, k):
     world = make_world(WorldConfig(seed=5, proposals_per_scene=k))
     for scene in sample_scenes(world, "target", "weak", substream(k, "reuse"), 6):
         pack = pack_wstd_scene(scene, warmup)
-        boxes = warmup_proposals(warmup, scene, len(scene.proposals)).boxes
+        boxes = kept_boxes(scene, warmup_proposals(warmup, scene, len(scene.proposals)))
         assert np.array_equal(pack.raw_means, pool_raw_means(scene.raw_grid, boxes))
         assert np.array_equal(pack.iou, pairwise_iou(boxes))
         assert np.array_equal(pack.teacher, extract_sdk(warmup, scene.raw_grid, boxes))
@@ -662,7 +672,7 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, pinned):
     )
     for scene in weak:
         pack = pack_wstd_scene(scene, warmup)
-        kept = warmup_proposals(warmup, scene, len(scene.proposals)).boxes
+        kept = kept_boxes(scene, warmup_proposals(warmup, scene, len(scene.proposals)))
         boxes = [b.as_tuple() for b in kept]
         refs = [
             ref_wstd_loss(
@@ -701,15 +711,9 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, pinned):
     assert labelled["object"] > 0 and labelled["background"] > 0
 
 
-def test_wstd_step_is_one_call_per_layer_for_the_whole_stack(
-    world, warmup, monkeypatch
-):
-    # every (classifier, member) pair of a step is scored, labelled, taken
-    # the loss of and backpropagated by one call each
-    names = (
-        "head_logits", "head_backward", "label_rows", "image_multilabel_loss",
-        "_rol_classifier_loss", "mine_support",
-    )
+def count_pipeline_calls(monkeypatch, names):
+    """Call counts of the functions the pipeline looks up as ``names``,
+    from now to the end of the test."""
     calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
@@ -720,13 +724,49 @@ def test_wstd_step_is_one_call_per_layer_for_the_whole_stack(
 
     for name in names:
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    return calls
+
+
+def test_wstd_step_is_one_call_per_layer_for_the_whole_stack(
+    world, warmup, monkeypatch
+):
+    # every (classifier, member) pair of a step is scored, labelled, taken
+    # the loss of and backpropagated by one call each; the losses are
+    # called by the names perfbench/tracer.py wraps
+    calls = count_pipeline_calls(monkeypatch, (
+        "head_logits", "head_backward", "label_rows", "image_multilabel_loss",
+        "rol_classifier_loss", "sdk_loss", "mine_support",
+    ))
     wstd_train(warmup, world, WSTD_GROUP)
     steps = len(pack_weak_scenes(warmup, world, TINY)) * TINY.wstd_epochs
     # one head call each for the distillation branch and the ROL stack
     assert calls == {
         "head_logits": 2 * steps, "head_backward": 2 * steps, "label_rows": steps,
-        "image_multilabel_loss": steps, "_rol_classifier_loss": steps, "mine_support": 0,
+        "image_multilabel_loss": steps, "rol_classifier_loss": steps, "sdk_loss": steps,
+        "mine_support": 0,
     }
+
+
+def test_lstd_step_is_one_call_per_loss_for_the_whole_group(
+    world, source_model, monkeypatch
+):
+    # every member of a step takes each loss in one stacked call; sdk_loss
+    # and bd_loss are called by the names perfbench/tracer.py wraps
+    cfgs = [
+        TINY,
+        replace(TINY, weights=LossWeights(lambda_bd=0.0)),
+        replace(TINY, weights=LossWeights(lambda_bd=2.0, lambda_sdk=0.0)),
+    ]
+    calls = count_pipeline_calls(
+        monkeypatch, ("sdk_loss", "proposal_cls_loss", "bd_loss")
+    )
+    lstd_finetune(source_model, world, cfgs)
+    support = collect_class_scenes(
+        world, "target", "full", substream(TINY.seed, "lstd", "support"),
+        TINY.shots_per_class,
+    )
+    steps = len(support) * TINY.lstd_epochs
+    assert calls == {"sdk_loss": steps, "proposal_cls_loss": steps, "bd_loss": steps}
 
 
 def _one_member_wstd_params(warmup):
@@ -950,11 +990,9 @@ def test_members_gather_the_coefficients_of_each_config():
         "wstd_sdk": [TINY.weights.lambda_wstd_sdk, 0.0, TINY.weights.lambda_wstd_sdk],
         "wstd_rol": [TINY.weights.lambda_wstd_rol, TINY.weights.lambda_wstd_rol, 7.0],
     }
-    assert members.weight.keys() == members.scale.keys() == expected.keys()
+    assert members.weight.keys() == expected.keys()
     for term, values in expected.items():
         assert np.array_equal(members.weight[term], values), term
-        assert members.scale[term].shape == (3, 1, 1)
-        assert np.array_equal(members.scale[term].ravel(), values), term
     assert members.sdk_weighted.tolist() == [False, True, False]
 
 
