@@ -46,8 +46,10 @@ from .losses import (
     bd_loss,
     image_multilabel_loss,
     proposal_cls_loss,
+    proposal_targets,
     rol_classifier_loss,
     sdk_loss,
+    sdk_target,
 )
 from .model import ParamLayout, load_model, save_model
 from .numerics import column_softmax, grad_check
@@ -78,6 +80,7 @@ from .synthworld import (
     save_world,
     substream,
 )
+from .textfile import named_decode_errors
 
 EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
@@ -99,7 +102,9 @@ class CliError(Exception):
 
 def _read_config_file(path) -> list[str]:
     lines = []
-    for ln in Path(path).read_text().splitlines():
+    with named_decode_errors(path):
+        text = Path(path).read_text()
+    for ln in text.splitlines():
         ln = ln.strip()
         if ln and not ln.startswith("#"):
             lines.append(ln)
@@ -374,16 +379,24 @@ def _random_boxes(rng, count: int) -> list[BBox]:
     return boxes
 
 
+def _grads_like(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One gradient array per parameter block, for a scene loss to fill."""
+    return {name: np.empty_like(block) for name, block in params.items()}
+
+
 def _end_to_end(loss, params: dict[str, np.ndarray]):
     """Finite-difference instance of a scene loss over all its parameter
     blocks, flattened in sorted order.  The blocks carry a member axis of
-    one, as ``loss(params)`` takes them, and it returns the loss components
-    and the gradient of every block, stacked alike."""
+    one, as ``loss(params, grads)`` takes them; it writes the gradient of
+    every block into ``grads``, here views into one buffer of the blocks'
+    layout, and returns the loss components."""
     layout = ParamLayout.of({k: params[k] for k in sorted(params)})
-    _, grads = loss(params)
+    gradient = np.empty(layout.stops[-1])
+    loss(params, layout.views(gradient))
+    probe_grads = _grads_like(params)
     return (
-        lambda vec: float(loss(layout.views(vec))[0]["total"][0]),
-        layout.flatten(grads),
+        lambda vec: float(loss(layout.views(vec), probe_grads)["total"][0]),
+        gradient,
         layout.flatten(params),
     )
 
@@ -396,10 +409,10 @@ def _gc_bd(rng):
 
 
 def _gc_sdk(rng, weighted=False):
-    teacher = _random_score_matrix(rng, 5, 7)
+    target, mass = sdk_target(_random_score_matrix(rng, 5, 7), weighted)
     logits = rng.standard_normal((5, 7))
-    _, grad = sdk_loss(teacher, logits, weighted)
-    return (lambda z: sdk_loss(teacher, z, weighted)[0]), grad, logits
+    _, grad = sdk_loss(target, mass, logits)
+    return (lambda z: sdk_loss(target, mass, z)[0]), grad, logits
 
 
 def _gc_image_multilabel(rng):
@@ -421,19 +434,25 @@ def _gc_rol(rng):
 
 def _gc_proposal_cls(rng):
     logits = rng.standard_normal((5, 7))
-    labels = rng.integers(0, 5, size=7)
-    _, grad = proposal_cls_loss(logits, labels)
-    return (lambda z: proposal_cls_loss(z, labels)[0]), grad, logits
+    targets = proposal_targets(rng.integers(0, 5, size=7), 5)
+    _, grad = proposal_cls_loss(logits, targets)
+    return (lambda z: proposal_cls_loss(z, targets)[0]), grad, logits
 
 
 def _lstd_instance(rng):
     num_target, num_source, dim, k = 3, 4, 4, 5
+    raw_means = rng.standard_normal((k, dim))
+    raw_grid = rng.standard_normal((3, 3, dim))
+    labels = rng.integers(0, num_target + 1, size=k)
+    background_mask = rng.uniform(size=(3, 3)) < 0.5
+    teacher = _random_score_matrix(rng, num_source + 1, k)
     pack = ScenePack(
-        raw_means=rng.standard_normal((k, dim)),
-        raw_grid=rng.standard_normal((3, 3, dim)),
-        labels=rng.integers(0, num_target + 1, size=k),
-        background_mask=rng.uniform(size=(3, 3)) < 0.5,
-        teacher=_random_score_matrix(rng, num_source + 1, k),
+        raw_means=raw_means,
+        raw_grid=raw_grid,
+        targets=proposal_targets(labels, num_target + 1),
+        background_mask=background_mask,
+        teacher=teacher,
+        sdk=sdk_target(teacher),
     )
     params = {
         "backbone": 0.7 * rng.standard_normal((1, dim, dim)),
@@ -446,12 +465,14 @@ def _lstd_instance(rng):
 def _gc_source_end_to_end(rng):
     pack, params = _lstd_instance(rng)
     del params["sdk_head"]
-    return _end_to_end(lambda p: source_scene_loss(p, pack), params)
+    return _end_to_end(lambda p, g: source_scene_loss(p, pack, g), params)
 
 
 def _gc_lstd_end_to_end(rng):
     pack, params = _lstd_instance(rng)
-    return _end_to_end(lambda p: lstd_scene_loss(p, pack, [StageConfig()]), params)
+    return _end_to_end(
+        lambda p, g: lstd_scene_loss(p, pack, [StageConfig()], g), params
+    )
 
 
 def _wstd_instance(rng):
@@ -461,9 +482,12 @@ def _wstd_instance(rng):
     if rng.uniform() < 0.5:
         y[rng.integers(0, num_target)] = 1.0
     boxes = _random_boxes(rng, k)
+    raw_means = rng.standard_normal((k, dim))
+    teacher = _random_score_matrix(rng, num_source + 1, k)
     pack = ScenePack(
-        raw_means=rng.standard_normal((k, dim)),
-        teacher=_random_score_matrix(rng, num_source + 1, k),
+        raw_means=raw_means,
+        teacher=teacher,
+        sdk=sdk_target(teacher),
         y_img=y,
         iou=pairwise_iou(boxes),
         present=np.flatnonzero(y),
@@ -480,9 +504,10 @@ def _gc_wstd_end_to_end(rng):
     pack, params = _wstd_instance(rng)
     cfgs = [StageConfig()]
     # Pseudo labels are constants of a step: probes keep the mined ones.
-    _, _, pseudo = wstd_scene_loss(params, pack, cfgs)
+    _, pseudo = wstd_scene_loss(params, pack, cfgs, _grads_like(params))
     return _end_to_end(
-        lambda p: wstd_scene_loss(p, pack, cfgs, fixed_pseudo=pseudo)[:2], params
+        lambda p, g: wstd_scene_loss(p, pack, cfgs, g, fixed_pseudo=pseudo)[0],
+        params,
     )
 
 

@@ -39,6 +39,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .geometry import BBox, box_corners, elementwise_iou
+from .textfile import named_decode_errors
 
 AP_METHODS = ("voc07_11point", "all_points")
 
@@ -329,19 +330,9 @@ def read_detections_csv(path) -> Detections:
     in the reading encoding raises :class:`DetectionsFormatError` naming
     the file and its first undecodable line.
     """
-    try:
+    with named_decode_errors(path, DetectionsFormatError):
         detections = _read_detections_bulk(path)
         return detections if detections is not None else _read_detections_rows(path)
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            for line_number, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode(exc.encoding)
-                except UnicodeDecodeError:
-                    break
-        raise DetectionsFormatError(
-            line_number, f"{path} is not {exc.encoding} text"
-        ) from exc
 
 
 def _read_detections_bulk(path) -> Detections | None:

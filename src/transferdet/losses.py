@@ -16,8 +16,14 @@ Conventions shared across the package:
   unless given stacked too.
 * Inputs are checked where they enter, once: teachers with
   :func:`check_score_matrix`, proposal labels with :func:`check_labels`
-  and pseudo labels from outside the labeller with :func:`check_pseudo`.
-  The losses take them as checked and test only that shapes agree.
+  (which :func:`proposal_targets` calls) and pseudo labels from outside
+  the labeller with :func:`check_pseudo`.  The losses take them as
+  checked and test only that shapes agree.
+* What does not change between a training's steps is built once, with
+  the scene packs: :func:`proposal_cls_loss` takes one-hot targets
+  (:func:`proposal_targets`) rather than integer labels, and
+  :func:`sdk_loss` takes the distillation target and its column mass
+  (:func:`sdk_target`) rather than the teacher.
 
 The losses here are the background-activation penalty (``bd_loss``), the
 teacher-student distillation loss (``sdk_loss``), the image-level
@@ -118,36 +124,46 @@ def bd_loss(grid: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def sdk_loss(
-    teacher: np.ndarray,
-    student_logits: np.ndarray,
-    weighted: bool | Sequence[bool] | np.ndarray = False,
-) -> tuple[float, np.ndarray]:
-    """Cross entropy from a frozen teacher distribution to student logits.
+def sdk_target(
+    teacher: np.ndarray, weighted: bool | Sequence[bool] | np.ndarray = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The target of :func:`sdk_loss` and its column sums, the mass.
 
-    Student probabilities are the per-column softmax of ``student_logits``.
-    In the weighted variant each term is additionally scaled by the teacher
-    probability itself, emphasizing the classes the teacher is confident
-    about.  The gradient is closed form through the softmax.  The 2-D
-    ``teacher`` is shared by every member of stacked logits, and
-    ``weighted`` may be one flag per member.  The teacher is a float
-    matrix that has passed :func:`check_score_matrix`; only its shape is
-    checked here.
+    The target is the teacher, or the squared teacher in the weighted
+    variant, which scales each term by the teacher probability itself to
+    emphasize the classes the teacher is confident about.  ``weighted`` may
+    be one flag per member, which stacks the (rows, K) target along a
+    leading member axis; the mass is (..., 1, K).  ``teacher`` is a float
+    matrix that has passed :func:`check_score_matrix`.
     """
-    student_logits = np.asarray(student_logits, dtype=float)
-    if teacher.shape != student_logits.shape[-2:]:
-        raise ValueError(
-            f"teacher shape {teacher.shape} != student shape {student_logits.shape}"
-        )
-    probs = column_softmax(student_logits)
     flags = np.asarray(weighted, dtype=bool)[..., None, None]
     target = np.where(flags, teacher * teacher, teacher)
-    value = -_per_member(target * np.log(np.maximum(probs, PROB_FLOOR)), (-2, -1))
+    return target, target.sum(axis=-2, keepdims=True)
+
+
+def sdk_loss(
+    target: np.ndarray, mass: np.ndarray, student_logits: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Cross entropy from a frozen teacher's target to student logits.
+
+    Student probabilities are the per-column softmax of ``student_logits``;
+    ``target`` and its column sums ``mass`` come from :func:`sdk_target`.
+    The gradient is closed form through the softmax.  A 2-D target is
+    shared by every member of stacked logits, and a stacked one gives one
+    target per member; only its shape is checked.
+    """
+    student_logits = np.asarray(student_logits, dtype=float)
+    if target.shape not in (student_logits.shape, student_logits.shape[-2:]):
+        raise ValueError(
+            f"teacher shape {target.shape} != student shape {student_logits.shape}"
+        )
+    probs = column_softmax(student_logits)
+    terms = np.log(np.maximum(probs, PROB_FLOOR))
+    value = -_per_member(np.multiply(target, terms, out=terms), (-2, -1))
     # Per column k: d/dz of -sum_c target(c,k) log softmax(z)(c,k)
     #             = probs(:,k) * sum_c target(c,k) - target(:,k)
-    col_mass = target.sum(axis=-2, keepdims=True)
-    grad = probs * col_mass - target
-    return value, grad
+    grad = np.multiply(probs, mass, out=probs)
+    return value, np.subtract(grad, target, out=grad)
 
 
 def image_multilabel_loss(
@@ -216,29 +232,31 @@ def check_labels(labels: np.ndarray, rows: int) -> np.ndarray:
     return labels
 
 
+def proposal_targets(labels: np.ndarray, rows: int) -> np.ndarray:
+    """One-hot (..., rows, K) targets of (..., K) integer proposal labels,
+    which :func:`check_labels` checks first: 1.0 at each proposal's class,
+    else 0.0."""
+    labels = check_labels(labels, rows)
+    return (labels[..., None, :] == np.arange(rows)[:, None]).astype(float)
+
+
 def proposal_cls_loss(
-    logits: np.ndarray, labels: np.ndarray
+    logits: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Fully supervised per-proposal cross entropy (the main detection loss).
 
-    ``labels`` holds one integer class per proposal, the background class
-    being the last row index, and has passed :func:`check_labels`.
-    Stacked (M, C+1, K) logits share (K,) labels or take one label row per
-    member, as (M, K).
+    ``targets`` is the one-hot :func:`proposal_targets` of the proposals'
+    labels, the background class being the last row.  Stacked (M, C+1, K)
+    logits share (C+1, K) targets or take one target matrix per member.
+    Each column's picked probability is ``(probs * targets).sum(-2)``: one
+    probability plus exact zeros, so it is the probability itself, and the
+    gradient ``probs - targets`` subtracts 1.0 at the label alone.
     """
-    stacked = logits.ndim == 3 and labels.shape == (logits.shape[0], logits.shape[-1])
-    if logits.ndim < 2 or not (stacked or labels.shape == (logits.shape[-1],)):
+    if logits.ndim < 2 or targets.shape not in (logits.shape, logits.shape[-2:]):
         raise ValueError(
-            f"labels shape {labels.shape} does not match logits {logits.shape}"
+            f"targets shape {targets.shape} does not match logits {logits.shape}"
         )
     probs = column_softmax(logits)
-    rows = np.arange(len(labels))[:, None] if stacked else Ellipsis
-    index = (rows, labels, np.arange(logits.shape[-1]))
-    # The gather of shared labels from a stack comes out member-minor; a
-    # C-ordered copy makes each member's row sum add in the order of the
-    # unstacked call.
-    picked = np.ascontiguousarray(probs[index])
-    value = -_per_member(np.log(np.maximum(picked, PROB_FLOOR)), (-1,))
-    grad = probs.copy()
-    grad[index] -= 1.0
-    return value, grad
+    picked = (probs * targets).sum(axis=-2)
+    np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
+    return -_per_member(picked, (-1,)), np.subtract(probs, targets, out=probs)

@@ -13,7 +13,9 @@ against finite differences.
 ROI pooling is one batched gather: :func:`pooling_index` turns boxes into
 a padded matrix of cell indices, which depends only on the grid shape and
 may be cached, and :func:`pool_indexed_means` averages the gathered rows
-bit-identically to a per-box ``mean``.
+bit-identically to a per-box ``mean``.  Both take a leading scene axis, so
+a block of scenes pools in one gather; :func:`pool_raw_means` is the
+same code on one scene's boxes.
 
 Sibling trainings (the same scenes, initialization and step order, other
 loss coefficients) run in lockstep: their parameters are stacked along a
@@ -22,10 +24,13 @@ leading member axis, the head functions act on every member at once, and
 Each member's slice equals what the 2-D functions give on that member.
 
 A training keeps all its parameter blocks as views into one contiguous
-float64 buffer (:class:`ParamLayout`), with Adam's moments as flat buffers
-of the same length.  Each step joins the blocks' gradients in buffer order
-and runs :func:`adam_step` once over the whole buffer, with one finiteness
-scan; being elementwise, that equals a step per block bit for bit.
+float64 buffer (:class:`ParamLayout`), its gradients as views into a
+second buffer of the same layout, and Adam's moments as flat buffers of
+the same length.  Each step's losses write every block's gradient into its
+view (:func:`head_backward` takes an ``out=`` view for a head's weights),
+and :func:`adam_step` updates the parameter buffer and the moments in
+place, once over the whole buffer, with one finiteness scan; being
+elementwise, that equals a step per block bit for bit.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, cell_centers, coverage_masks
+from .geometry import BBox, box_corners, cell_centers, coverage_masks
 from .numerics import column_softmax
+from .textfile import named_decode_errors
 
 HEAD_ROLES = ("main", "sdk_branch", "rol_classifier")
 
@@ -165,24 +171,28 @@ def init_head(
 
 
 def pooling_index(
-    height: int, width: int, boxes: Sequence[BBox]
+    height: int, width: int, boxes: Sequence[BBox] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cells each box pools over, as a padded (K, n_max) index matrix.
+    """The cells each box pools over, as a padded (..., K, n_max) index array.
 
-    Row k lists, in ascending order, the flat indices of the cells whose
-    center box k covers, padded with ``height * width`` (one past the last
-    cell); ``counts[k]`` is the number of real entries.  A box covering no
-    cell center pools the single cell whose center is nearest its own.
+    ``boxes`` is a box sequence or a (..., K, 4) array of corner rows, so a
+    leading scene axis indexes a block of scenes at once.  Row k lists, in
+    ascending order, the flat indices of the cells whose center box k
+    covers, padded with ``height * width`` (one past the last cell);
+    ``counts[..., k]`` is the number of real entries, and n_max is the
+    largest count of the whole array.  A box covering no cell center pools
+    the single cell whose center is nearest its own.
     """
+    corners = boxes if isinstance(boxes, np.ndarray) else box_corners(boxes)
+    coords = corners.reshape(-1, 4)
     cells = height * width
-    masks = coverage_masks(height, width, boxes).reshape(-1, cells)
+    masks = coverage_masks(height, width, coords).reshape(-1, cells)
     counts = masks.sum(axis=1)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         xs, ys = cell_centers(height, width)
-        coords = np.array([boxes[k].as_tuple() for k in empty])
-        cx = 0.5 * (coords[:, 0] + coords[:, 2])
-        cy = 0.5 * (coords[:, 1] + coords[:, 3])
+        cx = 0.5 * (coords[empty, 0] + coords[empty, 2])
+        cy = 0.5 * (coords[empty, 1] + coords[empty, 3])
         d2 = (ys[None, :, None] - cy[:, None, None]) ** 2 + (
             xs[None, None, :] - cx[:, None, None]
         ) ** 2
@@ -193,27 +203,39 @@ def pooling_index(
     # in ascending order.
     first = np.argsort(~masks, axis=1, kind="stable")[:, :n_max]
     index = np.where(np.arange(n_max)[None, :] < counts[:, None], first, cells)
-    return index, counts
+    shape = corners.shape[:-1]
+    return index.reshape(shape + (n_max,)), counts.reshape(shape)
 
 
 def pool_indexed_means(
     raw_grid: np.ndarray, index: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Mean raw cell vector per row of a :func:`pooling_index` result, (K, D0).
+    """Mean raw cell vector per row of a :func:`pooling_index` result,
+    (..., K, D0).
 
-    The padding index gathers a zero row.  Summing the gathered rows in
-    order along axis 1 adds the cells in the order ``mean(axis=0)`` over
-    the covered cells would, and adding exact zeros changes no sum, so the
-    means are bit-identical to per-box means.
+    ``raw_grid`` is one (H, W, D0) grid, or a (S, H, W, D0) block of grids
+    whose scene axis leads ``index`` and ``counts`` too.  The padding index
+    gathers a zero row.  Summing the gathered rows in order adds the cells
+    in the order ``mean(axis=0)`` over the covered cells would, and adding
+    exact zeros changes no sum, so the means are bit-identical to per-box
+    means, however far a block pads its rows.
     """
-    height, width, dim = raw_grid.shape
-    padded = np.vstack([raw_grid.reshape(height * width, dim), np.zeros((1, dim))])
-    return padded[index].sum(axis=1) / counts[:, None]
+    *scenes, height, width, dim = raw_grid.shape
+    table = np.concatenate(
+        [raw_grid.reshape(*scenes, height * width, dim), np.zeros((*scenes, 1, dim))],
+        axis=-2,
+    ).reshape(-1, dim)
+    # scene s's rows start at row s * (H * W + 1) of the table
+    starts = np.arange(0, len(table), height * width + 1).reshape(*scenes, 1, 1)
+    return table[index + starts].sum(axis=-2) / counts[..., None]
 
 
-def pool_raw_means(raw_grid: np.ndarray, boxes: Sequence[BBox]) -> np.ndarray:
-    """ROI pooling: the mean raw cell vector under each box, (K, D0)."""
-    height, width, _ = raw_grid.shape
+def pool_raw_means(
+    raw_grid: np.ndarray, boxes: Sequence[BBox] | np.ndarray
+) -> np.ndarray:
+    """ROI pooling: the mean raw cell vector under each box, (..., K, D0),
+    of one grid or, with corner arrays, of a block of scenes."""
+    height, width, _ = raw_grid.shape[-3:]
     return pool_indexed_means(raw_grid, *pooling_index(height, width, boxes))
 
 
@@ -224,20 +246,27 @@ def head_logits(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     shared (K, D) features give (M, C+1, K) logits, each member's slice
     bit-identical to the 2-D call on its own weights and features.
     """
-    return weights[..., :-1] @ features.swapaxes(-1, -2) + weights[..., -1:]
+    logits = weights[..., :-1] @ features.swapaxes(-1, -2)
+    logits += weights[..., -1:]
+    return logits
 
 
 def head_backward(
-    weights: np.ndarray, features: np.ndarray, dlogits: np.ndarray
+    weights: np.ndarray,
+    features: np.ndarray,
+    dlogits: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of a loss with respect to head weights and pooled features.
 
     ``dlogits`` is the loss gradient at the head's logit matrix.  Arguments
-    may carry a leading member axis, as in :func:`head_logits`.
+    may carry a leading member axis, as in :func:`head_logits`.  The weight
+    gradient is written into ``out`` when it is given (a training passes its
+    gradient buffer's view of the head), else into a new array.
     """
-    dweights = np.empty_like(weights)
-    dweights[..., :-1] = dlogits @ features
-    dweights[..., -1] = dlogits.sum(axis=-1)
+    dweights = np.empty_like(weights) if out is None else out
+    np.matmul(dlogits, features, out=dweights[..., :-1])
+    np.add.reduce(dlogits, axis=-1, out=dweights[..., -1])
     return dweights, dlogits.swapaxes(-1, -2) @ weights[..., :-1]
 
 
@@ -302,11 +331,16 @@ class ParamLayout:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, flat like the parameter buffer."""
+    """First/second moment accumulators, flat like the parameter buffer,
+    and two scratch buffers of that length for :func:`adam_step`."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros(cls, size: int) -> "AdamState":
@@ -320,15 +354,18 @@ def adam_step(
     cfg: OptimizerConfig,
     layout: ParamLayout,
     learning_rate: float | None = None,
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update of a flat buffer; pure (inputs are
-    not mutated).
+) -> None:
+    """One bias-corrected Adam update of a flat buffer, in place: ``params``
+    and ``state``'s moments and step count are updated, ``grads`` is only
+    read, and the state's scratch buffers hold the temporaries.
 
     Weight decay enters as an additive gradient term.  ``learning_rate``
-    overrides the config rate so callers can apply decay schedules.  Every
-    operation is elementwise, so one step over a buffer of several blocks
-    equals a step per block.  A non-finite gradient raises ``ValueError``
-    naming its block in ``layout``.
+    overrides the config rate so callers can apply decay schedules.  The
+    operations are those of the textbook update, in its order, so the bits
+    are too.  Every operation is elementwise, so one step over a buffer of
+    several blocks equals a step per block.  A non-finite gradient raises
+    ``ValueError`` naming its block in ``layout``, before anything is
+    written.
     """
     if not np.isfinite(grads).all():
         index = int(np.flatnonzero(~np.isfinite(grads))[0])
@@ -336,14 +373,31 @@ def adam_step(
             f"non-finite gradient in parameter block {layout.block_at(index)!r}"
         )
     lr = cfg.learning_rate if learning_rate is None else learning_rate
-    t = state.step + 1
-    g = grads + cfg.weight_decay * params
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    return new_params, AdamState(m=m, v=v, step=t)
+    state.step += 1
+    t = state.step
+    g, tmp = state.scratch
+    m, v = state.m, state.v
+    # g = grads + weight_decay * params
+    np.multiply(cfg.weight_decay, params, out=g)
+    np.add(grads, g, out=g)
+    # m = beta1 * m + (1 - beta1) * g
+    np.multiply(cfg.beta1, m, out=m)
+    np.multiply(1.0 - cfg.beta1, g, out=tmp)
+    np.add(m, tmp, out=m)
+    # v = beta2 * v + (1 - beta2) * g * g
+    np.multiply(cfg.beta2, v, out=v)
+    np.multiply(1.0 - cfg.beta2, g, out=tmp)
+    np.multiply(tmp, g, out=tmp)
+    np.add(v, tmp, out=v)
+    # params -= lr * m_hat / (sqrt(v_hat) + epsilon)
+    m_hat, v_hat = g, tmp
+    np.divide(m, 1.0 - cfg.beta1**t, out=m_hat)
+    np.divide(v, 1.0 - cfg.beta2**t, out=v_hat)
+    np.sqrt(v_hat, out=v_hat)
+    np.add(v_hat, cfg.epsilon, out=v_hat)
+    np.multiply(lr, m_hat, out=m_hat)
+    np.divide(m_hat, v_hat, out=m_hat)
+    np.subtract(params, m_hat, out=params)
 
 
 # --- distillation targets ---------------------------------------------------
@@ -406,11 +460,12 @@ def load_model(path) -> DetectorModel:
     1-based line, for a line of unknown kind, a repeated ``seed`` or
     ``source_classes`` line, a malformed value or block header, an
     unknown or repeated block name, a ``row`` before the first block, a
-    block whose rows do not match its shape, and ROL heads that are not
-    numbered contiguously from 0; and, naming its header line, for a
-    block with a non-finite value or an unknown head role.
+    block whose rows do not match its shape, ROL heads that are not
+    numbered contiguously from 0 and the first line that is not text; and,
+    naming its header line, for a block with a non-finite value or an
+    unknown head role.
     """
-    with open(path) as fh:
+    with named_decode_errors(path), open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file")

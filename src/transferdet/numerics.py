@@ -41,9 +41,8 @@ def column_softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("softmax requires finite logits")
     if logits.shape[-1] == 0:
         return np.zeros_like(logits)
-    shifted = logits - logits.max(axis=-2, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-2, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-2, keepdims=True))
+    return np.divide(e, e.sum(axis=-2, keepdims=True), out=e)
 
 
 def sigmoid(x):

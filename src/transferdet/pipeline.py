@@ -34,9 +34,17 @@ lockstep call, starting from the previous stage's model; an LSTD or WSTD
 group stays within one seed and world, so its weak pack set is built
 once.  A repeated seed trains nothing twice.  Evaluation comes last.
 
-Each training keeps its parameters as views into one flat buffer, so one
+A training step does only the work that changes from step to step.  The
+training keeps its parameters as views into one flat buffer and their
+gradients as views into a second one of the same layout: each step's
+scene loss writes every block's gradient into its view, and one in-place
 Adam step per scene updates every block of every member (see
-:mod:`transferdet.model`).
+:mod:`transferdet.model`).  The loss components go into one preallocated
+(steps, terms, members) array that becomes the reports' curves once, at
+the end.  What stays fixed is built before the first step: the packs'
+one-hot proposal targets and distillation targets with their column
+mass, and the group's coefficients in their broadcast forms
+(:class:`Members`).  Source scenes are drawn and packed in blocks.
 
 A weak-stage step is one stacked pass over the recurrent classifier
 stack.  The N classifiers of the M members are one (N, M, C+1, D+1)
@@ -73,7 +81,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .evaluation import Detection, Detections, evaluate_detections, mean_ap
-from .geometry import BBox, box_corners, nms, pairwise_iou
+from .geometry import BBox, box_corners, elementwise_iou, nms, pairwise_iou
 from .labelling import (
     ROLConfig,
     label_rows,
@@ -84,13 +92,14 @@ from .losses import (
     LossWeights,
     bd_loss,
     bd_mask,
-    check_labels,
     check_pseudo,
     check_score_matrix,
     image_multilabel_loss,
     proposal_cls_loss,
+    proposal_targets,
     rol_classifier_loss,
     sdk_loss,
+    sdk_target,
 )
 from .model import (
     AdamState,
@@ -191,40 +200,68 @@ class ScenePack:
 
     The pack builders check the constants a loss would otherwise check at
     every step (labels in class range, teachers as probability columns),
-    and the scene losses take them as they are.
+    and build what the losses would otherwise rebuild at every step: the
+    one-hot proposal targets and the distillation target with its column
+    mass.  The scene losses take them as they are.
     """
 
     raw_means: np.ndarray  # (K, D0) mean raw vector per proposal box
     raw_grid: np.ndarray | None = None
-    labels: np.ndarray | None = None  # full supervision per proposal
+    targets: np.ndarray | None = None  # (C+1, K) one-hot full supervision
     background_mask: np.ndarray | None = None
-    teacher: np.ndarray | None = None  # distillation target probabilities
+    teacher: np.ndarray | None = None  # distillation teacher probabilities
+    sdk: tuple[np.ndarray, np.ndarray] | None = None  # sdk_target of the teacher
     y_img: np.ndarray | None = None  # image-level labels, weak supervision
     iou: np.ndarray | None = None  # pairwise IoU of boxes, for the labeller
     present: np.ndarray | None = None  # indices of y_img's present classes
 
 
-def proposal_labels(
-    scene: Scene, num_classes: int, iou_threshold: float = PROPOSAL_LABEL_IOU
+def block_labels(
+    proposals: np.ndarray,
+    scenes: Sequence[Scene],
+    num_classes: int,
+    iou_threshold: float = PROPOSAL_LABEL_IOU,
 ) -> np.ndarray:
-    """Integer class per proposal: the class of its best-overlap GT box
-    (the first on ties) when that overlap exceeds the threshold, else the
-    background index ``num_classes``."""
-    overlaps = pairwise_iou(scene.proposals, [box for _, box in scene.gt])
-    classes = np.array([cls for cls, _ in scene.gt], dtype=int)
+    """(S, K) integer class per proposal of S scenes, from their (S, K, 4)
+    proposal corners: the class of its best-overlap GT box (the first on
+    ties) when that overlap exceeds the threshold, else the background
+    index ``num_classes``.
+
+    One :func:`~transferdet.geometry.elementwise_iou` call overlaps every
+    proposal with its scene's GT, each pair computed as ``pairwise_iou``
+    would.  Each scene's GT rows are padded to the block's largest GT count
+    with all-zero corners, which overlap nothing; coming after the real
+    rows, they win no tie, so every label equals the scene's own.
+    """
+    count = max(len(scene.gt) for scene in scenes)
+    gt = np.zeros((len(scenes), count, 4))
+    classes = np.zeros((len(scenes), count), dtype=int)
+    for row, scene in enumerate(scenes):
+        gt[row, :len(scene.gt)] = box_corners([box for _, box in scene.gt])
+        classes[row, :len(scene.gt)] = [cls for cls, _ in scene.gt]
+    overlaps = elementwise_iou(proposals[:, :, None, :], gt[:, None, :, :])
     return np.where(
-        overlaps.max(axis=1) > iou_threshold,
-        classes[overlaps.argmax(axis=1)],
+        overlaps.max(axis=-1) > iou_threshold,
+        np.take_along_axis(classes, overlaps.argmax(axis=-1), axis=-1),
         num_classes,
     )
 
 
+def proposal_labels(
+    scene: Scene, num_classes: int, iou_threshold: float = PROPOSAL_LABEL_IOU
+) -> np.ndarray:
+    """:func:`block_labels` of one scene: its (K,) proposal classes."""
+    corners = box_corners(scene.proposals)[None]
+    return block_labels(corners, [scene], num_classes, iou_threshold)[0]
+
+
 def pack_source_scene(scene: Scene, world: World) -> ScenePack:
-    boxes = list(scene.proposals)
+    """One source scene's pack.  Training packs its scenes in blocks
+    (:func:`_stacked_source_scenes`), bit for bit as this per-scene pack."""
     num_classes = world.config.classes_in("source")
     return ScenePack(
-        raw_means=pool_raw_means(scene.raw_grid, boxes),
-        labels=check_labels(proposal_labels(scene, num_classes), num_classes + 1),
+        raw_means=pool_raw_means(scene.raw_grid, list(scene.proposals)),
+        targets=proposal_targets(proposal_labels(scene, num_classes), num_classes + 1),
     )
 
 
@@ -232,14 +269,16 @@ def pack_lstd_scene(scene: Scene, world: World, source: DetectorModel) -> SceneP
     boxes = list(scene.proposals)
     cfg = world.config
     num_classes = cfg.classes_in("target")
+    teacher = check_score_matrix(extract_sdk(source, scene.raw_grid, boxes))
     return ScenePack(
         raw_means=pool_raw_means(scene.raw_grid, boxes),
         raw_grid=scene.raw_grid,
-        labels=check_labels(proposal_labels(scene, num_classes), num_classes + 1),
+        targets=proposal_targets(proposal_labels(scene, num_classes), num_classes + 1),
         background_mask=bd_mask(
             cfg.grid_height, cfg.grid_width, [b for _, b in scene.gt]
         ),
-        teacher=check_score_matrix(extract_sdk(source, scene.raw_grid, boxes)),
+        teacher=teacher,
+        sdk=sdk_target(teacher),
     )
 
 
@@ -394,9 +433,11 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
 # lockstep group.  A loss with coefficients takes ``cfgs``, one StageConfig
 # per slice (a plain sequence, or the group's :class:`Members` with its
 # coefficients already gathered).
-# Components come back as one value per member, gradients stacked like the
-# parameters.  A pack's labels and teacher were checked when it was built,
-# and pinned pseudo labels are checked on entry, so the losses from
+# Each loss writes the gradient of every parameter block into ``grads``,
+# one array per block shaped like it (in training, views into the
+# gradient buffer), and returns its components, one value per member.  A
+# pack's targets and teacher were checked when it was built, and pinned
+# pseudo labels are checked on entry, so the losses from
 # :mod:`transferdet.losses` take them as they are.
 
 
@@ -405,16 +446,21 @@ class Members:
     """The configs of a lockstep group, with their loss coefficients gathered.
 
     ``weight[term]`` holds each member's ``weights.lambda_<term>`` as an
-    (M,) array, which scales the members' loss values and, as
-    ``weight[term][:, None, None]``, their stacked (M, rows, K) gradients
-    (a term of weight 0 is off; the main proposal loss has unit weight).
-    The labeller settings are gathered the same way, one (M,) entry per
-    member.  A stage builds them once per training, so its steps do not
-    rebuild them.
+    (M,) array, which scales the members' loss values, and ``scale[term]``
+    its (M, 1, 1) broadcast form, which scales their stacked (M, rows, K)
+    gradients (a term of weight 0 is off; the main proposal loss has unit
+    weight).  The background term runs only on the members ``bd_active``
+    indexes, those of positive weight, and ``bd_scale`` is their (A, 1, 1)
+    coefficients.  The labeller settings are gathered the same way, one
+    (M,) entry per member.  A stage builds them once per training, so its
+    steps do not rebuild them.
     """
 
     cfgs: tuple[StageConfig, ...]
     weight: dict[str, np.ndarray]
+    scale: dict[str, np.ndarray]
+    bd_active: np.ndarray
+    bd_scale: np.ndarray
     sdk_weighted: np.ndarray
     phi_obj: np.ndarray
     phi_bg: np.ndarray
@@ -430,9 +476,13 @@ class Members:
             term: np.array([getattr(c.weights, f"lambda_{term}") for c in cfgs], float)
             for term in ("bd", "sdk", "wstd_sdk", "wstd_rol")
         }
+        bd_active = np.flatnonzero(weight["bd"] > 0.0)
         return cls(
             cfgs=cfgs,
             weight=weight,
+            scale={term: w[:, None, None] for term, w in weight.items()},
+            bd_active=bd_active,
+            bd_scale=weight["bd"][bd_active, None, None],
             sdk_weighted=np.array([c.sdk_weighted for c in cfgs], dtype=bool),
             phi_obj=np.array([c.rol.phi_obj for c in cfgs]),
             phi_bg=np.array([c.rol.phi_bg for c in cfgs]),
@@ -441,29 +491,27 @@ class Members:
 
 
 def source_scene_loss(
-    params: dict[str, np.ndarray], pack: ScenePack
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    params: dict[str, np.ndarray], pack: ScenePack, grads: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
     """Fully supervised proposal loss, which takes no coefficient.  The
-    pack's raw means and labels are shared by every member, or hold one
-    scene per member, stacked as (M, K, D0) and (M, K)."""
+    pack's raw means and targets are shared by every member, or hold one
+    scene per member, stacked as (M, K, D0) and (M, C+1, K)."""
     features = pack.raw_means @ params["backbone"].transpose(0, 2, 1)
     logits = head_logits(params["main_head"], features)
-    value, dlogits = proposal_cls_loss(logits, pack.labels)
-    dhead, dfeatures = head_backward(params["main_head"], features, dlogits)
-    return (
-        {"total": value, "main": value},
-        {
-            "backbone": dfeatures.transpose(0, 2, 1) @ pack.raw_means,
-            "main_head": dhead,
-        },
+    value, dlogits = proposal_cls_loss(logits, pack.targets)
+    _, dfeatures = head_backward(
+        params["main_head"], features, dlogits, out=grads["main_head"]
     )
+    np.matmul(dfeatures.transpose(0, 2, 1), pack.raw_means, out=grads["backbone"])
+    return {"total": value, "main": value}
 
 
 def lstd_scene_loss(
     params: dict[str, np.ndarray],
     pack: ScenePack,
     cfgs: Members | Sequence[StageConfig],
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    grads: dict[str, np.ndarray],
+) -> dict[str, np.ndarray]:
     """Warm-up fine-tuning loss: main + background + distillation terms.
 
     The background term is computed only for the members whose coefficient
@@ -475,40 +523,43 @@ def lstd_scene_loss(
     features = pack.raw_means @ backbone.transpose(0, 2, 1)
 
     main_logits = head_logits(params["main_head"], features)
-    main_val, dmain = proposal_cls_loss(main_logits, pack.labels)
-    dmain_head, dfeatures = head_backward(params["main_head"], features, dmain)
+    main_val, dmain = proposal_cls_loss(main_logits, pack.targets)
+    _, dfeatures = head_backward(
+        params["main_head"], features, dmain, out=grads["main_head"]
+    )
 
     sdk_logits = head_logits(params["sdk_head"], features)
-    sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits)
-    dsdk_head, df_sdk = head_backward(
-        params["sdk_head"], features, weight["sdk"][:, None, None] * dsdk
+    sdk_val, dsdk = sdk_loss(*pack.sdk, sdk_logits)
+    _, df_sdk = head_backward(
+        params["sdk_head"], features, members.scale["sdk"] * dsdk,
+        out=grads["sdk_head"],
     )
-    dfeatures = dfeatures + df_sdk
+    dfeatures += df_sdk
 
-    dbackbone = dfeatures.transpose(0, 2, 1) @ pack.raw_means
+    dbackbone = grads["backbone"]
+    np.matmul(dfeatures.transpose(0, 2, 1), pack.raw_means, out=dbackbone)
     bd_val = np.zeros(len(members.cfgs))
-    active = np.flatnonzero(weight["bd"] > 0.0)
+    active = members.bd_active
     if active.size:
         feature_grid = np.einsum("bdo,hwo->bhwd", backbone[active], pack.raw_grid)
         bd_val[active], dgrid = bd_loss(feature_grid, pack.background_mask)
-        dbackbone[active] += weight["bd"][active, None, None] * np.einsum(
+        dbackbone[active] += members.bd_scale * np.einsum(
             "bhwd,hwo->bdo", dgrid, pack.raw_grid
         )
 
     total = main_val + weight["bd"] * bd_val + weight["sdk"] * sdk_val
-    return (
-        {"total": total, "main": main_val, "bd": bd_val, "sdk": sdk_val},
-        {"backbone": dbackbone, "main_head": dmain_head, "sdk_head": dsdk_head},
-    )
+    return {"total": total, "main": main_val, "bd": bd_val, "sdk": sdk_val}
 
 
 def wstd_scene_loss(
     params: dict[str, np.ndarray],
     pack: ScenePack,
     cfgs: Members | Sequence[StageConfig],
+    grads: dict[str, np.ndarray],
     fixed_pseudo: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
-    """Weak-stage loss over all recurrent classifiers plus distillation.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Weak-stage loss over all recurrent classifiers plus distillation;
+    returns the components and the pseudo labels.
 
     ``params["rol_heads"]`` holds the N classifiers of the M members as one
     (N, M, C+1, D+1) block, and the whole stack runs as one pass: one
@@ -525,17 +576,18 @@ def wstd_scene_loss(
     :func:`head_backward` gives every head's gradient.  The feature
     gradient adds the distillation term, then heads 1, 2, ..., N in that
     order, as a per-classifier loop would, so the backbone gradient is
-    bit-identical to one.
+    bit-identical to one.  ``pack.sdk`` is the group's distillation target
+    (:func:`wstd_group_pack`).
     """
     members = Members.of(cfgs)
     weight = members.weight
     features = pack.raw_means @ params["backbone"].transpose(0, 2, 1)
 
-    grads: dict[str, np.ndarray] = {}
     sdk_logits = head_logits(params["sdk_head"], features)
-    sdk_val, dsdk = sdk_loss(pack.teacher, sdk_logits, members.sdk_weighted)
-    grads["sdk_head"], dfeatures = head_backward(
-        params["sdk_head"], features, weight["wstd_sdk"][:, None, None] * dsdk
+    sdk_val, dsdk = sdk_loss(*pack.sdk, sdk_logits)
+    _, dfeatures = head_backward(
+        params["sdk_head"], features, members.scale["wstd_sdk"] * dsdk,
+        out=grads["sdk_head"],
     )
 
     heads = params["rol_heads"]
@@ -552,11 +604,11 @@ def wstd_scene_loss(
     dlogits = np.empty_like(logits)
     values[0], dlogits[0] = image_multilabel_loss(logits[0], pack.y_img)
     values[1:], dlogits[1:] = rol_classifier_loss(probs[1:], pseudo)
-    grads["rol_heads"], dheads = head_backward(
-        heads, features, weight["wstd_rol"][:, None, None] * dlogits
+    _, dheads = head_backward(
+        heads, features, members.scale["wstd_rol"] * dlogits, out=grads["rol_heads"]
     )
     for dfeat in dheads:
-        dfeatures = dfeatures + dfeat
+        dfeatures += dfeat
 
     comps: dict[str, np.ndarray] = {"sdk": sdk_val}
     for i, value in enumerate(values):
@@ -564,8 +616,8 @@ def wstd_scene_loss(
     rol_sum = sum(values)
     comps["rol"] = rol_sum
     comps["total"] = weight["wstd_sdk"] * sdk_val + weight["wstd_rol"] * rol_sum
-    grads["backbone"] = dfeatures.transpose(0, 2, 1) @ pack.raw_means
-    return comps, grads, pseudo
+    np.matmul(dfeatures.transpose(0, 2, 1), pack.raw_means, out=grads["backbone"])
+    return comps, pseudo
 
 
 # --- training loop ----------------------------------------------------------
@@ -584,7 +636,7 @@ def _step_order(rng: np.random.Generator, scenes: int, epochs: int) -> np.ndarra
 
 def _train(
     params: dict[str, np.ndarray],
-    loss_fn: Callable[[dict, object], tuple[dict, dict]],
+    loss_fn: Callable[[dict, dict, object], dict],
     order: np.ndarray,
     opt: OptimizerConfig,
     reports: Sequence[RunReport | None],
@@ -592,33 +644,41 @@ def _train(
 ) -> dict[str, np.ndarray]:
     """Adam over per-scene losses; learning rate drops once at 2/3 of steps.
 
-    Step s calls ``loss_fn(params, order[s])``.  ``params`` are stacked
-    along the member axis and become views into one flat buffer, which one
-    :func:`adam_step` per step updates; the result is views into it.
-    Member m's loss components go to ``reports[m]`` when it is given.
+    Step s calls ``loss_fn(params, grads, order[s])``, which writes every
+    block's gradient into ``grads`` and returns the loss components.
+    ``params`` are stacked along the member axis and become views into one
+    flat buffer, ``grads`` views into a second buffer of the same layout,
+    and one in-place :func:`adam_step` per step updates the first from the
+    second; the result is views into the parameter buffer.  The
+    components go into one (steps, terms, members) array, and member m's
+    become the ``<prefix>.<term>`` curves of ``reports[m]`` at the end,
+    when that report is given.
     """
     layout = ParamLayout.of(params)
     buffer = layout.flatten(params)
     params = layout.views(buffer)
+    gradient = np.zeros_like(buffer)
+    grads = layout.views(gradient)
     state = AdamState.zeros(buffer.size)
     decay_at = (2 * len(order)) // 3
+    curves = None
     for step, scene in enumerate(order):
         try:
-            comps, grads = loss_fn(params, scene)
+            comps = loss_fn(params, grads, scene)
         except ValueError as exc:
             raise ValueError(f"{prefix} training step {step}: {exc}") from exc
+        if curves is None:
+            curves = np.empty((len(order), len(comps), len(reports)))
+        curves[step] = tuple(comps.values())
         lr = opt.learning_rate
         if step >= decay_at:
             lr *= opt.lr_decay_factor
-        grad = layout.flatten(grads)
-        updated, state = adam_step(buffer, grad, state, opt, layout, lr)
-        buffer[...] = updated
+        adam_step(buffer, gradient, state, opt, layout, lr)
+    if curves is not None:
         for member, report in enumerate(reports):
             if report is not None:
-                for key, value in comps.items():
-                    report.curves.setdefault(f"{prefix}.{key}", []).append(
-                        float(value[member])
-                    )
+                for term, curve in zip(comps, curves[:, :, member].T.tolist()):
+                    report.curves[f"{prefix}.{term}"] = curve
     return params
 
 
@@ -753,22 +813,39 @@ def _assemble(
     return models
 
 
+# Source scenes drawn and packed at a time.  The block's pooling gathers
+# (scenes, K, cells per box, D0) floats, about 1 MB at K = 64 on the
+# default grid; larger blocks pack no faster per scene.
+SOURCE_PACK_BLOCK = 16
+
+
 def _stacked_source_scenes(
     world: World, cfg: StageConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The raw means (N, K, D0) and labels (N, K) of ``cfg``'s source scenes.
+    """The raw means (N, K, D0) and one-hot targets (N, C+1, K) of
+    ``cfg``'s source scenes.
 
-    The scenes are drawn and packed one at a time, the same draws as one
-    ``sample_scenes`` call of N, so no scene outlives its packing.
+    The scenes are drawn and packed a block at a time, the same draws as
+    one ``sample_scenes`` call of N, so no block of scenes outlives its
+    packing.  A block pools and labels all its scenes at once
+    (:func:`~transferdet.model.pool_raw_means` on corner arrays,
+    :func:`block_labels`), bit for bit as :func:`pack_source_scene`.
     """
     rng = substream(cfg.seed, "source", "scenes")
-    means, labels = [], []
-    for _ in range(cfg.source_scenes):
-        scene = sample_scenes(world, "source", "full", rng, 1)[0]
-        pack = pack_source_scene(scene, world)
-        means.append(pack.raw_means)
-        labels.append(pack.labels)
-    return np.stack(means), np.stack(labels)
+    num_classes = world.config.classes_in("source")
+
+    def block(count: int) -> tuple[np.ndarray, np.ndarray]:
+        scenes = sample_scenes(world, "source", "full", rng, count)
+        corners = np.stack([box_corners(scene.proposals) for scene in scenes])
+        grids = np.stack([scene.raw_grid for scene in scenes])
+        labels = block_labels(corners, scenes, num_classes)
+        return pool_raw_means(grids, corners), proposal_targets(labels, num_classes + 1)
+
+    blocks = [
+        block(min(SOURCE_PACK_BLOCK, cfg.source_scenes - start))
+        for start in range(0, cfg.source_scenes, SOURCE_PACK_BLOCK)
+    ]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
 def train_source(
@@ -784,8 +861,8 @@ def train_source(
     share the ``source`` sibling key (:data:`_STAGES`) and the worlds every
     field but the seed, so that every member's scenes have the same
     proposal count (else ``ValueError``).  Each member's scenes are packed
-    one at a time and stacked once, and each step gathers every member's
-    scene with one index.  Returns one model per member, and member m's
+    a block at a time and stacked once, and each step gathers every
+    member's scene with one index.  Returns one model per member, and member m's
     loss curves go to ``reports[m]``.
     :func:`run_experiment` trains the sources of all its seeds that share
     a sibling key in one call.
@@ -811,26 +888,26 @@ def train_source(
         )
     num_classes = worlds[0].config.classes_in("source")
     dim = worlds[0].config.raw_dim
-    backbones, heads, raw_means, labels, orders = [], [], [], [], []
+    backbones, heads, raw_means, targets, orders = [], [], [], [], []
     for world, cfg in zip(worlds, members.cfgs):
         init_rng = substream(cfg.seed, "source", "init")
         backbones.append(init_backbone(dim, dim, init_rng).map)
         heads.append(init_head(num_classes, dim, init_rng).weights)
-        member_means, member_labels = _stacked_source_scenes(world, cfg)
+        member_means, member_targets = _stacked_source_scenes(world, cfg)
         raw_means.append(member_means)
-        labels.append(member_labels)
+        targets.append(member_targets)
         orders.append(_step_order(
-            substream(cfg.seed, "source", "order"), len(member_labels),
+            substream(cfg.seed, "source", "order"), len(member_targets),
             cfg.source_epochs,
         ))
-    # (M, N, K, D0) raw means and (M, N, K) labels; step s trains member m
-    # on its scene orders[m][s].
-    raw_means, labels = np.stack(raw_means), np.stack(labels)
+    # (M, N, K, D0) raw means and (M, N, C+1, K) targets; step s trains
+    # member m on its scene orders[m][s].
+    raw_means, targets = np.stack(raw_means), np.stack(targets)
     rows = np.arange(len(members.cfgs))
 
-    def loss_fn(p, scene):
-        pack = ScenePack(raw_means=raw_means[rows, scene], labels=labels[rows, scene])
-        return source_scene_loss(p, pack)
+    def loss_fn(p, g, scene):
+        pack = ScenePack(raw_means=raw_means[rows, scene], targets=targets[rows, scene])
+        return source_scene_loss(p, pack, g)
 
     params = _train(
         {"backbone": np.stack(backbones), "main_head": np.stack(heads)},
@@ -893,7 +970,7 @@ def lstd_finetune(
         substream(cfg.seed, "lstd", "order"), len(packs), cfg.lstd_epochs
     )
     params = _train(
-        params, lambda p, i: lstd_scene_loss(p, packs[i], members), order,
+        params, lambda p, g, i: lstd_scene_loss(p, packs[i], members, g), order,
         cfg.optimizer, reports, "lstd",
     )
     models = _assemble(count, num_source, params)
@@ -916,6 +993,16 @@ def pack_weak_scenes(
     return [pack_wstd_scene(s, warmup) for s in weak]
 
 
+def wstd_group_pack(
+    pack: ScenePack, cfgs: Members | Sequence[StageConfig]
+) -> ScenePack:
+    """A weak pack with the distillation target of a lockstep group: one
+    :func:`~transferdet.losses.sdk_target` per member, the teacher or, for
+    a member with ``sdk_weighted``, its square.  The group's steps share
+    it, so no step rebuilds it."""
+    return replace(pack, sdk=sdk_target(pack.teacher, Members.of(cfgs).sdk_weighted))
+
+
 def wstd_train(
     warmup: DetectorModel,
     world: World,
@@ -933,11 +1020,12 @@ def wstd_train(
     packs of ``pack_weak_scenes(warmup, world, cfgs[0])``; they must share
     the ``wstd`` sibling key (:data:`_STAGES`: the warm-up's cache key and
     the fields that decide the step sequence; else ``ValueError``), and may
-    differ in its member fields.  The members' N recurrent classifiers
-    train as one (N, M, C+1, D+1) parameter block, ``rol_heads``, after
-    ``sdk_head`` and ``backbone`` in the flat buffer: classifier 1 of every
-    member, then classifier 2, and so on.  Returns one student per config;
-    member m's loss curves go to ``reports[m]``.
+    differ in its member fields; each pack takes the group's distillation
+    target once (:func:`wstd_group_pack`).  The members' N recurrent
+    classifiers train as one (N, M, C+1, D+1) parameter block,
+    ``rol_heads``, after ``sdk_head`` and ``backbone`` in the flat buffer:
+    classifier 1 of every member, then classifier 2, and so on.  Returns
+    one student per config; member m's loss curves go to ``reports[m]``.
     """
     members, reports = _group("wstd", cfgs, reports)
     cfg = members.cfgs[0]
@@ -952,13 +1040,16 @@ def wstd_train(
         ),
     }
     if cfg.weak_scenes_per_class > 0:
-        packs = pack_weak_scenes(warmup, world, cfg)
+        packs = [
+            wstd_group_pack(pack, members)
+            for pack in pack_weak_scenes(warmup, world, cfg)
+        ]
         order = _step_order(
             substream(cfg.seed, "wstd", "order"), len(packs), cfg.wstd_epochs
         )
         params = _train(
-            params, lambda p, i: wstd_scene_loss(p, packs[i], members)[:2], order,
-            cfg.optimizer, reports, "wstd",
+            params, lambda p, g, i: wstd_scene_loss(p, packs[i], members, g)[0],
+            order, cfg.optimizer, reports, "wstd",
         )
     return _assemble(
         count, warmup.source_classes, params, main_head=warmup.main_head.weights

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BBox, box_corners, coverage_masks, iou, nms, pairwise_iou
+from .textfile import named_decode_errors
 
 DOMAINS = ("source", "target")
 MODES = ("full", "weak")
@@ -435,7 +436,10 @@ def save_world(path, world: World) -> None:
 
 
 def load_world(path) -> World:
-    with open(path) as fh:
+    """The world :func:`save_world` wrote to ``path``; ValueError for a
+    malformed file, naming the first undecodable line of one that is not
+    text."""
+    with named_decode_errors(path), open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != WORLD_MAGIC:
         raise ValueError(f"{path} is not a world file")
@@ -504,9 +508,9 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
     length than its ``scene`` line says, an unknown mode or domain, a
     scene without GT, a GT class outside ``[0, classes_in(domain))``, a
     bad box, and any non-blank line outside a record, a header line after
-    the first record included.
+    the first record included, and for the first line that is not text.
     """
-    with open(path) as fh:
+    with named_decode_errors(path), open(path) as fh:
         lines = enumerate((ln.rstrip("\n") for ln in fh), start=1)
         if next(lines, (0, ""))[1] != SCENES_MAGIC:
             raise ValueError(f"{path} is not a scene set file")

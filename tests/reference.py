@@ -218,14 +218,17 @@ def check_pseudo_matrix(pseudo):
 def ref_adam_train(params, loss_fn, order, opt):
     """Adam with one update per named parameter block, the learning rate
     dropping once at 2/3 of the steps; returns the final blocks and each
-    step's loss components."""
+    step's loss components.  ``loss_fn(params, grads, scene)`` writes each
+    block's gradient into a fresh array of ``grads`` and returns the
+    components."""
     params = {name: p.copy() for name, p in params.items()}
     m = {name: np.zeros_like(p) for name, p in params.items()}
     v = {name: np.zeros_like(p) for name, p in params.items()}
     decay_at = (2 * len(order)) // 3
     history = []
     for step, scene in enumerate(order):
-        comps, grads = loss_fn(params, scene)
+        grads = {name: np.empty_like(p) for name, p in params.items()}
+        comps = loss_fn(params, grads, scene)
         history.append(comps)
         lr = opt.learning_rate * (opt.lr_decay_factor if step >= decay_at else 1.0)
         t = step + 1

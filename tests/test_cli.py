@@ -30,7 +30,14 @@ from transferdet.evaluation import Detection, write_detections_csv
 from transferdet.geometry import BBox
 from transferdet.model import load_model
 from transferdet.pipeline import EXPERIMENTS, StageConfig, apply_overrides
-from transferdet.synthworld import Scene, WorldConfig, load_scenes, make_world, save_scenes
+from transferdet.synthworld import (
+    Scene,
+    WorldConfig,
+    load_scenes,
+    make_world,
+    save_scenes,
+    save_world,
+)
 
 # Every stage length is pinned tiny through overrides, so these tests
 # never depend on the production training defaults.
@@ -473,6 +480,41 @@ def test_eval_undecodable_detections_exits_4(tmp_path, capsys):
         assert code == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert f"line {line}: {det_path}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("what", ["world", "checkpoint", "scenes", "config"])
+def test_undecodable_input_file_names_file_and_line(tmp_path, capsys, what):
+    # 0xff starts no UTF-8 sequence, on the first line or after good lines;
+    # data files exit 4 and a config file exits 2, as other malformed lines
+    # of each do
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    world_path = tmp_path / "world.txt"
+    save_world(world_path, make_world(WorldConfig(seed=2)))
+    path = tmp_path / f"bad-{what}.txt"
+    commands = {
+        "world": (["train", "source", "--world", str(path)], world_path),
+        "checkpoint": (
+            ["train", "lstd", "--source-model", str(path)], None,
+        ),
+        "scenes": (
+            ["eval", "--detections", str(det_path), "--scenes", str(path)],
+            scenes_path,
+        ),
+        "config": (["train", "source", "--config", str(path)], None),
+    }
+    argv, good = commands[what]
+    good_text = {
+        "checkpoint": b"# transferdet checkpoint v1\nsource_classes 6\n",
+        "config": b"# overrides\nsource_epochs=1\n",
+    }.get(what) or good.read_bytes()
+    after_good_lines = (good_text + b"\xff\n", good_text.count(b"\n") + 1)
+    for text, line in ((b"\xff\xfe", 1), after_good_lines):
+        path.write_bytes(text)
+        code = main(argv + ["--seed", "1", "--out-dir", str(tmp_path / "out")])
+        assert code == (EXIT_CONFIG if what == "config" else EXIT_MALFORMED)
+        err = capsys.readouterr().err
+        assert f"error: line {line}: {path} is not utf-8 text" in err, err
+        assert "Traceback" not in err and "codec" not in err
 
 
 def test_eval_corrupt_config_line_exits_4(tmp_path, capsys):

@@ -15,8 +15,10 @@ from transferdet.losses import (
     check_score_matrix,
     image_multilabel_loss,
     proposal_cls_loss,
+    proposal_targets,
     rol_classifier_loss,
     sdk_loss,
+    sdk_target,
 )
 from transferdet.labelling import ROLConfig
 from transferdet.model import head_backward, head_logits
@@ -118,16 +120,16 @@ def test_bd_loss_shape_mismatch():
 def test_sdk_loss_one_hot_teacher_matched():
     teacher = np.array([[1.0], [0.0]])
     logits = np.array([[40.0], [0.0]])
-    value, _ = sdk_loss(teacher, logits)
+    value, _ = sdk_loss(*sdk_target(teacher), logits)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sdk_loss_uniform_pair():
     teacher = np.array([[0.5], [0.5]])
     logits = np.zeros((2, 1))
-    value, _ = sdk_loss(teacher, logits)
+    value, _ = sdk_loss(*sdk_target(teacher), logits)
     assert value == pytest.approx(LN2, abs=1e-12)
-    weighted, _ = sdk_loss(teacher, logits, weighted=True)
+    weighted, _ = sdk_loss(*sdk_target(teacher, weighted=True), logits)
     assert weighted == pytest.approx(0.5 * LN2, abs=1e-12)
 
 
@@ -136,7 +138,7 @@ def test_sdk_loss_minimum_at_teacher():
     for _ in range(20):
         teacher = random_score_matrix(rng, 5, 6)
         logits = np.log(teacher)  # softmax recovers the teacher exactly
-        _, grad = sdk_loss(teacher, logits)
+        _, grad = sdk_loss(*sdk_target(teacher), logits)
         assert np.linalg.norm(grad) < 1e-8
 
 
@@ -277,11 +279,15 @@ def test_rol_loss_permutation_invariant():
 
 def test_proposal_cls_loss_and_labels():
     logits = np.zeros((3, 2))
-    value, grad = proposal_cls_loss(logits, np.array([0, 2]))
+    targets = proposal_targets(np.array([0, 2]), 3)
+    assert targets.tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+    value, grad = proposal_cls_loss(logits, targets)
     assert value == pytest.approx(2 * math.log(3.0), abs=1e-12)
-    # one label row per member of a stack, and no other 2-D label shape
+    # one target matrix per member of a stack, and no other target shape
     stacked = np.zeros((2, 3, 2))
-    values, _ = proposal_cls_loss(stacked, np.array([[0, 2], [1, 1]]))
+    values, _ = proposal_cls_loss(
+        stacked, proposal_targets(np.array([[0, 2], [1, 1]]), 3)
+    )
     assert values.shape == (2,)
     for labels, logits_ in (
         (np.array([[0, 2]]), logits),
@@ -289,12 +295,34 @@ def test_proposal_cls_loss_and_labels():
         (np.array([[0, 2, 1], [1, 1, 0]]), stacked),
     ):
         with pytest.raises(ValueError, match="does not match"):
-            proposal_cls_loss(logits_, labels)
+            proposal_cls_loss(logits_, proposal_targets(labels, 3))
+    with pytest.raises(ValueError, match="does not match"):
+        proposal_cls_loss(logits, proposal_targets(np.array([0, 2]), 4))
     # labels are checked where they enter, against the logits' rows
     assert check_labels([[0, 2], [1, 1]], 3).dtype == int
     for labels in ([0, 3], [[0, 2], [1, 3]], [-1, 0]):
         with pytest.raises(ValueError, match="outside class range"):
             check_labels(np.array(labels), 3)
+
+
+def test_proposal_cls_loss_on_targets_is_the_label_gather_bit_for_bit():
+    # (probs * targets).sum over classes adds one probability and exact
+    # zeros, and probs - targets subtracts 1.0 at the label alone
+    rng = np.random.default_rng(21)
+    for members in (None, 3):
+        shape = (5, 9) if members is None else (members, 5, 9)
+        logits = 3.0 * rng.standard_normal(shape)
+        labels = rng.integers(0, 5, size=shape[:-2] + (9,))
+        value, grad = proposal_cls_loss(logits, proposal_targets(labels, 5))
+        probs = column_softmax(logits)
+        rows = np.indices(labels.shape)
+        index = (*rows[:-1], labels, rows[-1])
+        picked = np.ascontiguousarray(probs[index])
+        want = -np.log(np.maximum(picked, 1e-12)).sum(axis=-1)
+        want_grad = probs.copy()
+        want_grad[index] -= 1.0
+        assert np.array_equal(value, want)
+        assert np.array_equal(grad, want_grad)
 
 
 # --- stage totals ----------------------------------------------------------------
@@ -303,6 +331,11 @@ def test_proposal_cls_loss_and_labels():
 # hold them to the weighted sum of the components they report.  The scene
 # losses take parameters with a leading member axis and one config per
 # member.
+
+
+def grads_for(params):
+    """One gradient array per parameter block, for a scene loss to fill."""
+    return {k: np.empty_like(v) for k, v in params.items()}
 
 
 def stacked(params, members=1):
@@ -316,12 +349,18 @@ def stacked(params, members=1):
 
 
 def lstd_instance(rng, num_target=3, num_source=4, dim=4, k=5):
+    raw_means = rng.standard_normal((k, dim))
+    raw_grid = rng.standard_normal((3, 3, dim))
+    labels = rng.integers(0, num_target + 1, size=k)
+    background_mask = rng.uniform(size=(3, 3)) < 0.5
+    teacher = random_score_matrix(rng, num_source + 1, k)
     pack = ScenePack(
-        raw_means=rng.standard_normal((k, dim)),
-        raw_grid=rng.standard_normal((3, 3, dim)),
-        labels=rng.integers(0, num_target + 1, size=k),
-        background_mask=rng.uniform(size=(3, 3)) < 0.5,
-        teacher=random_score_matrix(rng, num_source + 1, k),
+        raw_means=raw_means,
+        raw_grid=raw_grid,
+        targets=proposal_targets(labels, num_target + 1),
+        background_mask=background_mask,
+        teacher=teacher,
+        sdk=sdk_target(teacher),
     )
     params = {
         "backbone": rng.standard_normal((dim, dim)),
@@ -338,9 +377,12 @@ def wstd_instance(rng, classifiers=3, num_target=3, num_source=4, dim=4, k=6):
     ]
     y_img = np.zeros(num_target)
     y_img[rng.integers(0, num_target)] = 1.0
+    raw_means = rng.standard_normal((k, dim))
+    teacher = random_score_matrix(rng, num_source + 1, k)
     pack = ScenePack(
-        raw_means=rng.standard_normal((k, dim)),
-        teacher=random_score_matrix(rng, num_source + 1, k),
+        raw_means=raw_means,
+        teacher=teacher,
+        sdk=sdk_target(teacher),
         y_img=y_img,
         iou=pairwise_iou(boxes),
         present=np.flatnonzero(y_img),
@@ -358,7 +400,9 @@ def test_rol_total():
     for classifiers in (2, 3):
         pack, params = wstd_instance(rng, classifiers)
         cfg = StageConfig(rol=ROLConfig(num_classifiers=classifiers))
-        comps, _, _ = wstd_scene_loss(stacked(params), pack, [cfg])
+        comps, _ = wstd_scene_loss(
+            stacked(params), pack, [cfg], grads_for(stacked(params))
+        )
         per = [comps[f"rol_{i + 1}"][0] for i in range(classifiers)]
         assert comps["rol"][0] == float(sum(per))
         assert all(v >= 0.0 for v in per)
@@ -379,7 +423,8 @@ def test_lstd_total_cases():
         )
     ]
     # all cases as the members of one call
-    comps, _ = lstd_scene_loss(stacked(params, len(cfgs)), pack, cfgs)
+    members = stacked(params, len(cfgs))
+    comps = lstd_scene_loss(members, pack, cfgs, grads_for(members))
     for m, cfg in enumerate(cfgs):
         w = cfg.weights
         assert comps["total"][m] == (
@@ -389,9 +434,10 @@ def test_lstd_total_cases():
         if w.lambda_bd == 0.0:
             assert comps["bd"][m] == 0.0
     # the main loss has unit weight: with both regularizers off it is the total
-    main_only, _ = lstd_scene_loss(
+    main_only = lstd_scene_loss(
         stacked(params), pack,
         [StageConfig(weights=LossWeights(lambda_bd=0.0, lambda_sdk=0.0))],
+        grads_for(stacked(params)),
     )
     assert main_only["total"][0] == main_only["main"][0] > 0.0
 
@@ -408,14 +454,16 @@ def test_wstd_total_cases():
             LossWeights(0.0, 0.0, 0.0, 0.0),
         )
     ]
-    comps, _, _ = wstd_scene_loss(stacked(params, len(cfgs)), pack, cfgs)
+    members = stacked(params, len(cfgs))
+    comps, _ = wstd_scene_loss(members, pack, cfgs, grads_for(members))
     for m, cfg in enumerate(cfgs):
         w = cfg.weights
         assert comps["total"][m] == (
             w.lambda_wstd_sdk * comps["sdk"][m] + w.lambda_wstd_rol * comps["rol"][m]
         )
-    no_sdk, _, _ = wstd_scene_loss(
-        stacked(params), pack, [StageConfig(weights=LossWeights(lambda_wstd_sdk=0.0))]
+    no_sdk, _ = wstd_scene_loss(
+        stacked(params), pack, [StageConfig(weights=LossWeights(lambda_wstd_sdk=0.0))],
+        grads_for(stacked(params)),
     )
     assert no_sdk["total"][0] == 50.0 * no_sdk["rol"][0]
 
@@ -429,8 +477,11 @@ def test_totals_are_linear():
 
     def totals(weights):
         cfgs = [StageConfig(weights=LossWeights(*weights))]
-        lstd, _ = lstd_scene_loss(stacked(lstd_params), lstd_pack, cfgs)
-        wstd, _, _ = wstd_scene_loss(stacked(wstd_params), wstd_pack, cfgs)
+        lstd_members, wstd_members = stacked(lstd_params), stacked(wstd_params)
+        lstd = lstd_scene_loss(lstd_members, lstd_pack, cfgs, grads_for(lstd_members))
+        wstd, _ = wstd_scene_loss(
+            wstd_members, wstd_pack, cfgs, grads_for(wstd_members)
+        )
         return np.array([lstd["total"][0] - lstd["main"][0], wstd["total"][0]])
 
     for _ in range(10):
@@ -450,8 +501,8 @@ def test_losses_nonnegative_random():
         rows, cols = int(rng.integers(2, 7)), int(rng.integers(1, 10))
         logits = rng.standard_normal((rows, cols))
         teacher = random_score_matrix(rng, rows, cols)
-        assert sdk_loss(teacher, logits)[0] >= 0.0
-        assert sdk_loss(teacher, logits, weighted=True)[0] >= 0.0
+        assert sdk_loss(*sdk_target(teacher), logits)[0] >= 0.0
+        assert sdk_loss(*sdk_target(teacher, weighted=True), logits)[0] >= 0.0
         pseudo = np.zeros((rows, cols))
         pseudo[rng.integers(0, rows), 0] = rng.uniform(0.0, 1.0)
         assert rol_classifier_loss(column_softmax(logits), pseudo)[0] >= 0.0
@@ -470,9 +521,10 @@ def test_gradients_pass_finite_differences():
 
         teacher = random_score_matrix(rng, rows, cols)
         for weighted in (False, True):
-            _, grad = sdk_loss(teacher, logits, weighted=weighted)
+            target, mass = sdk_target(teacher, weighted=weighted)
+            _, grad = sdk_loss(target, mass, logits)
             report = grad_check(
-                lambda z: sdk_loss(teacher, z, weighted=weighted)[0], grad, logits
+                lambda z: sdk_loss(target, mass, z)[0], grad, logits
             )
             assert report.passed, report
 
@@ -486,9 +538,9 @@ def test_gradients_pass_finite_differences():
         )
         assert report.passed, report
 
-        labels = rng.integers(0, rows, size=cols)
-        _, grad = proposal_cls_loss(logits, labels)
-        report = grad_check(lambda z: proposal_cls_loss(z, labels)[0], grad, logits)
+        targets = proposal_targets(rng.integers(0, rows, size=cols), rows)
+        _, grad = proposal_cls_loss(logits, targets)
+        report = grad_check(lambda z: proposal_cls_loss(z, targets)[0], grad, logits)
         assert report.passed, report
 
         y = (rng.uniform(size=rows - 1) < 0.5).astype(float)
@@ -538,9 +590,12 @@ def test_member_slices_equal_unstacked_calls(members, rows, cols, dim, seed):
         "logits": (head_logits(weights, features),),
         "shared_logits": (head_logits(weights, features[0]),),
         "backward": head_backward(weights, features, logits),
-        "sdk": sdk_loss(teacher, logits, weighted=flags),
-        "proposal": proposal_cls_loss(logits, labels),
-        "proposal_rows": proposal_cls_loss(logits, label_rows),
+        "backward_out": head_backward(
+            weights, features, logits, out=np.empty_like(weights)
+        ),
+        "sdk": sdk_loss(*sdk_target(teacher, weighted=flags), logits),
+        "proposal": proposal_cls_loss(logits, proposal_targets(labels, rows)),
+        "proposal_rows": proposal_cls_loss(logits, proposal_targets(label_rows, rows)),
         "image": image_multilabel_loss(logits, y),
         "rol": rol_classifier_loss(column_softmax(logits), pseudo),
         "bd": bd_loss(grid, mask),
@@ -551,9 +606,12 @@ def test_member_slices_equal_unstacked_calls(members, rows, cols, dim, seed):
             "logits": (head_logits(weights[m], features[m]),),
             "shared_logits": (head_logits(weights[m], features[0]),),
             "backward": head_backward(weights[m], features[m], logits[m]),
-            "sdk": sdk_loss(teacher, logits[m], weighted=flags[m]),
-            "proposal": proposal_cls_loss(logits[m], labels),
-            "proposal_rows": proposal_cls_loss(logits[m], label_rows[m]),
+            "backward_out": head_backward(weights[m], features[m], logits[m]),
+            "sdk": sdk_loss(*sdk_target(teacher, weighted=flags[m]), logits[m]),
+            "proposal": proposal_cls_loss(logits[m], proposal_targets(labels, rows)),
+            "proposal_rows": proposal_cls_loss(
+                logits[m], proposal_targets(label_rows[m], rows)
+            ),
             "image": image_multilabel_loss(logits[m], y),
             "rol": rol_classifier_loss(column_softmax(logits[m]), pseudo[m]),
             "bd": bd_loss(grid[m], mask),

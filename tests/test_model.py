@@ -272,6 +272,20 @@ def test_optimizer_config_pinned_defaults():
         OptimizerConfig(beta1=1.0)
 
 
+def scalar_adam(params, grads, m, v, t, cfg, lr):
+    """The textbook Adam update, one coordinate at a time; updates ``m``
+    and ``v`` and returns the new parameters."""
+    out = params.copy()
+    for i in range(len(params)):
+        g = grads[i] + cfg.weight_decay * params[i]
+        m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+        v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
+        m_hat = m[i] / (1 - cfg.beta1**t)
+        v_hat = v[i] / (1 - cfg.beta2**t)
+        out[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return out
+
+
 def test_adam_step_matches_scalar_recurrence():
     rng = np.random.default_rng(12)
     cfg = OptimizerConfig()
@@ -282,50 +296,58 @@ def test_adam_step_matches_scalar_recurrence():
     v = np.zeros(10)
     for t in range(1, 6):
         grads = rng.standard_normal(10)
-        new_params, state = adam_step(current, grads, state, cfg, layout)
-        for i in range(10):
-            g = grads[i] + cfg.weight_decay * current[i]
-            m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
-            v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
-            m_hat = m[i] / (1 - cfg.beta1**t)
-            v_hat = v[i] / (1 - cfg.beta2**t)
-            step = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-            expected = current[i] - step
-            assert abs(new_params[i] - expected) <= 1e-15
-        current = new_params
+        expected = scalar_adam(current, grads, m, v, t, cfg, cfg.learning_rate)
+        adam_step(current, grads, state, cfg, layout)
+        assert np.all(np.abs(current - expected) <= 1e-15)
     assert state.step == 5
 
 
 def test_adam_step_is_pure_and_supports_lr_override():
+    # The step updates the parameters and the moments in place, bit for bit
+    # as the scalar recurrence, and reads the gradients only.
     rng = np.random.default_rng(13)
     cfg = OptimizerConfig()
     layout = ParamLayout.of({"w": np.zeros(5)})
-    params = rng.standard_normal(5)
+    before = rng.standard_normal(5)
     grads = rng.standard_normal(5)
-    before = params.copy()
     grads_before = grads.copy()
-    state = AdamState.zeros(5)
-    fast, _ = adam_step(params, grads, state, cfg, layout, learning_rate=2e-3)
-    assert np.array_equal(params, before)
-    assert np.array_equal(grads, grads_before)
-    assert np.array_equal(state.m, np.zeros(5)) and np.array_equal(state.v, np.zeros(5))
-    assert state.step == 0
-    slow, _ = adam_step(params, grads, state, cfg, layout)
-    moved_fast = np.abs(fast - before)
-    moved_slow = np.abs(slow - before)
-    assert np.all(moved_fast > moved_slow)
+    moved = {}
+    for lr in (2e-3, None):
+        params = before.copy()
+        state = AdamState.zeros(5)
+        m, v = state.m, state.v
+        want_m, want_v = np.zeros(5), np.zeros(5)
+        want = scalar_adam(
+            before, grads, want_m, want_v, 1, cfg,
+            cfg.learning_rate if lr is None else lr,
+        )
+        adam_step(params, grads, state, cfg, layout, learning_rate=lr)
+        assert np.array_equal(params, want)
+        assert state.m is m and state.v is v
+        assert np.array_equal(state.m, want_m) and np.array_equal(state.v, want_v)
+        assert state.step == 1
+        assert np.array_equal(grads, grads_before)
+        moved[lr] = np.abs(params - before)
+    assert np.all(moved[2e-3] > moved[None])
 
 
 def test_adam_step_rejects_nonfinite_gradients():
     cfg = OptimizerConfig()
     layout = ParamLayout.of({"w": np.ones(3), "b": np.ones((2, 2))})
     params = layout.flatten({"w": np.ones(3), "b": np.ones((2, 2))})
+    state = AdamState.zeros(7)
+    adam_step(params, np.full(7, 0.5), state, cfg, layout)
+    params_before, m, v = params.copy(), state.m.copy(), state.v.copy()
     for bad, block in ((1, "w"), (3, "b"), (6, "b")):
         grads = np.zeros(7)
         grads[bad] = [np.nan, np.inf, -np.inf][bad % 3]
         message = f"non-finite gradient in parameter block '{block}'"
         with pytest.raises(ValueError, match=message):
-            adam_step(params, grads, AdamState.zeros(7), cfg, layout)
+            adam_step(params, grads, state, cfg, layout)
+        # nothing is written on rejection
+        assert np.array_equal(params, params_before)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert state.step == 1
 
 
 def test_param_layout_views_share_one_buffer():

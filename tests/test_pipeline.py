@@ -10,7 +10,7 @@ import pytest
 
 from transferdet import losses, pipeline
 from transferdet.evaluation import Detections, evaluate_detections, mean_ap
-from transferdet.geometry import BBox, pairwise_iou
+from transferdet.geometry import BBox, coverage_masks, pairwise_iou
 from transferdet.model import (
     extract_sdk,
     head_logits,
@@ -45,6 +45,7 @@ from transferdet.pipeline import (
     warmup_proposals,
     write_experiment_csv,
     write_summary_csv,
+    wstd_group_pack,
     wstd_scene_loss,
     wstd_train,
 )
@@ -110,6 +111,11 @@ def student(world, warmup):
 @pytest.fixture(scope="module")
 def weak_scene(world):
     return sample_scenes(world, "target", "weak", substream(99, "weak"), 1)[0]
+
+
+def grads_for(params):
+    """One gradient array per parameter block, for a scene loss to fill."""
+    return {k: np.empty_like(v) for k, v in params.items()}
 
 
 def model_params(model):
@@ -277,12 +283,19 @@ def test_pack_lstd_scene_shapes(world, source_model):
     pack = pack_lstd_scene(scene, world, source_model)
     k = len(scene.proposals)
     assert pack.raw_means.shape == (k, world.config.raw_dim)
-    assert pack.labels.shape == (k,)
+    rows = world.config.classes_in("target") + 1
+    labels = proposal_labels(scene, rows - 1)
+    assert pack.targets.shape == (rows, k)
+    assert np.array_equal(pack.targets, labels == np.arange(rows)[:, None])
     assert pack.background_mask.shape == (
         world.config.grid_height, world.config.grid_width
     )
     assert pack.teacher.shape == (world.config.classes_in("source") + 1, k)
     assert np.allclose(pack.teacher.sum(axis=0), 1.0, atol=1e-12)
+    # the distillation target is the teacher, with its column sums
+    target, mass = pack.sdk
+    assert np.array_equal(target, pack.teacher)
+    assert np.array_equal(mass, pack.teacher.sum(axis=0, keepdims=True))
 
 
 def test_anchor_boxes_layout():
@@ -335,7 +348,14 @@ def test_pack_wstd_scene(warmup, weak_scene):
     assert np.array_equal(pack.y_img, weak_scene.image_label.astype(float))
     assert np.array_equal(pack.iou, pairwise_iou(boxes))
     assert pack.present.tolist() == np.flatnonzero(weak_scene.image_label).tolist()
-    assert pack.labels is None
+    assert pack.targets is None
+    # the distillation target depends on the group: wstd_group_pack sets it
+    assert pack.sdk is None
+    group = wstd_group_pack(pack, [TINY, replace(TINY, sdk_weighted=True)])
+    target, mass = group.sdk
+    assert np.array_equal(target, [pack.teacher, pack.teacher * pack.teacher])
+    assert np.array_equal(mass, target.sum(axis=-2, keepdims=True))
+    assert group.teacher is pack.teacher and pack.sdk is None
 
 
 def test_pack_wstd_scene_checks_the_image_label_once(warmup, weak_scene):
@@ -424,15 +444,37 @@ def test_train_source_single_form_equals_list_form(world, source_model):
     assert report.curves == listed.curves
 
 
-def test_source_scenes_drawn_one_at_a_time_match_one_draw(world):
-    cfg = replace(TINY, source_scenes=12)
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"proposals_per_scene": 16},
+        {"proposals_per_scene": 32},
+        {"proposals_per_scene": 64},
+        # on a 2x2 grid some proposals cover no cell center
+        {"grid_height": 2, "grid_width": 2},
+    ],
+    ids=["k16", "k32", "k64", "grid2x2"],
+)
+def test_source_scenes_packed_in_blocks_equal_per_scene_packs(overrides):
+    # blocks of scenes pad their pooling rows and GT further than one
+    # scene does; the means and targets are still bit-identical, and the
+    # draws those of one sample_scenes call
+    world = make_world(WorldConfig(seed=5, **overrides))
+    count = 2 * pipeline.SOURCE_PACK_BLOCK + 3  # two full blocks and a part
+    cfg = replace(TINY, source_scenes=count)
     scenes = sample_scenes(
-        world, "source", "full", substream(cfg.seed, "source", "scenes"), 12
+        world, "source", "full", substream(cfg.seed, "source", "scenes"), count
     )
     packs = [pipeline.pack_source_scene(scene, world) for scene in scenes]
-    means, labels = pipeline._stacked_source_scenes(world, cfg)
+    means, targets = pipeline._stacked_source_scenes(world, cfg)
     assert np.array_equal(means, np.stack([p.raw_means for p in packs]))
-    assert np.array_equal(labels, np.stack([p.labels for p in packs]))
+    assert np.array_equal(targets, np.stack([p.targets for p in packs]))
+    proposals = [box for scene in scenes for box in scene.proposals]
+    cfg_w = world.config
+    masks = coverage_masks(cfg_w.grid_height, cfg_w.grid_width, proposals)
+    covers_none = ~masks.any(axis=(1, 2))
+    assert covers_none.any() == (cfg_w.grid_height == 2)
+    assert (targets[:, :-1] == 1.0).any()  # some proposals are objects
 
 
 def test_flat_adam_training_matches_per_block_adam(world, source_model):
@@ -459,8 +501,8 @@ def test_flat_adam_training_matches_per_block_adam(world, source_model):
     order = rng.integers(0, len(packs), size=60)
     opt = OptimizerConfig(learning_rate=5e-3)
 
-    def loss(p, i):
-        return lstd_scene_loss(p, packs[i], members)
+    def loss(p, g, i):
+        return lstd_scene_loss(p, packs[i], members, g)
 
     reports = [RunReport(seed=0), RunReport(seed=1)]
     got = pipeline._train(params, loss, order, opt, reports, "lstd")
@@ -601,20 +643,22 @@ def test_wstd_student_structure(world, warmup, student):
 
 
 def test_pseudo_labels_are_detached(warmup, weak_scene):
-    pack = pack_wstd_scene(weak_scene, warmup)
+    pack = wstd_group_pack(pack_wstd_scene(weak_scene, warmup), [TINY])
     classifiers = TINY.rol.num_classifiers
     params = {
         "backbone": warmup.backbone.map[None].copy(),
         "sdk_head": warmup.sdk_head.weights[None].copy(),
         "rol_heads": np.repeat(warmup.main_head.weights[None, None], classifiers, 0),
     }
-    comps, grads, pseudo = wstd_scene_loss(params, pack, [TINY])
+    grads = grads_for(params)
+    comps, pseudo = wstd_scene_loss(params, pack, [TINY], grads)
     assert pseudo.shape == (classifiers - 1, 1) + (
         warmup.main_head.num_rows, len(pack.raw_means)
     )
 
     # pinning the recomputed labels is a no-op at the same parameters
-    comps_f, grads_f, _ = wstd_scene_loss(params, pack, [TINY], fixed_pseudo=pseudo)
+    grads_f = grads_for(params)
+    comps_f, _ = wstd_scene_loss(params, pack, [TINY], grads_f, fixed_pseudo=pseudo)
     assert comps_f.keys() == comps.keys()
     for key in comps:
         assert np.array_equal(comps_f[key], comps[key]), key
@@ -625,13 +669,15 @@ def test_pseudo_labels_are_detached(warmup, weak_scene):
     # their labels, so with labels held fixed the later losses are unmoved
     shifted = {k: v.copy() for k, v in params.items()}
     shifted["rol_heads"][0] += 0.05
-    comps_s, _, _ = wstd_scene_loss(shifted, pack, [TINY], fixed_pseudo=pseudo)
+    comps_s, _ = wstd_scene_loss(
+        shifted, pack, [TINY], grads_for(shifted), fixed_pseudo=pseudo
+    )
     assert comps_s["rol_1"][0] != comps["rol_1"][0]
     assert comps_s["rol_2"][0] == comps["rol_2"][0]
     assert comps_s["rol_3"][0] == comps["rol_3"][0]
 
     # while the labels themselves do respond when recomputed
-    _, _, pseudo_s = wstd_scene_loss(shifted, pack, [TINY])
+    _, pseudo_s = wstd_scene_loss(shifted, pack, [TINY], grads_for(shifted))
     assert any(
         not np.array_equal(a, b) for a, b in zip(pseudo_s, pseudo)
     )
@@ -671,7 +717,7 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, pinned):
         TINY.weak_scenes_per_class,
     )
     for scene in weak:
-        pack = pack_wstd_scene(scene, warmup)
+        pack = wstd_group_pack(pack_wstd_scene(scene, warmup), cfgs)
         kept = kept_boxes(scene, warmup_proposals(warmup, scene, len(scene.proposals)))
         boxes = [b.as_tuple() for b in kept]
         refs = [
@@ -690,8 +736,9 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, pinned):
             for m, cfg in enumerate(cfgs)
         ]
         fixed = np.stack([ref_pseudo for _, _, ref_pseudo in refs], axis=1)
-        comps, grads, pseudo = wstd_scene_loss(
-            params, pack, cfgs, fixed_pseudo=fixed if pinned else None
+        grads = grads_for(params)
+        comps, pseudo = wstd_scene_loss(
+            params, pack, cfgs, grads, fixed_pseudo=fixed if pinned else None
         )
         assert pseudo.shape == (classifiers - 1,) + heads.shape[1:3] + (len(boxes),)
         for m, (ref_comps, ref_grads, ref_pseudo) in enumerate(refs):
@@ -769,6 +816,21 @@ def test_lstd_step_is_one_call_per_loss_for_the_whole_group(
     assert calls == {"sdk_loss": steps, "proposal_cls_loss": steps, "bd_loss": steps}
 
 
+def test_source_step_is_one_call_per_layer_for_the_whole_group(world, monkeypatch):
+    # every member of a source step (one per seed) takes the scene loss, the
+    # proposal loss and the Adam step in one call each; the scene loss and
+    # the Adam step are called by the names perfbench/tracer.py wraps
+    calls = count_pipeline_calls(
+        monkeypatch, ("source_scene_loss", "proposal_cls_loss", "adam_step")
+    )
+    cfgs = [replace(TINY, seed=s, source_scenes=10, source_epochs=2) for s in (3, 4)]
+    train_source([world, make_world(replace(world.config, seed=6))], cfgs)
+    steps = 10 * 2
+    assert calls == {
+        "source_scene_loss": steps, "proposal_cls_loss": steps, "adam_step": steps,
+    }
+
+
 def _one_member_wstd_params(warmup):
     return {
         "backbone": warmup.backbone.map[None].copy(),
@@ -783,9 +845,10 @@ def _one_member_wstd_params(warmup):
 def test_wstd_step_softmaxes_the_rol_stack_once(warmup, weak_scene, monkeypatch, pinned):
     # one softmax for the distillation head and one for the whole ROL stack,
     # which labelling and the ROL loss share; pinned labels change neither
-    pack = pack_wstd_scene(weak_scene, warmup)
+    pack = wstd_group_pack(pack_wstd_scene(weak_scene, warmup), [TINY])
     params = _one_member_wstd_params(warmup)
-    _, _, pseudo = wstd_scene_loss(params, pack, [TINY])
+    grads = grads_for(params)
+    _, pseudo = wstd_scene_loss(params, pack, [TINY], grads)
     shapes = []
 
     def counting(logits):
@@ -794,7 +857,9 @@ def test_wstd_step_softmaxes_the_rol_stack_once(warmup, weak_scene, monkeypatch,
 
     monkeypatch.setattr(pipeline, "column_softmax", counting)
     monkeypatch.setattr(losses, "column_softmax", counting)
-    wstd_scene_loss(params, pack, [TINY], fixed_pseudo=pseudo if pinned else None)
+    wstd_scene_loss(
+        params, pack, [TINY], grads, fixed_pseudo=pseudo if pinned else None
+    )
     proposals = len(pack.raw_means)
     assert shapes == [
         (1, warmup.sdk_head.num_rows, proposals),
@@ -803,13 +868,14 @@ def test_wstd_step_softmaxes_the_rol_stack_once(warmup, weak_scene, monkeypatch,
 
 
 def test_wstd_step_checks_pinned_pseudo_labels(warmup, weak_scene):
-    pack = pack_wstd_scene(weak_scene, warmup)
+    pack = wstd_group_pack(pack_wstd_scene(weak_scene, warmup), [TINY])
     params = _one_member_wstd_params(warmup)
-    _, _, pseudo = wstd_scene_loss(params, pack, [TINY])
+    grads = grads_for(params)
+    _, pseudo = wstd_scene_loss(params, pack, [TINY], grads)
     with pytest.raises(ValueError, match="pseudo label shape"):
-        wstd_scene_loss(params, pack, [TINY], fixed_pseudo=pseudo[1:])
+        wstd_scene_loss(params, pack, [TINY], grads, fixed_pseudo=pseudo[1:])
     with pytest.raises(ValueError, match="nonnegative"):
-        wstd_scene_loss(params, pack, [TINY], fixed_pseudo=-pseudo - 1.0)
+        wstd_scene_loss(params, pack, [TINY], grads, fixed_pseudo=-pseudo - 1.0)
 
 
 # --- lockstep groups ----------------------------------------------------
@@ -994,6 +1060,12 @@ def test_members_gather_the_coefficients_of_each_config():
     for term, values in expected.items():
         assert np.array_equal(members.weight[term], values), term
     assert members.sdk_weighted.tolist() == [False, True, False]
+    # the broadcast forms scale (M, rows, K) gradients, the background term
+    # only those of its active members
+    for term, values in expected.items():
+        assert np.array_equal(members.scale[term], np.array(values)[:, None, None])
+    assert members.bd_active.tolist() == [1, 2]
+    assert np.array_equal(members.bd_scale, members.scale["bd"][1:])
 
 
 # --- inference ----------------------------------------------------------
