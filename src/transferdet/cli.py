@@ -294,19 +294,14 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     detections_path = _require_input(args.detections, "detections file")
     scenes_path = _require_input(args.scenes, "scene file")
-    try:
-        detections = read_detections_csv(detections_path)
-    except DetectionsFormatError as exc:
-        raise CliError(EXIT_MALFORMED, str(exc))
+    detections = read_detections_csv(detections_path)
     try:
         world_cfg, scenes = load_scenes(scenes_path)
     except ValueError as exc:
         raise CliError(EXIT_MALFORMED, str(exc))
     if not scenes:
         raise CliError(EXIT_MALFORMED, f"no scenes in {scenes_path}")
-    ground_truths = {
-        i: [(cls, box) for cls, box in scene.gt] for i, scene in enumerate(scenes)
-    }
+    ground_truths = [scene.gt for scene in scenes]
     num_classes = world_cfg.classes_in(scenes[0].domain)
     eval_cfg = EvalConfig(iou_threshold=args.iou_threshold, ap_method=args.ap_method)
     try:
@@ -334,12 +329,7 @@ def cmd_experiment(args) -> int:
     apply_overrides(StageConfig(), overrides)  # a bad override fails before any work
     seeds = _parse_seeds(args.seeds)
     out = Path(args.out_dir)
-    try:
-        reports = run_experiment(
-            args.name, seeds=seeds, out_dir=out, overrides=overrides,
-        )
-    except UnknownExperimentError as exc:
-        raise CliError(EXIT_UNKNOWN_EXPERIMENT, str(exc))
+    reports = run_experiment(args.name, seeds=seeds, out_dir=out, overrides=overrides)
     experiment = EXPERIMENTS[args.name]
     _write_manifest(
         args, out, list(experiment.default_seeds) if seeds is None else seeds,

@@ -11,22 +11,22 @@ Detections are columns from detector or file to AP: the batched detector
 :func:`transferdet.pipeline.detections` returns one :class:`Detections`
 (scene ids, classes, (n, 4) corner boxes, scores) per model, and
 :func:`read_detections_csv` parses a detections file into one;
-:func:`evaluate_detections` and :func:`match_detections` take it.  Both
-the experiments (:func:`transferdet.pipeline.evaluate_model`) and the
+:func:`evaluate_detections` takes it, with ground truth by scene position.
+Both the experiments (:func:`transferdet.pipeline.evaluate_model`) and the
 ``eval`` command score detections with :func:`evaluate_detections`.
 :class:`Detection` is the one-detection type that
 :func:`transferdet.pipeline.detect` and :func:`write_detections_csv`
 use; ``Detections.of`` turns a list of them into columns.
 
-One greedy matcher, :func:`match_rows`, works on each detection's row of
-IoUs against its scene's ground-truth boxes of the class.  Its skip rule:
-a detection whose best IoU over all of those boxes is at most the
-threshold is a false positive that changes no matching state, so only the
-detections above it enter the per-box loop.  :func:`gt_iou_rows` gives
-every row from one elementwise IoU of the detections against a padded
-per-scene ground-truth array.  It applies the operations of the scalar
-:func:`~transferdet.geometry.iou` in its order, so every row entry is the
-scalar IoU bit for bit.
+One matcher path: :func:`gt_table` pads each scene's ground truth into one
+table (the proposal labels of :func:`transferdet.pipeline.block_labels`
+use it too); :func:`gt_iou_rows` gives each detection's row of IoUs
+against its scene's boxes, bit for bit the scalar
+:func:`~transferdet.geometry.iou`, with :data:`NO_GT` on padding and on
+other classes' boxes; the greedy :func:`match_rows` takes the rows.  Its
+skip rule: a detection whose best IoU is at most the threshold is a false
+positive that changes no matching state, so only the others enter the
+per-box loop.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .textfile import named_decode_errors
 
 AP_METHODS = ("voc07_11point", "all_points")
 
-# IoU row entry past a scene's ground-truth count: below any real overlap,
-# so it never matches and never wins a best-overlap scan.
+# IoU row entry on padding or on another class's box: below any real
+# overlap, so it never matches and never wins a best-overlap scan.
 NO_GT = -1.0
 
 
@@ -132,8 +132,8 @@ def match_rows(
     order (score ties keep input order).
 
     Detection i lies in scene ``scenes[i]``; ``rows[i, g]`` is its IoU
-    with ground-truth box g of the class in that scene, in a fixed GT
-    order, and entries past a scene's GT count hold :data:`NO_GT`.  A
+    with ground-truth box g of that scene, in a fixed GT order, and
+    entries that are not a box of the class hold :data:`NO_GT`.  A
     detection claims its best-overlapping still-unmatched box (the first on
     ties) when that overlap exceeds ``threshold``.
 
@@ -168,49 +168,35 @@ def match_rows(
     return flags
 
 
-def gt_iou_rows(dets: Detections, gts: dict[int, list[BBox]]) -> np.ndarray:
-    """IoU rows of ``dets`` against their scenes' boxes in ``gts``, as
-    :func:`match_rows` takes them.
+def gt_table(
+    ground_truths: Sequence[Sequence[tuple[int, BBox]]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ground truth of S scenes as one table: (S, G, 4) corners and
+    (S, G) int64 classes, G the largest scene's box count.
 
-    The boxes of ``gts`` go into one (scenes, widest scene, 4) array padded
-    with zero boxes; each detection gathers its scene's slice of it and one
-    :func:`~transferdet.geometry.elementwise_iou` gives every row.  Entries
-    past a scene's box count, and every entry of a detection whose scene is
-    not a key of ``gts``, hold :data:`NO_GT`.
+    ``ground_truths[s]`` holds scene s's (class, box) pairs; they fill
+    row s in their order.  The rows past a scene's count hold all-zero
+    corners, which overlap nothing, and class -1.
     """
-    keys = np.array(sorted(gts), dtype=np.int64)
-    boxes = [gts[k] for k in keys.tolist()]
-    counts = np.array([len(b) for b in boxes] + [0], dtype=np.int64)
-    # One slot per scene, and a last one without boxes for unknown scenes.
-    table = np.zeros((len(counts), int(counts.max()), 4))
-    slot_of_box = np.repeat(np.arange(len(counts)), counts)
-    first_of_slot = np.cumsum(counts) - counts
-    rank_of_box = np.arange(slot_of_box.size) - first_of_slot[slot_of_box]
-    table[slot_of_box, rank_of_box] = box_corners([b for bs in boxes for b in bs])
-    slot = np.searchsorted(keys, dets.scene_ids)
-    known = (slot < len(keys)) & (np.append(keys, 0)[slot] == dets.scene_ids)
-    slot[~known] = len(keys)
-    rows = elementwise_iou(dets.boxes[:, None, :], table[slot])
-    rows[np.arange(table.shape[1]) >= counts[slot][:, None]] = NO_GT
+    counts = np.array([len(gt) for gt in ground_truths], dtype=np.int64)
+    scene = np.repeat(np.arange(len(counts)), counts)  # the scene of each box
+    rank = np.arange(scene.size) - (np.cumsum(counts) - counts)[scene]
+    corners = np.zeros((len(counts), counts.max(initial=0), 4))
+    classes = np.full(corners.shape[:2], -1, dtype=np.int64)
+    entries = [entry for gt in ground_truths for entry in gt]
+    corners[scene, rank] = box_corners([box for _, box in entries])
+    classes[scene, rank] = [cls for cls, _ in entries]
+    return corners, classes
+
+
+def gt_iou_rows(dets: Detections, corners: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """IoU rows of ``dets`` against their scenes' rows of a :func:`gt_table`,
+    as :func:`match_rows` takes them: one
+    :func:`~transferdet.geometry.elementwise_iou`, with :data:`NO_GT` on
+    padding and on boxes of another class than the detection's."""
+    rows = elementwise_iou(dets.boxes[:, None, :], corners[dets.scene_ids])
+    rows[classes[dets.scene_ids] != dets.classes[:, None]] = NO_GT
     return rows
-
-
-def match_detections(
-    dets: Detections,
-    gts: dict[int, list[BBox]],
-    cfg: EvalConfig = EvalConfig(),
-) -> list[bool]:
-    """TP/FP flags for one class, in descending score order.
-
-    ``gts`` maps scene id to that scene's ground-truth boxes of the class
-    under evaluation; a detection in a scene without a key matches nothing.
-    Each ground-truth box matches at most one detection.  Score ties keep
-    row order (stable sort).  :func:`gt_iou_rows` gives the IoU rows and
-    :func:`match_rows` matches them.
-    """
-    return match_rows(
-        dets.scores, dets.scene_ids, gt_iou_rows(dets, gts), cfg.iou_threshold
-    )
 
 
 def average_precision(
@@ -253,16 +239,16 @@ def mean_ap(per_class_aps: Sequence[float | None]) -> float:
 
 def evaluate_detections(
     detections: Detections,
-    ground_truths: dict[int, list[tuple[int, BBox]]],
+    ground_truths: Sequence[Sequence[tuple[int, BBox]]],
     num_classes: int,
     cfg: EvalConfig = EvalConfig(),
 ) -> tuple[list[float | None], float]:
     """Per-class AP (None for classes with no ground truth) and mAP.
 
-    ``ground_truths`` maps scene id to (class index, box) pairs.  A
-    detection whose class index lies outside ``[0, num_classes)``, or whose
-    scene id is not a key of ``ground_truths``, raises ValueError naming
-    the first such detection.
+    ``ground_truths[s]`` holds the (class index, box) pairs of scene id s.
+    A detection whose class index lies outside ``[0, num_classes)``, or
+    whose scene id is not a position of ``ground_truths``, raises
+    ValueError naming the first such detection.
     """
     classes, scene_ids = detections.classes, detections.scene_ids
     bad_class = (classes < 0) | (classes >= num_classes)
@@ -272,24 +258,23 @@ def evaluate_detections(
             f"detection in scene {scene_ids[i]} has class {classes[i]}, "
             f"outside [0, {num_classes})"
         )
-    unknown = ~np.isin(scene_ids, np.array(list(ground_truths), dtype=np.int64))
+    unknown = (scene_ids < 0) | (scene_ids >= len(ground_truths))
     if unknown.any():
         raise ValueError(
             f"detection in scene {scene_ids[np.argmax(unknown)]}, which the "
             f"ground truth of {len(ground_truths)} scene(s) does not hold"
         )
+    corners, gt_classes = gt_table(ground_truths)
+    totals = np.bincount(gt_classes[gt_classes >= 0], minlength=num_classes)
     per_class: list[float | None] = []
     for c in range(num_classes):
-        class_gts = {
-            scene: [box for cls, box in entries if cls == c]
-            for scene, entries in ground_truths.items()
-        }
-        total_gt = sum(len(v) for v in class_gts.values())
-        if total_gt == 0:
+        if totals[c] == 0:
             per_class.append(None)
             continue
-        flags = match_detections(detections.take(classes == c), class_gts, cfg)
-        per_class.append(average_precision(flags, total_gt, cfg))
+        dets = detections.take(classes == c)
+        rows = gt_iou_rows(dets, corners, gt_classes)
+        flags = match_rows(dets.scores, dets.scene_ids, rows, cfg.iou_threshold)
+        per_class.append(average_precision(flags, int(totals[c]), cfg))
     return per_class, mean_ap(per_class)
 
 

@@ -65,7 +65,10 @@ class LossWeights:
             "lambda_wstd_sdk",
             "lambda_wstd_rol",
         ):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

@@ -80,7 +80,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .evaluation import Detection, Detections, evaluate_detections, mean_ap
+from .evaluation import Detection, Detections, evaluate_detections, gt_table, mean_ap
 from .geometry import BBox, box_corners, elementwise_iou, nms, pairwise_iou
 from .labelling import (
     ROLConfig,
@@ -228,17 +228,12 @@ def block_labels(
     index ``num_classes``.
 
     One :func:`~transferdet.geometry.elementwise_iou` call overlaps every
-    proposal with its scene's GT, each pair computed as ``pairwise_iou``
-    would.  Each scene's GT rows are padded to the block's largest GT count
-    with all-zero corners, which overlap nothing; coming after the real
-    rows, they win no tie, so every label equals the scene's own.
+    proposal with its scene's row of the scenes'
+    :func:`~transferdet.evaluation.gt_table`, each pair as ``pairwise_iou``
+    would compute it.  The padding overlaps nothing and comes after the
+    real boxes, so it wins no tie and every label is the scene's own.
     """
-    count = max(len(scene.gt) for scene in scenes)
-    gt = np.zeros((len(scenes), count, 4))
-    classes = np.zeros((len(scenes), count), dtype=int)
-    for row, scene in enumerate(scenes):
-        gt[row, :len(scene.gt)] = box_corners([box for _, box in scene.gt])
-        classes[row, :len(scene.gt)] = [cls for cls, _ in scene.gt]
+    gt, classes = gt_table([scene.gt for scene in scenes])
     overlaps = elementwise_iou(proposals[:, :, None, :], gt[:, None, :, :])
     return np.where(
         overlaps.max(axis=-1) > iou_threshold,
@@ -663,17 +658,17 @@ def _train(
     decay_at = (2 * len(order)) // 3
     curves = None
     for step, scene in enumerate(order):
+        lr = opt.learning_rate
+        if step >= decay_at:
+            lr *= opt.lr_decay_factor
         try:
             comps = loss_fn(params, grads, scene)
+            adam_step(buffer, gradient, state, opt, layout, lr)
         except ValueError as exc:
             raise ValueError(f"{prefix} training step {step}: {exc}") from exc
         if curves is None:
             curves = np.empty((len(order), len(comps), len(reports)))
         curves[step] = tuple(comps.values())
-        lr = opt.learning_rate
-        if step >= decay_at:
-            lr *= opt.lr_decay_factor
-        adam_step(buffer, gradient, state, opt, layout, lr)
     if curves is not None:
         for member, report in enumerate(reports):
             if report is not None:
@@ -1184,7 +1179,7 @@ def evaluate_model(
     annotations: each model's :func:`detections` scored by
     :func:`~transferdet.evaluation.evaluate_detections`.  Each model's
     rows are scored and dropped before the next model's are built."""
-    ground_truths = {s: list(scene.gt) for s, scene in enumerate(scenes)}
+    ground_truths = [scene.gt for scene in scenes]
     rows = _detections_of(models, scenes, classifiers)
     return [
         evaluate_detections(next(rows), ground_truths, _select_head(m, c).num_rows - 1)

@@ -21,6 +21,7 @@ the data, stay scalar.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 import zlib
@@ -102,6 +103,8 @@ class WorldConfig:
             raise ValueError(f"bad objects_per_scene range ({lo}, {hi})")
         if self.proposals_per_scene < hi:
             raise ValueError("proposals_per_scene must cover the largest scene")
+        if not (np.isfinite(self.noise_sigma) and np.isfinite(self.clutter_sigma)):
+            raise ValueError("noise scales must be finite")
         if self.noise_sigma < 0 or self.clutter_sigma < 0:
             raise ValueError("noise scales must be nonnegative")
 
@@ -349,43 +352,25 @@ def sample_scenes(
 WORLD_MAGIC = "# transferdet world v1"
 SCENES_MAGIC = "# transferdet scene set v1"
 
-_CONFIG_FIELDS = (
-    "num_source_classes",
-    "num_target_classes",
-    "raw_dim",
-    "grid_height",
-    "grid_width",
-    "noise_sigma",
-    "clutter_sigma",
-    "jitter",
-    "proposals_per_scene",
-    "objects_per_scene",
-    "seed",
-)
-
 
 def _config_lines(config: WorldConfig) -> list[str]:
+    """One ``config <field> <value...>`` line per field of ``config``, in
+    field order: a tuple as its items' reprs, any other value as its repr."""
     lines = []
-    for name in _CONFIG_FIELDS:
-        value = getattr(config, name)
-        if name == "objects_per_scene":
-            lines.append(f"config {name} {value[0]} {value[1]}")
-        elif isinstance(value, float):
-            lines.append(f"config {name} {value!r}")
-        else:
-            lines.append(f"config {name} {value}")
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        text = " ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        lines.append(f"config {field.name} {text}")
     return lines
-
-
-_FLOAT_FIELDS = ("noise_sigma", "clutter_sigma", "jitter")
 
 
 def _parse_config(lines: list[str]) -> WorldConfig:
     """WorldConfig from the ``config <field> <value...>`` lines of a file.
 
-    Every field of ``_CONFIG_FIELDS`` must appear exactly once; a missing,
-    repeated or unknown field, or a missing or non-numeric value, raises
-    ValueError.  So does a ``seed <n>`` header line that is missing,
+    Every field of :class:`WorldConfig` must appear exactly once, with as
+    many values as its default holds, each of its default's type; a
+    missing, repeated or unknown field, or a missing or non-numeric value,
+    raises ValueError.  So does a ``seed <n>`` header line that is missing,
     repeated, malformed or different from ``config seed``.
     """
     # Only these lines can have "seed" or "config" as their first word.
@@ -399,24 +384,26 @@ def _parse_config(lines: list[str]) -> WorldConfig:
     ]
     if len(seeds) != 1 or len(seeds[0]) != 2:
         raise ValueError("file needs exactly one 'seed <n>' header line")
+    defaults = {f.name: f.default for f in dataclasses.fields(WorldConfig)}
     kwargs = {}
     for line in lines:
         if line.split()[:1] != ["config"]:
             continue
         name, *rest = line.split()[1:] or [""]
-        if name not in _CONFIG_FIELDS:
+        if name not in defaults:
             raise ValueError(f"unknown config field in line {line!r}")
         if name in kwargs:
             raise ValueError(f"config field {name} given more than once")
-        arity = 2 if name == "objects_per_scene" else 1
-        if len(rest) != arity:
-            raise ValueError(f"config {name} needs {arity} value(s): {line!r}")
+        default = defaults[name]
+        items = default if isinstance(default, tuple) else (default,)
+        if len(rest) != len(items):
+            raise ValueError(f"config {name} needs {len(items)} value(s): {line!r}")
         try:
-            values = [float(v) if name in _FLOAT_FIELDS else int(v) for v in rest]
+            values = tuple(type(item)(v) for item, v in zip(items, rest))
         except ValueError:
             raise ValueError(f"non-numeric value in config line {line!r}") from None
-        kwargs[name] = tuple(values) if arity == 2 else values[0]
-    missing = [name for name in _CONFIG_FIELDS if name not in kwargs]
+        kwargs[name] = values if isinstance(default, tuple) else values[0]
+    missing = [name for name in defaults if name not in kwargs]
     if missing:
         raise ValueError(f"missing config line(s) for {', '.join(missing)}")
     if seeds[0][1] != str(kwargs["seed"]):
@@ -437,22 +424,33 @@ def save_world(path, world: World) -> None:
 
 def load_world(path) -> World:
     """The world :func:`save_world` wrote to ``path``; ValueError for a
-    malformed file, naming the first undecodable line of one that is not
-    text."""
+    malformed file, naming the line of a ``prototype`` row without
+    ``raw_dim`` finite values, and the first undecodable line of a file
+    that is not text."""
     with named_decode_errors(path), open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != WORLD_MAGIC:
         raise ValueError(f"{path} is not a world file")
     config = _parse_config(lines)
-    rows = [
-        np.array([float(v) for v in ln.split()[1:]])
-        for ln in lines
-        if ln.startswith("prototype ")
-    ]
-    prototypes = np.vstack(rows)
-    if prototypes.shape != (config.num_prototypes, config.raw_dim):
+    rows = []
+    for number, ln in enumerate(lines, start=1):
+        if ln.startswith("prototype "):
+            rows.append(_named(number, _prototype_row, ln, config.raw_dim))
+    if len(rows) != config.num_prototypes:
         raise ValueError("prototype block does not match config dimensions")
-    return World(config=config, prototypes=prototypes)
+    return World(config=config, prototypes=np.array(rows))
+
+
+def _prototype_row(line: str, dim: int) -> list[float]:
+    """The ``dim`` finite values of a ``prototype`` line."""
+    message = f"expected 'prototype' and {dim} finite values, got {line!r}"
+    try:
+        row = [float(v) for v in line.split()[1:]]
+    except ValueError:
+        raise ValueError(message) from None
+    if len(row) != dim or not np.isfinite(row).all():
+        raise ValueError(message)
+    return row
 
 
 def save_scenes(path, world: World, scenes: list[Scene]) -> None:

@@ -114,6 +114,11 @@ BAD_OVERRIDES = [
     ("rol.phi_obj=1", "rol.phi_obj"),
     ("freeze_backbone=1", "freeze_backbone"),
     ("weights.lambda_main=2", "weights.lambda_main"),
+    ("weights.lambda_bd=nan", "weights.lambda_bd"),
+    ("weights.lambda_bd=inf", "weights.lambda_bd"),
+    ("weights.lambda_wstd_rol=nan", "weights.lambda_wstd_rol"),
+    ("noise_sigma=nan", "noise_sigma"),
+    ("clutter_sigma=inf", "clutter_sigma"),
 ]
 
 OVERRIDE_COMMANDS = {
@@ -151,17 +156,28 @@ def test_train_wstd_refuses_phi_obj_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_diverging_training_names_its_stage_and_step(tmp_path, capsys):
+def test_diverging_training_names_its_stage_and_step(tmp_path, train_root, capsys):
     argv = [
         "train", "source", "--seed", "1", "--set", "source_epochs=1",
         "--set", "source_scenes=2", "--set", "optimizer.learning_rate=1e300",
-        "--out-dir", str(tmp_path),
+        "--out-dir", str(tmp_path / "source"),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "source training step" in err and "finite" in err
     assert "Traceback" not in err
+    # a loss weight that overflows the gradient fails in the Adam step
+    argv = [
+        "train", "lstd", "--seed", "7", "--set", "weights.lambda_bd=1e308",
+        "--source-model", str(train_root / "source" / "source_model.txt"),
+        "--out-dir", str(tmp_path / "lstd"),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error: lstd training step 0: non-finite gradient" in err
+    assert "Traceback" not in err and not (tmp_path / "lstd").exists()
 
 
 @pytest.mark.parametrize("via", ["set", "config"])
@@ -480,6 +496,21 @@ def test_eval_undecodable_detections_exits_4(tmp_path, capsys):
         assert code == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert f"line {line}: {det_path}" in err and "Traceback" not in err
+
+
+def test_train_on_world_with_nonfinite_prototype_exits_4(tmp_path, capsys):
+    path = tmp_path / "world.txt"
+    save_world(path, make_world(WorldConfig(seed=2)))
+    lines = path.read_text().splitlines()
+    at = lines.index(next(ln for ln in lines if ln.startswith("prototype ")))
+    lines[at] = "prototype nan" + lines[at][lines[at].index(" ", 10):]
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "source", "--seed", "2", "--world", str(path),
+                 "--out-dir", str(out)]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert f"error: line {at + 1}: expected 'prototype' and 16 finite values" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("what", ["world", "checkpoint", "scenes", "config"])

@@ -16,7 +16,7 @@ from transferdet.evaluation import (
     average_precision,
     evaluate_detections,
     gt_iou_rows,
-    match_detections,
+    gt_table,
     match_rows,
     mean_ap,
     read_detections_csv,
@@ -41,6 +41,15 @@ def assert_same_columns(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+
+
+def match(dets, gts, cfg=CFG_11):
+    """TP/FP flags of class-0 detections against ``gts[s]``, the class-0
+    boxes of scene s: :func:`match_rows` on the rows :func:`gt_iou_rows`
+    gives against their :func:`gt_table`."""
+    table = gt_table([[(0, box) for box in boxes] for boxes in gts])
+    rows = gt_iou_rows(dets, *table)
+    return match_rows(dets.scores, dets.scene_ids, rows, cfg.iou_threshold)
 
 
 def strip(x, width):
@@ -68,63 +77,63 @@ def test_eval_config_validation():
 
 def test_match_single_detection_above_threshold():
     # strips of width 0.4 offset by 0.1 -> IoU 0.3/0.5 = 0.6
-    gts = {0: [BBox(*strip(0.0, 0.4))]}
+    gts = [[BBox(*strip(0.0, 0.4))]]
     dets = Detections.of([det(0, 0, strip(0.1, 0.4), 0.9)])
-    flags = match_detections(dets, gts, CFG_11)
+    flags = match(dets, gts, CFG_11)
     assert flags == [True]
 
 
 def test_match_below_threshold_is_fp():
     # width 0.35 offset 0.15 -> IoU 0.2/0.5 = 0.4
-    gts = {0: [BBox(*strip(0.0, 0.35))]}
+    gts = [[BBox(*strip(0.0, 0.35))]]
     dets = Detections.of([det(0, 0, strip(0.15, 0.35), 0.9)])
-    flags = match_detections(dets, gts, CFG_11)
+    flags = match(dets, gts, CFG_11)
     assert flags == [False]
 
 
 def test_match_exactly_at_threshold_is_fp():
     # IoU is exactly 0.5; the rule is strict
-    gts = {0: [BBox(0.0, 0.0, 1.0, 1.0)]}
+    gts = [[BBox(0.0, 0.0, 1.0, 1.0)]]
     dets = Detections.of([det(0, 0, (0.0, 0.0, 0.5, 1.0), 0.9)])
-    flags = match_detections(dets, gts, CFG_11)
+    flags = match(dets, gts, CFG_11)
     assert flags == [False]
 
 
 def test_match_duplicate_detections_tp_then_fp():
-    gts = {0: [BBox(0.2, 0.2, 0.6, 0.6)]}
+    gts = [[BBox(0.2, 0.2, 0.6, 0.6)]]
     dets = [
         det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.9),
         det(0, 0, (0.21, 0.2, 0.61, 0.6), 0.8),
     ]
-    assert match_detections(Detections.of(dets), gts, CFG_11) == [True, False]
+    assert match(Detections.of(dets), gts, CFG_11) == [True, False]
 
 
 def test_match_prefers_best_overlapping_gt():
     # D1 overlaps both GTs and must claim the better one (G1), leaving G2
     # for D2; claiming greedily by list order would make D2 a FP.
-    gts = {0: [BBox(*strip(0.0, 0.4)), BBox(*strip(0.2, 0.4))]}
+    gts = [[BBox(*strip(0.0, 0.4)), BBox(*strip(0.2, 0.4))]]
     dets = [
         det(0, 0, strip(0.05, 0.4), 0.9),
         det(0, 0, strip(0.15, 0.4), 0.8),
     ]
-    assert match_detections(Detections.of(dets), gts, CFG_11) == [True, True]
+    assert match(Detections.of(dets), gts, CFG_11) == [True, True]
 
 
 def test_match_ignores_other_scenes():
-    gts = {0: [BBox(0.2, 0.2, 0.6, 0.6)]}
+    gts = [[BBox(0.2, 0.2, 0.6, 0.6)], []]
     dets = Detections.of([det(1, 0, (0.2, 0.2, 0.6, 0.6), 0.9)])
-    flags = match_detections(dets, gts, CFG_11)
+    flags = match(dets, gts, CFG_11)
     assert flags == [False]
 
 
 def test_match_processes_in_descending_score_order():
     # the low-score duplicate appears first in the list but must lose
-    gts = {0: [BBox(0.2, 0.2, 0.6, 0.6)]}
+    gts = [[BBox(0.2, 0.2, 0.6, 0.6)]]
     dets = [
         det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.3),
         det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.9),
     ]
-    assert match_detections(Detections.of(dets), gts, CFG_11) == [True, False]
+    assert match(Detections.of(dets), gts, CFG_11) == [True, False]
 
 
 def test_ap_trivial_cases():
@@ -153,13 +162,13 @@ def test_ap_matches_reference_on_random_instances():
     rng = np.random.default_rng(11)
     for _ in range(300):
         n_scenes = int(rng.integers(1, 6))
-        gts = {}
+        gts = []
         gt_flat = []
         dets = []
         det_flat = []
         for scene in range(n_scenes):
             boxes = random_boxes(rng, int(rng.integers(0, 4)), lo=0.1, hi=0.5)
-            gts[scene] = [BBox(*b) for b in boxes]
+            gts.append([BBox(*b) for b in boxes])
             gt_flat.extend((scene, b) for b in boxes)
             for b in random_boxes(rng, int(rng.integers(0, 5)), lo=0.1, hi=0.5):
                 if rng.random() < 0.4:
@@ -168,7 +177,7 @@ def test_ap_matches_reference_on_random_instances():
                     score = float(rng.random())
                 dets.append(det(scene, 0, b, score))
                 det_flat.append((scene, score, b))
-        flags = match_detections(Detections.of(dets), gts, CFG_11)
+        flags = match(Detections.of(dets), gts, CFG_11)
         assert flags == ref_match(det_flat, gt_flat, 0.5)
         total_gt = len(gt_flat)
         if total_gt == 0:
@@ -232,15 +241,15 @@ def test_matching_invariant_under_monotone_score_transforms():
     rng = np.random.default_rng(12)
     for _ in range(50):
         boxes = random_boxes(rng, 6, lo=0.1, hi=0.5)
-        gt = {0: [BBox(*b) for b in random_boxes(rng, 3, lo=0.1, hi=0.5)]}
+        gt = [[BBox(*b) for b in random_boxes(rng, 3, lo=0.1, hi=0.5)]]
         scores = [float(rng.integers(1, 5)) / 4.0 for _ in boxes]
-        base = match_detections(
+        base = match(
             Detections.of([det(0, 0, b, s) for b, s in zip(boxes, scores)]),
             gt,
             CFG_11,
         )
         for transform in (lambda s: 0.5 * s + 2.0, lambda s: s**3):
-            moved = match_detections(
+            moved = match(
                 Detections.of(
                     [det(0, 0, b, transform(s)) for b, s in zip(boxes, scores)]
                 ),
@@ -278,7 +287,7 @@ def test_evaluate_detections_excludes_absent_classes():
         det(0, 1, (0.5, 0.5, 0.9, 0.9), 0.8),  # class 1 has no ground truth
     ]
     per_class, mean = evaluate_detections(
-        Detections.of(dets), {0: [(0, gt_box)]}, 2
+        Detections.of(dets), [[(0, gt_box)]], 2
     )
     assert per_class[0] == pytest.approx(1.0)
     assert per_class[1] is None
@@ -286,7 +295,7 @@ def test_evaluate_detections_excludes_absent_classes():
 
 
 def test_evaluate_detections_rejects_out_of_range_class():
-    gt = {0: [(0, BBox(0.2, 0.2, 0.6, 0.6))]}
+    gt = [[(0, BBox(0.2, 0.2, 0.6, 0.6))]]
     for cls in (-1, 2, 9):
         with pytest.raises(ValueError, match=f"class {cls}"):
             dets = Detections.of([det(0, cls, (0.2, 0.2, 0.6, 0.6), 0.9)])
@@ -294,7 +303,7 @@ def test_evaluate_detections_rejects_out_of_range_class():
 
 
 def test_evaluate_detections_empty_class_gets_zero():
-    gt = {0: [(0, BBox(0.2, 0.2, 0.6, 0.6)), (1, BBox(0.2, 0.2, 0.6, 0.6))]}
+    gt = [[(0, BBox(0.2, 0.2, 0.6, 0.6)), (1, BBox(0.2, 0.2, 0.6, 0.6))]]
     per_class, mean = evaluate_detections(
         Detections.of([det(0, 0, (0.2, 0.2, 0.6, 0.6), 0.9)]), gt, 2
     )
@@ -476,10 +485,10 @@ def test_detections_of_and_take():
 
 
 def random_evaluation(rng, num_classes):
-    """Detections and ground truth over a few scenes, with score ties,
-    scenes without GT, classes without GT and detections clustered on GT
-    boxes so that several compete for one."""
-    ground_truths = {}
+    """Detections and ground truth by position over eight scenes, with
+    score ties, scenes without GT or detections, classes without GT and
+    detections clustered on GT boxes so that several compete for one."""
+    ground_truths = [[] for _ in range(8)]
     dets = []
     present = [c for c in range(num_classes) if rng.random() < 0.7]
     for scene in rng.permutation(8)[: int(rng.integers(1, 6))].tolist():
@@ -510,12 +519,11 @@ def test_columnar_evaluation_equals_scalar_iou_oracle():
         cols = Detections.of(
             det(scene, cls, box, score) for scene, cls, score, box in flat_dets
         )
-        ground_truths = {
-            scene: [(cls, BBox(*b)) for cls, b in entries]
-            for scene, entries in flat_gts.items()
-        }
+        ground_truths = [[(cls, BBox(*b)) for cls, b in gt] for gt in flat_gts]
         for threshold in (0.1, 0.5, 0.7):
-            expected = ref_evaluate_flags(flat_dets, flat_gts, num_classes, threshold)
+            expected = ref_evaluate_flags(
+                flat_dets, dict(enumerate(flat_gts)), num_classes, threshold
+            )
             if all(e is None for e in expected):
                 continue
             for method in ("voc07_11point", "all_points"):
@@ -529,29 +537,37 @@ def test_columnar_evaluation_equals_scalar_iou_oracle():
 
 
 def test_gt_iou_rows_are_the_scalar_iou():
+    # entries on padding or on a box of another class are NO_GT
     rng = np.random.default_rng(16)
     for _ in range(50):
-        gts = {
-            scene: [BBox(*b) for b in random_boxes(rng, int(rng.integers(0, 5)))]
-            for scene in range(int(rng.integers(0, 4)))
-        }
+        gts = [
+            [(int(rng.integers(3)), BBox(*b))
+             for b in random_boxes(rng, int(rng.integers(0, 5)))]
+            for _ in range(int(rng.integers(1, 4)))
+        ]
         dets = [
-            det(int(rng.integers(-1, 5)), 0, b, 0.5)
+            det(int(rng.integers(len(gts))), int(rng.integers(3)), b, 0.5)
             for b in random_boxes(rng, int(rng.integers(0, 9)))
         ]
-        rows = gt_iou_rows(Detections.of(dets), gts)
-        width = max((len(b) for b in gts.values()), default=0)
+        corners, classes = gt_table(gts)
+        rows = gt_iou_rows(Detections.of(dets), corners, classes)
+        width = max(len(gt) for gt in gts)
+        assert corners.shape == (len(gts), width, 4)
+        assert classes.tolist() == [
+            [cls for cls, _ in gt] + [-1] * (width - len(gt)) for gt in gts
+        ]
         want = np.full((len(dets), width), NO_GT)
         for i, d in enumerate(dets):
-            for g, gt_box in enumerate(gts.get(d.scene_id, [])):
-                want[i, g] = iou(d.box, gt_box)
+            for g, (cls, gt_box) in enumerate(gts[d.scene_id]):
+                if cls == d.class_index:
+                    want[i, g] = iou(d.box, gt_box)
         assert rows.shape == want.shape
         assert rows.tobytes() == want.tobytes()
 
 
 def test_evaluate_detections_rejects_unknown_scene():
-    gt = {0: [(0, BBox(0.2, 0.2, 0.6, 0.6))], 1: []}
-    for scene in (7, -1):
+    gt = [[(0, BBox(0.2, 0.2, 0.6, 0.6))], []]
+    for scene in (7, 2, -1):
         dets = Detections.of([
             det(1, 0, (0.2, 0.2, 0.6, 0.6), 0.9), det(scene, 0, (0.2, 0.2, 0.6, 0.6), 0.5)
         ])

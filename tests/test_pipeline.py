@@ -1192,7 +1192,7 @@ def test_evaluate_model_list_form_equals_reference_oracle(world, warmup, student
     assert len(heads) == len(models)
     results = evaluate_model(models, scenes, classifiers)
     assert len(results) == len(models)
-    ground_truths = {i: list(scene.gt) for i, scene in enumerate(scenes)}
+    ground_truths = [scene.gt for scene in scenes]
     for model, classifier, head, (per_class, map_value) in zip(
         models, classifiers, heads, results
     ):
@@ -1247,7 +1247,7 @@ def test_evaluate_model_holds_one_models_detections_at_a_time(
     results = evaluate_model(models, scenes, classifiers)
     monkeypatch.undo()
     assert len(scored) == len(models)
-    ground_truths = {s: list(scene.gt) for s, scene in enumerate(scenes)}
+    ground_truths = [scene.gt for scene in scenes]
     assert results == [
         original(dets, ground_truths, world.config.num_target_classes)
         for dets in detections(models, scenes, classifiers)

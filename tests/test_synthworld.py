@@ -324,6 +324,29 @@ def test_world_file_rejects_shape_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "row",
+    [
+        "prototype nan" + " 0.25" * 15,
+        "prototype" + " 0.25" * 15 + " -inf",
+        "prototype" + " 0.25" * 15,
+        "prototype" + " 0.25" * 17,
+        "prototype 0.25 x" + " 0.25" * 14,
+    ],
+    ids=["nan", "inf", "short", "long", "non_numeric"],
+)
+def test_world_file_rejects_bad_prototype_row_naming_its_line(tmp_path, row):
+    world = make_world(WorldConfig(seed=9))
+    path = tmp_path / "world.txt"
+    save_world(path, world)
+    lines = path.read_text().splitlines()
+    at = [i for i, ln in enumerate(lines) if ln.startswith("prototype ")][2]
+    lines[at] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {at + 1}: expected 'prototype' and 16 finite"):
+        load_world(path)
+
+
+@pytest.mark.parametrize(
     "line",
     ["config seed", "config seed x", "config jitter", "config objects_per_scene 1",
      "config colour 3", "config "],
