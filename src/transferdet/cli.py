@@ -144,13 +144,17 @@ def _parse_seeds(raw: str | None):
 
 
 def _config_digest(args) -> str:
-    """SHA-256 of the overrides a command read: its ``--config`` file, or
-    else its sorted ``--set`` lines.  A command that takes no overrides
-    (``eval``, ``gradcheck``) hashes nothing."""
+    """SHA-256 of the overrides a command read: its ``--config`` file's
+    bytes, its sorted ``--set`` lines, or, when it gave both, the file's
+    digest on a line before the ``--set`` lines.  A command that takes no
+    overrides (``eval``, ``gradcheck``) hashes nothing."""
     config = getattr(args, "config", None)
-    if config:
-        return hashlib.sha256(Path(config).read_bytes()).hexdigest()
     payload = "\n".join(sorted(getattr(args, "set", None) or []))
+    if config:
+        digest = hashlib.sha256(Path(config).read_bytes()).hexdigest()
+        if not payload:
+            return digest
+        payload = f"{digest}\n{payload}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -301,8 +305,15 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_MALFORMED, str(exc))
     if not scenes:
         raise CliError(EXIT_MALFORMED, f"no scenes in {scenes_path}")
+    domain = scenes[0].domain
+    for i, scene in enumerate(scenes):
+        if scene.domain != domain:
+            raise CliError(EXIT_MALFORMED, (
+                f"{scenes_path}: scene {i} is a {scene.domain} scene but scene 0 "
+                f"is a {domain} scene; a scene set is scored in one domain"
+            ))
     ground_truths = [scene.gt for scene in scenes]
-    num_classes = world_cfg.classes_in(scenes[0].domain)
+    num_classes = world_cfg.classes_in(domain)
     eval_cfg = EvalConfig(iou_threshold=args.iou_threshold, ap_method=args.ap_method)
     try:
         per_class, map_value = evaluate_detections(

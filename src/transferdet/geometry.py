@@ -7,11 +7,12 @@ grid cell when the cell's center lies inside the box (boundary included);
 scene painting, ROI pooling and the background mask all use this one test,
 batched over boxes by :func:`coverage_masks`.
 
-:func:`elementwise_iou` applies the scalar :func:`iou`'s operations in
-its order to corner arrays, and :func:`pairwise_iou` is it over all pairs
-of two box sets.  Both are bitwise symmetric (``min``, ``max`` and ``+``
-commute), so a large IoU matrix may be assembled from blocks and
-transposed blocks without changing a bit.  :func:`nms` visits boxes in
+The scalar :func:`iou` defines box overlap, intersection included;
+:func:`elementwise_iou` applies its operations in its order to corner
+arrays, and :func:`pairwise_iou` is it over all pairs of two box sets.
+Both are bitwise symmetric (``min``, ``max`` and ``+`` commute), so a
+large IoU matrix may be assembled from blocks and transposed blocks
+without changing a bit.  :func:`nms` visits boxes in
 descending score order and reads only the kept boxes' columns of the IoU
 matrix.  Its form follows the shape of the scores: one score vector
 suppresses with one vector step per kept box, and a stack of score rows
@@ -55,19 +56,13 @@ class BBox:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-def intersection_area(a: BBox, b: BBox) -> float:
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two boxes, in [0, 1]."""
     w = min(a.x2, b.x2) - max(a.x1, b.x1)
     h = min(a.y2, b.y2) - max(a.y1, b.y1)
     if w <= 0.0 or h <= 0.0:
         return 0.0
-    return w * h
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    inter = intersection_area(a, b)
-    if inter == 0.0:
-        return 0.0
+    inter = w * h
     union = a.area + b.area - inter
     return inter / union
 

@@ -15,7 +15,8 @@ a padded matrix of cell indices, which depends only on the grid shape and
 may be cached, and :func:`pool_indexed_means` averages the gathered rows
 bit-identically to a per-box ``mean``.  Both take a leading scene axis, so
 a block of scenes pools in one gather; :func:`pool_raw_means` is the
-same code on one scene's boxes.
+same code on one scene's boxes.  :func:`extract_sdk`, the distillation
+teacher of LSTD and WSTD, scores means already pooled.
 
 Sibling trainings (the same scenes, initialization and step order, other
 loss coefficients) run in lockstep: their parameters are stacked along a
@@ -35,7 +36,6 @@ elementwise, that equals a step per block bit for bit.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -64,10 +64,6 @@ class Backbone:
     @property
     def feature_dim(self) -> int:
         return self.map.shape[0]
-
-    @property
-    def raw_dim(self) -> int:
-        return self.map.shape[1]
 
 
 @dataclass
@@ -128,9 +124,6 @@ class DetectorModel:
         if self.source_classes > 0 and self.main_head.num_rows == self.source_classes + 1:
             return self.main_head
         raise ValueError("model has no head over the source classes")
-
-    def copy(self) -> "DetectorModel":
-        return copy.deepcopy(self)
 
 
 # Feature amplification at init.  Adam moves each weight coordinate by at
@@ -408,17 +401,11 @@ def pooled_probs(backbone: Backbone, head: Head, raw_means: np.ndarray) -> np.nd
     return column_softmax(head_logits(head.weights, raw_means @ backbone.map.T))
 
 
-def extract_sdk(
-    teacher: DetectorModel, raw_grid: np.ndarray, proposals: Sequence[BBox]
-) -> np.ndarray:
-    """Per-proposal source-class distributions from a frozen teacher.
-
-    Pools with the teacher's backbone, scores with its source-knowledge
-    head, and returns softmax probabilities.  Depends on the teacher only
-    through its logits; nothing here propagates gradients back.
-    """
-    head = teacher.source_knowledge_head()
-    return pooled_probs(teacher.backbone, head, pool_raw_means(raw_grid, list(proposals)))
+def extract_sdk(teacher: DetectorModel, raw_means: np.ndarray) -> np.ndarray:
+    """(C+1) x K source-class probabilities of a frozen teacher's
+    source-knowledge head over K pooled raw means.  Depends on the teacher
+    only through its logits; nothing here propagates gradients back."""
+    return pooled_probs(teacher.backbone, teacher.source_knowledge_head(), raw_means)
 
 
 # --- checkpoints ------------------------------------------------------------

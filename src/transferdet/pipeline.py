@@ -7,8 +7,10 @@ Stage three trains the final detector on weakly annotated scenes, guided
 by the frozen warm-up model and recurrent pseudo labelling.
 
 Each training packs its scenes once into per-scene constants
-(:class:`ScenePack`).  Pack arrays are read-only, so no training can change
-what another reads.
+(:class:`ScenePack`), pooling each scene's boxes once; both stages'
+distillation teachers are :func:`~transferdet.model.extract_sdk` on those
+means.  Weak pack arrays are read-only, so no training can change what
+another reads.
 
 Sibling trainings run in lockstep.  The cells of an ablation train, within
 one seed, from the same packs, initial heads and scene order, and differ
@@ -60,10 +62,11 @@ to looping over the classifiers.
 Inference has one path.  :func:`detections` pools and overlaps each scene
 once for all the models it is given, scores each model on all the scenes
 in one stacked head call, suppresses every (model, class, scene) row in
-one lockstep NMS and returns one columnar
-:class:`~transferdet.evaluation.Detections` per model; :func:`detect` is
-its one-model, one-scene case.  The runner evaluates once per (world,
-eval count), after every stage is trained; a world config holds its seed.
+one lockstep NMS and returns an iterator of one columnar
+:class:`~transferdet.evaluation.Detections` per model, each built when it
+is reached; :func:`detect` is its one-model, one-scene case.  The runner
+evaluates once per (world, eval count), after every stage is trained; a
+world config holds its seed.
 :func:`evaluate_model` takes each distinct (model, classifier) to be
 scored on those eval scenes once, and scores each one's detections with
 :func:`~transferdet.evaluation.evaluate_detections`, the matcher the
@@ -73,6 +76,7 @@ scored on those eval scenes once, and scores each one's detections with
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -133,6 +137,7 @@ from .synthworld import (
 LABELLERS = ("rol", "oicr")
 INFERENCE_NMS_THRESHOLD = 0.5
 PROPOSAL_LABEL_IOU = 0.5
+MAX_CLASS_SCENE_DRAWS = 200000  # draws before collect_class_scenes gives up
 
 
 @dataclass(frozen=True)
@@ -217,15 +222,12 @@ class ScenePack:
 
 
 def block_labels(
-    proposals: np.ndarray,
-    scenes: Sequence[Scene],
-    num_classes: int,
-    iou_threshold: float = PROPOSAL_LABEL_IOU,
+    proposals: np.ndarray, scenes: Sequence[Scene], num_classes: int
 ) -> np.ndarray:
     """(S, K) integer class per proposal of S scenes, from their (S, K, 4)
     proposal corners: the class of its best-overlap GT box (the first on
-    ties) when that overlap exceeds the threshold, else the background
-    index ``num_classes``.
+    ties) when that overlap exceeds :data:`PROPOSAL_LABEL_IOU`, else the
+    background index ``num_classes``.
 
     One :func:`~transferdet.geometry.elementwise_iou` call overlaps every
     proposal with its scene's row of the scenes'
@@ -236,39 +238,25 @@ def block_labels(
     gt, classes = gt_table([scene.gt for scene in scenes])
     overlaps = elementwise_iou(proposals[:, :, None, :], gt[:, None, :, :])
     return np.where(
-        overlaps.max(axis=-1) > iou_threshold,
+        overlaps.max(axis=-1) > PROPOSAL_LABEL_IOU,
         np.take_along_axis(classes, overlaps.argmax(axis=-1), axis=-1),
         num_classes,
     )
 
 
-def proposal_labels(
-    scene: Scene, num_classes: int, iou_threshold: float = PROPOSAL_LABEL_IOU
-) -> np.ndarray:
-    """:func:`block_labels` of one scene: its (K,) proposal classes."""
-    corners = box_corners(scene.proposals)[None]
-    return block_labels(corners, [scene], num_classes, iou_threshold)[0]
-
-
-def pack_source_scene(scene: Scene, world: World) -> ScenePack:
-    """One source scene's pack.  Training packs its scenes in blocks
-    (:func:`_stacked_source_scenes`), bit for bit as this per-scene pack."""
-    num_classes = world.config.classes_in("source")
-    return ScenePack(
-        raw_means=pool_raw_means(scene.raw_grid, list(scene.proposals)),
-        targets=proposal_targets(proposal_labels(scene, num_classes), num_classes + 1),
-    )
-
-
 def pack_lstd_scene(scene: Scene, world: World, source: DetectorModel) -> ScenePack:
-    boxes = list(scene.proposals)
+    """One support scene's constants; the source model's distillation
+    teacher scores the pack's own raw means, so the scene is pooled once."""
     cfg = world.config
     num_classes = cfg.classes_in("target")
-    teacher = check_score_matrix(extract_sdk(source, scene.raw_grid, boxes))
+    corners = box_corners(scene.proposals)
+    raw_means = pool_raw_means(scene.raw_grid, corners)
+    teacher = check_score_matrix(extract_sdk(source, raw_means))
+    labels = block_labels(corners[None], [scene], num_classes)[0]
     return ScenePack(
-        raw_means=pool_raw_means(scene.raw_grid, boxes),
+        raw_means=raw_means,
         raw_grid=scene.raw_grid,
-        targets=proposal_targets(proposal_labels(scene, num_classes), num_classes + 1),
+        targets=proposal_targets(labels, num_classes + 1),
         background_mask=bd_mask(
             cfg.grid_height, cfg.grid_width, [b for _, b in scene.gt]
         ),
@@ -320,19 +308,12 @@ class _Lattice:
 # Lattice geometry is scene independent, so the corners of its boxes, the
 # cells each box pools over and their pairwise IoU are computed once per
 # grid shape.
-_LATTICE_CACHE: dict[tuple[int, int], _Lattice] = {}
-
-
+@functools.cache
 def _anchor_lattice(height: int, width: int) -> _Lattice:
-    key = (height, width)
-    if key not in _LATTICE_CACHE:
-        boxes = anchor_boxes(height, width)
-        _LATTICE_CACHE[key] = _Lattice(
-            box_corners(boxes),
-            *pooling_index(height, width, boxes),
-            pairwise_iou(boxes),
-        )
-    return _LATTICE_CACHE[key]
+    boxes = anchor_boxes(height, width)
+    return _Lattice(
+        box_corners(boxes), *pooling_index(height, width, boxes), pairwise_iou(boxes)
+    )
 
 
 @dataclass(frozen=True)
@@ -410,9 +391,7 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
     raw_means = selection.raw_means[keep]
     pack = ScenePack(
         raw_means=raw_means,
-        teacher=check_score_matrix(
-            pooled_probs(warmup.backbone, warmup.source_knowledge_head(), raw_means)
-        ),
+        teacher=check_score_matrix(extract_sdk(warmup, raw_means)),
         y_img=y_img,
         iou=selection.iou[np.ix_(keep, keep)],
         present=np.array(present_classes(y_img)),
@@ -678,12 +657,7 @@ def _train(
 
 
 def collect_class_scenes(
-    world: World,
-    domain: str,
-    mode: str,
-    rng: np.random.Generator,
-    per_class: int,
-    max_draws: int = 200000,
+    world: World, domain: str, mode: str, rng: np.random.Generator, per_class: int
 ) -> list[Scene]:
     """Sample scenes until every class appears in at least ``per_class`` of
     them; a drawn scene is kept only while some of its classes still need
@@ -693,7 +667,7 @@ def collect_class_scenes(
     scenes: list[Scene] = []
     draws = 0
     while np.any(counts < per_class):
-        if draws >= max_draws:
+        if draws >= MAX_CLASS_SCENE_DRAWS:
             raise RuntimeError("scene sampling did not cover every class")
         scene = sample_scenes(world, domain, mode, rng, 1)[0]
         draws += 1
@@ -824,7 +798,7 @@ def _stacked_source_scenes(
     one ``sample_scenes`` call of N, so no block of scenes outlives its
     packing.  A block pools and labels all its scenes at once
     (:func:`~transferdet.model.pool_raw_means` on corner arrays,
-    :func:`block_labels`), bit for bit as :func:`pack_source_scene`.
+    :func:`block_labels`), bit for bit as one scene at a time.
     """
     rng = substream(cfg.seed, "source", "scenes")
     num_classes = world.config.classes_in("source")
@@ -1034,18 +1008,16 @@ def wstd_train(
             _stacked(warmup.main_head.weights, count), cfg.rol.num_classifiers
         ),
     }
-    if cfg.weak_scenes_per_class > 0:
-        packs = [
-            wstd_group_pack(pack, members)
-            for pack in pack_weak_scenes(warmup, world, cfg)
-        ]
-        order = _step_order(
-            substream(cfg.seed, "wstd", "order"), len(packs), cfg.wstd_epochs
-        )
-        params = _train(
-            params, lambda p, g, i: wstd_scene_loss(p, packs[i], members, g)[0],
-            order, cfg.optimizer, reports, "wstd",
-        )
+    packs = [
+        wstd_group_pack(pack, members) for pack in pack_weak_scenes(warmup, world, cfg)
+    ]
+    order = _step_order(
+        substream(cfg.seed, "wstd", "order"), len(packs), cfg.wstd_epochs
+    )
+    params = _train(
+        params, lambda p, g, i: wstd_scene_loss(p, packs[i], members, g)[0],
+        order, cfg.optimizer, reports, "wstd",
+    )
     return _assemble(
         count, warmup.source_classes, params, main_head=warmup.main_head.weights
     )
@@ -1064,39 +1036,28 @@ def _select_head(model: DetectorModel, classifier: int | None) -> Head:
     return model.rol_heads[-1] if model.rol_heads else model.main_head
 
 
-def _proposal_probs(
-    models: Sequence[DetectorModel],
-    classifiers: Sequence[int | None],
-    raw_means: np.ndarray,
-) -> np.ndarray:
-    """(M, C+1, S, K) class probabilities of each model's selected head
-    over the proposals of S scenes, from their (S, K, D0) pooled raw means.
-
-    Each model's head scores all S scenes in one stacked
-    :func:`~transferdet.model.pooled_probs` call; each (model, scene) slice
-    is bit-identical to that call on that scene alone.
-    Only one model's features, logits and softmax temporaries exist at a
-    time, so the evaluation's peak memory stays near one model's share.
-    Every matrix product stays one scene high: a product over all S*K
-    proposals at once is large enough for a threaded BLAS to split across
-    cores, which costs milliseconds per call on a busy machine.
-    """
-    probs = np.stack([
-        pooled_probs(m.backbone, _select_head(m, c), raw_means)
-        for m, c in zip(models, classifiers)
-    ])
-    # (M, S, C+1, K), returned as an (M, C+1, S, K) view
-    return probs.transpose(0, 2, 1, 3)
-
-
-def _detections_of(
+def detections(
     models: Sequence[DetectorModel],
     scenes: Sequence[Scene],
     classifiers: Sequence[int | None],
 ) -> Iterator[Detections]:
-    """:func:`detections` as an iterator.  The inputs are checked, and every
-    model is scored and suppressed, when it is called; a model's rows are
-    built only when the iterator reaches it."""
+    """The detections of each model (with its selected classifier, None for
+    the default head) on the scenes, one :class:`Detections` per model in
+    order: per-class scores over each scene's proposals and greedy
+    suppression at :data:`INFERENCE_NMS_THRESHOLD`.
+
+    The inputs are checked, and every model is scored and suppressed, when
+    it is called; the result is an iterator, and a model's rows are built
+    only when it reaches that model.  The model-independent work runs once
+    for all models: the scenes' proposals are pooled into one (S, K, D0)
+    block, and their proposal IoU is computed once per scene.  One stacked
+    head call per model scores all the scenes, and one lockstep
+    :func:`~transferdet.geometry.nms` suppresses every (model, class,
+    scene) row.  A model's rows run class by class, each class scene by
+    scene and each scene by descending score; a row's scene id is its
+    scene's position in ``scenes``.  The scenes must share one proposal
+    count.
+    """
     if len(classifiers) != len(models):
         raise ValueError(
             f"detections got {len(classifiers)} classifiers for {len(models)} models"
@@ -1109,9 +1070,18 @@ def _detections_of(
     count = len(boxes[0])
     if any(len(b) != count for b in boxes):
         raise ValueError("evaluation scenes differ in proposal count")
-    probs = _proposal_probs(models, classifiers, np.stack(
+    raw_means = np.stack(
         [pool_raw_means(scene.raw_grid, b) for scene, b in zip(scenes, boxes)]
-    ))
+    )
+    # Only one model's features, logits and softmax temporaries exist at a
+    # time, so the evaluation's peak memory stays near one model's share.
+    # Every matrix product stays one scene high: a product over all S*K
+    # proposals at once is large enough for a threaded BLAS to split across
+    # cores, which costs milliseconds per call on a busy machine.
+    probs = np.stack([
+        pooled_probs(m.backbone, _select_head(m, c), raw_means)
+        for m, c in zip(models, classifiers)
+    ]).transpose(0, 2, 1, 3)  # (M, S, C+1, K) as an (M, C+1, S, K) view
     if not np.isfinite(probs).all():
         raise ValueError("non-finite detection score")
     kept = nms(
@@ -1128,27 +1098,6 @@ def _detections_of(
         )
 
     return map(rows, range(len(models)))
-
-
-def detections(
-    models: Sequence[DetectorModel],
-    scenes: Sequence[Scene],
-    classifiers: Sequence[int | None],
-) -> list[Detections]:
-    """The detections of each model (with its selected classifier, None for
-    the default head) on the scenes: per-class scores over each scene's
-    proposals and greedy suppression at :data:`INFERENCE_NMS_THRESHOLD`.
-
-    The model-independent work runs once for all models: the scenes'
-    proposals are pooled into one (S, K, D0) block, and their proposal IoU
-    is computed once per scene.  One stacked head call per model scores
-    all the scenes, and one lockstep :func:`~transferdet.geometry.nms`
-    suppresses every (model, class, scene) row.  A model's rows run class
-    by class, each class scene by scene and each scene by descending
-    score; a row's scene id is its scene's position in ``scenes``.  The
-    scenes must share one proposal count.
-    """
-    return list(_detections_of(models, scenes, classifiers))
 
 
 def detect(
@@ -1180,7 +1129,7 @@ def evaluate_model(
     :func:`~transferdet.evaluation.evaluate_detections`.  Each model's
     rows are scored and dropped before the next model's are built."""
     ground_truths = [scene.gt for scene in scenes]
-    rows = _detections_of(models, scenes, classifiers)
+    rows = detections(models, scenes, classifiers)
     return [
         evaluate_detections(next(rows), ground_truths, _select_head(m, c).num_rows - 1)
         for m, c in zip(models, classifiers)

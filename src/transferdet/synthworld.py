@@ -152,6 +152,8 @@ class Scene:
             raise ValueError(f"unknown domain {self.domain!r}")
         if not self.gt:
             raise ValueError("scene without ground-truth objects")
+        if not np.isfinite(self.raw_grid).all():
+            raise ValueError("scene with a non-finite raw grid value")
 
 
 # Fraction of each target prototype's energy lying inside the source
@@ -425,17 +427,24 @@ def save_world(path, world: World) -> None:
 def load_world(path) -> World:
     """The world :func:`save_world` wrote to ``path``; ValueError for a
     malformed file, naming the line of a ``prototype`` row without
-    ``raw_dim`` finite values, and the first undecodable line of a file
-    that is not text."""
+    ``raw_dim`` finite values, of any other non-blank line after the magic
+    line that is not a ``seed`` or ``config`` header line, and the first
+    undecodable line of a file that is not text."""
     with named_decode_errors(path), open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != WORLD_MAGIC:
         raise ValueError(f"{path} is not a world file")
     config = _parse_config(lines)
     rows = []
-    for number, ln in enumerate(lines, start=1):
-        if ln.startswith("prototype "):
+    for number, ln in enumerate(lines[1:], start=2):
+        kind = ln.split()[:1]
+        if kind == ["prototype"]:
             rows.append(_named(number, _prototype_row, ln, config.raw_dim))
+        elif kind and kind[0] not in ("seed", "config"):
+            raise ValueError(
+                f"line {number}: expected a 'seed', 'config' or 'prototype' line, "
+                f"got {ln!r}"
+            )
     if len(rows) != config.num_prototypes:
         raise ValueError("prototype block does not match config dimensions")
     return World(config=config, prototypes=np.array(rows))

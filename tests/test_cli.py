@@ -1,6 +1,7 @@
 """End-to-end command tests driven through ``main(argv)``: artifact
 layout, byte determinism, and the documented exit-code partition."""
 
+import hashlib
 import json
 import shlex
 import tempfile
@@ -35,8 +36,10 @@ from transferdet.synthworld import (
     WorldConfig,
     load_scenes,
     make_world,
+    sample_scenes,
     save_scenes,
     save_world,
+    substream,
 )
 
 # Every stage length is pinned tiny through overrides, so these tests
@@ -232,6 +235,46 @@ def test_manifest_records_the_command_main_ran(tmp_path, argv):
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "out dir" / "manifest.json").read_text())
     assert shlex.split(manifest["command"]) == ["transferdet"] + argv
+
+
+def test_manifest_config_digest_covers_the_config_file_and_set_lines(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("source_epochs=2\nsource_scenes=20\n")
+
+    def run(name, *extra):
+        out = tmp_path / name
+        argv = ["train", "source", "--seed", "7", "--out-dir", str(out), *extra]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return manifest["config_digest"], (out / "source_model.txt").read_bytes()
+
+    file_only, _ = run("file", "--config", str(cfg))
+    slow, slow_model = run(
+        "slow", "--config", str(cfg), "--set", "optimizer.learning_rate=0.001"
+    )
+    fast, fast_model = run(
+        "fast", "--config", str(cfg), "--set", "optimizer.learning_rate=0.002"
+    )
+    assert slow_model != fast_model
+    assert len({file_only, slow, fast}) == 3
+    # a config file alone, or --set lines alone, keep their digests
+    assert file_only == hashlib.sha256(cfg.read_bytes()).hexdigest()
+    sets = ["source_scenes=20", "source_epochs=2"]
+    set_only, _ = run("set", "--set", sets[0], "--set", sets[1])
+    assert set_only == hashlib.sha256("\n".join(sorted(sets)).encode()).hexdigest()
+
+
+def test_world_whose_noise_overflows_exits_2_writing_nothing(tmp_path, capsys):
+    out = tmp_path / "w"
+    with np.errstate(over="ignore"):
+        code = main([
+            "world", "--count", "2", "--seed", "1", "--set", "noise_sigma=1e308",
+            "--out-dir", str(out),
+        ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "non-finite raw grid" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -513,6 +556,29 @@ def test_train_on_world_with_nonfinite_prototype_exits_4(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("stray, last", [
+    ("garbage line here", False), ("prototype_extra 1 2", True),
+])
+def test_train_on_world_with_a_stray_line_exits_4(tmp_path, capsys, stray, last):
+    path = tmp_path / "world.txt"
+    save_world(path, make_world(WorldConfig(seed=2)))
+    lines = path.read_text().splitlines()
+    at = len(lines) if last else lines.index(
+        next(ln for ln in lines if ln.startswith("config "))
+    ) + 1
+    lines.insert(at, stray)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "source", "--seed", "2", "--world", str(path),
+                 "--out-dir", str(out)]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert (
+        f"error: line {at + 1}: expected a 'seed', 'config' or 'prototype' line, "
+        f"got {stray!r}"
+    ) in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("what", ["world", "checkpoint", "scenes", "config"])
 def test_undecodable_input_file_names_file_and_line(tmp_path, capsys, what):
     # 0xff starts no UTF-8 sequence, on the first line or after good lines;
@@ -654,6 +720,55 @@ def test_eval_malformed_cell_row_exits_4(tmp_path, capsys):
     ])
     assert code == EXIT_MALFORMED
     assert f"line {row + 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_eval_scene_file_with_a_non_finite_cell_exits_4_naming_its_scene(
+    tmp_path, capsys, value
+):
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    lines = scenes_path.read_text().splitlines()
+    scene = next(i for i, ln in enumerate(lines) if ln.startswith("scene "))
+    words = lines[scene + 5].split()
+    lines[scene + 5] = " ".join(words[:3] + [value] + words[4:])
+    scenes_path.write_text("".join(ln + "\n" for ln in lines))
+    code = main([
+        "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert f"error: line {scene + 1}: scene with a non-finite raw grid value" in err
+    assert not (tmp_path / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("domains", [
+    ("target", "target", "source", "source"), ("source", "target", "source"),
+])
+def test_eval_scene_set_of_mixed_domains_exits_4_naming_the_scene(
+    tmp_path, capsys, domains
+):
+    # the class count of scene 0's domain would score every other scene
+    world = make_world(WorldConfig(seed=2))
+    rng = substream(2, "mixed")
+    scenes = [sample_scenes(world, d, "full", rng, 1)[0] for d in domains]
+    scenes_path = tmp_path / "scenes.txt"
+    save_scenes(scenes_path, world, scenes)
+    det_path = tmp_path / "detections.csv"
+    write_detections_csv(det_path, [Detection(0, 3, scenes[0].gt[0][1], 0.9)])
+    first = next(i for i, d in enumerate(domains) if d != domains[0])
+    out = tmp_path / "out"
+    code = main([
+        "eval", "--detections", str(det_path), "--scenes", str(scenes_path),
+        "--out-dir", str(out),
+    ])
+    assert code == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert (
+        f"scene {first} is a {domains[first]} scene but scene 0 is a "
+        f"{domains[0]} scene"
+    ) in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_eval_missing_inputs_exit_3(tmp_path):

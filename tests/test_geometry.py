@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from transferdet.geometry import (
     BBox,
     coverage_masks,
-    intersection_area,
     iou,
     nms,
     pairwise_iou,
@@ -93,7 +92,6 @@ def test_iou_one_third_case():
     a = BBox(0.0, 0.0, 0.2, 0.2)
     b = BBox(0.1, 0.0, 0.3, 0.2)
     assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert intersection_area(a, b) == pytest.approx(0.02, abs=1e-15)
 
 
 def test_iou_symmetry_and_bounds_random():

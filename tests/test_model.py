@@ -47,7 +47,7 @@ def test_backbone_validation():
     with pytest.raises(ValueError):
         Backbone(map=np.array([[1.0, np.nan]]))
     bb = Backbone(map=np.zeros((3, 5)))
-    assert bb.feature_dim == 3 and bb.raw_dim == 5
+    assert bb.feature_dim == 3
 
 
 def test_head_validation():
@@ -96,7 +96,7 @@ def test_source_knowledge_head_selection():
         target_only.source_knowledge_head()
 
 
-def test_all_heads_order_and_copy_isolation():
+def test_all_heads_order():
     rng = np.random.default_rng(2)
     model = small_model(rng, rol=3)
     heads = model.all_heads()
@@ -104,9 +104,6 @@ def test_all_heads_order_and_copy_isolation():
     assert heads[0] is model.main_head
     assert heads[1] is model.sdk_head
     assert all(a is b for a, b in zip(heads[2:], model.rol_heads))
-    clone = model.copy()
-    clone.main_head.weights[0, 0] += 1.0
-    assert clone.main_head.weights[0, 0] != model.main_head.weights[0, 0]
 
 
 def test_init_backbone_is_scaled_orthogonal():
@@ -379,7 +376,7 @@ def test_extract_sdk_returns_teacher_distributions():
     model = small_model(rng)
     raw = rng.standard_normal((8, 8, 16))
     boxes = [BBox(0.1, 0.1, 0.4, 0.4), BBox(0.4, 0.5, 0.8, 0.9)]
-    probs = extract_sdk(model, raw, boxes)
+    probs = extract_sdk(model, pool_raw_means(raw, boxes))
     assert probs.shape == (7, 2)
     assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
     features = pool_raw_means(raw, boxes) @ model.backbone.map.T

@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from transferdet import losses, pipeline
+from transferdet import losses, model, pipeline
 from transferdet.evaluation import Detections, evaluate_detections, mean_ap
-from transferdet.geometry import BBox, coverage_masks, pairwise_iou
+from transferdet.geometry import BBox, box_corners, coverage_masks, pairwise_iou
 from transferdet.model import (
     extract_sdk,
     head_logits,
@@ -29,6 +29,7 @@ from transferdet.pipeline import (
     UnknownExperimentError,
     anchor_boxes,
     apply_overrides,
+    block_labels,
     collect_class_scenes,
     detect,
     detections,
@@ -39,7 +40,6 @@ from transferdet.pipeline import (
     pack_lstd_scene,
     pack_weak_scenes,
     pack_wstd_scene,
-    proposal_labels,
     run_experiment,
     train_source,
     warmup_proposals,
@@ -240,7 +240,12 @@ def _changed(cfg, field, value):
 # --- scene packing ------------------------------------------------------
 
 
-def test_proposal_labels_threshold():
+def scene_labels(scene, num_classes):
+    """One scene's (K,) proposal classes, from a block of one."""
+    return block_labels(box_corners(scene.proposals)[None], [scene], num_classes)[0]
+
+
+def test_proposal_labels_threshold(monkeypatch):
     gt_box = BBox(0.1, 0.1, 0.4, 0.4)
     proposals = (
         gt_box,                        # IoU 1 with the GT
@@ -255,27 +260,48 @@ def test_proposal_labels_threshold():
         image_label=np.array([0, 0, 1, 0]),
         domain="target",
     )
-    labels = proposal_labels(scene, 4)
+    labels = scene_labels(scene, 4)
     assert labels.tolist() == [2, 4, 2]
     # exactly at the threshold stays background: the rule is strict
     half = BBox(0.1, 0.1, 0.4, 0.4 + 0.3)
     scene2 = replace(scene, proposals=(half,))
-    assert proposal_labels(scene2, 4, iou_threshold=0.5).tolist() == [2]
-    assert proposal_labels(scene2, 4, iou_threshold=2 / 3).tolist() == [4]
+    assert PROPOSAL_LABEL_IOU == 0.5
+    assert scene_labels(scene2, 4).tolist() == [2]
+    monkeypatch.setattr(pipeline, "PROPOSAL_LABEL_IOU", 2 / 3)
+    assert scene_labels(scene2, 4).tolist() == [4]
 
 
-def test_proposal_labels_match_scalar_oracle(world):
+def test_proposal_labels_match_scalar_oracle(world, monkeypatch):
     scenes = sample_scenes(world, "source", "full", substream(8, "labels"), 300)
     num_classes = world.config.classes_in("source")
     for scene in scenes:
         proposals = [b.as_tuple() for b in scene.proposals]
         gt = [(cls, b.as_tuple()) for cls, b in scene.gt]
         for threshold in (PROPOSAL_LABEL_IOU, 0.3):
-            labels = proposal_labels(scene, num_classes, threshold)
+            monkeypatch.setattr(pipeline, "PROPOSAL_LABEL_IOU", threshold)
+            labels = scene_labels(scene, num_classes)
             assert labels.dtype == int
             assert labels.tolist() == ref_proposal_labels(
                 proposals, gt, num_classes, threshold
             )
+
+
+def test_pack_lstd_scene_pools_its_proposals_once(world, source_model, monkeypatch):
+    # the distillation teacher scores the means the pack keeps
+    scene = sample_scenes(world, "target", "full", substream(3, "s"), 1)[0]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = model.pooling_index
+    monkeypatch.setattr(model, "pooling_index", counted)
+    pack = pack_lstd_scene(scene, world, source_model)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(pack.raw_means, pool_raw_means(scene.raw_grid, scene.proposals))
+    assert np.array_equal(pack.teacher, extract_sdk(source_model, pack.raw_means))
 
 
 def test_pack_lstd_scene_shapes(world, source_model):
@@ -284,7 +310,7 @@ def test_pack_lstd_scene_shapes(world, source_model):
     k = len(scene.proposals)
     assert pack.raw_means.shape == (k, world.config.raw_dim)
     rows = world.config.classes_in("target") + 1
-    labels = proposal_labels(scene, rows - 1)
+    labels = scene_labels(scene, rows - 1)
     assert pack.targets.shape == (rows, k)
     assert np.array_equal(pack.targets, labels == np.arange(rows)[:, None])
     assert pack.background_mask.shape == (
@@ -380,7 +406,17 @@ def test_pack_wstd_scene_reuses_warmup_rows_bit_exactly(warmup, k):
         boxes = kept_boxes(scene, warmup_proposals(warmup, scene, len(scene.proposals)))
         assert np.array_equal(pack.raw_means, pool_raw_means(scene.raw_grid, boxes))
         assert np.array_equal(pack.iou, pairwise_iou(boxes))
-        assert np.array_equal(pack.teacher, extract_sdk(warmup, scene.raw_grid, boxes))
+        assert np.array_equal(
+            pack.teacher, extract_sdk(warmup, pool_raw_means(scene.raw_grid, boxes))
+        )
+
+
+def test_weak_pack_teacher_is_extract_sdk_of_its_means(world, warmup):
+    for scene in sample_scenes(world, "target", "weak", substream(4, "teacher"), 4):
+        pack = pack_wstd_scene(scene, warmup)
+        teacher = extract_sdk(warmup, pack.raw_means)
+        assert pack.teacher.tobytes() == teacher.tobytes()
+        assert pack.teacher.shape == teacher.shape
 
 
 def test_pack_wstd_scene_arrays_reject_writes(warmup, weak_scene):
@@ -465,10 +501,14 @@ def test_source_scenes_packed_in_blocks_equal_per_scene_packs(overrides):
     scenes = sample_scenes(
         world, "source", "full", substream(cfg.seed, "source", "scenes"), count
     )
-    packs = [pipeline.pack_source_scene(scene, world) for scene in scenes]
     means, targets = pipeline._stacked_source_scenes(world, cfg)
-    assert np.array_equal(means, np.stack([p.raw_means for p in packs]))
-    assert np.array_equal(targets, np.stack([p.targets for p in packs]))
+    rows = np.arange(world.config.classes_in("source") + 1)[:, None]
+    for scene, scene_means, scene_targets in zip(scenes, means, targets, strict=True):
+        boxes = [b.as_tuple() for b in scene.proposals]
+        gt = [(cls, b.as_tuple()) for cls, b in scene.gt]
+        assert np.array_equal(scene_means, ref_pool(scene.raw_grid, boxes))
+        labels = ref_proposal_labels(boxes, gt, rows.size - 1, PROPOSAL_LABEL_IOU)
+        assert np.array_equal(scene_targets, np.array(labels) == rows)
     proposals = [box for scene in scenes for box in scene.proposals]
     cfg_w = world.config
     masks = coverage_masks(cfg_w.grid_height, cfg_w.grid_width, proposals)
@@ -1115,7 +1155,7 @@ def test_detections_equal_reference_oracle(world, warmup, student):
     models = [warmup, student, student, student, student]
     classifiers = [None, None, 1, 2, 3]
     heads = [warmup.main_head, student.rol_heads[-1]] + student.rol_heads
-    results = detections(models, scenes, classifiers)
+    results = list(detections(models, scenes, classifiers))
     assert len(results) == len(models)
     for model, classifier, head, dets in zip(models, classifiers, heads, results):
         assert dets.scene_ids.dtype == dets.classes.dtype == np.int64
@@ -1147,7 +1187,7 @@ def test_detections_equal_reference_oracle(world, warmup, student):
                 rows.scene_ids.tolist(), rows.classes.tolist(),
                 map(tuple, rows.boxes.tolist()), rows.scores.tolist(),
             ))
-    assert detections([], scenes, []) == []
+    assert list(detections([], scenes, [])) == []
 
 
 def test_evaluate_model_consistency(world, student):

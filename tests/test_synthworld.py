@@ -2,6 +2,7 @@
 
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,68 @@ def test_world_file_seed_header_must_match_config(tmp_path, header, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         load_world(path)
+
+
+@pytest.mark.parametrize(
+    "stray, where",
+    [
+        ("garbage line here", "after_first_config"),
+        ("prototype_extra 1 2", "end"),
+        ("count 3", "end"),
+        ("# transferdet world v1", "after_first_config"),
+        ("  stray indented words", "before_seed"),
+    ],
+    ids=["garbage", "prototype_prefix", "scene_set_header", "second_magic", "indented"],
+)
+def test_world_file_rejects_a_stray_line_naming_it(tmp_path, stray, where):
+    world = make_world(WorldConfig(seed=9))
+    path = tmp_path / "world.txt"
+    save_world(path, world)
+    lines = path.read_text().splitlines()
+    first_config = next(i for i, ln in enumerate(lines) if ln.startswith("config "))
+    at = {"after_first_config": first_config + 1, "end": len(lines), "before_seed": 1}[where]
+    lines.insert(at, stray)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line {at + 1}: expected a 'seed', 'config'"):
+        load_world(path)
+
+
+def test_world_file_allows_blank_lines(tmp_path):
+    world = make_world(WorldConfig(seed=9))
+    path = tmp_path / "world.txt"
+    save_world(path, world)
+    lines = path.read_text().splitlines()
+    lines[2:2] = ["", "   "]
+    path.write_text("\n".join(lines) + "\n\n")
+    loaded = load_world(path)
+    assert loaded.config == world.config
+    assert np.array_equal(loaded.prototypes, world.prototypes)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scene_rejects_a_non_finite_raw_grid(value):
+    world = make_world(WorldConfig(seed=9))
+    scene = sample_scenes(world, "target", "full", substream(9, "finite"), 1)[0]
+    grid = scene.raw_grid.copy()
+    grid[3, 4, 5] = value
+    with pytest.raises(ValueError, match="non-finite raw grid"):
+        replace(scene, raw_grid=grid)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_scenes_file_with_a_non_finite_cell_names_its_scene_line(tmp_path, value):
+    world = make_world(WorldConfig(seed=11))
+    path = tmp_path / "scenes.txt"
+    save_scenes(path, world, sample_scenes(world, "target", "full", substream(11, "c"), 3))
+    lines = path.read_text().splitlines()
+    scene_lines = [i for i, ln in enumerate(lines) if ln.startswith("scene ")]
+    row = scene_lines[1] + 7  # a cell row of the second scene
+    words = lines[row].split()
+    words[3] = value
+    lines[row] = " ".join(words)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line {scene_lines[1] + 1}: .*non-finite raw grid"):
+        load_scenes(path)
 
 
 def assert_same_scenes(loaded, scenes):
