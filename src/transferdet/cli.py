@@ -13,10 +13,13 @@ gradient-check failure.
 options; a later value of a key wins.  Dotted keys reach nested fields
 (``rol.phi_obj=0.4``).  A value is typed by its field: a boolean word
 (1/true/yes/on, 0/false/no/off), an int, a float, or for
-``objects_per_scene`` two ints split on ``,`` or ``:``.  An unknown field,
-a whole config group (``weights``, ``rol``, ``optimizer``) or a value the
-field rejects exits 2 before any work.  Seeds come only from ``--seed``
-(``--seeds`` for ``experiment``), never from an override.
+``objects_per_scene`` two ints split on ``,`` or ``:``.  Each config is
+built once from all its overrides, so their order never decides whether
+it is valid.  An unknown field, a whole config group (``weights``,
+``rol``, ``optimizer``) or a value the field or config rejects exits 2
+before any work.  Seeds come only from ``--seed`` (``--seeds`` for
+``experiment``), never from an override.  A manifest's ``config_digest``
+is the SHA-256 of the sorted ``key=value`` lines of the overrides applied.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .pipeline import (
     StageConfig,
     ScenePack,
     UnknownExperimentError,
-    apply_overrides,
     cell_maps,
     experiment_output_paths,
     lstd_finetune,
@@ -80,7 +82,7 @@ from .synthworld import (
     save_world,
     substream,
 )
-from .textfile import named_decode_errors
+from .textfile import apply_overrides, named_decode_errors
 
 EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
@@ -101,23 +103,18 @@ class CliError(Exception):
 
 
 def _read_config_file(path) -> list[str]:
-    lines = []
     with named_decode_errors(path):
-        text = Path(path).read_text()
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln and not ln.startswith("#"):
-            lines.append(ln)
-    return lines
+        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
 def _gather_overrides(args) -> dict[str, str]:
     """The ``--config`` file's lines, then the ``--set`` values, as
-    ``{key: raw value}``; :func:`apply_overrides` types and checks them."""
-    pairs: list[str] = []
-    if args.config:
-        pairs.extend(_read_config_file(_require_input(args.config, "config file")))
-    pairs.extend(args.set or [])
+    ``{key: raw value}`` (a later value of a key replaces an earlier one;
+    empty without overrides); :func:`apply_overrides` types them."""
+    config = getattr(args, "config", None)
+    pairs = _read_config_file(_require_input(config, "config file")) if config else []
+    pairs += getattr(args, "set", None) or []
     overrides: dict[str, str] = {}
     for pair in pairs:
         if "=" not in pair:
@@ -143,19 +140,11 @@ def _parse_seeds(raw: str | None):
     return [int(part) for part in raw.split(",") if part.strip()]
 
 
-def _config_digest(args) -> str:
-    """SHA-256 of the overrides a command read: its ``--config`` file's
-    bytes, its sorted ``--set`` lines, or, when it gave both, the file's
-    digest on a line before the ``--set`` lines.  A command that takes no
-    overrides (``eval``, ``gradcheck``) hashes nothing."""
-    config = getattr(args, "config", None)
-    payload = "\n".join(sorted(getattr(args, "set", None) or []))
-    if config:
-        digest = hashlib.sha256(Path(config).read_bytes()).hexdigest()
-        if not payload:
-            return digest
-        payload = f"{digest}\n{payload}"
-    return hashlib.sha256(payload.encode()).hexdigest()
+def _config_digest(overrides: dict[str, str]) -> str:
+    """SHA-256 of the sorted ``key=value`` lines of the overrides a command
+    applied; of nothing for a command that takes none."""
+    lines = sorted(f"{key}={value}" for key, value in overrides.items())
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def _write_manifest(args, out_dir: Path, seeds, outputs, started: float,
@@ -168,7 +157,7 @@ def _write_manifest(args, out_dir: Path, seeds, outputs, started: float,
     payload = {
         "command": args.command,
         "subcommand": args.cmd,
-        "config_digest": _config_digest(args),
+        "config_digest": _config_digest(args.overrides),
         "seeds": seeds if isinstance(seeds, list) else [seeds],
         "artifact_version": __version__,
         "outputs": [Path(p).name for p in outputs],
@@ -208,7 +197,7 @@ def cmd_world(args) -> int:
     if args.count < 1:
         raise CliError(EXIT_CONFIG, f"--count must be at least 1, got {args.count}")
     seed = _resolve_seed(args)
-    cfg = replace(apply_overrides(WorldConfig(), _gather_overrides(args)), seed=seed)
+    cfg = replace(apply_overrides(WorldConfig(), args.overrides), seed=seed)
     world = make_world(cfg)
     scenes = sample_scenes(
         world, args.domain, args.mode, substream(seed, "cli", "scenes"), args.count
@@ -268,7 +257,7 @@ def _load_start_model(args, world):
 def cmd_train(args) -> int:
     started = time.perf_counter()
     seed = _resolve_seed(args)
-    cfg = replace(apply_overrides(StageConfig(), _gather_overrides(args)), seed=seed)
+    cfg = replace(apply_overrides(StageConfig(), args.overrides), seed=seed)
     world = _load_world_arg(args, seed)
     report = RunReport(seed=seed, stage=args.stage)
     if args.stage == "source":
@@ -336,18 +325,16 @@ def cmd_experiment(args) -> int:
     ``manifest.json`` that also records the experiment, its description,
     the overrides and every cell.  Prints each cell's mAP mean and std."""
     started = time.perf_counter()
-    overrides = _gather_overrides(args)
-    apply_overrides(StageConfig(), overrides)  # a bad override fails before any work
     seeds = _parse_seeds(args.seeds)
     out = Path(args.out_dir)
-    reports = run_experiment(args.name, seeds=seeds, out_dir=out, overrides=overrides)
+    reports = run_experiment(args.name, seeds, out, args.overrides)
     experiment = EXPERIMENTS[args.name]
     _write_manifest(
         args, out, list(experiment.default_seeds) if seeds is None else seeds,
         list(experiment_output_paths(args.name, out).values()), started,
         experiment=args.name,
         description=experiment.description,
-        overrides=overrides,
+        overrides=args.overrides,
         cells=[
             {"cell": c.cell_id, "stage": c.stage, "classifier": c.classifier,
              "overrides": {k: str(v) for k, v in c.overrides},
@@ -652,6 +639,7 @@ def main(argv=None) -> int:
     args.command = shlex.join(["transferdet", *argv])
     try:
         _check_out_dir(args.out_dir)
+        args.overrides = _gather_overrides(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

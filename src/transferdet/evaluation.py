@@ -223,8 +223,7 @@ def average_precision(
     # All-points method: integrate the monotone precision envelope.
     r = np.concatenate(([0.0], recall, [recall[-1]]))
     p = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(p.size - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
+    p = np.maximum.accumulate(p[::-1])[::-1]
     steps = np.nonzero(r[1:] != r[:-1])[0]
     return float(np.sum((r[steps + 1] - r[steps]) * p[steps + 1]))
 

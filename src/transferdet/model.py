@@ -133,22 +133,14 @@ class DetectorModel:
 FEATURE_GAIN = 6.0
 
 
-def init_backbone(
-    raw_dim: int, feature_dim: int, rng: np.random.Generator
-) -> Backbone:
-    """Random orthogonal map scaled by FEATURE_GAIN.
+def init_backbone(dim: int, rng: np.random.Generator) -> Backbone:
+    """Random ``dim`` x ``dim`` orthogonal map scaled by FEATURE_GAIN.
 
     Orthogonality preserves the geometry of the raw observations exactly;
     a plain Gaussian map would shrink some directions and dilate others.
     """
-    draw = rng.standard_normal((feature_dim, raw_dim))
-    if feature_dim <= raw_dim:
-        q, r = np.linalg.qr(draw.T)
-        omap = (q * np.sign(np.diag(r))).T
-    else:
-        q, r = np.linalg.qr(draw)
-        omap = q * np.sign(np.diag(r))
-    return Backbone(map=FEATURE_GAIN * omap)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)).T)
+    return Backbone(map=FEATURE_GAIN * (q * np.sign(np.diag(r))).T)
 
 
 def init_head(

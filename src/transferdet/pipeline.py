@@ -75,7 +75,6 @@ scored on those eval scenes once, and scores each one's detections with
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -133,6 +132,7 @@ from .synthworld import (
     sample_scenes,
     substream,
 )
+from .textfile import apply_overrides
 
 LABELLERS = ("rol", "oicr")
 INFERENCE_NMS_THRESHOLD = 0.5
@@ -860,7 +860,7 @@ def train_source(
     backbones, heads, raw_means, targets, orders = [], [], [], [], []
     for world, cfg in zip(worlds, members.cfgs):
         init_rng = substream(cfg.seed, "source", "init")
-        backbones.append(init_backbone(dim, dim, init_rng).map)
+        backbones.append(init_backbone(dim, init_rng).map)
         heads.append(init_head(num_classes, dim, init_rng).weights)
         member_means, member_targets = _stacked_source_scenes(world, cfg)
         raw_means.append(member_means)
@@ -1245,62 +1245,6 @@ def _build_registry() -> dict[str, Experiment]:
 EXPERIMENTS = _build_registry()
 
 
-_BOOL_WORDS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
-
-def apply_overrides(cfg, overrides: dict[str, object]):
-    """``cfg`` with each ``{"a.b": value}`` override applied.
-
-    A dotted key reaches a field of a nested config group.  A string value
-    is coerced by the type of the field's current value: a boolean word
-    (1/true/yes/on, 0/false/no/off), an int, a float, or an int tuple split
-    on ``,`` or ``:``; a string field takes it as it is.  Any other value
-    is set unchanged.  Raises ``ValueError`` naming the key for an unknown
-    field, a path through a field that is not a config group, a value for a
-    whole group, ``seed`` (a run's seed is given apart from its config),
-    and a value the field or its config rejects.
-    """
-    for key, value in overrides.items():
-        if key == "seed":
-            raise ValueError(
-                "config field 'seed' cannot be overridden; give --seed or --seeds"
-            )
-        parts = key.split(".")
-        chain = [cfg]  # the configs along the dotted path
-        for part in parts:
-            obj = chain[-1]
-            if not (
-                dataclasses.is_dataclass(obj)
-                and part in {f.name for f in dataclasses.fields(obj)}
-            ):
-                raise ValueError(f"unknown config field {key!r}")
-            chain.append(getattr(obj, part))
-        current = chain.pop()
-        if dataclasses.is_dataclass(current):
-            raise ValueError(
-                f"config field {key!r} is a group; set its fields as {key}.<name>"
-            )
-        try:
-            if isinstance(value, str) and isinstance(current, bool):
-                if value.lower() not in _BOOL_WORDS:
-                    raise ValueError(f"expected a boolean, got {value!r}")
-                value = _BOOL_WORDS[value.lower()]
-            elif isinstance(value, str) and isinstance(current, tuple):
-                items = value.replace(":", ",").split(",")
-                value = tuple(int(item) for item in items if item.strip())
-            elif isinstance(value, str) and isinstance(current, (int, float)):
-                value = type(current)(value)
-            for obj, part in zip(reversed(chain), reversed(parts)):
-                value = replace(obj, **{part: value})
-        except ValueError as exc:
-            raise ValueError(f"config field {key!r}: {exc}") from None
-        cfg = value
-    return cfg
-
-
 @dataclass
 class _Run:
     """One (seed, cell) of an experiment: its configs and its report."""
@@ -1322,12 +1266,13 @@ class _Run:
 def _plan(
     experiment: Experiment, seeds: Sequence[int], overrides: dict[str, object]
 ) -> list[_Run]:
-    """One run per (seed, cell), seed by seed."""
+    """One run per (seed, cell), seed by seed, each cell's overrides over
+    ``overrides``, which are applied once, before any world is built."""
+    base = apply_overrides(StageConfig(), overrides)
     runs = []
     for seed in seeds:
         for cell in experiment.cells:
-            cfg = apply_overrides(StageConfig(), overrides)
-            cfg = replace(apply_overrides(cfg, dict(cell.overrides)), seed=seed)
+            cfg = replace(apply_overrides(base, dict(cell.overrides)), seed=seed)
             report = RunReport(
                 seed=seed,
                 stage=cell.stage,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BBox, box_corners, coverage_masks, iou, nms, pairwise_iou
-from .textfile import named_decode_errors
+from .textfile import apply_overrides, named_decode_errors
 
 DOMAINS = ("source", "target")
 MODES = ("full", "weak")
@@ -369,11 +369,12 @@ def _config_lines(config: WorldConfig) -> list[str]:
 def _parse_config(lines: list[str]) -> WorldConfig:
     """WorldConfig from the ``config <field> <value...>`` lines of a file.
 
-    Every field of :class:`WorldConfig` must appear exactly once, with as
-    many values as its default holds, each of its default's type; a
-    missing, repeated or unknown field, or a missing or non-numeric value,
-    raises ValueError.  So does a ``seed <n>`` header line that is missing,
-    repeated, malformed or different from ``config seed``.
+    Every field of :class:`WorldConfig` must appear exactly once; a
+    missing, repeated or unknown field raises ValueError.  So does a
+    ``seed <n>`` header line that is missing, repeated, malformed or
+    different from ``config seed``.  The other values, a tuple's joined
+    with ``,``, are typed and checked by
+    :func:`~transferdet.textfile.apply_overrides`, like a ``--set`` line.
     """
     # Only these lines can have "seed" or "config" as their first word.
     lines = [
@@ -386,33 +387,28 @@ def _parse_config(lines: list[str]) -> WorldConfig:
     ]
     if len(seeds) != 1 or len(seeds[0]) != 2:
         raise ValueError("file needs exactly one 'seed <n>' header line")
-    defaults = {f.name: f.default for f in dataclasses.fields(WorldConfig)}
-    kwargs = {}
+    names = [f.name for f in dataclasses.fields(WorldConfig)]
+    values = {}
     for line in lines:
         if line.split()[:1] != ["config"]:
             continue
         name, *rest = line.split()[1:] or [""]
-        if name not in defaults:
+        if name not in names:
             raise ValueError(f"unknown config field in line {line!r}")
-        if name in kwargs:
+        if name in values:
             raise ValueError(f"config field {name} given more than once")
-        default = defaults[name]
-        items = default if isinstance(default, tuple) else (default,)
-        if len(rest) != len(items):
-            raise ValueError(f"config {name} needs {len(items)} value(s): {line!r}")
-        try:
-            values = tuple(type(item)(v) for item, v in zip(items, rest))
-        except ValueError:
-            raise ValueError(f"non-numeric value in config line {line!r}") from None
-        kwargs[name] = values if isinstance(default, tuple) else values[0]
-    missing = [name for name in defaults if name not in kwargs]
+        values[name] = ",".join(rest)
+    missing = [name for name in names if name not in values]
     if missing:
         raise ValueError(f"missing config line(s) for {', '.join(missing)}")
-    if seeds[0][1] != str(kwargs["seed"]):
-        raise ValueError(
-            f"seed header {seeds[0][1]!r} does not match config seed {kwargs['seed']}"
-        )
-    return WorldConfig(**kwargs)
+    seed = values.pop("seed")
+    if seeds[0][1] != seed:
+        raise ValueError(f"seed header {seeds[0][1]!r} does not match config seed {seed}")
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ValueError(f"seed {seed!r} is not an integer") from None
+    return apply_overrides(WorldConfig(seed=seed), values)
 
 
 def save_world(path, world: World) -> None:

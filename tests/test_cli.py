@@ -2,6 +2,7 @@
 layout, byte determinism, and the documented exit-code partition."""
 
 import hashlib
+import itertools
 import json
 import shlex
 import tempfile
@@ -35,6 +36,7 @@ from transferdet.synthworld import (
     Scene,
     WorldConfig,
     load_scenes,
+    load_world,
     make_world,
     sample_scenes,
     save_scenes,
@@ -237,7 +239,12 @@ def test_manifest_records_the_command_main_ran(tmp_path, argv):
     assert shlex.split(manifest["command"]) == ["transferdet"] + argv
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_manifest_config_digest_covers_the_config_file_and_set_lines(tmp_path):
+    # the digest hashes the sorted key=value lines of the overrides applied
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("source_epochs=2\nsource_scenes=20\n")
 
@@ -257,11 +264,86 @@ def test_manifest_config_digest_covers_the_config_file_and_set_lines(tmp_path):
     )
     assert slow_model != fast_model
     assert len({file_only, slow, fast}) == 3
-    # a config file alone, or --set lines alone, keep their digests
-    assert file_only == hashlib.sha256(cfg.read_bytes()).hexdigest()
-    sets = ["source_scenes=20", "source_epochs=2"]
-    set_only, _ = run("set", "--set", sets[0], "--set", sets[1])
-    assert set_only == hashlib.sha256("\n".join(sorted(sets)).encode()).hexdigest()
+    sets = ["source_epochs=2", "source_scenes=20"]
+    assert file_only == _sha256("\n".join(sets))
+    assert slow == _sha256("\n".join(["optimizer.learning_rate=0.001", *sets]))
+    # the equivalent --set lines, in either order, give the file's digest
+    for name, lines in (("set", sets), ("swapped", sets[::-1])):
+        digest, _ = run(name, "--set", lines[0], "--set", lines[1])
+        assert digest == file_only
+    # a --set that replaces a file's value is hashed as applied
+    replaced, _ = run("replaced", "--config", str(cfg), "--set", "source_epochs=3")
+    assert replaced == _sha256("source_epochs=3\nsource_scenes=20")
+
+
+def test_manifest_config_digest_follows_the_value_that_wins(tmp_path):
+    # the later --set of a key wins, so swapping two --set lines of one key
+    # writes other scenes under another digest
+    def run(name, first, second):
+        out = tmp_path / name
+        argv = ["world", "--seed", "1", "--count", "2", "--out-dir", str(out),
+                "--set", first, "--set", second]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return manifest["config_digest"], (out / "scenes.txt").read_bytes()
+
+    low, low_scenes = run("low", "noise_sigma=0.3", "noise_sigma=0.1")
+    high, high_scenes = run("high", "noise_sigma=0.1", "noise_sigma=0.3")
+    assert low_scenes != high_scenes
+    assert (low, high) == (_sha256("noise_sigma=0.1"), _sha256("noise_sigma=0.3"))
+
+
+def test_manifest_config_digest_of_commands_without_overrides(tmp_path):
+    scenes_path, det_path = _eval_fixture(tmp_path)
+    for name, argv in (
+        ("eval", ["eval", "--detections", str(det_path), "--scenes", str(scenes_path)]),
+        ("gradcheck", ["gradcheck", "--only", "bd", "--instances", "1"]),
+    ):
+        assert main(argv + ["--out-dir", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config_digest"] == _sha256("")
+
+
+# Override sets a config accepts only as a whole: applied one key at a
+# time, some order of each passes through a config its checks reject.
+ORDERED_OVERRIDES = [
+    pytest.param(["train", "source", "--seed", "1"] + SOURCE_ARGS,
+                 ["rol.phi_bg=0.6", "rol.phi_obj=0.8"], id="rol_bands"),
+    pytest.param(["world", "--seed", "1", "--count", "2"],
+                 ["num_source_classes=10", "num_target_classes=10", "raw_dim=25"],
+                 id="class_counts"),
+    pytest.param(["world", "--seed", "1", "--count", "2"],
+                 ["objects_per_scene=1:40", "proposals_per_scene=64"],
+                 id="object_counts"),
+]
+
+
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize("argv, lines", ORDERED_OVERRIDES)
+def test_override_order_does_not_decide_validity(tmp_path, argv, lines, via):
+    written = set()
+    for n, order in enumerate(itertools.permutations(lines)):
+        out = tmp_path / str(n)
+        if via == "set":
+            extra = [arg for line in order for arg in ("--set", line)]
+        else:
+            cfg_file = tmp_path / f"{n}.cfg"
+            cfg_file.write_text("\n".join(order) + "\n")
+            extra = ["--config", str(cfg_file)]
+        assert main(argv + extra + ["--out-dir", str(out)]) == 0, order
+        outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
+        written.add(tuple((p.name, p.read_bytes()) for p in outputs))
+    assert len(written) == 1  # every order writes the same bytes
+    if argv[0] == "world":
+        expected = replace(
+            apply_overrides(WorldConfig(), dict(line.split("=") for line in lines)),
+            seed=1,
+        )
+        world = load_world(out / "world.txt")
+        assert world.config == expected
+        assert load_scenes(out / "scenes.txt")[0] == expected
+        save_world(tmp_path / "again.txt", world)
+        assert (tmp_path / "again.txt").read_bytes() == (out / "world.txt").read_bytes()
 
 
 def test_world_whose_noise_overflows_exits_2_writing_nothing(tmp_path, capsys):

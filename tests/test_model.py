@@ -31,7 +31,7 @@ from reference import random_boxes, ref_pool
 
 
 def small_model(rng, with_sdk=True, rol=0, source_classes=6):
-    backbone = init_backbone(16, 16, rng)
+    backbone = init_backbone(16, rng)
     return DetectorModel(
         backbone=backbone,
         main_head=init_head(4, 16, rng),
@@ -63,12 +63,12 @@ def test_detector_model_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="feature dim"):
         DetectorModel(
-            backbone=init_backbone(16, 12, rng),
+            backbone=Backbone(map=rng.standard_normal((12, 16))),
             main_head=init_head(4, 16, rng),
         )
     with pytest.raises(ValueError, match="sdk head rows"):
         DetectorModel(
-            backbone=init_backbone(16, 16, rng),
+            backbone=init_backbone(16, rng),
             main_head=init_head(4, 16, rng),
             sdk_head=init_head(3, 16, rng, role="sdk_branch"),
             source_classes=6,
@@ -81,14 +81,14 @@ def test_source_knowledge_head_selection():
     assert model.source_knowledge_head() is model.sdk_head
 
     source_only = DetectorModel(
-        backbone=init_backbone(16, 16, rng),
+        backbone=init_backbone(16, rng),
         main_head=init_head(6, 16, rng),
         source_classes=6,
     )
     assert source_only.source_knowledge_head() is source_only.main_head
 
     target_only = DetectorModel(
-        backbone=init_backbone(16, 16, rng),
+        backbone=init_backbone(16, rng),
         main_head=init_head(4, 16, rng),
         source_classes=6,
     )
@@ -108,14 +108,12 @@ def test_all_heads_order():
 
 def test_init_backbone_is_scaled_orthogonal():
     rng = np.random.default_rng(3)
-    wide = init_backbone(16, 8, rng)  # feature_dim <= raw_dim: orthonormal rows
-    gram = wide.map @ wide.map.T
-    assert np.allclose(gram, FEATURE_GAIN**2 * np.eye(8), atol=1e-9)
-    tall = init_backbone(8, 16, rng)  # feature_dim > raw_dim: orthonormal columns
-    gram = tall.map.T @ tall.map
-    assert np.allclose(gram, FEATURE_GAIN**2 * np.eye(8), atol=1e-9)
-    again = init_backbone(16, 8, np.random.default_rng(3))
-    assert np.array_equal(again.map, wide.map)
+    square = init_backbone(16, rng)
+    assert square.map.shape == (16, 16)
+    assert np.allclose(square.map @ square.map.T, FEATURE_GAIN**2 * np.eye(16), atol=1e-9)
+    assert np.allclose(square.map.T @ square.map, FEATURE_GAIN**2 * np.eye(16), atol=1e-9)
+    again = init_backbone(16, np.random.default_rng(3))
+    assert np.array_equal(again.map, square.map)
 
 
 def test_init_head_shape_and_scale():
@@ -219,7 +217,7 @@ def test_forward_cache_consistency():
     # Pooling raw means and then mapping equals mapping every cell (the
     # feature grid) and then pooling: training relies on this to pool once.
     rng = np.random.default_rng(8)
-    backbone = init_backbone(16, 10, rng)
+    backbone = Backbone(map=init_backbone(16, rng).map[:10])
     raw = rng.standard_normal((8, 8, 16))
     feature_grid = np.einsum("do,hwo->hwd", backbone.map, raw)
     boxes = [BBox(0.1, 0.1, 0.4, 0.4), BBox(0.5, 0.5, 0.9, 0.8), BBox(0.3, 0.3, 0.35, 0.35)]

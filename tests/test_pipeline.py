@@ -456,7 +456,7 @@ def test_train_source_zero_epochs_is_initialization(world):
     model = train_source(world, cfg)
     rng = substream(cfg.seed, "source", "init")
     dim = world.config.raw_dim
-    backbone = init_backbone(dim, dim, rng)
+    backbone = init_backbone(dim, rng)
     head = init_head(world.config.classes_in("source"), dim, rng)
     assert np.array_equal(model.backbone.map, backbone.map)
     assert np.array_equal(model.main_head.weights, head.weights)
