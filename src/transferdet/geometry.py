@@ -13,8 +13,9 @@ arrays, and :func:`pairwise_iou` is it over all pairs of two box sets.
 Both are bitwise symmetric (``min``, ``max`` and ``+`` commute), so a
 large IoU matrix may be assembled from blocks and transposed blocks
 without changing a bit.  :func:`nms` visits boxes in
-descending score order and reads only the kept boxes' columns of the IoU
-matrix.  Its form follows the shape of the scores: one score vector
+descending score order and suppresses with the kept boxes' columns of the
+boolean may-coexist matrix, which a caller may build itself from blocks it
+has cached.  Its form follows the shape of the scores: one score vector
 suppresses with one vector step per kept box, and a stack of score rows
 (every class of every model on every scene of an evaluation) advances all
 rows in lockstep, one rank step at a time.
@@ -83,15 +84,24 @@ def elementwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     against each other over their leading axes.
 
     Each entry applies the operations of :func:`iou` in the same order, so
-    it is bit-identical to the scalar IoU of the two boxes.
+    for boxes of positive area it is bit-identical to the scalar IoU of the
+    two boxes.  A side that overlaps nothing gets a zero width or height
+    instead of the scalar early return; the product is then 0.0 and so is
+    the quotient.  Four full-size arrays are made; every other pass writes
+    into one of them.
     """
-    w = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    h = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
+    w = np.minimum(a[..., 2], b[..., 2])
+    w -= np.maximum(a[..., 0], b[..., 0])
+    h = np.minimum(a[..., 3], b[..., 3])
+    h -= np.maximum(a[..., 1], b[..., 1])
+    np.maximum(w, 0.0, out=w)
+    np.maximum(h, 0.0, out=h)
+    inter = np.multiply(w, h, out=w)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
-    return np.where(inter == 0.0, 0.0, inter / union)
+    union = np.add(area_a, area_b, out=h)
+    union -= inter
+    return np.divide(inter, union, out=inter)
 
 
 def pairwise_iou(rows: Boxes, cols: Boxes | None = None) -> np.ndarray:
@@ -117,8 +127,11 @@ def nms(
 
     A box is kept iff its IoU with every previously kept box is at most
     ``overlap_threshold``; ``iou_matrix[c, k]`` is the IoU of candidate c
-    with box k, and only the columns of kept boxes are read.  Boxes are
-    visited by descending score; equal scores visit the lower index first.
+    with box k.  The matrix is compared with the threshold once, giving
+    which pairs may coexist; a boolean matrix is taken as that comparison
+    already made (True where candidate c may coexist with box k).  Boxes
+    are visited by descending score; equal scores visit the lower index
+    first.
 
     The form is chosen by the shape of ``scores``:
 
@@ -145,6 +158,10 @@ def nms(
         raise ValueError(
             f"{count} scores per row but an IoU matrix of shape {iou_matrix.shape}"
         )
+    # Which pairs may coexist, as booleans: an eighth of the IoU bytes.
+    compatible = (
+        iou_matrix if iou_matrix.dtype == bool else iou_matrix <= overlap_threshold
+    )
     order = np.argsort(-scores, axis=-1, kind="stable")
     if scores.ndim == 1:
         if iou_matrix.ndim != 2:
@@ -152,15 +169,15 @@ def nms(
                 f"one score row but a stack of IoU matrices {iou_matrix.shape}"
             )
         # Each kept box i suppresses, in one vector step, every candidate c
-        # with iou_matrix[c, i] above the threshold.
+        # that may not coexist with it.
         alive = np.ones(count, dtype=bool)
         kept: list[int] = []
-        for i in order:
+        for i in order.tolist():
             if alive[i]:
-                kept.append(int(i))
+                kept.append(i)
                 if len(kept) >= max_keep:
                     break
-                alive &= iou_matrix[:, i] <= overlap_threshold
+                alive &= compatible[:, i]
         return kept
 
     batch, matrix_batch = scores.shape[:-1], iou_matrix.shape[:-2]
@@ -174,8 +191,7 @@ def nms(
             f"IoU matrices of batch shape {matrix_batch} do not broadcast "
             f"to score rows of batch shape {batch}"
         ) from None
-    # Which pairs may coexist, as booleans: an eighth of the IoU bytes.
-    compatible = (iou_matrix <= overlap_threshold).reshape(matrix_count, count, count)
+    compatible = compatible.reshape(matrix_count, count, count)
     order = order.reshape(matrix_of_row.size, count)
     rows = np.arange(order.shape[0])
     alive = np.ones(order.shape, dtype=bool)

@@ -249,10 +249,9 @@ def pack_lstd_scene(scene: Scene, world: World, source: DetectorModel) -> SceneP
     teacher scores the pack's own raw means, so the scene is pooled once."""
     cfg = world.config
     num_classes = cfg.classes_in("target")
-    corners = box_corners(scene.proposals)
-    raw_means = pool_raw_means(scene.raw_grid, corners)
+    raw_means = pool_raw_means(scene.raw_grid, scene.proposals)
     teacher = check_score_matrix(extract_sdk(source, raw_means))
-    labels = block_labels(corners[None], [scene], num_classes)[0]
+    labels = block_labels(scene.proposals[None], [scene], num_classes)[0]
     return ScenePack(
         raw_means=raw_means,
         raw_grid=scene.raw_grid,
@@ -303,29 +302,34 @@ class _Lattice:
     index: np.ndarray  # pooling_index of the boxes
     counts: np.ndarray
     iou: np.ndarray  # pairwise IoU of the boxes
+    coexist: np.ndarray  # iou <= PROPOSAL_NMS_THRESHOLD
 
 
 # Lattice geometry is scene independent, so the corners of its boxes, the
-# cells each box pools over and their pairwise IoU are computed once per
-# grid shape.
+# cells each box pools over, their pairwise IoU and which pairs may coexist
+# under proposal suppression are computed once per grid shape.
 @functools.cache
 def _anchor_lattice(height: int, width: int) -> _Lattice:
     boxes = anchor_boxes(height, width)
+    iou = pairwise_iou(boxes)
     return _Lattice(
-        box_corners(boxes), *pooling_index(height, width, boxes), pairwise_iou(boxes)
+        box_corners(boxes),
+        *pooling_index(height, width, boxes),
+        iou,
+        iou <= PROPOSAL_NMS_THRESHOLD,
     )
 
 
 @dataclass(frozen=True)
 class WarmupProposals:
     """The candidates :func:`warmup_proposals` keeps, with what it computed
-    on the way: every candidate's pooled raw means and the full candidate
-    IoU matrix, so a caller can take the kept rows instead of pooling
-    again.  The candidates are the scene's proposals, then the anchor
-    lattice of its grid.  Its length is the number of kept boxes."""
+    for them on the way: their pooled raw means and their pairwise IoU, so
+    a caller takes them instead of pooling and overlapping again.  The
+    candidates are the scene's proposals, then the anchor lattice of its
+    grid.  Its length is the number of kept boxes."""
 
-    raw_means: np.ndarray  # (C, D0) pooled raw mean per candidate
-    iou: np.ndarray  # (C, C) pairwise IoU of the candidates
+    raw_means: np.ndarray  # (n, D0) pooled raw mean per kept candidate
+    iou: np.ndarray  # (n, n) pairwise IoU of the kept candidates
     keep: list[int]  # kept candidate indices, by descending objectness
 
     def __len__(self) -> int:
@@ -346,7 +350,7 @@ def warmup_proposals(
     """
     height, width, _ = scene.raw_grid.shape
     lattice = _anchor_lattice(height, width)
-    proposals = list(scene.proposals)
+    proposals = scene.proposals
     means = np.concatenate(
         [
             pool_raw_means(scene.raw_grid, proposals),
@@ -356,24 +360,43 @@ def warmup_proposals(
     objectness = 1.0 - pooled_probs(warmup.backbone, warmup.main_head, means)[-1, :]
     # Only the proposal columns are scene specific.  IoU is bitwise
     # symmetric, so their transpose and the cached anchor block complete
-    # the full candidate matrix exactly.
+    # the candidates' may-coexist matrix, and the kept boxes' IoU block,
+    # exactly; no full candidate IoU matrix is built.
     p = len(proposals)
-    corners = np.concatenate([box_corners(proposals), lattice.corners])
-    fresh = pairwise_iou(corners, corners[:p])
-    iou_matrix = np.empty((len(corners), len(corners)))
-    iou_matrix[:, :p] = fresh
-    iou_matrix[:p, p:] = fresh[p:].T
-    iou_matrix[p:, p:] = lattice.iou
-    keep = nms(objectness, iou_matrix, PROPOSAL_NMS_THRESHOLD, max_keep)
-    return WarmupProposals(means, iou_matrix, keep)
+    fresh = pairwise_iou(np.concatenate([proposals, lattice.corners]), proposals)
+    clear = fresh <= PROPOSAL_NMS_THRESHOLD
+    coexist = np.empty((len(fresh), len(fresh)), dtype=bool)
+    coexist[:, :p] = clear
+    coexist[:p, p:] = clear[p:].T
+    coexist[p:, p:] = lattice.coexist
+    keep = nms(objectness, coexist, PROPOSAL_NMS_THRESHOLD, max_keep)
+    kept = np.array(keep)
+    return WarmupProposals(means[kept], _kept_iou(fresh, lattice.iou, kept), keep)
+
+
+def _kept_iou(
+    fresh: np.ndarray, anchor_iou: np.ndarray, kept: np.ndarray
+) -> np.ndarray:
+    """The (n, n) IoU of the ``kept`` candidates, from ``fresh``, every
+    candidate's IoU with the p proposals (the first p candidates), and
+    ``anchor_iou``, the anchors' own; each entry is the one a full
+    candidate matrix would hold."""
+    p = fresh.shape[1]
+    own = kept < p
+    props, anchors = kept[own], kept[~own]
+    iou = np.empty((len(kept), len(kept)))
+    iou[:, own] = fresh[np.ix_(kept, props)]
+    iou[np.ix_(own, ~own)] = fresh[np.ix_(anchors, props)].T
+    iou[np.ix_(~own, ~own)] = anchor_iou[np.ix_(anchors - p, anchors - p)]
+    return iou
 
 
 def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
     """Weak-scene constants; reads only raw grid, proposals, image label.
 
-    The kept warm-up proposals' means and IoU block are rows of what the
-    warm-up step computed (pooling and IoU are per box and per pair, so
-    the rows are bit-identical to pooling the kept boxes afresh).  The
+    The kept warm-up proposals' means and IoU block are what the warm-up
+    step computed (pooling and IoU are per box and per pair, so they are
+    bit-identical to pooling and overlapping the kept boxes afresh).  The
     teacher, the image label's length (one entry per target class of the
     warm-up's main head) and its present classes (at least one) are
     checked here, once; the labeller reads ``iou`` and ``present`` as they
@@ -387,13 +410,11 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
             f"{warmup.main_head.num_rows - 1} target classes"
         )
     selection = warmup_proposals(warmup, scene, len(scene.proposals))
-    keep = selection.keep
-    raw_means = selection.raw_means[keep]
     pack = ScenePack(
-        raw_means=raw_means,
-        teacher=check_score_matrix(extract_sdk(warmup, raw_means)),
+        raw_means=selection.raw_means,
+        teacher=check_score_matrix(extract_sdk(warmup, selection.raw_means)),
         y_img=y_img,
-        iou=selection.iou[np.ix_(keep, keep)],
+        iou=selection.iou,
         present=np.array(present_classes(y_img)),
     )
     for array in (pack.raw_means, pack.teacher, pack.y_img, pack.iou, pack.present):
@@ -805,7 +826,7 @@ def _stacked_source_scenes(
 
     def block(count: int) -> tuple[np.ndarray, np.ndarray]:
         scenes = sample_scenes(world, "source", "full", rng, count)
-        corners = np.stack([box_corners(scene.proposals) for scene in scenes])
+        corners = np.stack([scene.proposals for scene in scenes])
         grids = np.stack([scene.raw_grid for scene in scenes])
         labels = block_labels(corners, scenes, num_classes)
         return pool_raw_means(grids, corners), proposal_targets(labels, num_classes + 1)
@@ -1066,7 +1087,7 @@ def detections(
         return iter(())
     if not scenes:
         raise ValueError("detections needs at least one scene")
-    boxes = [list(scene.proposals) for scene in scenes]
+    boxes = [scene.proposals for scene in scenes]
     count = len(boxes[0])
     if any(len(b) != count for b in boxes):
         raise ValueError("evaluation scenes differ in proposal count")
@@ -1088,7 +1109,7 @@ def detections(
         probs[:, :-1], np.stack([pairwise_iou(b) for b in boxes]),
         INFERENCE_NMS_THRESHOLD, count,
     )
-    corners = np.stack([box_corners(b) for b in boxes])
+    corners = np.stack(boxes)
 
     def rows(m: int) -> Detections:
         classes, scene_ids, rank = np.nonzero(kept[m] >= 0)

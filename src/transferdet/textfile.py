@@ -7,6 +7,7 @@ instead of by the bare codec error."""
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping
 
@@ -23,7 +24,10 @@ def apply_overrides(cfg, overrides: Mapping[str, object]):
     is typed by the field's current value: a boolean word (1/true/yes/on,
     0/false/no/off), an int, a float, or an int tuple of the same length
     split on ``,`` or ``:``; a string field takes it as it is.  Any other
-    value is set unchanged.  ``cfg`` and each group an override reaches are
+    value must fit the field: a bool for a boolean field, an integer for an
+    int field, an integer or float for a float field (set as a float), a
+    tuple or list of as many integers for a tuple field, and only a string
+    for a string field.  ``cfg`` and each group an override reaches are
     built once from all of their overrides, so their checks see only the
     final values, whatever the order of the keys.
 
@@ -71,9 +75,10 @@ def _build(cfg, overrides: dict[str, tuple[list[str], object]]):
 
 
 def _typed(current, value):
-    """``value`` typed like ``current`` if it is a string, else as it is."""
+    """``value`` typed like ``current`` if it is a string, else checked
+    against it by :func:`_fitted`."""
     if not isinstance(value, str):
-        return value
+        return _fitted(current, value)
     if isinstance(current, bool):
         if value.lower() not in _BOOL_WORDS:
             raise ValueError(f"expected a boolean, got {value!r}")
@@ -84,6 +89,38 @@ def _typed(current, value):
             raise ValueError(f"expected {len(current)} integers, got {value!r}")
         return typed
     return type(current)(value) if isinstance(current, (int, float)) else value
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _fitted(current, value):
+    """A value that is not a string, as the field of ``current`` takes it;
+    ValueError if it is not of the field's kind."""
+    if isinstance(current, bool):
+        if isinstance(value, bool):
+            return value
+        expected = "a boolean"
+    elif isinstance(current, int):
+        if _integer(value):
+            return int(value)
+        expected = "an integer"
+    elif isinstance(current, float):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+        expected = "a number"
+    elif isinstance(current, tuple):
+        if (
+            isinstance(value, (tuple, list))
+            and len(value) == len(current)
+            and all(map(_integer, value))
+        ):
+            return tuple(int(v) for v in value)
+        expected = f"{len(current)} integers"
+    else:
+        expected = "a string"
+    raise ValueError(f"expected {expected}, got {value!r}")
 
 
 def _line_error(line: int, message: str) -> ValueError:

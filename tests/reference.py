@@ -1,7 +1,9 @@
 """From-scratch oracle implementations the tests compare against.
 
 Everything here is written with plain Python loops straight from the
-definitions: per-box ROI pooling, proposal labelling, greedy NMS,
+definitions: scene sampling with one scalar draw per coordinate and
+per-box proposal deduplication, per-box ROI pooling, proposal labelling,
+greedy NMS,
 threshold-band pseudo-labelling and the shape of its output, the weak-stage
 loss one classifier at a time, per-block Adam, VOC matching (one class, or
 every class of an evaluation from scalar IoUs), average precision and the
@@ -22,6 +24,96 @@ def ref_iou(a, b):
     inter = w * h
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union
+
+
+# The values of transferdet.synthworld's sampling constants.
+REF_BOX_MIN_SIZE = 0.22
+REF_BOX_MAX_SIZE = 0.30
+REF_GT_MAX_OVERLAP = 0.3
+REF_PROPOSAL_NMS_THRESHOLD = 0.75
+REF_CLASS_REPEAT_AFFINITY = 0.5
+
+
+def ref_sample_box(rng):
+    """One random box: width, height, x1 and y1, one scalar draw each."""
+    w = rng.uniform(REF_BOX_MIN_SIZE, REF_BOX_MAX_SIZE)
+    h = rng.uniform(REF_BOX_MIN_SIZE, REF_BOX_MAX_SIZE)
+    x1 = rng.uniform(0.0, 1.0 - w)
+    y1 = rng.uniform(0.0, 1.0 - h)
+    return (x1, y1, x1 + w, y1 + h)
+
+
+def ref_jitter_box(rng, box, jitter):
+    """Each side moved by a scalar uniform fraction of the box's extent, in
+    the order x1, x2, y1, y2, and clipped to [0, 1]; no draw at zero
+    jitter."""
+    if jitter == 0.0:
+        return box
+    x1, y1, x2, y2 = box
+    w, h = x2 - x1, y2 - y1
+    nx1 = min(max(x1 + rng.uniform(-jitter, jitter) * w, 0.0), 1.0)
+    nx2 = min(max(x2 + rng.uniform(-jitter, jitter) * w, 0.0), 1.0)
+    ny1 = min(max(y1 + rng.uniform(-jitter, jitter) * h, 0.0), 1.0)
+    ny2 = min(max(y2 + rng.uniform(-jitter, jitter) * h, 0.0), 1.0)
+    return (nx1, ny1, nx2, ny2)
+
+
+def ref_sample_scene(world, domain, rng):
+    """A scene drawn as the scene sampler defines it, one scalar draw and
+    one box at a time: the object count and classes, GT boxes
+    rejection-sampled to pairwise IoU at most 0.3, the grid painted cell by
+    cell, then the proposals: the jittered GT boxes, then 2K pool boxes
+    visited by descending uniform score (ties by index), each kept iff it
+    overlaps no proposal kept so far above 0.75 until K are held, then
+    fresh boxes up to K.  ``world`` needs ``config``, ``prototypes``,
+    ``prototype_index`` and ``background_prototype``.  Returns the grid,
+    the GT as (class, corners) pairs, the proposal corner tuples and the
+    image label as a list."""
+    cfg = world.config
+    k = cfg.proposals_per_scene
+    num_classes = cfg.num_source_classes if domain == "source" else cfg.num_target_classes
+    lo, hi = cfg.objects_per_scene
+    n = int(rng.integers(lo, hi + 1))
+    classes = [int(rng.integers(0, num_classes))]
+    for _ in range(n - 1):
+        if rng.uniform() < REF_CLASS_REPEAT_AFFINITY:
+            classes.append(classes[-1])
+        else:
+            classes.append(int(rng.integers(0, num_classes)))
+    boxes = []
+    for _ in range(n):
+        box = ref_sample_box(rng)
+        for _ in range(200):
+            if all(ref_iou(box, other) <= REF_GT_MAX_OVERLAP for other in boxes):
+                break
+            box = ref_sample_box(rng)
+        boxes.append(box)
+    height, width, dim = cfg.grid_height, cfg.grid_width, cfg.raw_dim
+    noise = rng.standard_normal((height, width, dim))
+    grid = np.zeros((height, width, dim))
+    for i in range(height):
+        for j in range(width):
+            cx, cy = (j + 0.5) / width, (i + 0.5) / height
+            covered = False
+            for cls, (x1, y1, x2, y2) in zip(classes, boxes):
+                if x1 <= cx <= x2 and y1 <= cy <= y2:
+                    grid[i, j] += world.prototypes[world.prototype_index(domain, cls)]
+                    covered = True
+            if not covered:
+                grid[i, j] += cfg.clutter_sigma * world.background_prototype
+            grid[i, j] += cfg.noise_sigma * noise[i, j]
+    proposals = [ref_jitter_box(rng, box, cfg.jitter) for box in boxes]
+    pool = [ref_sample_box(rng) for _ in range(2 * k)]
+    scores = rng.uniform(0.0, 1.0, size=len(pool))
+    for i in sorted(range(len(pool)), key=lambda i: (-scores[i], i)):
+        if len(proposals) >= k:
+            break
+        if all(ref_iou(pool[i], kept) <= REF_PROPOSAL_NMS_THRESHOLD for kept in proposals):
+            proposals.append(pool[i])
+    while len(proposals) < k:
+        proposals.append(ref_sample_box(rng))
+    label = [int(c in classes) for c in range(num_classes)]
+    return grid, list(zip(classes, boxes)), proposals, label
 
 
 def ref_pool(raw_grid, boxes):
@@ -366,8 +458,7 @@ def ref_scene_set_text(config, scenes):
         for cls, box in scene.gt:
             corners = (box.x1, box.y1, box.x2, box.y2)
             lines.append(f"gt {cls} " + " ".join(repr(float(v)) for v in corners))
-        for box in scene.proposals:
-            corners = (box.x1, box.y1, box.x2, box.y2)
+        for corners in scene.proposals:
             lines.append("prop " + " ".join(repr(float(v)) for v in corners))
         lines.append("label " + " ".join(str(int(v)) for v in scene.image_label))
     return "\n".join(lines) + "\n"

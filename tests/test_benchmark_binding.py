@@ -50,3 +50,31 @@ def test_benchmark_imports_names_the_package_has():
     assert ("transferdet.pipeline", "detect") in names
     for module_name, name in names:
         assert hasattr(importlib.import_module(module_name), name), f"{module_name}.{name}"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_io_fixtures_write_detections_the_reader_reads(tmp_path, monkeypatch):
+    # build_fixtures detects scene by scene with pipeline.detect and writes
+    # the rows with write_detections_csv; eval reads them back
+    from transferdet.evaluation import read_detections_csv
+    from transferdet.model import load_model
+
+    workloads = load_workloads()
+    monkeypatch.setattr(workloads, "CLI_SCENES", 3)
+    workloads.build_fixtures("cli_io", [0], str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        workloads.FIXTURE_FILES["cli_io"]
+    )
+    dets = read_detections_csv(tmp_path / "detections.csv")
+    assert len(dets.scene_ids) > 0
+    assert set(dets.scene_ids.tolist()) <= {0, 1, 2}
+    assert (dets.boxes[:, :2] < dets.boxes[:, 2:]).all()
+    load_model(tmp_path / "source_model.txt")

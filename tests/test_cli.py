@@ -544,7 +544,7 @@ def _eval_fixture(tmp_path):
     scene = Scene(
         raw_grid=np.zeros((8, 8, world.config.raw_dim)),
         gt=((0, gt1), (0, gt2)),
-        proposals=(gt1, gt2),
+        proposals=[gt1.as_tuple(), gt2.as_tuple()],
         annotation_mode="full",
         image_label=np.array([1, 0, 0, 0]),
         domain="target",

@@ -11,6 +11,8 @@ from transferdet.geometry import (
     pairwise_iou,
 )
 
+from transferdet.synthworld import PROPOSAL_NMS_THRESHOLD, _dedup
+
 from reference import random_boxes, ref_iou, ref_nms
 
 
@@ -241,6 +243,48 @@ def test_stacked_nms_rows_equal_the_1d_call_and_oracle(
             assert row == got + [-1] * (len(row) - len(got))  # padding trails
             assert got == nms(scores[r, s], iou[s], threshold, max_keep)
             assert got == ref_nms(tuples[s], list(scores[r, s]), threshold, max_keep)
+
+
+def near_duplicate_boxes(rng, count, copies):
+    """``count`` random boxes, then ``copies`` boxes that each move one of
+    them by under a tenth of its extent, so that their IoU with it falls
+    on both sides of the usual thresholds."""
+    boxes = random_boxes(rng, count, lo=0.1, hi=0.4)
+    for _ in range(copies):
+        x1, y1, x2, y2 = boxes[int(rng.integers(0, len(boxes)))]
+        dx, dy = rng.uniform(-0.1, 0.1, size=2) * (x2 - x1, y2 - y1)
+        boxes.append((x1 + dx, y1 + dy, x2 + dx, y2 + dy))
+    return [tuple(min(max(v, 0.0), 1.0) for v in b) for b in boxes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 30),
+    copies=st.integers(0, 30),
+    levels=st.sampled_from([2, 4, 1000]),
+    threshold=st.sampled_from([0.3, 0.5, PROPOSAL_NMS_THRESHOLD]),
+    max_keep=st.integers(1, 60),
+)
+def test_every_nms_form_and_the_prefix_dedup_equal_the_scalar_greedy_loop(
+    seed, count, copies, levels, threshold, max_keep
+):
+    rng = np.random.default_rng(seed)
+    tuples = near_duplicate_boxes(rng, count, copies)
+    corners = np.array(tuples)
+    # few score levels make exact ties common
+    scores = rng.integers(0, levels, size=len(tuples)) / levels
+    expected = ref_nms(tuples, list(scores), threshold, max_keep)
+    overlaps = pairwise_iou(corners)
+    assert nms(scores, overlaps, threshold, max_keep) == expected
+    assert nms(scores, overlaps <= threshold, threshold, max_keep) == expected
+    rows = nms(np.stack([scores, scores[::-1]]), overlaps, threshold, max_keep)
+    assert [k for k in rows[0].tolist() if k >= 0] == expected
+    assert [k for k in rows[1].tolist() if k >= 0] == ref_nms(
+        tuples, list(scores[::-1]), threshold, max_keep
+    )
+    if threshold == PROPOSAL_NMS_THRESHOLD:
+        assert _dedup(corners, scores, max_keep).tolist() == expected
 
 
 def test_stacked_nms_validates_like_the_1d_call():

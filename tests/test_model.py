@@ -167,9 +167,8 @@ def test_pooling_index_pads_past_the_last_cell():
 def test_pool_raw_means_bit_identical_to_per_box_mean(k):
     world = make_world(WorldConfig(seed=k, proposals_per_scene=k))
     for scene in sample_scenes(world, "target", "weak", substream(k, "pool"), 25):
-        boxes = list(scene.proposals)
-        got = pool_raw_means(scene.raw_grid, boxes)
-        assert np.array_equal(got, ref_pool(scene.raw_grid, tuples(boxes)))
+        got = pool_raw_means(scene.raw_grid, scene.proposals)
+        assert np.array_equal(got, ref_pool(scene.raw_grid, scene.proposals.tolist()))
 
 
 def test_pool_raw_means_bit_identical_on_anchor_lattice():

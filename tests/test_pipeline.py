@@ -10,7 +10,7 @@ import pytest
 
 from transferdet import losses, model, pipeline
 from transferdet.evaluation import Detections, evaluate_detections, mean_ap
-from transferdet.geometry import BBox, box_corners, coverage_masks, pairwise_iou
+from transferdet.geometry import BBox, coverage_masks, pairwise_iou
 from transferdet.model import (
     extract_sdk,
     head_logits,
@@ -137,7 +137,8 @@ def kept_boxes(scene, selection):
     """The boxes a warmup_proposals selection keeps: its candidates are the
     scene's proposals, then the anchor lattice of the scene's grid."""
     height, width, _ = scene.raw_grid.shape
-    candidates = list(scene.proposals) + anchor_boxes(height, width)
+    candidates = [BBox(*row) for row in scene.proposals.tolist()]
+    candidates += anchor_boxes(height, width)
     return [candidates[i] for i in selection.keep]
 
 
@@ -242,7 +243,7 @@ def _changed(cfg, field, value):
 
 def scene_labels(scene, num_classes):
     """One scene's (K,) proposal classes, from a block of one."""
-    return block_labels(box_corners(scene.proposals)[None], [scene], num_classes)[0]
+    return block_labels(scene.proposals[None], [scene], num_classes)[0]
 
 
 def test_proposal_labels_threshold(monkeypatch):
@@ -255,7 +256,7 @@ def test_proposal_labels_threshold(monkeypatch):
     scene = Scene(
         raw_grid=np.zeros((4, 4, 3)),
         gt=((2, gt_box),),
-        proposals=proposals,
+        proposals=[box.as_tuple() for box in proposals],
         annotation_mode="full",
         image_label=np.array([0, 0, 1, 0]),
         domain="target",
@@ -264,7 +265,7 @@ def test_proposal_labels_threshold(monkeypatch):
     assert labels.tolist() == [2, 4, 2]
     # exactly at the threshold stays background: the rule is strict
     half = BBox(0.1, 0.1, 0.4, 0.4 + 0.3)
-    scene2 = replace(scene, proposals=(half,))
+    scene2 = replace(scene, proposals=[half.as_tuple()])
     assert PROPOSAL_LABEL_IOU == 0.5
     assert scene_labels(scene2, 4).tolist() == [2]
     monkeypatch.setattr(pipeline, "PROPOSAL_LABEL_IOU", 2 / 3)
@@ -275,7 +276,7 @@ def test_proposal_labels_match_scalar_oracle(world, monkeypatch):
     scenes = sample_scenes(world, "source", "full", substream(8, "labels"), 300)
     num_classes = world.config.classes_in("source")
     for scene in scenes:
-        proposals = [b.as_tuple() for b in scene.proposals]
+        proposals = list(map(tuple, scene.proposals.tolist()))
         gt = [(cls, b.as_tuple()) for cls, b in scene.gt]
         for threshold in (PROPOSAL_LABEL_IOU, 0.3):
             monkeypatch.setattr(pipeline, "PROPOSAL_LABEL_IOU", threshold)
@@ -338,9 +339,11 @@ def test_warmup_proposals_properties(warmup, weak_scene):
     selection = warmup_proposals(warmup, weak_scene, 20)
     kept = kept_boxes(weak_scene, selection)
     assert 0 < len(kept) == len(selection) <= 20
-    candidates = len(weak_scene.proposals) + len(anchor_boxes(8, 8))
-    assert selection.iou.shape == (candidates, candidates)
-    assert selection.raw_means.shape[0] == candidates
+    # what it keeps of its computations is the kept candidates' share
+    assert np.array_equal(selection.iou, pairwise_iou(kept))
+    assert np.array_equal(
+        selection.raw_means, pool_raw_means(weak_scene.raw_grid, kept)
+    )
     assert len(set(selection.keep)) == len(kept)
     overlaps = pairwise_iou(kept)
     off_diag = overlaps[~np.eye(len(kept), dtype=bool)]
@@ -354,7 +357,7 @@ def test_warmup_proposals_match_full_matrix_oracle(warmup, world):
     # over the full pairwise candidate overlaps
     anchors = [b.as_tuple() for b in anchor_boxes(8, 8)]
     for scene in sample_scenes(world, "target", "weak", substream(7, "oracle"), 5):
-        candidates = [b.as_tuple() for b in scene.proposals] + anchors
+        candidates = list(map(tuple, scene.proposals.tolist())) + anchors
         features = ref_pool(scene.raw_grid, candidates) @ warmup.backbone.map.T
         probs = column_softmax(head_logits(warmup.main_head.weights, features))
         objectness = list(1.0 - probs[-1, :])
@@ -504,12 +507,12 @@ def test_source_scenes_packed_in_blocks_equal_per_scene_packs(overrides):
     means, targets = pipeline._stacked_source_scenes(world, cfg)
     rows = np.arange(world.config.classes_in("source") + 1)[:, None]
     for scene, scene_means, scene_targets in zip(scenes, means, targets, strict=True):
-        boxes = [b.as_tuple() for b in scene.proposals]
+        boxes = list(map(tuple, scene.proposals.tolist()))
         gt = [(cls, b.as_tuple()) for cls, b in scene.gt]
         assert np.array_equal(scene_means, ref_pool(scene.raw_grid, boxes))
         labels = ref_proposal_labels(boxes, gt, rows.size - 1, PROPOSAL_LABEL_IOU)
         assert np.array_equal(scene_targets, np.array(labels) == rows)
-    proposals = [box for scene in scenes for box in scene.proposals]
+    proposals = np.concatenate([scene.proposals for scene in scenes])
     cfg_w = world.config
     masks = coverage_masks(cfg_w.grid_height, cfg_w.grid_width, proposals)
     covers_none = ~masks.any(axis=(1, 2))
@@ -1115,7 +1118,7 @@ def test_detect_structure(world, student):
     scene = sample_scenes(world, "target", "full", substream(21, "e"), 1)[0]
     detections = detect(student, scene, scene_id=4)
     assert detections == detect(student, scene, scene_id=4)
-    proposal_set = {b.as_tuple() for b in scene.proposals}
+    proposal_set = set(map(tuple, scene.proposals.tolist()))
     num_classes = world.config.classes_in("target")
     per_class_boxes = {}
     last_score = {}
@@ -1161,7 +1164,7 @@ def test_detections_equal_reference_oracle(world, warmup, student):
         assert dets.scene_ids.dtype == dets.classes.dtype == np.int64
         per_scene = []
         for scene in scenes:
-            boxes = [b.as_tuple() for b in scene.proposals]
+            boxes = list(map(tuple, scene.proposals.tolist()))
             features = ref_pool(scene.raw_grid, boxes) @ model.backbone.map.T
             per_scene.append((boxes, ref_softmax(head_logits(head.weights, features))))
         # Rows class by class, each class scene by scene, each scene by rank.
@@ -1208,7 +1211,7 @@ def oracle_evaluation(model, head, scenes, method):
     dets = {c: [] for c in range(num_classes)}
     gts = {c: [] for c in range(num_classes)}
     for scene_id, scene in enumerate(scenes):
-        boxes = [b.as_tuple() for b in scene.proposals]
+        boxes = list(map(tuple, scene.proposals.tolist()))
         features = ref_pool(scene.raw_grid, boxes) @ model.backbone.map.T
         probs = column_softmax(head_logits(head.weights, features))
         for c in range(num_classes):

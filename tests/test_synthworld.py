@@ -33,7 +33,15 @@ from transferdet.synthworld import (
 )
 from transferdet import synthworld
 
-from reference import ref_iou, ref_scene_set_text
+from reference import (
+    REF_BOX_MAX_SIZE,
+    REF_BOX_MIN_SIZE,
+    REF_CLASS_REPEAT_AFFINITY,
+    REF_GT_MAX_OVERLAP,
+    REF_PROPOSAL_NMS_THRESHOLD,
+    ref_sample_scene,
+    ref_scene_set_text,
+)
 
 
 def test_substream_is_reproducible_and_tag_sensitive():
@@ -142,13 +150,60 @@ def test_scene_validation():
         )
 
 
+def test_scene_checks_and_freezes_its_proposal_array():
+    world = make_world(WorldConfig(seed=0))
+    scene = sample_scene(world, "target", "weak", substream(0, "s"))
+    assert scene.proposals.shape == (32, 4) and scene.proposals.dtype == float
+    assert not scene.proposals.flags.writeable
+    with pytest.raises(ValueError):
+        scene.proposals[0, 0] = 0.5
+    rows = scene.proposals.copy()
+    copy = replace(scene, proposals=rows)
+    rows[0, 0] = 0.0
+    assert copy.proposals.tobytes() == scene.proposals.tobytes()  # a copy is kept
+    assert replace(scene, proposals=np.empty((0, 4))).proposals.shape == (0, 4)
+    assert replace(scene, proposals=[(0.0, 0.0, 1.0, 1.0)]).proposals.shape == (1, 4)
+
+    inverted = scene.proposals.copy()
+    inverted[3] = inverted[3, [2, 3, 0, 1]]
+    with pytest.raises(ValueError, match=r"^invalid proposal 3 \(.*need 0 <= x1 < x2"):
+        replace(scene, proposals=inverted)
+    for bad in (np.nan, np.inf, -np.inf):
+        corners = scene.proposals.copy()
+        corners[5, 1] = bad
+        with pytest.raises(ValueError, match="non-finite proposal corner"):
+            replace(scene, proposals=corners)
+    for corners in ([(0.2, 0.1, 0.2, 0.5)], [(0.2, 0.1, 1.2, 0.5)], [(-0.1, 0.1, 0.2, 0.5)]):
+        with pytest.raises(ValueError, match="^invalid proposal 0"):
+            replace(scene, proposals=corners)
+    for shape in (scene.proposals[0], scene.proposals[:, :3], scene.proposals[None]):
+        with pytest.raises(ValueError, match=r"\(K, 4\) corner rows"):
+            replace(scene, proposals=shape)
+    with pytest.raises(ValueError, match=r"\(K, 4\) corner rows"):
+        replace(scene, proposals=(BBox(0.1, 0.1, 0.5, 0.5),))
+
+
+@pytest.mark.parametrize("corners", ["0.5 0.1 0.2 0.6", "0.1 0.1 0.4 nan"])
+def test_scenes_file_names_the_prop_line_of_a_bad_box(tmp_path, corners):
+    world = make_world(WorldConfig(seed=11))
+    path = tmp_path / "scenes.txt"
+    save_scenes(path, world, sample_scenes(world, "target", "full", substream(11, "c"), 2))
+    lines = path.read_text().splitlines()
+    row = [i for i, ln in enumerate(lines) if ln.startswith("prop ")][40]
+    lines[row] = "prop " + corners
+    path.write_text("".join(ln + "\n" for ln in lines))
+    expected = rf"^line {row + 1}: invalid box \({corners.replace(' ', ', ')}\): need 0 <="
+    with pytest.raises(ValueError, match=expected):
+        load_scenes(path)
+
+
 def test_sample_scene_is_deterministic():
     world = make_world(WorldConfig(seed=2))
     a = sample_scene(world, "target", "full", substream(2, "probe"))
     b = sample_scene(world, "target", "full", substream(2, "probe"))
     assert np.array_equal(a.raw_grid, b.raw_grid)
     assert a.gt == b.gt
-    assert a.proposals == b.proposals
+    assert np.array_equal(a.proposals, b.proposals)
     assert np.array_equal(a.image_label, b.image_label)
 
 
@@ -184,7 +239,7 @@ def test_zero_jitter_reproduces_gt_as_leading_proposals():
     for k in range(10):
         scene = sample_scene(world, "target", "weak", substream(3, "zj", k))
         for (cls, gt_box), prop in zip(scene.gt, scene.proposals):
-            assert prop.as_tuple() == gt_box.as_tuple()
+            assert tuple(prop.tolist()) == gt_box.as_tuple()
 
 
 def test_proposal_count_respects_config_override():
@@ -195,69 +250,42 @@ def test_proposal_count_respects_config_override():
         assert len(scene.proposals) == k
 
 
-def scalar_scene(world, domain, rng):
-    """Replay sample_scene's draws one scalar at a time: classes, GT boxes,
-    the grid painted cell by cell, then proposals, each pool box drawn by
-    ``_sample_box`` and, in descending score order, kept iff it overlaps no
-    jittered GT box and no earlier kept box above 0.75.  Returns the grid,
-    the GT as (class, corners) pairs and the proposal corners."""
-    cfg = world.config
-    k = cfg.proposals_per_scene
-    lo, hi = cfg.objects_per_scene
-    n = int(rng.integers(lo, hi + 1))
-    classes = [int(rng.integers(0, cfg.classes_in(domain)))]
-    for _ in range(n - 1):
-        if rng.uniform() < CLASS_REPEAT_AFFINITY:
-            classes.append(classes[-1])
-        else:
-            classes.append(int(rng.integers(0, cfg.classes_in(domain))))
-    boxes = synthworld._sample_gt_boxes(rng, n)
-    height, width, dim = cfg.grid_height, cfg.grid_width, cfg.raw_dim
-    noise = rng.standard_normal((height, width, dim))
-    grid = np.zeros((height, width, dim))
-    for i in range(height):
-        for j in range(width):
-            cx, cy = (j + 0.5) / width, (i + 0.5) / height
-            covered = False
-            for cls, b in zip(classes, boxes):
-                if b.x1 <= cx <= b.x2 and b.y1 <= cy <= b.y2:
-                    grid[i, j] += world.prototypes[world.prototype_index(domain, cls)]
-                    covered = True
-            if not covered:
-                grid[i, j] += cfg.clutter_sigma * world.background_prototype
-            grid[i, j] += cfg.noise_sigma * noise[i, j]
-    proposals = [synthworld._jitter_box(rng, b, cfg.jitter).as_tuple() for b in boxes]
-    pool = [synthworld._sample_box(rng).as_tuple() for _ in range(2 * k)]
-    scores = rng.uniform(0.0, 1.0, size=len(pool))
-    for i in sorted(range(len(pool)), key=lambda i: (-scores[i], i)):
-        if len(proposals) >= k:
-            break
-        if all(ref_iou(pool[i], kept) <= PROPOSAL_NMS_THRESHOLD for kept in proposals):
-            proposals.append(pool[i])
-    while len(proposals) < k:
-        proposals.append(synthworld._sample_box(rng).as_tuple())
-    return grid, [(c, b.as_tuple()) for c, b in zip(classes, boxes)], proposals
+def test_reference_sampler_constants_are_the_modules():
+    assert (BOX_MIN_SIZE, BOX_MAX_SIZE, GT_MAX_OVERLAP) == (
+        REF_BOX_MIN_SIZE, REF_BOX_MAX_SIZE, REF_GT_MAX_OVERLAP
+    )
+    assert (PROPOSAL_NMS_THRESHOLD, CLASS_REPEAT_AFFINITY) == (
+        REF_PROPOSAL_NMS_THRESHOLD, REF_CLASS_REPEAT_AFFINITY
+    )
 
 
 @pytest.mark.parametrize(
-    "k, objects", [(3, (3, 3)), (4, (1, 3)), (16, (1, 3)), (32, (1, 3)), (64, (2, 5))]
+    "k, jitter, objects",
+    [
+        (k, jitter, objects)
+        for k in (3, 16, 32, 64)
+        for jitter in (0.0, 0.15)
+        for objects in ((1, 3), (3, 3))
+    ] + [(4, 0.15, (1, 3)), (64, 0.15, (2, 5))],
 )
-def test_sample_scene_proposals_match_scalar_dedup_oracle(k, objects):
+def test_sample_scene_proposals_match_scalar_dedup_oracle(k, jitter, objects):
     # k == 3 with three objects leaves no room after the jittered GT boxes
-    for seed in (0, 1, 2):
+    for seed in range(100, 120):
         world = make_world(
-            WorldConfig(seed=seed, proposals_per_scene=k, objects_per_scene=objects)
+            WorldConfig(
+                seed=seed, proposals_per_scene=k, jitter=jitter, objects_per_scene=objects
+            )
         )
         for domain in ("source", "target"):
             rng, oracle_rng = substream(seed, "dedup"), substream(seed, "dedup")
-            for _ in range(8):
+            for _ in range(2):
                 scene = sample_scene(world, domain, "weak", rng)
-                grid, gt, proposals = scalar_scene(world, domain, oracle_rng)
+                grid, gt, proposals, label = ref_sample_scene(world, domain, oracle_rng)
                 assert np.array_equal(scene.raw_grid, grid)
                 assert [(c, b.as_tuple()) for c, b in scene.gt] == gt
-                assert [b.as_tuple() for b in scene.proposals] == proposals
-                # the block draws yield Python floats, as scalar draws do
-                assert all(type(v) is float for b in scene.proposals for v in b.as_tuple())
+                assert scene.proposals.dtype == float
+                assert scene.proposals.tobytes() == np.array(proposals).tobytes()
+                assert scene.image_label.tolist() == label
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -479,7 +507,7 @@ def assert_same_scenes(loaded, scenes):
         assert np.array_equal(a.raw_grid, b.raw_grid)
         assert a.raw_grid.tobytes() == b.raw_grid.tobytes()
         assert a.gt == b.gt
-        assert a.proposals == b.proposals
+        assert a.proposals.tobytes() == b.proposals.tobytes()
         assert np.array_equal(a.image_label, b.image_label)
         assert a.annotation_mode == b.annotation_mode
         assert a.domain == b.domain

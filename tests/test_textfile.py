@@ -4,6 +4,7 @@ typing by field, one build per config whatever the key order, and the
 
 import dataclasses
 import itertools
+import re
 from dataclasses import replace
 
 import pytest
@@ -138,3 +139,30 @@ def test_world_file_config_values_are_checked_like_overrides(line, message):
     lines = [line if ln.split()[1] == name else ln for ln in lines]
     with pytest.raises(ValueError, match=message):
         _parse_config(lines)
+
+
+@pytest.mark.parametrize("cfg, key, value, expected", [
+    (StageConfig(), "shots_per_class", 1.5, "an integer"),
+    (StageConfig(), "shots_per_class", True, "an integer"),
+    (StageConfig(), "sdk_weighted", 1, "a boolean"),
+    (StageConfig(), "labeller", 3, "a string"),
+    (StageConfig(), "rol.phi_obj", None, "a number"),
+    (WorldConfig(), "objects_per_scene", 5, "2 integers"),
+    (WorldConfig(), "objects_per_scene", (1, 2, 3), "2 integers"),
+    (WorldConfig(), "objects_per_scene", (1, 2.5), "2 integers"),
+])
+def test_a_value_that_is_not_text_must_fit_its_field(cfg, key, value, expected):
+    with pytest.raises(ValueError, match=rf"^config field '{re.escape(key)}': .*{expected}"):
+        apply_overrides(cfg, {key: value})
+
+
+def test_a_value_that_is_not_text_is_set_as_its_field_takes_it():
+    cfg = apply_overrides(
+        WorldConfig(), {"objects_per_scene": [2, 4], "noise_sigma": 1, "raw_dim": 20}
+    )
+    assert cfg.objects_per_scene == (2, 4)
+    assert cfg.noise_sigma == 1.0 and type(cfg.noise_sigma) is float
+    assert cfg.raw_dim == 20 and type(cfg.raw_dim) is int
+    stage = apply_overrides(StageConfig(), {"sdk_weighted": True, "weights.lambda_bd": 0})
+    assert stage.sdk_weighted is True
+    assert type(stage.weights.lambda_bd) is float
