@@ -227,9 +227,10 @@ def _load_world_arg(args, seed: int):
 def _load_start_model(args, world):
     """The checkpoint ``train lstd`` or ``train wstd`` starts from, checked
     before any work: a raw_dim x raw_dim backbone, a main head over the
-    source (lstd) or target (wstd) classes plus background, and for wstd
-    an SDK head.  A malformed or unfitting checkpoint exits 4, naming the
-    checkpoint and the field."""
+    source (lstd) or target (wstd) classes plus background, for lstd a
+    source-knowledge head (the distillation teacher) over the source
+    classes plus background, and for wstd an SDK head.  A malformed or
+    unfitting checkpoint exits 4, naming the checkpoint and the field."""
     if args.stage == "lstd":
         path, what, domain = args.source_model, "source checkpoint", "source"
     else:
@@ -240,15 +241,25 @@ def _load_start_model(args, world):
     except ValueError as exc:
         raise CliError(EXIT_MALFORMED, str(exc))
     dim, rows = world.config.raw_dim, world.config.classes_in(domain) + 1
-    if model.backbone.map.shape != (dim, dim):
+    try:
+        teacher_rows = len(model.source_knowledge_head())
+    except ValueError:
+        teacher_rows = 0
+    if model.backbone.shape != (dim, dim):
         problem = "backbone is {}x{}, the world needs {d}x{d} (raw_dim)".format(
-            *model.backbone.map.shape, d=dim
+            *model.backbone.shape, d=dim
         )
-    elif model.main_head.num_rows != rows:
-        problem = (f"main_head has {model.main_head.num_rows} rows, the world "
+    elif len(model.main_head) != rows:
+        problem = (f"main_head has {len(model.main_head)} rows, the world "
                    f"needs {rows} (num_{domain}_classes + 1)")
     elif args.stage == "wstd" and model.sdk_head is None:
         problem = "has no sdk_head; a warm-up from train lstd has one"
+    elif args.stage == "lstd" and not teacher_rows:
+        problem = (f"has no head over the source classes: no sdk_head, and "
+                   f"source_classes is {model.source_classes}, not {rows - 1}")
+    elif args.stage == "lstd" and teacher_rows != rows:
+        problem = (f"sdk_head has {teacher_rows} rows, the world needs {rows} "
+                   f"(num_source_classes + 1)")
     else:
         return model
     raise CliError(EXIT_MALFORMED, f"{what} {p}: {problem}")

@@ -2,13 +2,16 @@
 
 A per-cell linear map (the backbone) turns raw observation vectors into
 feature vectors; proposals are mean-pooled over the cells their box covers;
-linear heads score pooled features per class.  Because pooling is a mean
-and the backbone is linear, pooling the raw grid and then applying the
-backbone equals pooling the feature grid, so training pools raw means once
-per scene (:func:`pool_raw_means`) and only the heads and the map act per
-step (:func:`head_logits`, :func:`head_backward`).  Everything is linear up
-to the loss, so every gradient used in training is closed form and checked
-against finite differences.
+linear heads score pooled features per class.  A :class:`DetectorModel` is
+its parameter blocks as plain arrays, named as a training names them:
+``backbone``, ``main_head``, ``sdk_head`` and the stacked ``rol_heads``.
+Because pooling is a mean and the backbone is linear, pooling the raw
+grid and then applying the backbone equals pooling the feature grid, so
+training pools raw means once per scene (:func:`pool_raw_means`) and only
+the heads and the map act per step (:func:`head_logits`,
+:func:`head_backward`).  Everything is linear up to the loss, so every
+gradient used in training is closed form and checked against finite
+differences.
 
 ROI pooling is one batched gather: :func:`pooling_index` turns boxes into
 a padded matrix of cell indices, which depends only on the grid shape and
@@ -47,81 +50,52 @@ from .geometry import BBox, box_corners, cell_centers, coverage_masks
 from .numerics import column_softmax
 from .textfile import named_decode_errors
 
-HEAD_ROLES = ("main", "sdk_branch", "rol_classifier")
 
-
-@dataclass
-class Backbone:
-    """Per-cell linear transform: raw cell vector (D0) -> feature vector (D)."""
-
-    map: np.ndarray  # (feature_dim, raw_dim)
-
-    def __post_init__(self):
-        self.map = np.asarray(self.map, dtype=float)
-        if self.map.ndim != 2 or not np.all(np.isfinite(self.map)):
-            raise ValueError("backbone map must be a finite 2-D matrix")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.map.shape[0]
-
-
-@dataclass
-class Head:
-    """Linear classifier over pooled features, last weight column the bias."""
-
-    weights: np.ndarray  # (num_classes + 1, feature_dim + 1)
-    role: str = "main"
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 2 or not np.all(np.isfinite(self.weights)):
-            raise ValueError("head weights must be a finite 2-D matrix")
-        if self.role not in HEAD_ROLES:
-            raise ValueError(f"unknown head role {self.role!r}")
-
-    @property
-    def num_rows(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weights.shape[1] - 1
+def _matrix(array, what: str) -> np.ndarray:
+    """``array`` as a float matrix; ValueError unless it is 2-D and finite."""
+    array = np.asarray(array, dtype=float)
+    if array.ndim != 2 or not np.isfinite(array).all():
+        raise ValueError(f"{what} must be a finite 2-D matrix")
+    return array
 
 
 @dataclass
 class DetectorModel:
-    """Backbone plus heads; which heads exist depends on the training stage."""
+    """A detector's parameter blocks; which heads exist depends on the
+    training stage.  A head's last column is its bias."""
 
-    backbone: Backbone
-    main_head: Head
-    sdk_head: Head | None = None
-    rol_heads: list[Head] = field(default_factory=list)
+    backbone: np.ndarray  # (D, D0)
+    main_head: np.ndarray  # (C+1, D+1)
+    sdk_head: np.ndarray | None = None  # (S+1, D+1)
+    rol_heads: np.ndarray = ()  # (N, C+1, D+1); N = 0 before WSTD
     source_classes: int = 0  # class count of the source domain this model knows
 
     def __post_init__(self):
-        for head in self.all_heads():
-            if head.feature_dim != self.backbone.feature_dim:
+        self.backbone = _matrix(self.backbone, "backbone map")
+        self.main_head = _matrix(self.main_head, "head weights")
+        if self.sdk_head is not None:
+            self.sdk_head = _matrix(self.sdk_head, "head weights")
+        if len(self.rol_heads) == 0:
+            self.rol_heads = np.empty((0, *self.main_head.shape))
+        self.rol_heads = np.asarray(self.rol_heads, dtype=float)
+        if self.rol_heads.ndim != 3 or not np.isfinite(self.rol_heads).all():
+            raise ValueError("rol heads must be a finite 3-D array")
+        dim = len(self.backbone)
+        for head in (self.main_head, self.sdk_head, self.rol_heads):
+            if head is not None and head.shape[-1] - 1 != dim:
                 raise ValueError(
-                    f"head feature dim {head.feature_dim} != backbone "
-                    f"feature dim {self.backbone.feature_dim}"
+                    f"head feature dim {head.shape[-1] - 1} != backbone "
+                    f"feature dim {dim}"
                 )
         if self.sdk_head is not None and self.source_classes > 0:
-            if self.sdk_head.num_rows != self.source_classes + 1:
+            if len(self.sdk_head) != self.source_classes + 1:
                 raise ValueError("sdk head rows inconsistent with source class count")
 
-    def all_heads(self) -> list[Head]:
-        heads = [self.main_head]
-        if self.sdk_head is not None:
-            heads.append(self.sdk_head)
-        heads.extend(self.rol_heads)
-        return heads
-
-    def source_knowledge_head(self) -> Head:
+    def source_knowledge_head(self) -> np.ndarray:
         """The head emitting source-class distributions for distillation."""
         if self.sdk_head is not None:
             return self.sdk_head
-        if self.source_classes > 0 and self.main_head.num_rows == self.source_classes + 1:
+        if self.source_classes > 0 and len(self.main_head) == self.source_classes + 1:
             return self.main_head
         raise ValueError("model has no head over the source classes")
 
@@ -133,23 +107,21 @@ class DetectorModel:
 FEATURE_GAIN = 6.0
 
 
-def init_backbone(dim: int, rng: np.random.Generator) -> Backbone:
+def init_backbone(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random ``dim`` x ``dim`` orthogonal map scaled by FEATURE_GAIN.
 
     Orthogonality preserves the geometry of the raw observations exactly;
     a plain Gaussian map would shrink some directions and dilate others.
     """
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)).T)
-    return Backbone(map=FEATURE_GAIN * (q * np.sign(np.diag(r))).T)
+    return FEATURE_GAIN * (q * np.sign(np.diag(r))).T
 
 
 def init_head(
-    num_classes: int, feature_dim: int, rng: np.random.Generator, role: str = "main"
-) -> Head:
-    return Head(
-        weights=0.01 * rng.standard_normal((num_classes + 1, feature_dim + 1)),
-        role=role,
-    )
+    num_classes: int, feature_dim: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Small random (num_classes + 1, feature_dim + 1) head weights."""
+    return 0.01 * rng.standard_normal((num_classes + 1, feature_dim + 1))
 
 
 # --- forward / backward ------------------------------------------------------
@@ -388,9 +360,11 @@ def adam_step(
 # --- distillation targets ---------------------------------------------------
 
 
-def pooled_probs(backbone: Backbone, head: Head, raw_means: np.ndarray) -> np.ndarray:
+def pooled_probs(
+    backbone: np.ndarray, head: np.ndarray, raw_means: np.ndarray
+) -> np.ndarray:
     """(C+1) x K class probabilities of a head over K pooled raw means."""
-    return column_softmax(head_logits(head.weights, raw_means @ backbone.map.T))
+    return column_softmax(head_logits(head, raw_means @ backbone.T))
 
 
 def extract_sdk(teacher: DetectorModel, raw_means: np.ndarray) -> np.ndarray:
@@ -403,6 +377,11 @@ def extract_sdk(teacher: DetectorModel, raw_means: np.ndarray) -> np.ndarray:
 # --- checkpoints ------------------------------------------------------------
 
 CHECKPOINT_MAGIC = "# transferdet checkpoint v1"
+
+# The role words a head's block header may carry.  ``save_model`` writes
+# the one its slot fixes: ``main`` on main_head, ``sdk_branch`` on
+# sdk_head and ``rol_classifier`` on each rol_head.
+HEAD_ROLES = ("main", "sdk_branch", "rol_classifier")
 
 
 def save_model(path, model: DetectorModel, seed: int | None = None) -> None:
@@ -418,12 +397,12 @@ def save_model(path, model: DetectorModel, seed: int | None = None) -> None:
         for row in matrix.tolist():
             lines.append("row " + " ".join(map(repr, row)))
 
-    block("backbone", model.backbone.map)
-    block("main_head", model.main_head.weights, model.main_head.role)
+    block("backbone", model.backbone)
+    block("main_head", model.main_head, "main")
     if model.sdk_head is not None:
-        block("sdk_head", model.sdk_head.weights, model.sdk_head.role)
+        block("sdk_head", model.sdk_head, "sdk_branch")
     for i, head in enumerate(model.rol_heads):
-        block(f"rol_head_{i}", head.weights, head.role)
+        block(f"rol_head_{i}", head, "rol_classifier")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -435,21 +414,24 @@ _BLOCK_NAME = re.compile(r"backbone|main_head|sdk_head|rol_head_(0|[1-9][0-9]*)"
 def load_model(path) -> DetectorModel:
     """The model :func:`save_model` wrote to ``path``.
 
+    A head's role word is checked against :data:`HEAD_ROLES` but not kept:
+    the slot a block fills decides what the head is.
+
     Raises ValueError for a file without the magic line, and, naming the
     1-based line, for a line of unknown kind, a repeated ``seed`` or
     ``source_classes`` line, a malformed value or block header, an
-    unknown or repeated block name, a ``row`` before the first block, a
-    block whose rows do not match its shape, ROL heads that are not
-    numbered contiguously from 0 and the first line that is not text; and,
-    naming its header line, for a block with a non-finite value or an
-    unknown head role.
+    unknown or repeated block name, a head's unknown role word, a ``row``
+    before the first block, a block whose rows do not match its shape,
+    ROL heads that are not numbered contiguously from 0 or are ragged (a
+    shape other than rol_head_0's) and the first line that is not text;
+    and, naming its header line, for a block with a non-finite value.
     """
     with named_decode_errors(path), open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file")
     header: dict[str, int] = {}  # the seed and source_classes lines
-    shapes: dict[str, tuple] = {}  # name: (header line, rows, cols, role)
+    shapes: dict[str, tuple] = {}  # name: (header line, rows, cols)
     values: dict[str, list[list[float]]] = {}  # name: its rows
     for number, ln in enumerate(lines[1:], start=2):
         kind, *words = ln.split() or [None]
@@ -471,9 +453,10 @@ def load_model(path) -> DetectorModel:
                     raise ValueError(f"unknown block {name!r}")
                 if name in shapes:
                     raise ValueError(f"repeated block {name!r}")
-                role = words[5] if len(words) == 6 else None
-                shapes[name] = (number, int(words[2]), int(words[3]), role)
+                shapes[name] = (number, int(words[2]), int(words[3]))
                 values[name] = []
+                if name != "backbone" and words[5:] and words[5] not in HEAD_ROLES:
+                    raise ValueError(f"block {name}: unknown head role {words[5]!r}")
             elif kind == "row":
                 if not values:
                     raise ValueError("row before the first block")
@@ -482,7 +465,7 @@ def load_model(path) -> DetectorModel:
                 raise ValueError(f"unknown line kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
-    for name, (number, rows, cols, _) in shapes.items():
+    for name, (number, rows, cols) in shapes.items():
         if len(values[name]) != rows or any(len(row) != cols for row in values[name]):
             raise ValueError(
                 f"line {number}: block {name} does not match its shape {rows} {cols}"
@@ -491,27 +474,29 @@ def load_model(path) -> DetectorModel:
         int(name.removeprefix("rol_head_")) for name in shapes if name.startswith("rol_")
     )
     for expected, index in enumerate(rol):
+        number, rows, cols = shapes[f"rol_head_{index}"]
         if index != expected:
             raise ValueError(
-                f"line {shapes[f'rol_head_{index}'][0]}: rol_head_{index} "
-                f"without rol_head_{expected}"
+                f"line {number}: rol_head_{index} without rol_head_{expected}"
+            )
+        if (rows, cols) != shapes["rol_head_0"][1:]:
+            raise ValueError(
+                f"line {number}: block rol_head_{index}: shape {rows} {cols} differs "
+                "from rol_head_0's {} {}".format(*shapes["rol_head_0"][1:])
             )
     if "backbone" not in shapes or "main_head" not in shapes:
         raise ValueError("checkpoint missing backbone or main head")
 
-    def block(name: str, build):
+    def block(name: str, what: str = "head weights") -> np.ndarray:
         try:
-            return build(np.array(values[name]))
+            return _matrix(values[name], what)
         except ValueError as exc:
             raise ValueError(f"line {shapes[name][0]}: block {name}: {exc}") from None
 
-    def head(name: str, role: str) -> Head:
-        return block(name, lambda w: Head(weights=w, role=shapes[name][3] or role))
-
     return DetectorModel(
-        backbone=block("backbone", lambda m: Backbone(map=m)),
-        main_head=head("main_head", "main"),
-        sdk_head=head("sdk_head", "sdk_branch") if "sdk_head" in shapes else None,
-        rol_heads=[head(f"rol_head_{i}", "rol_classifier") for i in rol],
+        backbone=block("backbone", "backbone map"),
+        main_head=block("main_head"),
+        sdk_head=block("sdk_head") if "sdk_head" in shapes else None,
+        rol_heads=[block(f"rol_head_{i}") for i in rol],
         source_classes=header.get("source_classes", 0),
     )

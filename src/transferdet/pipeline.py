@@ -106,9 +106,7 @@ from .losses import (
 )
 from .model import (
     AdamState,
-    Backbone,
     DetectorModel,
-    Head,
     OptimizerConfig,
     ParamLayout,
     adam_step,
@@ -404,10 +402,10 @@ def pack_wstd_scene(scene: Scene, warmup: DetectorModel) -> ScenePack:
     read-only.
     """
     y_img = np.array(scene.image_label, dtype=float)
-    if y_img.shape != (warmup.main_head.num_rows - 1,):
+    if y_img.shape != (len(warmup.main_head) - 1,):
         raise ValueError(
             f"image label of shape {y_img.shape} for "
-            f"{warmup.main_head.num_rows - 1} target classes"
+            f"{len(warmup.main_head) - 1} target classes"
         )
     selection = warmup_proposals(warmup, scene, len(scene.proposals))
     pack = ScenePack(
@@ -776,31 +774,21 @@ def _assemble(
 ) -> list[DetectorModel]:
     """The ``count`` models of a training, from its stacked ``params``.
 
-    Member m takes slice m of each block in ``params`` (``rol_heads`` is
-    (N, M, C+1, D+1), classifier first), and the blocks in ``shared`` as
-    they are.  Every array is copied, so no model views the training
-    buffer.
+    Member m's model holds a copy of its slice of each block in ``params``
+    (slice ``[:, m]`` of the (N, M, C+1, D+1) ``rol_heads``, classifier
+    first; slice ``[m]`` of the others) and a copy of each block in
+    ``shared``, so no model views the training buffer.
     """
 
-    def block(name: str, m: int) -> np.ndarray | None:
-        if name in params:
-            return params[name][m].copy()
-        return shared[name].copy() if name in shared else None
+    def member(m: int) -> dict[str, np.ndarray]:
+        blocks = {name: block.copy() for name, block in shared.items()}
+        for name, block in params.items():
+            blocks[name] = (block[:, m] if name == "rol_heads" else block[m]).copy()
+        return blocks
 
-    models = []
-    for m in range(count):
-        sdk = block("sdk_head", m)
-        models.append(DetectorModel(
-            backbone=Backbone(map=block("backbone", m)),
-            main_head=Head(weights=block("main_head", m), role="main"),
-            sdk_head=None if sdk is None else Head(weights=sdk, role="sdk_branch"),
-            rol_heads=[
-                Head(weights=weights.copy(), role="rol_classifier")
-                for weights in params.get("rol_heads", np.empty((0, count)))[:, m]
-            ],
-            source_classes=source_classes,
-        ))
-    return models
+    return [
+        DetectorModel(**member(m), source_classes=source_classes) for m in range(count)
+    ]
 
 
 # Source scenes drawn and packed at a time.  The block's pooling gathers
@@ -881,8 +869,8 @@ def train_source(
     backbones, heads, raw_means, targets, orders = [], [], [], [], []
     for world, cfg in zip(worlds, members.cfgs):
         init_rng = substream(cfg.seed, "source", "init")
-        backbones.append(init_backbone(dim, init_rng).map)
-        heads.append(init_head(num_classes, dim, init_rng).weights)
+        backbones.append(init_backbone(dim, init_rng))
+        heads.append(init_head(num_classes, dim, init_rng))
         member_means, member_targets = _stacked_source_scenes(world, cfg)
         raw_means.append(member_means)
         targets.append(member_targets)
@@ -945,16 +933,16 @@ def lstd_finetune(
     dim = world.config.raw_dim
     init_rng = substream(cfg.seed, "lstd", "init")
     main = init_head(num_target, dim, init_rng)
-    sdk = init_head(num_source, dim, init_rng, role="sdk_branch")
+    sdk = init_head(num_source, dim, init_rng)
     support = collect_class_scenes(
         world, "target", "full", substream(cfg.seed, "lstd", "support"),
         cfg.shots_per_class,
     )
     packs = [pack_lstd_scene(s, world, source) for s in support]
     params = {
-        "backbone": _stacked(source.backbone.map, count),
-        "main_head": _stacked(main.weights, count),
-        "sdk_head": _stacked(sdk.weights, count),
+        "backbone": _stacked(source.backbone, count),
+        "main_head": _stacked(main, count),
+        "sdk_head": _stacked(sdk, count),
     }
     order = _step_order(
         substream(cfg.seed, "lstd", "order"), len(packs), cfg.lstd_epochs
@@ -1023,10 +1011,10 @@ def wstd_train(
         raise ValueError("wstd_train requires a warm-up model with an SDK branch")
     count = len(members.cfgs)
     params = {
-        "sdk_head": _stacked(warmup.sdk_head.weights, count),
-        "backbone": _stacked(warmup.backbone.map, count),
+        "sdk_head": _stacked(warmup.sdk_head, count),
+        "backbone": _stacked(warmup.backbone, count),
         "rol_heads": _stacked(
-            _stacked(warmup.main_head.weights, count), cfg.rol.num_classifiers
+            _stacked(warmup.main_head, count), cfg.rol.num_classifiers
         ),
     }
     packs = [
@@ -1040,21 +1028,24 @@ def wstd_train(
         order, cfg.optimizer, reports, "wstd",
     )
     return _assemble(
-        count, warmup.source_classes, params, main_head=warmup.main_head.weights
+        count, warmup.source_classes, params, main_head=warmup.main_head
     )
 
 
 # --- inference and evaluation -----------------------------------------------
 
 
-def _select_head(model: DetectorModel, classifier: int | None) -> Head:
+def _select_head(model: DetectorModel, classifier: int | None) -> np.ndarray:
+    """Weights of recurrent classifier ``classifier`` (1-based), or of the
+    default head: the last classifier, else the main head."""
+    rol = len(model.rol_heads)
     if classifier is not None:
-        if not model.rol_heads:
+        if not rol:
             raise ValueError("model has no recurrent classifiers")
-        if not (1 <= classifier <= len(model.rol_heads)):
+        if not (1 <= classifier <= rol):
             raise ValueError(f"classifier index {classifier} out of range")
         return model.rol_heads[classifier - 1]
-    return model.rol_heads[-1] if model.rol_heads else model.main_head
+    return model.rol_heads[-1] if rol else model.main_head
 
 
 def detections(
@@ -1152,7 +1143,7 @@ def evaluate_model(
     ground_truths = [scene.gt for scene in scenes]
     rows = detections(models, scenes, classifiers)
     return [
-        evaluate_detections(next(rows), ground_truths, _select_head(m, c).num_rows - 1)
+        evaluate_detections(next(rows), ground_truths, len(_select_head(m, c)) - 1)
         for m, c in zip(models, classifiers)
     ]
 

@@ -599,7 +599,7 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
 
         while record is not None:
             number, line = record
-            mode, domain, n_gt, n_prop, label_len = _record_header(number, line)
+            mode, domain, n_gt, n_prop, label_len = _named(number, _record_header, line)
             classes = _named(number, config.classes_in, domain)
             size = cell_rows + n_gt + n_prop + 1
             # no file holds more than sys.maxsize lines, nor can islice count them
@@ -609,11 +609,13 @@ def load_scenes(path) -> tuple[WorldConfig, list[Scene]]:
                     f"scene record {len(scenes) + len(pending)} runs past the end of {path}"
                 )
             chunk.extend(ln for _, ln in body[:cell_rows])
-            gt = tuple(_gt_line(*row, classes) for row in body[cell_rows:cell_rows + n_gt])
+            gts, props = body[cell_rows:cell_rows + n_gt], body[cell_rows + n_gt:-1]
+            gt = tuple(_named(n, _gt_line, ln, classes) for n, ln in gts)
             proposals = np.array(
-                [_prop_line(*row) for row in body[cell_rows + n_gt:-1]], dtype=float
+                [_named(n, _prop_line, ln) for n, ln in props], dtype=float
             ).reshape(n_prop, 4)
-            label = _label_line(*body[-1], label_len)
+            label_number, label_line = body[-1]
+            label = _named(label_number, _label_line, label_line, label_len)
             pending.append((number, gt, proposals, mode, label, domain))
             if len(chunk) >= SCENE_CHUNK_ROWS:
                 flush()
@@ -664,57 +666,49 @@ def _next_record(lines) -> tuple[int, str] | None:
     return None
 
 
-def _record_header(number: int, line: str) -> tuple[str, str, int, int, int]:
+def _record_header(line: str) -> tuple[str, str, int, int, int]:
     """(mode, domain, GT count, proposal count, label size) of a ``scene``
     line."""
-    parts = line.split()
     try:
-        _, _, mode, domain, *sizes = parts
+        _, _, mode, domain, *sizes = line.split()
         n_gt, n_prop, label_len = (int(v) for v in sizes)
         if min(n_gt, n_prop, label_len) < 0:
             raise ValueError
     except ValueError:
         raise ValueError(
-            f"line {number}: expected 'scene <index> <mode> <domain> <GT count> "
+            "expected 'scene <index> <mode> <domain> <GT count> "
             f"<proposal count> <label size>', got {line!r}"
         ) from None
     return mode, domain, n_gt, n_prop, label_len
 
 
-def _gt_line(number: int, line: str, classes: int) -> tuple[int, BBox]:
+def _gt_line(line: str, classes: int) -> tuple[int, BBox]:
+    """The class and box of a ``gt`` line, the class in ``[0, classes)``."""
     parts = line.split()
     if len(parts) != 6 or parts[0] != "gt":
-        raise ValueError(f"line {number}: expected 'gt' and a class and 4 corners, got {line!r}")
-    try:
-        cls, box = int(parts[1]), BBox(*map(float, parts[2:]))
-    except ValueError as exc:
-        raise ValueError(f"line {number}: {exc}") from None
+        raise ValueError(f"expected 'gt' and a class and 4 corners, got {line!r}")
+    cls, box = int(parts[1]), BBox(*map(float, parts[2:]))
     if not 0 <= cls < classes:
-        raise ValueError(f"line {number}: GT class {cls} outside [0, {classes})")
+        raise ValueError(f"GT class {cls} outside [0, {classes})")
     return cls, box
 
 
-def _prop_line(number: int, line: str) -> tuple[float, float, float, float]:
+def _prop_line(line: str) -> tuple[float, float, float, float]:
     """The corners of a ``prop`` line, checked as a :class:`BBox`."""
     parts = line.split()
     if len(parts) != 5 or parts[0] != "prop":
-        raise ValueError(f"line {number}: expected 'prop' and 4 corners, got {line!r}")
-    try:
-        return BBox(*map(float, parts[1:])).as_tuple()
-    except ValueError as exc:
-        raise ValueError(f"line {number}: {exc}") from None
+        raise ValueError(f"expected 'prop' and 4 corners, got {line!r}")
+    return BBox(*map(float, parts[1:])).as_tuple()
 
 
-def _label_line(number: int, line: str, size: int) -> np.ndarray:
+def _label_line(line: str, size: int) -> np.ndarray:
+    """The ``size`` integers of a ``label`` line."""
     parts = line.split()
     if parts[:1] != ["label"]:
-        raise ValueError(f"line {number}: expected 'label' and {size} integers, got {line!r}")
-    try:
-        label = np.array([int(v) for v in parts[1:]], dtype=int)
-    except ValueError as exc:
-        raise ValueError(f"line {number}: {exc}") from None
+        raise ValueError(f"expected 'label' and {size} integers, got {line!r}")
+    label = np.array([int(v) for v in parts[1:]], dtype=int)
     if label.size != size:
-        raise ValueError(f"line {number}: label length mismatch in scene record")
+        raise ValueError("label length mismatch in scene record")
     return label
 
 

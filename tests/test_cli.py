@@ -504,6 +504,55 @@ def test_train_checkpoint_that_does_not_fit_the_world_exits_4(
     assert not (tmp_path / "out").exists()
 
 
+def _with_source_classes(lines, value):
+    # the source_classes line set to ``value``, or dropped for None
+    return [
+        f"source_classes {value}" if ln.startswith("source_classes ") else ln
+        for ln in lines
+        if value is not None or not ln.startswith("source_classes ")
+    ]
+
+
+def _with_sdk_head_of_2_source_classes(lines):
+    header = "block sdk_head shape 3 17 role sdk_branch"
+    return _with_source_classes(lines, 2) + [header] + ["row" + " 0.0" * 17] * 3
+
+
+NO_SOURCE_HEAD = "has no head over the source classes"
+
+# Source checkpoints without a head over the world's six source classes,
+# the one LSTD distils from, and the problem each must name.
+NO_TEACHER_CHECKPOINTS = {
+    "source_classes_missing": (
+        lambda lines: _with_source_classes(lines, None), NO_SOURCE_HEAD
+    ),
+    "source_classes_0": (lambda lines: _with_source_classes(lines, 0), NO_SOURCE_HEAD),
+    "sdk_head_of_2_source_classes": (
+        _with_sdk_head_of_2_source_classes, "sdk_head has 3 rows, the world needs 7"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_TEACHER_CHECKPOINTS))
+def test_train_lstd_from_a_checkpoint_without_a_source_head_exits_4(
+    tmp_path, train_root, capsys, case
+):
+    edit, problem = NO_TEACHER_CHECKPOINTS[case]
+    lines = (train_root / "source" / "source_model.txt").read_text().splitlines()
+    path = tmp_path / "source_model.txt"
+    path.write_text("\n".join(edit(lines)) + "\n")
+    load_model(path)  # a well-formed checkpoint
+    capsys.readouterr()
+    assert main([
+        "train", "lstd", "--seed", "7", "--set", "shots_per_class=1",
+        "--source-model", str(path), "--out-dir", str(tmp_path / "out"),
+    ]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert f"source checkpoint {path}: {problem}" in err
+    assert "training step" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_wstd_zero_epochs_keeps_input_params(tmp_path, train_root):
     assert main([
         "train", "wstd", "--seed", "7", "--set", "wstd_epochs=0",
@@ -512,11 +561,11 @@ def test_train_wstd_zero_epochs_keeps_input_params(tmp_path, train_root):
     ]) == 0
     warm = load_model(warmup_path(train_root))
     out = load_model(tmp_path / "wstd_model.txt")
-    assert np.array_equal(out.backbone.map, warm.backbone.map)
-    assert np.array_equal(out.main_head.weights, warm.main_head.weights)
-    assert np.array_equal(out.sdk_head.weights, warm.sdk_head.weights)
+    assert np.array_equal(out.backbone, warm.backbone)
+    assert np.array_equal(out.main_head, warm.main_head)
+    assert np.array_equal(out.sdk_head, warm.sdk_head)
     for head in out.rol_heads:
-        assert np.array_equal(head.weights, warm.main_head.weights)
+        assert np.array_equal(head, warm.main_head)
 
 
 def test_train_wstd_labeller_flag(tmp_path, train_root):

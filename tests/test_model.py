@@ -7,9 +7,7 @@ from transferdet.geometry import BBox, coverage_masks
 from transferdet.model import (
     FEATURE_GAIN,
     AdamState,
-    Backbone,
     DetectorModel,
-    Head,
     OptimizerConfig,
     ParamLayout,
     adam_step,
@@ -35,42 +33,75 @@ def small_model(rng, with_sdk=True, rol=0, source_classes=6):
     return DetectorModel(
         backbone=backbone,
         main_head=init_head(4, 16, rng),
-        sdk_head=init_head(source_classes, 16, rng, role="sdk_branch") if with_sdk else None,
-        rol_heads=[init_head(4, 16, rng, role="rol_classifier") for _ in range(rol)],
+        sdk_head=init_head(source_classes, 16, rng) if with_sdk else None,
+        rol_heads=[init_head(4, 16, rng) for _ in range(rol)],
         source_classes=source_classes,
     )
 
 
-def test_backbone_validation():
-    with pytest.raises(ValueError):
-        Backbone(map=np.zeros(4))
-    with pytest.raises(ValueError):
-        Backbone(map=np.array([[1.0, np.nan]]))
-    bb = Backbone(map=np.zeros((3, 5)))
-    assert bb.feature_dim == 3
+def model_blocks(rng):
+    """The blocks of a model with an SDK head over 6 source classes and 2
+    ROL heads, by name."""
+    model = small_model(rng, rol=2)
+    return {name: getattr(model, name)
+            for name in ("backbone", "main_head", "sdk_head", "rol_heads")}
 
 
-def test_head_validation():
-    with pytest.raises(ValueError):
-        Head(weights=np.zeros((3, 4)), role="teacher")
-    with pytest.raises(ValueError):
-        Head(weights=np.array([[np.inf, 0.0]]))
-    head = Head(weights=np.zeros((5, 17)), role="sdk_branch")
-    assert head.num_rows == 5 and head.feature_dim == 16
+# What a model says of each block that is not finite or of another rank.
+BLOCK_MESSAGES = {
+    "backbone": "backbone map must be a finite 2-D matrix",
+    "main_head": "head weights must be a finite 2-D matrix",
+    "sdk_head": "head weights must be a finite 2-D matrix",
+    "rol_heads": "rol heads must be a finite 3-D array",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MESSAGES))
+def test_detector_model_rejects_a_block_of_another_rank(name):
+    blocks = model_blocks(np.random.default_rng(0))
+    blocks[name] = blocks[name].ravel()
+    with pytest.raises(ValueError, match=f"^{BLOCK_MESSAGES[name]}$"):
+        DetectorModel(**blocks, source_classes=6)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(BLOCK_MESSAGES))
+def test_detector_model_rejects_a_non_finite_block(name, value):
+    blocks = model_blocks(np.random.default_rng(0))
+    blocks[name].flat[-1] = value
+    with pytest.raises(ValueError, match=f"^{BLOCK_MESSAGES[name]}$"):
+        DetectorModel(**blocks, source_classes=6)
+
+
+@pytest.mark.parametrize("name", ["backbone", "main_head", "sdk_head", "rol_heads"])
+def test_detector_model_rejects_a_feature_dim_mismatch(name):
+    # one feature fewer in the backbone, or one weight column fewer in a head
+    blocks = model_blocks(np.random.default_rng(0))
+    blocks[name] = blocks[name][1:] if name == "backbone" else blocks[name][..., 1:]
+    head, backbone = (15, 16) if name != "backbone" else (16, 15)
+    message = f"^head feature dim {head} != backbone feature dim {backbone}$"
+    with pytest.raises(ValueError, match=message):
+        DetectorModel(**blocks, source_classes=6)
+
+
+def test_detector_model_holds_float_blocks_and_stacks_rol_heads():
+    eye = np.eye(2, dtype=int)
+    head = np.zeros((3, 3), dtype=int)
+    model = DetectorModel(backbone=eye, main_head=head)
+    assert model.backbone.dtype == model.main_head.dtype == float
+    assert model.sdk_head is None and model.rol_heads.shape == (0, 3, 3)
+    stacked = DetectorModel(backbone=eye, main_head=head, rol_heads=[head, head + 1])
+    assert stacked.rol_heads.shape == (2, 3, 3) and stacked.rol_heads.dtype == float
+    assert np.array_equal(stacked.rol_heads[1], head + 1)
 
 
 def test_detector_model_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="feature dim"):
-        DetectorModel(
-            backbone=Backbone(map=rng.standard_normal((12, 16))),
-            main_head=init_head(4, 16, rng),
-        )
     with pytest.raises(ValueError, match="sdk head rows"):
         DetectorModel(
             backbone=init_backbone(16, rng),
             main_head=init_head(4, 16, rng),
-            sdk_head=init_head(3, 16, rng, role="sdk_branch"),
+            sdk_head=init_head(3, 16, rng),
             source_classes=6,
         )
 
@@ -96,32 +127,21 @@ def test_source_knowledge_head_selection():
         target_only.source_knowledge_head()
 
 
-def test_all_heads_order():
-    rng = np.random.default_rng(2)
-    model = small_model(rng, rol=3)
-    heads = model.all_heads()
-    assert len(heads) == 5
-    assert heads[0] is model.main_head
-    assert heads[1] is model.sdk_head
-    assert all(a is b for a, b in zip(heads[2:], model.rol_heads))
-
-
 def test_init_backbone_is_scaled_orthogonal():
     rng = np.random.default_rng(3)
     square = init_backbone(16, rng)
-    assert square.map.shape == (16, 16)
-    assert np.allclose(square.map @ square.map.T, FEATURE_GAIN**2 * np.eye(16), atol=1e-9)
-    assert np.allclose(square.map.T @ square.map, FEATURE_GAIN**2 * np.eye(16), atol=1e-9)
+    assert square.shape == (16, 16)
+    assert np.allclose(square @ square.T, FEATURE_GAIN**2 * np.eye(16), atol=1e-9)
+    assert np.allclose(square.T @ square, FEATURE_GAIN**2 * np.eye(16), atol=1e-9)
     again = init_backbone(16, np.random.default_rng(3))
-    assert np.array_equal(again.map, square.map)
+    assert np.array_equal(again, square)
 
 
 def test_init_head_shape_and_scale():
     rng = np.random.default_rng(4)
-    head = init_head(4, 16, rng, role="rol_classifier")
-    assert head.weights.shape == (5, 17)
-    assert head.role == "rol_classifier"
-    assert np.abs(head.weights).max() < 0.2
+    head = init_head(4, 16, rng)
+    assert head.shape == (5, 17)
+    assert np.abs(head).max() < 0.2
 
 
 def test_roi_pool_means_covered_cells():
@@ -203,38 +223,38 @@ def test_pool_raw_means_bit_identical_on_boxes_covering_no_center():
 def test_forward_grid_matches_per_cell_map():
     # The feature grid the BD term reads is the backbone applied to every cell.
     rng = np.random.default_rng(5)
-    backbone = Backbone(map=rng.standard_normal((3, 4)))
+    backbone = rng.standard_normal((3, 4))
     raw = rng.standard_normal((2, 5, 4))
-    out = np.einsum("do,hwo->hwd", backbone.map, raw)
+    out = np.einsum("do,hwo->hwd", backbone, raw)
     assert out.shape == (2, 5, 3)
     for i in range(2):
         for j in range(5):
-            assert np.allclose(out[i, j], backbone.map @ raw[i, j], atol=1e-12)
+            assert np.allclose(out[i, j], backbone @ raw[i, j], atol=1e-12)
 
 
 def test_forward_cache_consistency():
     # Pooling raw means and then mapping equals mapping every cell (the
     # feature grid) and then pooling: training relies on this to pool once.
     rng = np.random.default_rng(8)
-    backbone = Backbone(map=init_backbone(16, rng).map[:10])
+    backbone = init_backbone(16, rng)[:10]
     raw = rng.standard_normal((8, 8, 16))
-    feature_grid = np.einsum("do,hwo->hwd", backbone.map, raw)
+    feature_grid = np.einsum("do,hwo->hwd", backbone, raw)
     boxes = [BBox(0.1, 0.1, 0.4, 0.4), BBox(0.5, 0.5, 0.9, 0.8), BBox(0.3, 0.3, 0.35, 0.35)]
-    features = pool_raw_means(raw, boxes) @ backbone.map.T
+    features = pool_raw_means(raw, boxes) @ backbone.T
     assert features.shape == (3, 10)
     assert np.allclose(features, pool_raw_means(feature_grid, boxes), atol=1e-10)
-    assert (pool_raw_means(raw, []) @ backbone.map.T).shape == (0, 10)
+    assert (pool_raw_means(raw, []) @ backbone.T).shape == (0, 10)
 
 
 def test_score_proposals_shapes_and_softmax():
     rng = np.random.default_rng(9)
     head = init_head(4, 6, rng)
     pooled = rng.standard_normal((7, 6))
-    logits = head_logits(head.weights, pooled)
+    logits = head_logits(head, pooled)
     assert logits.shape == (5, 7)
     for k in range(7):
         for c in range(5):
-            manual = head.weights[c, :-1] @ pooled[k] + head.weights[c, -1]
+            manual = head[c, :-1] @ pooled[k] + head[c, -1]
             assert logits[c, k] == pytest.approx(manual, abs=1e-12)
     probs = column_softmax(logits)
     assert probs.shape == (5, 7)
@@ -246,10 +266,10 @@ def test_head_grads_match_manual_products():
     head = init_head(3, 5, rng)
     features = rng.standard_normal((6, 5))
     dlogits = rng.standard_normal((4, 6))
-    dweights, dfeatures = head_backward(head.weights, features, dlogits)
+    dweights, dfeatures = head_backward(head, features, dlogits)
     assert np.allclose(dweights[:, :-1], dlogits @ features, atol=1e-12)
     assert np.allclose(dweights[:, -1], dlogits.sum(axis=1), atol=1e-12)
-    assert np.allclose(dfeatures, dlogits.T @ head.weights[:, :-1], atol=1e-12)
+    assert np.allclose(dfeatures, dlogits.T @ head[:, :-1], atol=1e-12)
 
 
 def test_optimizer_config_pinned_defaults():
@@ -376,8 +396,8 @@ def test_extract_sdk_returns_teacher_distributions():
     probs = extract_sdk(model, pool_raw_means(raw, boxes))
     assert probs.shape == (7, 2)
     assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
-    features = pool_raw_means(raw, boxes) @ model.backbone.map.T
-    manual = column_softmax(head_logits(model.sdk_head.weights, features))
+    features = pool_raw_means(raw, boxes) @ model.backbone.T
+    manual = column_softmax(head_logits(model.sdk_head, features))
     assert np.array_equal(probs, manual)
 
 
@@ -388,16 +408,25 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     save_model(path, model, seed=17)
     assert "seed 17" in path.read_text()
     loaded = load_model(path)
-    assert np.array_equal(loaded.backbone.map, model.backbone.map)
-    assert np.array_equal(loaded.main_head.weights, model.main_head.weights)
-    assert loaded.main_head.role == "main"
-    assert np.array_equal(loaded.sdk_head.weights, model.sdk_head.weights)
-    assert loaded.sdk_head.role == "sdk_branch"
-    assert len(loaded.rol_heads) == 3
-    for a, b in zip(loaded.rol_heads, model.rol_heads):
-        assert np.array_equal(a.weights, b.weights)
-        assert a.role == "rol_classifier"
+    assert np.array_equal(loaded.backbone, model.backbone)
+    assert np.array_equal(loaded.main_head, model.main_head)
+    assert np.array_equal(loaded.sdk_head, model.sdk_head)
+    assert loaded.rol_heads.shape == (3, 5, 17)
+    assert np.array_equal(loaded.rol_heads, model.rol_heads)
     assert loaded.source_classes == model.source_classes
+
+
+def test_checkpoint_block_headers_name_each_slot_and_its_role(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(path, small_model(np.random.default_rng(19), rol=2))
+    headers = [ln for ln in path.read_text().splitlines() if ln.startswith("block ")]
+    assert headers == [
+        "block backbone shape 16 16",
+        "block main_head shape 5 17 role main",
+        "block sdk_head shape 7 17 role sdk_branch",
+        "block rol_head_0 shape 5 17 role rol_classifier",
+        "block rol_head_1 shape 5 17 role rol_classifier",
+    ]
 
 
 def test_checkpoint_without_optional_heads(tmp_path):
@@ -407,7 +436,7 @@ def test_checkpoint_without_optional_heads(tmp_path):
     save_model(path, model)
     loaded = load_model(path)
     assert loaded.sdk_head is None
-    assert loaded.rol_heads == []
+    assert loaded.rol_heads.shape == (0, 5, 17)
 
 
 def test_checkpoint_rejects_bad_files(tmp_path):
@@ -464,6 +493,13 @@ def _non_finite_in(name, value):
     return edit
 
 
+def _ragged_rol_head(lines):
+    # rol_head_1 one row short of rol_head_0, and its header saying so
+    i = _header(lines, "rol_head_1")
+    header = "block rol_head_1 shape 4 17 role rol_classifier"
+    return lines[:i] + [header] + lines[i + 2:], i
+
+
 def _short_main_head(lines):
     end = _header(lines, "sdk_head")
     return lines[:end - 1] + lines[end:], _header(lines, "main_head")
@@ -500,6 +536,13 @@ MALFORMED_CHECKPOINTS = {
         _non_finite_in("main_head", "nan"),
         "block main_head: head weights must be a finite 2-D matrix",
     ),
+    "unknown_head_role": (
+        _replace_header("main_head", "block main_head shape 5 17 role teacher"),
+        "block main_head: unknown head role 'teacher'",
+    ),
+    "ragged_rol_heads": (
+        _ragged_rol_head, "block rol_head_1: shape 4 17 differs from rol_head_0's 5 17"
+    ),
     "inf_in_rol_head": (
         _non_finite_in("rol_head_1", "-inf"),
         "block rol_head_1: head weights must be a finite 2-D matrix",
@@ -511,7 +554,7 @@ MALFORMED_CHECKPOINTS = {
 def test_checkpoint_rejects_malformed_lines_naming_the_line(tmp_path, case):
     path = tmp_path / "model.txt"
     save_model(path, small_model(np.random.default_rng(18), rol=2), seed=5)
-    assert load_model(path).rol_heads
+    assert len(load_model(path).rol_heads) == 2
     edit, message = MALFORMED_CHECKPOINTS[case]
     lines, bad = edit(path.read_text().splitlines())
     path.write_text("\n".join(lines) + "\n")

@@ -1,6 +1,7 @@
 """Stage orchestration tests: scene packing, training determinism, the
 frozen-teacher contracts, and the experiment runner's artifacts."""
 
+import copy
 import dataclasses
 import weakref
 from dataclasses import replace
@@ -118,13 +119,12 @@ def grads_for(params):
     return {k: np.empty_like(v) for k, v in params.items()}
 
 
-def model_params(model):
-    out = {"backbone": model.backbone.map, "main": model.main_head.weights}
-    if model.sdk_head is not None:
-        out["sdk"] = model.sdk_head.weights
-    for i, head in enumerate(model.rol_heads):
-        out[f"rol_{i}"] = head.weights
-    return out
+def assert_same_model(a, b):
+    """Two models with equal blocks, block by block, and source classes."""
+    for name in ("backbone", "main_head", "sdk_head", "rol_heads"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x is y if x is None or y is None else np.array_equal(x, y), name
+    assert a.source_classes == b.source_classes
 
 
 def assert_same_params(a, b):
@@ -358,8 +358,8 @@ def test_warmup_proposals_match_full_matrix_oracle(warmup, world):
     anchors = [b.as_tuple() for b in anchor_boxes(8, 8)]
     for scene in sample_scenes(world, "target", "weak", substream(7, "oracle"), 5):
         candidates = list(map(tuple, scene.proposals.tolist())) + anchors
-        features = ref_pool(scene.raw_grid, candidates) @ warmup.backbone.map.T
-        probs = column_softmax(head_logits(warmup.main_head.weights, features))
+        features = ref_pool(scene.raw_grid, candidates) @ warmup.backbone.T
+        probs = column_softmax(head_logits(warmup.main_head, features))
         objectness = list(1.0 - probs[-1, :])
         for max_keep in (8, 32, 64):
             keep = ref_nms(candidates, objectness, PROPOSAL_NMS_THRESHOLD, max_keep)
@@ -449,9 +449,9 @@ def test_collect_class_scenes_coverage(world):
 
 def test_train_source_deterministic(world, source_model):
     again = train_source(world, TINY)
-    assert_same_params(model_params(source_model), model_params(again))
+    assert_same_model(source_model, again)
     assert source_model.source_classes == world.config.classes_in("source")
-    assert source_model.sdk_head is None and not source_model.rol_heads
+    assert source_model.sdk_head is None and len(source_model.rol_heads) == 0
 
 
 def test_train_source_zero_epochs_is_initialization(world):
@@ -461,8 +461,8 @@ def test_train_source_zero_epochs_is_initialization(world):
     dim = world.config.raw_dim
     backbone = init_backbone(dim, rng)
     head = init_head(world.config.classes_in("source"), dim, rng)
-    assert np.array_equal(model.backbone.map, backbone.map)
-    assert np.array_equal(model.main_head.weights, head.weights)
+    assert np.array_equal(model.backbone, backbone)
+    assert np.array_equal(model.main_head, head)
 
 
 def test_train_source_report_curves(world):
@@ -478,8 +478,8 @@ def test_train_source_single_form_equals_list_form(world, source_model):
     report, listed = RunReport(seed=TINY.seed), RunReport(seed=TINY.seed)
     single = train_source(world, TINY, report)
     (model,) = train_source([world], [TINY], [listed])
-    assert_same_params(model_params(single), model_params(model))
-    assert_same_params(model_params(single), model_params(source_model))
+    assert_same_model(single, model)
+    assert_same_model(single, source_model)
     assert report.curves == listed.curves
 
 
@@ -532,7 +532,7 @@ def test_flat_adam_training_matches_per_block_adam(world, source_model):
     rng = np.random.default_rng(31)
     columns = world.config.raw_dim + 1
     params = {
-        "backbone": np.stack([source_model.backbone.map] * 2),
+        "backbone": np.stack([source_model.backbone] * 2),
         "main_head": 0.1 * rng.standard_normal(
             (2, world.config.classes_in("target") + 1, columns)
         ),
@@ -614,21 +614,18 @@ def test_lstd_requires_source_and_shots(world):
 
 def test_lstd_structure_and_determinism(world, source_model, warmup):
     dim = world.config.raw_dim
-    assert warmup.main_head.weights.shape == (
+    assert warmup.main_head.shape == (
         world.config.classes_in("target") + 1, dim + 1
     )
-    assert warmup.sdk_head.weights.shape == (
+    assert warmup.sdk_head.shape == (
         world.config.classes_in("source") + 1, dim + 1
     )
-    assert warmup.sdk_head.role == "sdk_branch"
-    assert not warmup.rol_heads
-    assert not np.array_equal(warmup.backbone.map, source_model.backbone.map)
+    assert warmup.rol_heads.shape == (0, *warmup.main_head.shape)
+    assert not np.array_equal(warmup.backbone, source_model.backbone)
     (again,) = lstd_finetune(source_model, world, [TINY])
-    assert_same_params(model_params(warmup), model_params(again))
+    assert_same_model(warmup, again)
     # a single config trains one model and returns it
-    assert_same_params(
-        model_params(warmup), model_params(lstd_finetune(source_model, world, TINY))
-    )
+    assert_same_model(warmup, lstd_finetune(source_model, world, TINY))
 
 
 def test_sdk_loss_decreases_over_first_epoch(world, source_model):
@@ -650,53 +647,52 @@ def test_wstd_requires_sdk_branch(world, source_model):
 
 def test_wstd_zero_weak_scenes_reheads_warmup(world, warmup):
     (student,) = wstd_train(warmup, world, [replace(TINY, weak_scenes_per_class=0)])
-    assert np.array_equal(student.backbone.map, warmup.backbone.map)
-    assert np.array_equal(student.main_head.weights, warmup.main_head.weights)
-    assert np.array_equal(student.sdk_head.weights, warmup.sdk_head.weights)
+    assert np.array_equal(student.backbone, warmup.backbone)
+    assert np.array_equal(student.main_head, warmup.main_head)
+    assert np.array_equal(student.sdk_head, warmup.sdk_head)
     assert len(student.rol_heads) == TINY.rol.num_classifiers
     for head in student.rol_heads:
-        assert head.role == "rol_classifier"
-        assert np.array_equal(head.weights, warmup.main_head.weights)
-        assert not np.shares_memory(head.weights, warmup.main_head.weights)
-    assert not np.shares_memory(student.backbone.map, warmup.backbone.map)
+        assert np.array_equal(head, warmup.main_head)
+        assert not np.shares_memory(head, warmup.main_head)
+    assert not np.shares_memory(student.backbone, warmup.backbone)
 
 
 def test_wstd_zero_epochs_keeps_reheaded_params(world, warmup):
     (student,) = wstd_train(warmup, world, [replace(TINY, wstd_epochs=0)])
-    assert np.array_equal(student.backbone.map, warmup.backbone.map)
-    assert np.array_equal(student.sdk_head.weights, warmup.sdk_head.weights)
+    assert np.array_equal(student.backbone, warmup.backbone)
+    assert np.array_equal(student.sdk_head, warmup.sdk_head)
     for head in student.rol_heads:
-        assert np.array_equal(head.weights, warmup.main_head.weights)
+        assert np.array_equal(head, warmup.main_head)
 
 
 def test_wstd_never_touches_warmup(world, warmup):
-    before = {k: v.copy() for k, v in model_params(warmup).items()}
+    before = copy.deepcopy(warmup)
     wstd_train(warmup, world, [TINY])
-    assert_same_params(model_params(warmup), before)
+    assert_same_model(warmup, before)
 
 
 def test_wstd_student_structure(world, warmup, student):
     assert len(student.rol_heads) == TINY.rol.num_classifiers
-    assert np.array_equal(student.main_head.weights, warmup.main_head.weights)
-    assert not np.array_equal(student.backbone.map, warmup.backbone.map)
+    assert np.array_equal(student.main_head, warmup.main_head)
+    assert not np.array_equal(student.backbone, warmup.backbone)
     for head in student.rol_heads:
-        assert not np.array_equal(head.weights, warmup.main_head.weights)
+        assert not np.array_equal(head, warmup.main_head)
     (again,) = wstd_train(warmup, world, [TINY])
-    assert_same_params(model_params(student), model_params(again))
+    assert_same_model(student, again)
 
 
 def test_pseudo_labels_are_detached(warmup, weak_scene):
     pack = wstd_group_pack(pack_wstd_scene(weak_scene, warmup), [TINY])
     classifiers = TINY.rol.num_classifiers
     params = {
-        "backbone": warmup.backbone.map[None].copy(),
-        "sdk_head": warmup.sdk_head.weights[None].copy(),
-        "rol_heads": np.repeat(warmup.main_head.weights[None, None], classifiers, 0),
+        "backbone": warmup.backbone[None].copy(),
+        "sdk_head": warmup.sdk_head[None].copy(),
+        "rol_heads": np.repeat(warmup.main_head[None, None], classifiers, 0),
     }
     grads = grads_for(params)
     comps, pseudo = wstd_scene_loss(params, pack, [TINY], grads)
     assert pseudo.shape == (classifiers - 1, 1) + (
-        warmup.main_head.num_rows, len(pack.raw_means)
+        len(warmup.main_head), len(pack.raw_means)
     )
 
     # pinning the recomputed labels is a no-op at the same parameters
@@ -750,9 +746,9 @@ def test_stacked_wstd_loss_equals_per_classifier_oracle(world, warmup, pinned):
     def perturbed(array, scale, *lead):
         return array + scale * rng.standard_normal(lead + array.shape)
 
-    backbone = perturbed(warmup.backbone.map, 0.1, count)
-    sdk_head = perturbed(warmup.sdk_head.weights, 0.1, count)
-    heads = perturbed(warmup.main_head.weights, 0.5, classifiers, count)
+    backbone = perturbed(warmup.backbone, 0.1, count)
+    sdk_head = perturbed(warmup.sdk_head, 0.1, count)
+    heads = perturbed(warmup.main_head, 0.5, classifiers, count)
     params = {"backbone": backbone, "sdk_head": sdk_head, "rol_heads": heads}
     labelled = {"object": 0, "background": 0}
     weak = collect_class_scenes(
@@ -876,10 +872,10 @@ def test_source_step_is_one_call_per_layer_for_the_whole_group(world, monkeypatc
 
 def _one_member_wstd_params(warmup):
     return {
-        "backbone": warmup.backbone.map[None].copy(),
-        "sdk_head": warmup.sdk_head.weights[None].copy(),
+        "backbone": warmup.backbone[None].copy(),
+        "sdk_head": warmup.sdk_head[None].copy(),
         "rol_heads": np.repeat(
-            warmup.main_head.weights[None, None], TINY.rol.num_classifiers, 0
+            warmup.main_head[None, None], TINY.rol.num_classifiers, 0
         ),
     }
 
@@ -905,8 +901,8 @@ def test_wstd_step_softmaxes_the_rol_stack_once(warmup, weak_scene, monkeypatch,
     )
     proposals = len(pack.raw_means)
     assert shapes == [
-        (1, warmup.sdk_head.num_rows, proposals),
-        (TINY.rol.num_classifiers, 1, warmup.main_head.num_rows, proposals),
+        (1, len(warmup.sdk_head), proposals),
+        (TINY.rol.num_classifiers, 1, len(warmup.main_head), proposals),
     ]
 
 
@@ -933,7 +929,7 @@ def assert_lockstep_matches_singles(train, cfgs):
     for cfg, model, report in zip(cfgs, models, reports):
         alone = RunReport(seed=cfg.seed)
         (single,) = train([cfg], [alone])
-        assert_same_params(model_params(model), model_params(single))
+        assert_same_model(model, single)
         assert report.curves and report.curves.keys() == alone.curves.keys()
         for key, curve in report.curves.items():
             assert np.array_equal(curve, alone.curves[key]), key
@@ -1157,7 +1153,7 @@ def test_detections_equal_reference_oracle(world, warmup, student):
     scenes = sample_scenes(world, "target", "full", substream(26, "e"), 8)
     models = [warmup, student, student, student, student]
     classifiers = [None, None, 1, 2, 3]
-    heads = [warmup.main_head, student.rol_heads[-1]] + student.rol_heads
+    heads = [warmup.main_head, student.rol_heads[-1], *student.rol_heads]
     results = list(detections(models, scenes, classifiers))
     assert len(results) == len(models)
     for model, classifier, head, dets in zip(models, classifiers, heads, results):
@@ -1165,12 +1161,12 @@ def test_detections_equal_reference_oracle(world, warmup, student):
         per_scene = []
         for scene in scenes:
             boxes = list(map(tuple, scene.proposals.tolist()))
-            features = ref_pool(scene.raw_grid, boxes) @ model.backbone.map.T
-            per_scene.append((boxes, ref_softmax(head_logits(head.weights, features))))
+            features = ref_pool(scene.raw_grid, boxes) @ model.backbone.T
+            per_scene.append((boxes, ref_softmax(head_logits(head, features))))
         # Rows class by class, each class scene by scene, each scene by rank.
         expected = [
             (c, s, boxes[k], probs[c, k])
-            for c in range(head.num_rows - 1)
+            for c in range(len(head) - 1)
             for s, (boxes, probs) in enumerate(per_scene)
             for k in ref_nms(boxes, probs[c].tolist(), INFERENCE_NMS_THRESHOLD, len(boxes))
         ]
@@ -1207,13 +1203,13 @@ def test_evaluate_model_consistency(world, student):
 def oracle_evaluation(model, head, scenes, method):
     """Per-class AP of one model head from the reference pooling, NMS,
     matching and AP, scene by scene and class by class."""
-    num_classes = head.num_rows - 1
+    num_classes = len(head) - 1
     dets = {c: [] for c in range(num_classes)}
     gts = {c: [] for c in range(num_classes)}
     for scene_id, scene in enumerate(scenes):
         boxes = list(map(tuple, scene.proposals.tolist()))
-        features = ref_pool(scene.raw_grid, boxes) @ model.backbone.map.T
-        probs = column_softmax(head_logits(head.weights, features))
+        features = ref_pool(scene.raw_grid, boxes) @ model.backbone.T
+        probs = column_softmax(head_logits(head, features))
         for c in range(num_classes):
             scores = probs[c].tolist()
             for k in ref_nms(boxes, scores, INFERENCE_NMS_THRESHOLD, len(boxes)):
@@ -1231,7 +1227,7 @@ def test_evaluate_model_list_form_equals_reference_oracle(world, warmup, student
     scenes = sample_scenes(world, "target", "full", substream(24, "e"), 8)
     models = [warmup, student, student, student]
     classifiers = [None, 1, 2, 3]
-    heads = [warmup.main_head] + student.rol_heads
+    heads = [warmup.main_head, *student.rol_heads]
     assert len(heads) == len(models)
     results = evaluate_model(models, scenes, classifiers)
     assert len(results) == len(models)
@@ -1250,7 +1246,7 @@ def test_evaluate_model_list_form_equals_reference_oracle(world, warmup, student
             for d in detect(model, scene, i, classifier)
         ]
         assert (per_class, map_value) == evaluate_detections(
-            Detections.of(detections), ground_truths, head.num_rows - 1
+            Detections.of(detections), ground_truths, len(head) - 1
         )
     # the same model alone, and the models in another order, agree
     assert evaluate_model([student], scenes, [2]) == [results[2]]
