@@ -285,8 +285,8 @@ def cmd_train(args) -> int:
     losses_csv = out / f"{args.stage}_losses.csv"
     lines = ["step,component,value"]
     for component in sorted(report.curves):
-        for step, value in enumerate(report.curves[component]):
-            lines.append(f"{step},{component},{repr(float(value))}")
+        for step, value in enumerate(report.curves[component].tolist()):
+            lines.append(f"{step},{component},{value!r}")
     losses_csv.write_text("\n".join(lines) + "\n")
     _write_manifest(args, out, seed, [ckpt, losses_csv], started)
     print(f"seed {seed}")

@@ -378,10 +378,17 @@ def extract_sdk(teacher: DetectorModel, raw_means: np.ndarray) -> np.ndarray:
 
 CHECKPOINT_MAGIC = "# transferdet checkpoint v1"
 
-# The role words a head's block header may carry.  ``save_model`` writes
-# the one its slot fixes: ``main`` on main_head, ``sdk_branch`` on
-# sdk_head and ``rol_classifier`` on each rol_head.
+# The role words a head's block header carries: ``main`` on main_head,
+# ``sdk_branch`` on sdk_head and ``rol_classifier`` on each rol_head.
 HEAD_ROLES = ("main", "sdk_branch", "rol_classifier")
+
+
+def _slot_role(name: str) -> str | None:
+    """The role word of block ``name``'s header: none on the backbone, else
+    the head role of its slot."""
+    if name == "backbone":
+        return None
+    return {"main_head": "main", "sdk_head": "sdk_branch"}.get(name, "rol_classifier")
 
 
 def save_model(path, model: DetectorModel, seed: int | None = None) -> None:
@@ -391,18 +398,19 @@ def save_model(path, model: DetectorModel, seed: int | None = None) -> None:
         lines.append(f"seed {seed}")
     lines.append(f"source_classes {model.source_classes}")
 
-    def block(name: str, matrix: np.ndarray, role: str | None = None):
+    def block(name: str, matrix: np.ndarray):
+        role = _slot_role(name)
         suffix = f" role {role}" if role else ""
         lines.append(f"block {name} shape {matrix.shape[0]} {matrix.shape[1]}{suffix}")
         for row in matrix.tolist():
             lines.append("row " + " ".join(map(repr, row)))
 
     block("backbone", model.backbone)
-    block("main_head", model.main_head, "main")
+    block("main_head", model.main_head)
     if model.sdk_head is not None:
-        block("sdk_head", model.sdk_head, "sdk_branch")
+        block("sdk_head", model.sdk_head)
     for i, head in enumerate(model.rol_heads):
-        block(f"rol_head_{i}", head, "rol_classifier")
+        block(f"rol_head_{i}", head)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -414,13 +422,15 @@ _BLOCK_NAME = re.compile(r"backbone|main_head|sdk_head|rol_head_(0|[1-9][0-9]*)"
 def load_model(path) -> DetectorModel:
     """The model :func:`save_model` wrote to ``path``.
 
-    A head's role word is checked against :data:`HEAD_ROLES` but not kept:
-    the slot a block fills decides what the head is.
+    The slot a block fills decides what the head is.  Its role word must be
+    the one :func:`save_model` writes for that slot (:data:`HEAD_ROLES`),
+    and the backbone's header carries none; the word is not kept.
 
     Raises ValueError for a file without the magic line, and, naming the
     1-based line, for a line of unknown kind, a repeated ``seed`` or
     ``source_classes`` line, a malformed value or block header, an
-    unknown or repeated block name, a head's unknown role word, a ``row``
+    unknown or repeated block name, a role word on the backbone, a head
+    whose role word is missing, unknown or another slot's, a ``row``
     before the first block, a block whose rows do not match its shape,
     ROL heads that are not numbered contiguously from 0 or are ragged (a
     shape other than rol_head_0's) and the first line that is not text;
@@ -455,8 +465,17 @@ def load_model(path) -> DetectorModel:
                     raise ValueError(f"repeated block {name!r}")
                 shapes[name] = (number, int(words[2]), int(words[3]))
                 values[name] = []
-                if name != "backbone" and words[5:] and words[5] not in HEAD_ROLES:
-                    raise ValueError(f"block {name}: unknown head role {words[5]!r}")
+                role, expected = words[5] if words[5:] else None, _slot_role(name)
+                if role != expected:
+                    if expected is None:
+                        problem = f"role {role!r} on the backbone"
+                    elif role is None:
+                        problem = f"missing head role {expected!r}"
+                    elif role not in HEAD_ROLES:
+                        problem = f"unknown head role {role!r}"
+                    else:
+                        problem = f"head role {role!r} where {name} takes {expected!r}"
+                    raise ValueError(f"block {name}: {problem}")
             elif kind == "row":
                 if not values:
                     raise ValueError("row before the first block")

@@ -42,11 +42,13 @@ gradients as views into a second one of the same layout: each step's
 scene loss writes every block's gradient into its view, and one in-place
 Adam step per scene updates every block of every member (see
 :mod:`transferdet.model`).  The loss components go into one preallocated
-(steps, terms, members) array that becomes the reports' curves once, at
-the end.  What stays fixed is built before the first step: the packs'
-one-hot proposal targets and distillation targets with their column
-mass, and the group's coefficients in their broadcast forms
-(:class:`Members`).  Source scenes are drawn and packed in blocks.
+(steps, terms, members) float64 array, and each report's curves are its
+member's columns of that array, never copied into lists.  What stays
+fixed is built before the first step: the packs' one-hot proposal
+targets and distillation targets with their column mass, and the group's
+coefficients in their broadcast forms (:class:`Members`).  Source scenes
+are drawn and packed in blocks, each block written into its slot of the
+group's one stacked pack.
 
 A weak-stage step is one stacked pass over the recurrent classifier
 stack.  The N classifiers of the M members are one (N, M, C+1, D+1)
@@ -172,7 +174,12 @@ class StageConfig:
 
 @dataclass
 class RunReport:
-    """Everything one (cell, seed) run produced."""
+    """Everything one (cell, seed) run produced.
+
+    ``curves`` maps ``<stage>.<term>`` to that loss term's value at every
+    training step, a float64 array: a column of the training's one
+    (steps, terms, members) array, so ``curve.tolist()`` gives a list.
+    """
 
     seed: int
     stage: str = ""
@@ -181,7 +188,7 @@ class RunReport:
     weak_scenes: int = 0
     labeller: str = "rol"
     classifier: int | None = None
-    curves: dict[str, list[float]] = field(default_factory=dict)
+    curves: dict[str, np.ndarray] = field(default_factory=dict)
     per_class_aps: list = field(default_factory=list)
     mean_ap: float | None = None
 
@@ -643,9 +650,10 @@ def _train(
     flat buffer, ``grads`` views into a second buffer of the same layout,
     and one in-place :func:`adam_step` per step updates the first from the
     second; the result is views into the parameter buffer.  The
-    components go into one (steps, terms, members) array, and member m's
-    become the ``<prefix>.<term>`` curves of ``reports[m]`` at the end,
-    when that report is given.
+    components go into one (steps, terms, members) float64 array, and its
+    column (:, t, m) becomes the ``<prefix>.<term>`` curve of
+    ``reports[m]`` at the end, when that report is given: a view, so the
+    curves of a training hold 8 bytes per step, term and member.
     """
     layout = ParamLayout.of(params)
     buffer = layout.flatten(params)
@@ -670,7 +678,7 @@ def _train(
     if curves is not None:
         for member, report in enumerate(reports):
             if report is not None:
-                for term, curve in zip(comps, curves[:, :, member].T.tolist()):
+                for term, curve in zip(comps, curves[:, :, member].T):
                     report.curves[f"{prefix}.{term}"] = curve
     return params
 
@@ -798,32 +806,28 @@ SOURCE_PACK_BLOCK = 16
 
 
 def _stacked_source_scenes(
-    world: World, cfg: StageConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """The raw means (N, K, D0) and one-hot targets (N, C+1, K) of
-    ``cfg``'s source scenes.
+    world: World, cfg: StageConfig, raw_means: np.ndarray, targets: np.ndarray
+) -> None:
+    """Write the raw means (N, K, D0) and one-hot targets (N, C+1, K) of
+    ``cfg``'s N source scenes into ``raw_means`` and ``targets``.
 
     The scenes are drawn and packed a block at a time, the same draws as
-    one ``sample_scenes`` call of N, so no block of scenes outlives its
-    packing.  A block pools and labels all its scenes at once
+    one ``sample_scenes`` call of N, and each block is written into its
+    slot, so no block of scenes outlives its packing and no second copy of
+    the pack is built.  A block pools and labels all its scenes at once
     (:func:`~transferdet.model.pool_raw_means` on corner arrays,
     :func:`block_labels`), bit for bit as one scene at a time.
     """
     rng = substream(cfg.seed, "source", "scenes")
     num_classes = world.config.classes_in("source")
-
-    def block(count: int) -> tuple[np.ndarray, np.ndarray]:
-        scenes = sample_scenes(world, "source", "full", rng, count)
+    for start in range(0, cfg.source_scenes, SOURCE_PACK_BLOCK):
+        stop = min(start + SOURCE_PACK_BLOCK, cfg.source_scenes)
+        scenes = sample_scenes(world, "source", "full", rng, stop - start)
         corners = np.stack([scene.proposals for scene in scenes])
         grids = np.stack([scene.raw_grid for scene in scenes])
         labels = block_labels(corners, scenes, num_classes)
-        return pool_raw_means(grids, corners), proposal_targets(labels, num_classes + 1)
-
-    blocks = [
-        block(min(SOURCE_PACK_BLOCK, cfg.source_scenes - start))
-        for start in range(0, cfg.source_scenes, SOURCE_PACK_BLOCK)
-    ]
-    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+        raw_means[start:stop] = pool_raw_means(grids, corners)
+        targets[start:stop] = proposal_targets(labels, num_classes + 1)
 
 
 def train_source(
@@ -838,10 +842,11 @@ def train_source(
     step order from its config's seed, on its own world; the configs must
     share the ``source`` sibling key (:data:`_STAGES`) and the worlds every
     field but the seed, so that every member's scenes have the same
-    proposal count (else ``ValueError``).  Each member's scenes are packed
-    a block at a time and stacked once, and each step gathers every
-    member's scene with one index.  Returns one model per member, and member m's
-    loss curves go to ``reports[m]``.
+    proposal count (else ``ValueError``).  The group's (M, N, K, D0) raw
+    means and (M, N, C+1, K) targets are allocated once, each member's
+    scenes are packed a block at a time into its slot, and each step
+    gathers every member's scene with one index.  Returns one model per
+    member, and member m's loss curves go to ``reports[m]``.
     :func:`run_experiment` trains the sources of all its seeds that share
     a sibling key in one call.
     A single World and StageConfig (with a single report or None) train
@@ -864,24 +869,24 @@ def train_source(
             "train_source worlds are not siblings: they differ in a field "
             "other than the seed"
         )
-    num_classes = worlds[0].config.classes_in("source")
-    dim = worlds[0].config.raw_dim
-    backbones, heads, raw_means, targets, orders = [], [], [], [], []
-    for world, cfg in zip(worlds, members.cfgs):
+    world_cfg = worlds[0].config
+    num_classes = world_cfg.classes_in("source")
+    dim = world_cfg.raw_dim
+    rows = np.arange(len(members.cfgs))
+    scenes, count = members.cfgs[0].source_scenes, world_cfg.proposals_per_scene
+    # member m's packs are raw_means[m] and targets[m]; step s trains member
+    # m on its scene orders[m][s]
+    raw_means = np.empty((len(rows), scenes, count, dim))
+    targets = np.empty((len(rows), scenes, num_classes + 1, count))
+    backbones, heads, orders = [], [], []
+    for m, (world, cfg) in enumerate(zip(worlds, members.cfgs)):
         init_rng = substream(cfg.seed, "source", "init")
         backbones.append(init_backbone(dim, init_rng))
         heads.append(init_head(num_classes, dim, init_rng))
-        member_means, member_targets = _stacked_source_scenes(world, cfg)
-        raw_means.append(member_means)
-        targets.append(member_targets)
+        _stacked_source_scenes(world, cfg, raw_means[m], targets[m])
         orders.append(_step_order(
-            substream(cfg.seed, "source", "order"), len(member_targets),
-            cfg.source_epochs,
+            substream(cfg.seed, "source", "order"), scenes, cfg.source_epochs
         ))
-    # (M, N, K, D0) raw means and (M, N, C+1, K) targets; step s trains
-    # member m on its scene orders[m][s].
-    raw_means, targets = np.stack(raw_means), np.stack(targets)
-    rows = np.arange(len(members.cfgs))
 
     def loss_fn(p, g, scene):
         pack = ScenePack(raw_means=raw_means[rows, scene], targets=targets[rows, scene])
@@ -1062,13 +1067,14 @@ def detections(
     it is called; the result is an iterator, and a model's rows are built
     only when it reaches that model.  The model-independent work runs once
     for all models: the scenes' proposals are pooled into one (S, K, D0)
-    block, and their proposal IoU is computed once per scene.  One stacked
-    head call per model scores all the scenes, and one lockstep
-    :func:`~transferdet.geometry.nms` suppresses every (model, class,
-    scene) row.  A model's rows run class by class, each class scene by
-    scene and each scene by descending score; a row's scene id is its
-    scene's position in ``scenes``.  The scenes must share one proposal
-    count.
+    block, and their proposal IoU is computed once per scene and kept as
+    the boolean (S, K, K) stack of the pairs that may coexist, an eighth
+    of the float matrices' bytes.  One stacked head call per model scores
+    all the scenes, and one lockstep :func:`~transferdet.geometry.nms`
+    suppresses every (model, class, scene) row.  A model's rows run class
+    by class, each class scene by scene and each scene by descending score;
+    a row's scene id is its scene's position in ``scenes``.  The scenes
+    must share one proposal count.
     """
     if len(classifiers) != len(models):
         raise ValueError(
@@ -1096,10 +1102,10 @@ def detections(
     ]).transpose(0, 2, 1, 3)  # (M, S, C+1, K) as an (M, C+1, S, K) view
     if not np.isfinite(probs).all():
         raise ValueError("non-finite detection score")
-    kept = nms(
-        probs[:, :-1], np.stack([pairwise_iou(b) for b in boxes]),
-        INFERENCE_NMS_THRESHOLD, count,
+    compatible = np.stack(
+        [pairwise_iou(b) <= INFERENCE_NMS_THRESHOLD for b in boxes]
     )
+    kept = nms(probs[:, :-1], compatible, INFERENCE_NMS_THRESHOLD, count)
     corners = np.stack(boxes)
 
     def rows(m: int) -> Detections:

@@ -471,6 +471,32 @@ def test_train_checkpoint_with_a_repeated_block_exits_4(tmp_path, train_root, ca
 
 
 @pytest.mark.parametrize(
+    "block, header, problem",
+    [
+        ("backbone", "block backbone shape 16 16 role main",
+         "role 'main' on the backbone"),
+        ("main_head", "block main_head shape 7 17 role rol_classifier",
+         "head role 'rol_classifier' where main_head takes 'main'"),
+    ],
+    ids=["backbone_role", "misplaced_head_role"],
+)
+def test_train_checkpoint_with_a_wrong_role_word_exits_4(
+    tmp_path, train_root, capsys, block, header, problem
+):
+    lines = (train_root / "source" / "source_model.txt").read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(f"block {block} "))
+    edited = tmp_path / "source_model.txt"
+    edited.write_text("\n".join(lines[:at] + [header] + lines[at + 1:]) + "\n")
+    code = main([
+        "train", "lstd", "--seed", "7", "--set", "shots_per_class=1",
+        "--source-model", str(edited), "--out-dir", str(tmp_path / "lstd"),
+    ])
+    assert code == EXIT_MALFORMED
+    assert f"line {at + 1}: block {block}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "lstd").exists()
+
+
+@pytest.mark.parametrize(
     "stage, checkpoint, world_set, field",
     [
         # a source checkpoint from a world with another raw_dim

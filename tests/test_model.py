@@ -540,6 +540,18 @@ MALFORMED_CHECKPOINTS = {
         _replace_header("main_head", "block main_head shape 5 17 role teacher"),
         "block main_head: unknown head role 'teacher'",
     ),
+    "backbone_role": (
+        _replace_header("backbone", "block backbone shape 16 16 role teacher"),
+        "block backbone: role 'teacher' on the backbone",
+    ),
+    "misplaced_head_role": (
+        _replace_header("main_head", "block main_head shape 5 17 role rol_classifier"),
+        "block main_head: head role 'rol_classifier' where main_head takes 'main'",
+    ),
+    "missing_head_role": (
+        _replace_header("sdk_head", "block sdk_head shape 7 17"),
+        "block sdk_head: missing head role 'sdk_branch'",
+    ),
     "ragged_rol_heads": (
         _ragged_rol_head, "block rol_head_1: shape 4 17 differs from rol_head_0's 5 17"
     ),

@@ -72,6 +72,7 @@ from reference import (
     ref_softmax,
     ref_wstd_loss,
 )
+from memtrace import traced
 
 # Short stage lengths keep each fixture under a second while still moving
 # every parameter block away from its initialization.
@@ -125,6 +126,15 @@ def assert_same_model(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert x is y if x is None or y is None else np.array_equal(x, y), name
     assert a.source_classes == b.source_classes
+
+
+def assert_same_report(got, want):
+    """Two reports equal in every RunReport field, each curve by
+    ``np.array_equal``."""
+    assert {**vars(got), "curves": None} == {**vars(want), "curves": None}
+    assert got.curves.keys() == want.curves.keys()
+    for key, curve in got.curves.items():
+        assert np.array_equal(curve, want.curves[key]), key
 
 
 def assert_same_params(a, b):
@@ -474,13 +484,51 @@ def test_train_source_report_curves(world):
         assert np.all(np.isfinite(report.curves[key]))
 
 
+def test_training_curves_hold_8_bytes_a_value():
+    # a training's curves hold 8 bytes per step, term and member; lists of
+    # Python floats would hold four times that
+    steps, members, terms = 4000, 2, ("total", "main", "bd")
+
+    def loss_fn(p, g, scene):
+        g["w"][...] = p["w"]
+        value = (p["w"] ** 2).sum(axis=(1, 2))
+        return dict.fromkeys(terms, value)
+
+    reports = [RunReport(seed=m) for m in range(members)]
+    _, _, held = traced(lambda: pipeline._train(
+        {"w": np.ones((members, 2, 2))}, loss_fn, np.zeros(steps, dtype=int),
+        OptimizerConfig(), reports, "toy",
+    ))
+    for report in reports:
+        assert report.curves.keys() == {f"toy.{term}" for term in terms}
+        for curve in report.curves.values():
+            assert isinstance(curve, np.ndarray)
+            assert curve.dtype == np.float64 and curve.shape == (steps,)
+    assert held < 1.1 * steps * len(terms) * members * 8
+
+
+def test_train_source_holds_one_copy_of_its_packs():
+    # fig9's K = 64 source group, two seeds at the default 200 scenes: the
+    # stacked (M, N, K, D0) means and (M, N, C+1, K) targets are allocated
+    # once and filled a block at a time, so the peak is one copy plus one
+    # block's packing (about 1.4x), where a second copy would make it 2x
+    k = 64
+    worlds = [make_world(WorldConfig(seed=s, proposals_per_scene=k)) for s in (0, 1)]
+    cfgs = [StageConfig(seed=s, source_epochs=1) for s in (0, 1)]
+    _, peak, _ = traced(lambda: train_source(worlds, cfgs))
+    world_cfg = worlds[0].config
+    rows = world_cfg.raw_dim + world_cfg.classes_in("source") + 1
+    packs = len(cfgs) * cfgs[0].source_scenes * k * rows * 8
+    assert peak < 1.5 * packs
+
+
 def test_train_source_single_form_equals_list_form(world, source_model):
     report, listed = RunReport(seed=TINY.seed), RunReport(seed=TINY.seed)
     single = train_source(world, TINY, report)
     (model,) = train_source([world], [TINY], [listed])
     assert_same_model(single, model)
     assert_same_model(single, source_model)
-    assert report.curves == listed.curves
+    assert_same_report(report, listed)
 
 
 @pytest.mark.parametrize(
@@ -504,8 +552,12 @@ def test_source_scenes_packed_in_blocks_equal_per_scene_packs(overrides):
     scenes = sample_scenes(
         world, "source", "full", substream(cfg.seed, "source", "scenes"), count
     )
-    means, targets = pipeline._stacked_source_scenes(world, cfg)
     rows = np.arange(world.config.classes_in("source") + 1)[:, None]
+    # every slot is written: a NaN left over fails the comparisons below
+    k, dim = world.config.proposals_per_scene, world.config.raw_dim
+    means = np.full((count, k, dim), np.nan)
+    targets = np.full((count, rows.size, k), np.nan)
+    pipeline._stacked_source_scenes(world, cfg, means, targets)
     for scene, scene_means, scene_targets in zip(scenes, means, targets, strict=True):
         boxes = list(map(tuple, scene.proposals.tolist()))
         gt = [(cls, b.as_tuple()) for cls, b in scene.gt]
@@ -553,9 +605,11 @@ def test_flat_adam_training_matches_per_block_adam(world, source_model):
     assert_same_params(params, before)
     assert_same_params(got, want)
     for m, report in enumerate(reports):
-        for key in history[0]:
-            want_curve = [float(comps[key][m]) for comps in history]
-            assert report.curves[f"lstd.{key}"] == want_curve, key
+        curves = {
+            f"lstd.{key}": [float(comps[key][m]) for comps in history]
+            for key in history[0]
+        }
+        assert_same_report(report, RunReport(seed=m, curves=curves))
 
 
 @pytest.mark.parametrize("k", [16, 32, 64])
@@ -930,9 +984,8 @@ def assert_lockstep_matches_singles(train, cfgs):
         alone = RunReport(seed=cfg.seed)
         (single,) = train([cfg], [alone])
         assert_same_model(model, single)
-        assert report.curves and report.curves.keys() == alone.curves.keys()
-        for key, curve in report.curves.items():
-            assert np.array_equal(curve, alone.curves[key]), key
+        assert report.curves
+        assert_same_report(report, alone)
 
 
 def test_lstd_lockstep_matches_single_trainings(world, source_model):
@@ -1147,6 +1200,22 @@ def test_detect_classifier_selection(world, warmup, student):
         detect(student, scene, 0, classifier=last + 1)
     with pytest.raises(ValueError, match="out of range"):
         detect(student, scene, 0, classifier=0)
+
+
+def test_detections_peak_below_one_float_iou_stack():
+    # the proposal overlaps are kept as booleans: the (S, K, K) float stack
+    # of 96 scenes at K = 64 alone is 3.1 MB
+    scenes, count = 96, 64
+    world = make_world(WorldConfig(seed=3, proposals_per_scene=count))
+    eval_scenes = sample_scenes(world, "target", "full", substream(3, "mem"), scenes)
+    rng = np.random.default_rng(0)
+    dim = world.config.raw_dim
+    detector = model.DetectorModel(
+        backbone=init_backbone(dim, rng),
+        main_head=init_head(world.config.classes_in("target"), dim, rng),
+    )
+    _, peak, _ = traced(lambda: list(detections([detector], eval_scenes, [None])))
+    assert peak < scenes * count * count * 8
 
 
 def test_detections_equal_reference_oracle(world, warmup, student):
@@ -1507,24 +1576,29 @@ def test_runner_trains_sibling_cells_in_one_call(tmp_path, monkeypatch, name, ex
         world = make_world(world_cfg)
         cfg = apply_overrides(base, dict(cell.overrides))
         alone = RunReport(seed=seed)
-        (model,) = lstd_finetune(train_source(world, cfg), world, [cfg], [alone])
-        stages = [("lstd", pipeline._stage_key("lstd", cfg))]
+        (model,) = lstd_finetune(
+            train_source(world, cfg, alone), world, [cfg], [alone]
+        )
+        stages = ["source", "lstd"]
         if cell.stage == "wstd":
             (model,) = wstd_train(model, world, [cfg], [alone])
-            stages.append(("wstd", pipeline._stage_key("wstd", cfg)))
-        for stage, key in stages:
-            # the first cell on a model gets its curves
-            if (world_cfg, key) not in trained_keys:
-                trained_keys.add((world_cfg, key))
-                assert report.curves[f"{stage}.total"] == alone.curves[f"{stage}.total"]
-            else:
-                assert f"{stage}.total" not in report.curves
+            stages.append("wstd")
+        # the first cell on a model gets its curves
+        curves = {}
+        for stage in stages:
+            key = (world_cfg, pipeline._stage_key(stage, cfg))
+            if key not in trained_keys:
+                trained_keys.add(key)
+                curves.update(
+                    (k, v) for k, v in alone.curves.items() if k.startswith(f"{stage}.")
+                )
         eval_scenes = sample_scenes(
             world, "target", "full", substream(seed, "eval"), cfg.eval_scenes
         )
-        assert [(report.per_class_aps, report.mean_ap)] == evaluate_model(
-            [model], eval_scenes, [cell.classifier]
-        ), cell.cell_id
+        ((aps, map_value),) = evaluate_model([model], eval_scenes, [cell.classifier])
+        assert_same_report(
+            report, replace(report, curves=curves, per_class_aps=aps, mean_ap=map_value)
+        )
 
 
 @pytest.mark.parametrize("name, sizes", [("table3", [6]), ("fig9", [5, 1, 1])])
@@ -1601,7 +1675,9 @@ def test_runner_trains_every_seeds_source_in_one_call(
         alone = run_experiment(name, seeds=[seed], out_dir=tmp_path / str(seed),
                                overrides=SMOKE_OVERRIDES)
         together = [r for r in reports if r.seed == seed]
-        assert [vars(r) for r in together] == [vars(r) for r in alone]
+        assert len(together) == len(alone)
+        for got, want in zip(together, alone):
+            assert_same_report(got, want)
         assert sum("source.total" in r.curves for r in together) == calls
 
 

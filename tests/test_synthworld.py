@@ -1,7 +1,6 @@
 """World generation tests: prototypes, scene sampling, serialization."""
 
 import tempfile
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,6 +41,7 @@ from reference import (
     ref_sample_scene,
     ref_scene_set_text,
 )
+from memtrace import traced
 
 
 def test_substream_is_reproducible_and_tag_sensitive():
@@ -559,18 +559,6 @@ def test_scenes_file_allows_blank_lines_between_records(tmp_path):
     assert_same_scenes(load_scenes(path)[1], scenes)
 
 
-def _traced(fn):
-    """(fn(), peak bytes above the start, bytes still held at the end)."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak - start, held - start
-
-
 def test_scene_set_memory_is_bounded_by_a_chunk(tmp_path):
     # the writer holds one record at a time, and the reader's memory beyond
     # the scenes it returns does not grow with the file (whole-file buffers
@@ -578,12 +566,12 @@ def test_scene_set_memory_is_bounded_by_a_chunk(tmp_path):
     world = make_world(WorldConfig(seed=12))
     scenes = sample_scenes(world, "target", "full", substream(12, "mem"), 200)
     paths = {n: tmp_path / f"scenes{n}.txt" for n in (50, 200)}
-    _, save_peak, _ = _traced(lambda: save_scenes(paths[200], world, scenes))
+    _, save_peak, _ = traced(lambda: save_scenes(paths[200], world, scenes))
     assert save_peak < 1_000_000
     save_scenes(paths[50], world, scenes[:50])
     transient = {}
     for n, path in paths.items():
-        (_, loaded), peak, held = _traced(lambda: load_scenes(path))
+        (_, loaded), peak, held = traced(lambda: load_scenes(path))
         assert len(loaded) == n
         transient[n] = peak - held
     assert transient[200] <= 1.5 * transient[50]
